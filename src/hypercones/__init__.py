@@ -7,11 +7,9 @@ certificates with re-verifiable witnesses.
 """
 
 from .cones import (
-    DerivedCone,
     HyperCone,
     contains,
     contains_by_inequalities,
-    derivative_cone,
     in_interior,
     membership_exact,
     strict_containment_witness,
@@ -22,7 +20,6 @@ from .spectrum import Spectrum, check_hyperbolic, eigenvalues, mult, rank
 
 __all__ = [
     "CheckReport",
-    "DerivedCone",
     "HomoPoly",
     "HyperCone",
     "InconclusiveError",
@@ -35,7 +32,6 @@ __all__ = [
     "check_hyperbolic",
     "contains",
     "contains_by_inequalities",
-    "derivative_cone",
     "eigenvalues",
     "in_interior",
     "membership_exact",

@@ -19,13 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from . import exactlin, spectrum
-from .cones import (
-    DerivedCone,
-    HyperCone,
-    cone_view,
-    in_interior_exact,
-    membership_exact,
-)
+from .cones import HyperCone, in_interior_exact, membership_exact
 from .gallery import smat_float, svec_float
 from .poly import as_fraction, as_vector, is_exact_vector, polar_form_float
 from .report import CheckReport, Membership, Verdict
@@ -181,14 +175,13 @@ def check_automorphism(
     minimal; otherwise the verdict falls back to sampled membership
     preservation (also used directly for float maps).
     """
-    view = cone_view(cone)
     if isinstance(A, LinearMap):
-        if A.n != view.nvars:
+        if A.n != cone.nvars:
             raise ValueError("map dimension does not match the cone")
         if not A.invertible:
             raise ValueError("map must be invertible")
-        ae = A.apply(view.e)
-        p_ae = view.p.eval(ae)
+        ae = A.apply(cone.e)
+        p_ae = cone.p.eval(ae)
         if p_ae <= 0:
             return CheckReport(
                 verdict=Verdict.FAILS,
@@ -200,12 +193,12 @@ def check_automorphism(
                 },
                 tier="exact",
             )
-        kappa = view.pe / p_ae
-        composed = kappa * view.p.compose(A.rows)
-        if composed == view.p:
-            if in_interior_exact(view, ae):
+        kappa = cone.pe / p_ae
+        composed = kappa * cone.p.compose(A.rows)
+        if composed == cone.p:
+            if in_interior_exact(cone, ae):
                 details = {"conditional_on_minimality": False}
-                if not view.minimality_assumed:
+                if not cone.minimality_assumed:
                     details["note"] = (
                         "certificate is unconditional: scaling identity plus "
                         "interior direction image suffices"
@@ -225,8 +218,8 @@ def check_automorphism(
                 details={"reason": "image of the direction is not interior"},
                 tier="exact",
             )
-        exp, lhs, rhs = _first_coefficient_difference(composed, view.p)
-        if view.minimality_assumed:
+        exp, lhs, rhs = _first_coefficient_difference(composed, cone.p)
+        if cone.minimality_assumed:
             return CheckReport(
                 verdict=Verdict.FAILS,
                 witness=tuple(exp),
@@ -241,18 +234,18 @@ def check_automorphism(
                 },
                 tier="exact",
             )
-        rep = _sampled_preservation(view, A.to_float(), samples=samples, seed=seed, tol=tol)
+        rep = _sampled_preservation(cone, A.to_float(), samples=samples, seed=seed, tol=tol)
         rep.regime_warnings.append(
             "polynomial not flagged minimal; coefficient mismatch alone cannot "
             "refute, verdict comes from sampled membership preservation"
         )
         return rep
     af = np.asarray(A, dtype=float)
-    if af.shape != (view.nvars, view.nvars):
+    if af.shape != (cone.nvars, cone.nvars):
         raise ValueError("map dimension does not match the cone")
     if not np.isfinite(af).all() or abs(np.linalg.det(af)) < 1e-300:
         raise ValueError("map must be invertible")
-    return _sampled_preservation(view, af, samples=samples, seed=seed, tol=tol)
+    return _sampled_preservation(cone, af, samples=samples, seed=seed, tol=tol)
 
 
 def _first_coefficient_difference(a, b):
@@ -265,14 +258,14 @@ def _first_coefficient_difference(a, b):
     raise AssertionError("polynomials are equal")
 
 
-def _biased_points(view, rng, n_random: int, waves: int = 256):
+def _biased_points(cone, rng, n_random: int, waves: int = 256):
     """Gaussian cloud plus copies shifted to sit just inside / outside."""
-    y = rng.standard_normal((n_random, view.nvars))
-    lam, _ = view.lambda_min(y)
+    y = rng.standard_normal((n_random, cone.nvars))
+    lam, _ = cone.lambda_min(y)
     chunks = [y]
     base = y[: min(waves, n_random)]
     lam_b = lam[: len(base)]
-    ef = view.e_float
+    ef = cone.e_float
     for m in (0.5, 0.1, 0.01):
         for sign in (1.0, -1.0):
             shift = lam_b - sign * m
@@ -281,7 +274,7 @@ def _biased_points(view, rng, n_random: int, waves: int = 256):
 
 
 def _sampled_preservation(
-    view: HyperCone,
+    cone: HyperCone,
     a_float: np.ndarray,
     samples: int = 800,
     seed: int = 0,
@@ -290,21 +283,21 @@ def _sampled_preservation(
     """Float tier: does the map preserve sampled membership both ways?"""
     a_inv = np.linalg.inv(a_float)
     rng = np.random.default_rng(seed)
-    pts = _biased_points(view, rng, samples)
+    pts = _biased_points(cone, rng, samples)
     margin = max(10 * tol, DECISIVE_MARGIN)
-    lam_x, res_x = view.lambda_min(pts)
+    lam_x, res_x = cone.lambda_min(pts)
     checked = 0
     for label, mat in (("A", a_float), ("A_inv", a_inv)):
         images = pts @ mat.T
-        lam_img, res_img = view.lambda_min(images)
+        lam_img, res_img = cone.lambda_min(images)
         ok = (res_x < spectrum.RESIDUAL_GATE) & (res_img < spectrum.RESIDUAL_GATE)
         decisive = ok & (np.abs(lam_x) >= margin) & (np.abs(lam_img) >= margin)
         checked += int(decisive.sum())
         flip = decisive & ((lam_x >= margin) != (lam_img >= margin))
         for idx in np.nonzero(flip)[0]:
             x = pts[idx]
-            spec_x = spectrum.eigenvalues(view, x)
-            spec_img = spectrum.eigenvalues(view, mat @ x)
+            spec_x = spectrum.eigenvalues(cone, x)
+            spec_img = spectrum.eigenvalues(cone, mat @ x)
             if (
                 abs(spec_x.lambda_min) >= margin
                 and abs(spec_img.lambda_min) >= margin
@@ -442,13 +435,13 @@ def garding_check(p, e, xs, tol: float = 1e-9) -> CheckReport:
     d = p.degree
     if len(xs) != d:
         raise ValueError(f"need exactly {d} arguments, got {len(xs)}")
-    view = HyperCone(p, e)
+    cone = HyperCone(p, e)
     pts = np.asarray(
         [[float(v) for v in x] for x in xs], dtype=float
     )
     # proportional tuples have maximally repeated roots, which inflate the
     # companion residual; interior needs lambda_min clear of that noise
-    lam, res = view.lambda_min(pts)
+    lam, res = cone.lambda_min(pts)
     if np.any(lam <= res + 1e-12):
         raise ValueError("all arguments must be strictly interior")
     values = p.eval_float(pts)
@@ -512,10 +505,9 @@ def perron_eigenvector(
     certified automorphism would be an invariance violation, which is
     flagged in the details instead.
     """
-    view = cone_view(cone)
     af = A.to_float() if isinstance(A, LinearMap) else np.asarray(A, dtype=float)
     if not assume_invariant:
-        _require_invariance(view, af, samples, seed, tol)
+        _require_invariance(cone, af, samples, seed, tol)
     w, vecs = np.linalg.eig(af)
     rho = float(np.abs(w).max())
     order = np.argsort(-np.abs(w))
@@ -531,7 +523,7 @@ def perron_eigenvector(
             continue
         for s in (1.0, -1.0):
             u = s * v / nrm
-            spec = spectrum.eigenvalues(view, u)
+            spec = spectrum.eigenvalues(cone, u)
             # repeated roots smear the companion eigenvalues; accept within
             # the observed residual, reject only genuinely complex spectra
             if (
@@ -549,9 +541,9 @@ def perron_eigenvector(
                     },
                     tier="float",
                 )
-    u = _cesaro_vector(view, af, rho, seed)
+    u = _cesaro_vector(cone, af, rho, seed)
     if u is not None:
-        spec = spectrum.eigenvalues(view, u)
+        spec = spectrum.eigenvalues(cone, u)
         resid = float(np.linalg.norm(af @ u - rho * u))
         if spec.lambda_min >= -(margin + spec.residual) and resid <= 1e-6 * max(1.0, rho):
             return CheckReport(
@@ -577,28 +569,28 @@ def perron_eigenvector(
     )
 
 
-def _require_invariance(view, af, samples, seed, tol):
+def _require_invariance(cone, af, samples, seed, tol):
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((samples, view.nvars))
-    lam, _ = view.lambda_min(y)
-    inside = y - (lam - 0.05)[:, None] * view.e_float[None, :]
-    lam_img, res = view.lambda_min(inside @ af.T)
+    y = rng.standard_normal((samples, cone.nvars))
+    lam, _ = cone.lambda_min(y)
+    inside = y - (lam - 0.05)[:, None] * cone.e_float[None, :]
+    lam_img, res = cone.lambda_min(inside @ af.T)
     bad = (lam_img < -max(10 * tol, DECISIVE_MARGIN)) & (res < spectrum.RESIDUAL_GATE)
     if np.any(bad):
         raise ValueError("map does not keep the cone invariant")
 
 
-def _cesaro_vector(view, af, rho, seed, iterations: int = 256):
+def _cesaro_vector(cone, af, rho, seed, iterations: int = 256):
     if rho <= 0:
         return None
     rng = np.random.default_rng(seed)
     for attempt in range(3):
         if attempt == 0:
-            z = view.e_float.copy()
+            z = cone.e_float.copy()
         else:
-            y = rng.standard_normal(view.nvars)
-            lam, _ = view.lambda_min(y[None, :])
-            z = y - (lam[0] - 0.5) * view.e_float
+            y = rng.standard_normal(cone.nvars)
+            lam, _ = cone.lambda_min(y[None, :])
+            z = y - (lam[0] - 0.5) * cone.e_float
         acc = np.zeros_like(z)
         cur = z / max(np.linalg.norm(z), 1e-300)
         for _ in range(iterations):
@@ -623,8 +615,7 @@ def min_face_fix_check(cone, A, z, tol: float = DEFAULT_TOL) -> CheckReport:
     Besides comparing the descriptor of Az with that of z, the face's
     generators are pushed through A and must land inside the face.
     """
-    view = cone_view(cone)
-    kind = view.gallery.kind if view.gallery else None
+    kind = cone.gallery.kind if cone.gallery else None
     if kind not in ("Orthant", "PSD"):
         raise ValueError("unsupported gallery type for face descriptors")
     af = A.to_float() if isinstance(A, LinearMap) else np.asarray(A, dtype=float)
@@ -633,7 +624,7 @@ def min_face_fix_check(cone, A, z, tol: float = DEFAULT_TOL) -> CheckReport:
     alpha = float(zf @ az) / float(zf @ zf)
     if np.linalg.norm(az - alpha * zf) > max(tol, 1e-8) * max(1.0, abs(alpha)) * np.linalg.norm(zf):
         raise ValueError("z is not an eigenvector of A")
-    spec = spectrum.eigenvalues(view, zf)
+    spec = spectrum.eigenvalues(cone, zf)
     if spec.lambda_min < -max(10 * tol, DECISIVE_MARGIN):
         raise ValueError("z does not lie in the cone")
 
@@ -654,7 +645,7 @@ def min_face_fix_check(cone, A, z, tol: float = DEFAULT_TOL) -> CheckReport:
             "face_image_inside": face_ok,
         }
     else:
-        n = view.gallery.params["n"]
+        n = cone.gallery.params["n"]
         zm = smat_float(zf, n)
         am = smat_float(az, n)
         proj_z, basis = _range_projector(zm)
@@ -706,7 +697,7 @@ def _range_projector(mat: np.ndarray, rel_tol: float = 1e-6):
 
 
 def membership_violation_witness(
-    derived: DerivedCone,
+    derived: HyperCone,
     maps,
     seed: int = 0,
     margin: float = 1e-6,
@@ -721,20 +712,19 @@ def membership_violation_witness(
     two-sided margins of at least `margin` always.
     """
     rng = np.random.default_rng(seed)
-    view = cone_view(derived)
     need = max(margin, 10 * tol)
     tried = 0
     batch = 256
     while tried < budget:
         nb = min(batch, budget - tried)
         tried += nb
-        y = rng.standard_normal((nb, view.nvars))
-        lam, _ = view.lambda_min(y)
+        y = rng.standard_normal((nb, derived.nvars))
+        lam, _ = derived.lambda_min(y)
         for m in (0.3, 0.03):
-            x = y - (lam - m)[:, None] * view.e_float[None, :]
-            lam_x, res_x = view.lambda_min(x)
+            x = y - (lam - m)[:, None] * derived.e_float[None, :]
+            lam_x, res_x = derived.lambda_min(x)
             for label, mf, mexact in maps:
-                lam_img, res_img = view.lambda_min(x @ mf.T)
+                lam_img, res_img = derived.lambda_min(x @ mf.T)
                 good = (
                     (lam_x >= need)
                     & (lam_img <= -need)
@@ -745,16 +735,16 @@ def membership_violation_witness(
                     xe = as_vector(spectrum._dyadic(x[idx]))
                     if membership_exact(derived, xe) is not Membership.IN:
                         continue
-                    spec_x = spectrum.eigenvalues(view, xe)
+                    spec_x = spectrum.eigenvalues(derived, xe)
                     if spec_x.lambda_min < need:
                         continue
                     if mexact is not None:
                         img_exact = mexact.apply(xe)
                         if membership_exact(derived, img_exact) is not Membership.OUT:
                             continue
-                        spec_img = spectrum.eigenvalues(view, img_exact)
+                        spec_img = spectrum.eigenvalues(derived, img_exact)
                     else:
-                        spec_img = spectrum.eigenvalues(view, mf @ np.asarray([float(v) for v in xe]))
+                        spec_img = spectrum.eigenvalues(derived, mf @ np.asarray([float(v) for v in xe]))
                     if spec_img.lambda_min > -need:
                         continue
                     return {
@@ -1034,10 +1024,9 @@ def lie_probe(
     each refutation carrying the failing (t, x) after re-verification.
     Overflow in the exponential reports Inconclusive.
     """
-    target = cone.derivative_cone(k) if k else cone
-    view = cone_view(target)
+    target = cone.derivative_cone(k)
     lf = np.asarray(L, dtype=float)
-    if lf.shape != (view.nvars, view.nvars):
+    if lf.shape != (target.nvars, target.nvars):
         raise ValueError("generator has wrong dimension")
     total = 0
     for i, t in enumerate(t_grid):
@@ -1050,7 +1039,7 @@ def lie_probe(
                 details={"t": float(t), "reason": "exponential overflow"},
                 tier="float",
             )
-        rep = _sampled_preservation(view, flow, samples=samples, seed=seed + i, tol=tol)
+        rep = _sampled_preservation(target, flow, samples=samples, seed=seed + i, tol=tol)
         total += rep.samples
         if rep.verdict is Verdict.FAILS:
             return CheckReport(

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import autgroup, cones, faces, gallery, spectrum, suite
 from .autgroup import LinearMap
-from .cones import DerivedCone
 from .report import InconclusiveError, Membership, Verdict
 
 EXIT_OK = 0
@@ -72,10 +71,9 @@ def _parse_cone(cone_id: str):
 
 
 def _check_dimension(cone, point):
-    view = cones.cone_view(cone)
-    if len(point) != view.nvars:
+    if len(point) != cone.nvars:
         raise DimensionFailure(
-            f"point has {len(point)} coordinates, cone lives in {view.nvars}"
+            f"point has {len(point)} coordinates, cone lives in {cone.nvars}"
         )
 
 
@@ -98,13 +96,12 @@ def _default_seed() -> int:
 
 def default_generator_model(cone) -> faces.GeneratedFaceModel:
     """Built-in extreme-ray generators for the gallery cones."""
-    view = cones.cone_view(cone)
-    kind = view.gallery.kind if view.gallery else None
+    kind = cone.gallery.kind if cone.gallery else None
     if kind == "Orthant":
-        n = view.gallery.params["n"]
+        n = cone.gallery.params["n"]
         gens = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
     elif kind == "PSD":
-        n = view.gallery.params["n"]
+        n = cone.gallery.params["n"]
         gens = []
         for i in range(n):
             u = [Fraction(1 if j == i else 0) for j in range(n)]
@@ -114,7 +111,7 @@ def default_generator_model(cone) -> faces.GeneratedFaceModel:
                 u = [Fraction(1 if t in (i, j) else 0) for t in range(n)]
                 gens.append(gallery.svec(tuple(tuple(a * b for b in u) for a in u)))
     elif kind == "SOC":
-        n = view.gallery.params["n"]
+        n = cone.gallery.params["n"]
         gens = []
         for j in range(1, n):
             for s in (1, -1):
@@ -131,7 +128,7 @@ def default_generator_model(cone) -> faces.GeneratedFaceModel:
         raise ParseFailure(
             "no built-in generators for this cone; supply a gallery cone id"
         )
-    return faces.GeneratedFaceModel(cones.cone_view(cone), gens)
+    return faces.GeneratedFaceModel(cone, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +149,7 @@ def cmd_member(args) -> int:
     cone = _parse_cone(args.cone_id)
     point = _parse_point(args.point)
     _check_dimension(cone, point)
-    if isinstance(cone, DerivedCone):
-        base, k = cone.base, cone.k
-    else:
-        base, k = cone, 0
-    verdict = cones.contains_by_inequalities(base, k, point, args.tol)
+    verdict = cones.contains_by_inequalities(cone.base, cone.k, point, args.tol)
     _emit(
         {
             "cone": args.cone_id,
@@ -171,11 +164,8 @@ def cmd_member(args) -> int:
 
 def cmd_deriv(args) -> int:
     cone = _parse_cone(args.cone_id)
-    if isinstance(cone, DerivedCone):
-        base, offset = cone.base, cone.k
-    else:
-        base, offset = cone, 0
-    k = offset + args.k
+    base = cone.base
+    k = cone.k + args.k
     if not 0 <= k <= base.d:
         raise ParseFailure(f"derivative order {k} outside 0..{base.d}")
     _emit(base.derivs[k].to_json_dict(), args.json)
@@ -185,13 +175,12 @@ def cmd_deriv(args) -> int:
 def cmd_autcheck(args) -> int:
     cone = _parse_cone(args.cone_id)
     mapping = _load_matrix(args.matrix_file)
-    view = cones.cone_view(cone)
-    if mapping.n != view.nvars:
+    if mapping.n != cone.nvars:
         raise DimensionFailure(
-            f"matrix is {mapping.n}x{mapping.n}, cone lives in {view.nvars}"
+            f"matrix is {mapping.n}x{mapping.n}, cone lives in {cone.nvars}"
         )
     if args.k is not None:
-        if isinstance(cone, DerivedCone):
+        if cone.k:
             raise ParseFailure("--k is for base cone ids; the id already has k")
         report = autgroup.check_deriv_automorphism(
             cone, args.k, mapping, samples=args.samples, seed=args.seed, tol=args.tol
@@ -230,27 +219,26 @@ def cmd_garding(args) -> int:
     import numpy as np
 
     cone = _parse_cone(args.cone_id)
-    view = cones.cone_view(cone)
     rng = np.random.default_rng(args.seed)
     worst_random = float("inf")
     worst_prop = 0.0
     best_perturbed = float("inf")
     problems = []
     for i in range(args.samples):
-        pts = rng.standard_normal((view.d, view.nvars))
-        lam, _ = view.lambda_min(pts)
-        xs = pts - (lam - 0.25)[:, None] * view.e_float[None, :]
-        rep = autgroup.garding_check(view.p, view.e, xs, tol=args.tol)
+        pts = rng.standard_normal((cone.d, cone.nvars))
+        lam, _ = cone.lambda_min(pts)
+        xs = pts - (lam - 0.25)[:, None] * cone.e_float[None, :]
+        rep = autgroup.garding_check(cone.p, cone.e, xs, tol=args.tol)
         worst_random = min(worst_random, rep.details["gap"])
         if not rep.holds:
             problems.append({"kind": "random", "i": i})
     for i in range(max(args.samples // 10, 1)):
-        base = rng.standard_normal(view.nvars)
-        lam, _ = view.lambda_min(base[None, :])
-        base = base - (lam[0] - 0.25) * view.e_float
-        scalars = rng.uniform(0.5, 3.0, size=view.d)
+        base = rng.standard_normal(cone.nvars)
+        lam, _ = cone.lambda_min(base[None, :])
+        base = base - (lam[0] - 0.25) * cone.e_float
+        scalars = rng.uniform(0.5, 3.0, size=cone.d)
         rep = autgroup.garding_check(
-            view.p, view.e, scalars[:, None] * base[None, :], tol=args.tol
+            cone.p, cone.e, scalars[:, None] * base[None, :], tol=args.tol
         )
         worst_prop = max(worst_prop, abs(rep.details["gap"]))
         if not rep.holds:

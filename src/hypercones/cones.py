@@ -3,10 +3,12 @@
 A `HyperCone` bundles a homogeneous polynomial with a distinguished
 interior direction and caches the directional-derivative tower, since
 every membership question reduces to signs of those derivatives or to
-roots of the line restriction.  Membership is three-valued (In / Out /
-Boundary-ambiguous): every property suite downstream quantifies only over
-points with a tolerance margin, which is what keeps the checks
-deterministic instead of flaky.
+roots of the line restriction.  The k-th derivative relaxation of a cone
+is itself the cone of D_e^k p along the same e (Renegar 2006), so it is a
+`HyperCone` too, built by `derivative_cone` on the root cone's tower.
+Membership is three-valued (In / Out / Boundary-ambiguous): every property
+suite downstream quantifies only over points with a tolerance margin,
+which is what keeps the checks deterministic instead of flaky.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ class HyperCone:
 
     `minimality_assumed` and `rog_flag` are documented metadata, not
     verified claims; the automorphism machinery states explicitly which of
-    its verdicts are conditional on them.
+    its verdicts are conditional on them.  `base` is the root cone and `k`
+    the relaxation order: a cone built here has `base = self` and `k = 0`,
+    and `derivative_cone(k)` returns the relaxation with `derivs =
+    base.derivs[k:]`.
     """
 
     def __init__(
@@ -57,6 +62,8 @@ class HyperCone:
         self.minimality_assumed = minimality_assumed
         self.rog_flag = rog_flag
         self.gallery = gallery
+        self.base = self
+        self.k = 0
         self._derivs = None
         self._deriv_cones = {}
         self._e_float = np.array([float(v) for v in e])
@@ -95,12 +102,37 @@ class HyperCone:
         eigs, residuals = spectrum.batch_eigenvalues(self, points)
         return eigs[:, -1], residuals
 
-    def derivative_cone(self, k: int) -> "DerivedCone":
+    def derivative_cone(self, k: int) -> "HyperCone":
+        """The k-th relaxation: the cone of D_e^k p along the same e.
+
+        Every relaxation hangs off its root cone `base` at order `k` and
+        shares the root's derivative tower.  Order 0 is the cone itself,
+        and a relaxation of a relaxation is the root's relaxation of the
+        summed order, so each order is built once per root cone.
+        """
+        if self.base is not self:
+            return self.base.derivative_cone(self.k + k)
+        if not 0 <= k <= self.d - 1:
+            raise ValueError(f"relaxation order {k} outside 0..{self.d - 1}")
+        if k == 0:
+            return self
         if k not in self._deriv_cones:
-            self._deriv_cones[k] = DerivedCone(self, k)
+            dc = HyperCone(
+                self.derivs[k],
+                self.e,
+                label=f"{self.label}^({k})",
+                minimality_assumed=_derived_minimality(self, k),
+                rog_flag=False,
+                gallery=self.gallery,
+            )
+            dc.base, dc.k = self, k
+            dc._derivs = self.derivs[k:]
+            self._deriv_cones[k] = dc
         return self._deriv_cones[k]
 
     def descriptor_json(self) -> dict:
+        if self.base is not self:
+            return {**self.base.descriptor_json(), "k": self.k}
         return {
             "label": self.label,
             "polynomial": self.p.to_json_dict(),
@@ -109,67 +141,6 @@ class HyperCone:
 
     def __repr__(self):
         return f"HyperCone({self.label}, degree {self.d}, {self.nvars} vars)"
-
-
-class DerivedCone:
-    """The k-th relaxation: same direction, k-fold derivative polynomial."""
-
-    def __init__(self, base: HyperCone, k: int):
-        if not 0 <= k <= base.d - 1:
-            raise ValueError(f"relaxation order {k} outside 0..{base.d - 1}")
-        self.base = base
-        self.k = k
-        self.p_k = base.derivs[k]
-        if k == 0:
-            self.as_cone = base
-        else:
-            self.as_cone = HyperCone(
-                self.p_k,
-                base.e,
-                label=f"{base.label}^({k})",
-                minimality_assumed=_derived_minimality(base, k),
-                rog_flag=False,
-                gallery=base.gallery,
-            )
-
-    @property
-    def d(self) -> int:
-        return self.base.d - self.k
-
-    @property
-    def e(self):
-        return self.base.e
-
-    @property
-    def nvars(self) -> int:
-        return self.base.nvars
-
-    @property
-    def label(self) -> str:
-        return self.as_cone.label
-
-    def restrict(self, x) -> UniPoly:
-        return self.as_cone.restrict(x)
-
-    def restriction_coeffs_float(self, points) -> np.ndarray:
-        return self.as_cone.restriction_coeffs_float(points)
-
-    def lambda_min(self, points):
-        return self.as_cone.lambda_min(points)
-
-    def eigenvalues(self, x, **kw):
-        return spectrum.eigenvalues(self.as_cone, x, **kw)
-
-    def derivative_cone(self, j: int) -> "DerivedCone":
-        return self.base.derivative_cone(self.k + j)
-
-    def descriptor_json(self) -> dict:
-        out = self.base.descriptor_json()
-        out["k"] = self.k
-        return out
-
-    def __repr__(self):
-        return f"DerivedCone({self.base.label}, k={self.k})"
 
 
 def _derived_minimality(base: HyperCone, k: int) -> bool:
@@ -182,13 +153,12 @@ def _derived_minimality(base: HyperCone, k: int) -> bool:
 
 
 def cone_view(cone) -> HyperCone:
-    return cone.as_cone if isinstance(cone, DerivedCone) else cone
+    """Identity: every cone, relaxations included, is a `HyperCone`.
 
-
-def derivative_cone(cone, k: int) -> DerivedCone:
-    if isinstance(cone, DerivedCone):
-        return cone.derivative_cone(k)
-    return cone.derivative_cone(k)
+    Kept for external callers of the former wrapper-unwrapping helper;
+    nothing in this package calls it.
+    """
+    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +204,9 @@ def membership_exact(cone, x) -> Membership:
     if not is_exact_vector(x):
         raise TypeError("membership_exact needs a rational point")
     x = as_vector(x)
-    if isinstance(cone, DerivedCone):
-        base, k = cone.base, cone.k
-    else:
-        base, k = cone, 0
     boundary = False
-    for i in range(k, base.d):
-        v = base.derivs[i].eval(x)
+    for q in cone.derivs[: cone.d]:
+        v = q.eval(x)
         if v < 0:
             return Membership.OUT
         if v == 0:
@@ -262,7 +228,7 @@ def contains_by_inequalities(cone, k: int, x, tol: float = 1e-8) -> Membership:
     ||x||^(d-i), and anything inside the band comes back
     Boundary-ambiguous.
     """
-    base = cone.base if isinstance(cone, DerivedCone) else cone
+    base = cone.base
     if not 0 <= k <= base.d - 1:
         raise ValueError(f"relaxation order {k} outside 0..{base.d - 1}")
     if is_exact_vector(x):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactlin, spectrum
-from .cones import HyperCone, cone_view, membership_exact
+from .cones import HyperCone, membership_exact
 from .poly import as_vector, is_exact_vector
 from .report import CheckReport, InconclusiveError, Membership, Verdict
 
@@ -28,7 +28,7 @@ class ChainError(RuntimeError):
 class GeneratedFaceModel:
     """A cone together with an explicit finite set of extreme-ray points."""
 
-    cone: object  # HyperCone or DerivedCone
+    cone: HyperCone  # a root cone or one of its relaxations
     generators: tuple
     label: str = ""
 
@@ -43,7 +43,7 @@ class GeneratedFaceModel:
             gens.append(g)
         self.generators = tuple(gens)
         if not self.label:
-            self.label = cone_view(self.cone).label + "|generators"
+            self.label = self.cone.label + "|generators"
 
     def spectrum_of(self, index: int) -> spectrum.Spectrum:
         return spectrum.eigenvalues(self.cone, self.generators[index])
@@ -99,8 +99,7 @@ def build_chain(model: GeneratedFaceModel, start_index: int = 0, seed=None) -> F
     shuffled when a seed is given.  Raises ChainError with a diagnostic
     when no remaining generator raises the rank.
     """
-    view = cone_view(model.cone)
-    d = view.d
+    d = model.cone.d
     gens = model.generators
     if not 0 <= start_index < len(gens):
         raise IndexError("start index out of range")
@@ -186,17 +185,16 @@ def face_restrict(cone: HyperCone, z, basis) -> HyperCone:
     nonpositive value at those coordinates signals a basis that does not
     match the face (or a wrong multiplicity) and raises ValueError.
     """
-    view = cone_view(cone)
     z = as_vector(z)
-    if membership_exact(view, z) is Membership.OUT:
+    if membership_exact(cone, z) is Membership.OUT:
         raise ValueError("z lies outside the cone")
-    m = view.d - spectrum.rank_exact(view, z)
+    m = cone.d - spectrum.rank_exact(cone, z)
     basis = [as_vector(b) for b in basis]
-    if any(len(b) != view.nvars for b in basis):
+    if any(len(b) != cone.nvars for b in basis):
         raise ValueError("basis vectors have wrong dimension")
     columns = list(zip(*basis))  # n x r matrix with basis vectors as columns
     coords = exactlin.solve(columns, z)
-    q = view.derivs[m].compose(columns)
+    q = cone.derivs[m].compose(columns)
     if q.eval(coords) <= 0:
         raise ValueError(
             "restricted polynomial is nonpositive at z's coordinates; "
@@ -205,7 +203,7 @@ def face_restrict(cone: HyperCone, z, basis) -> HyperCone:
     return HyperCone(
         q,
         coords,
-        label=view.label + "|face",
-        minimality_assumed=view.rog_flag and view.minimality_assumed,
-        rog_flag=view.rog_flag,
+        label=cone.label + "|face",
+        minimality_assumed=cone.rog_flag and cone.minimality_assumed,
+        rog_flag=cone.rog_flag,
     )

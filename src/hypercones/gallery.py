@@ -21,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from . import exactlin
-from .cones import DerivedCone, HyperCone, contains_by_inequalities
+from .cones import HyperCone, contains_by_inequalities
 from .poly import HomoPoly, as_fraction, as_vector
 from .report import Membership
 
@@ -30,7 +30,6 @@ from .report import Membership
 class GalleryDescriptor:
     kind: str  # Orthant | OrthantDeriv | PSD | PSDDeriv | SOC | L1 | Spectrahedral
     params: dict = field(default_factory=dict)
-    face_descriptor_support: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +192,17 @@ def orthant(n: int) -> HyperCone:
         label=f"orthant:{n}",
         minimality_assumed=True,
         rog_flag=True,
-        gallery=GalleryDescriptor("Orthant", {"n": n}, face_descriptor_support=True),
+        gallery=GalleryDescriptor("Orthant", {"n": n}),
     )
 
 
-def orthant_deriv(n: int, k: int) -> DerivedCone:
+def orthant_deriv(n: int, k: int) -> HyperCone:
     """k-th relaxation of the coordinate cone; generator is k! * e_{n-k}."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"relaxation order {k} outside 1..{n - 1}")
     dc = orthant(n).derivative_cone(k)
     expected = factorial(k) * elementary_symmetric(n, n - k)
-    if dc.p_k != expected:
+    if dc.p != expected:
         raise AssertionError("derivative polynomial differs from k! * e_{n-k}")
     return dc
 
@@ -220,7 +219,7 @@ def psd(n: int) -> HyperCone:
         label=f"psd:{n}",
         minimality_assumed=True,
         rog_flag=True,
-        gallery=GalleryDescriptor("PSD", {"n": n}, face_descriptor_support=True),
+        gallery=GalleryDescriptor("PSD", {"n": n}),
     )
 
 
@@ -290,9 +289,6 @@ def l1_cone() -> HyperCone:
         rog_flag=False,
         gallery=GalleryDescriptor("L1", {}),
     )
-
-
-L1_TO_SOC3 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))  # (x1,x2,x3) -> (x3,x1,x2)
 
 
 def spectrahedral(
@@ -426,8 +422,8 @@ def cone_from_descriptor(data) -> HyperCone:
 
 def parse_cone_id(cone_id: str):
     """Resolve ids like orthant:4, orthant:4:k=1, psd:3, soc:3, l1,
-    spectrahedral:<file>, file:<descriptor.json>; a trailing :k=K wraps
-    the cone in its relaxation."""
+    spectrahedral:<file>, file:<descriptor.json>; a trailing :k=K selects
+    the cone's k-th relaxation."""
     parts = cone_id.split(":")
     k = None
     if parts and parts[-1].startswith("k="):
@@ -455,7 +451,7 @@ def parse_cone_id(cone_id: str):
             raise ValueError(f"bad cone id {cone_id!r}")
         with open(parts[1]) as fh:
             cone = cone_from_descriptor(json.load(fh))
-        if isinstance(cone, DerivedCone) and k is not None:
+        if cone.k and k is not None:
             raise ValueError("descriptor already sets k; drop the :k= suffix")
     else:
         raise ValueError(f"unknown cone kind {kind!r}")

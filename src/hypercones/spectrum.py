@@ -187,10 +187,6 @@ def real_roots(q: UniPoly, tol: float = DEFAULT_RESIDUAL_TOL):
     return tuple(roots), residual
 
 
-def _cone_view(cone):
-    return cone.as_cone if hasattr(cone, "as_cone") else cone
-
-
 def eigenvalues(
     cone,
     x,
@@ -204,12 +200,11 @@ def eigenvalues(
     itself is floating point; use `rank_exact` when the answer must be
     certified.
     """
-    view = _cone_view(cone)
     if is_exact_vector(x):
-        q = view.restrict(as_vector(x))
+        q = cone.restrict(as_vector(x))
         roots, residual = real_roots(q, residual_tol)
     else:
-        coeffs = view.restriction_coeffs_float(np.asarray(x, dtype=float)[None, :])[0]
+        coeffs = cone.restriction_coeffs_float(np.asarray(x, dtype=float)[None, :])[0]
         roots, residual = roots_from_float_coeffs(coeffs, residual_tol)
     return _classify(roots, residual, zero_tol)
 
@@ -222,25 +217,30 @@ def _horner_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
+    """Complex roots of each ascending coefficient row (degree >= 1)."""
+    d = coeffs.shape[1] - 1
+    monic = coeffs[:, :d] / coeffs[:, d:]
+    comp = np.zeros((len(coeffs), d, d))
+    if d > 1:
+        idx = np.arange(d - 1)
+        comp[:, idx + 1, idx] = 1.0
+    comp[:, :, d - 1] = -monic
+    return np.linalg.eigvals(comp)
+
+
 def batch_eigenvalues(cone, points: np.ndarray, tol=DEFAULT_RESIDUAL_TOL):
     """Vectorized spectra for a batch of float points.
 
     Returns (eigs, residuals): eigs is (npts, d) with rows sorted
     descending, residuals the max imaginary magnitudes per point.
     """
-    view = _cone_view(cone)
     pts = np.asarray(points, dtype=float)
-    coeffs = view.restriction_coeffs_float(pts)  # (npts, d+1) ascending
+    coeffs = cone.restriction_coeffs_float(pts)  # (npts, d+1) ascending
     d = coeffs.shape[1] - 1
     if d == 0:
         return np.zeros((len(pts), 0)), np.zeros(len(pts))
-    monic = coeffs[:, :d] / coeffs[:, d:]
-    comp = np.zeros((len(pts), d, d))
-    if d > 1:
-        idx = np.arange(d - 1)
-        comp[:, idx + 1, idx] = 1.0
-    comp[:, :, d - 1] = -monic
-    vals = np.linalg.eigvals(comp)
+    vals = _companion_eigvals(coeffs)
     residuals = np.abs(vals.imag).max(axis=1)
     lam = vals.real.copy()
     dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)[None, :]
@@ -264,14 +264,13 @@ def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     real-rooted and its nonzero real roots are recounted through the
     square-free Sturm oracle.
     """
-    view = _cone_view(cone)
     if not is_exact_vector(x):
         raise TypeError("rank_exact needs a rational point")
-    q = view.restrict(as_vector(x))
+    q = cone.restrict(as_vector(x))
     if q.is_zero():
         raise ValueError("restriction vanished; p(e) = 0?")
     m = q.trailing_zero_count()
-    r = view.d - m
+    r = cone.d - m
     if sturm_verify:
         if not is_real_rooted(q):
             raise InconclusiveError(
@@ -312,11 +311,10 @@ def rank(
     around zero_tol.  `cross_direction` optionally recomputes the rank
     along a second interior direction and demands agreement.
     """
-    view = _cone_view(cone)
     if is_exact_vector(x):
-        r = rank_exact(view, x)
+        r = rank_exact(cone, x)
     else:
-        spec = eigenvalues(view, x, residual_tol, zero_tol)
+        spec = eigenvalues(cone, x, residual_tol, zero_tol)
         if spec.residual > max(residual_tol, RESIDUAL_GATE):
             raise InconclusiveError(
                 f"root residual {spec.residual} too large", payload=spec
@@ -324,7 +322,7 @@ def rank(
         _band_check(spec, zero_tol)
         r = spec.rank
     if cross_direction is not None:
-        other = _along_other_direction(view, cross_direction)
+        other = _along_other_direction(cone, cross_direction)
         r2 = rank(other, x, zero_tol, residual_tol)
         if r2 != r:
             raise InconclusiveError(
@@ -334,14 +332,13 @@ def rank(
 
 
 def mult(cone, x, zero_tol: float = DEFAULT_ZERO_TOL, **kw) -> int:
-    view = _cone_view(cone)
-    return view.d - rank(view, x, zero_tol, **kw)
+    return cone.d - rank(cone, x, zero_tol, **kw)
 
 
-def _along_other_direction(view, direction):
+def _along_other_direction(cone, direction):
     from .cones import HyperCone
 
-    return HyperCone(view.p, as_vector(direction), label=view.label + "|alt-direction")
+    return HyperCone(cone.p, as_vector(direction), label=cone.label + "|alt-direction")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +421,8 @@ def check_hyperbolic(
 
     witness = scan(raw)
     if witness is None:
-        eigs, _ = _batch_from_derivs(derivs, raw, pe)
+        vals = _companion_eigvals(_coeff_matrix(derivs, raw))
+        eigs = np.sort(vals.real, axis=1)[:, ::-1]
         shifted = _dyadic(raw - eigs[:, -1][:, None] * e_float[None, :])
         witness = scan(shifted)
     if witness is not None:
@@ -443,17 +441,3 @@ def _coeff_matrix(derivs, points: np.ndarray) -> np.ndarray:
         cols.append(sign / factorial(j) * derivs[j].eval_float(points))
     return np.stack(cols, axis=1)
 
-
-def _batch_from_derivs(derivs, points: np.ndarray, pe):
-    coeffs = _coeff_matrix(derivs, points)
-    d = coeffs.shape[1] - 1
-    monic = coeffs[:, :d] / coeffs[:, d:]
-    comp = np.zeros((len(points), d, d))
-    if d > 1:
-        idx = np.arange(d - 1)
-        comp[:, idx + 1, idx] = 1.0
-    comp[:, :, d - 1] = -monic
-    vals = np.linalg.eigvals(comp)
-    residuals = np.abs(vals.imag).max(axis=1)
-    eigs = np.sort(vals.real, axis=1)[:, ::-1]
-    return eigs, residuals

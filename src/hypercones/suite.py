@@ -19,7 +19,7 @@ from . import autgroup, cones, exactlin, faces, gallery, spectrum
 from .autgroup import LinearMap
 from .cones import HyperCone
 from .poly import HomoPoly, as_vector
-from .report import Membership
+from .report import InconclusiveError, Membership
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -320,10 +320,10 @@ def check_stabilizer_equivalence_audit(seed: int, ctx: dict) -> SuiteCheck:
 GARDING_ROSTER = ("orthant:3", "orthant:4", "psd:3", "soc:3", "l1")
 
 
-def _interior_points(view, rng, count, margin=0.25):
-    pts = rng.standard_normal((count, view.nvars))
-    lam, _ = view.lambda_min(pts)
-    return pts - (lam - margin)[:, None] * view.e_float[None, :]
+def _interior_points(cone, rng, count, margin=0.25):
+    pts = rng.standard_normal((count, cone.nvars))
+    lam, _ = cone.lambda_min(pts)
+    return pts - (lam - margin)[:, None] * cone.e_float[None, :]
 
 
 def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
@@ -332,12 +332,12 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
     problems = []
     stats = {}
     for cone_id in GARDING_ROSTER:
-        view = gallery.parse_cone_id(cone_id)
-        d = view.d
+        cone = gallery.parse_cone_id(cone_id)
+        d = cone.d
         min_gap = float("inf")
         for i in range(1000):
-            xs = _interior_points(view, rng, d)
-            rep = autgroup.garding_check(view.p, view.e, xs, tol=1e-9)
+            xs = _interior_points(cone, rng, d)
+            rep = autgroup.garding_check(cone.p, cone.e, xs, tol=1e-9)
             gap = rep.details["gap"]
             min_gap = min(min_gap, gap)
             if not rep.holds or gap < -1e-9:
@@ -346,10 +346,10 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
                 break
         max_prop_gap = 0.0
         for i in range(100):
-            base = _interior_points(view, rng, 1)[0]
+            base = _interior_points(cone, rng, 1)[0]
             scalars = rng.uniform(0.5, 3.0, size=d)
             xs = scalars[:, None] * base[None, :]
-            rep = autgroup.garding_check(view.p, view.e, xs, tol=1e-9)
+            rep = autgroup.garding_check(cone.p, cone.e, xs, tol=1e-9)
             gap = abs(rep.details["gap"])
             max_prop_gap = max(max_prop_gap, gap)
             if not rep.holds or gap > 1e-9:
@@ -361,18 +361,18 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
         attempts = 0
         while tested < 100 and attempts < 1000:
             attempts += 1
-            base = _interior_points(view, rng, 1)[0]
-            other = _interior_points(view, rng, 1)[0]
+            base = _interior_points(cone, rng, 1)[0]
+            other = _interior_points(cone, rng, 1)[0]
             scalars = rng.uniform(0.5, 3.0, size=d)
             xs = scalars[:, None] * base[None, :]
             xs[0] = 0.55 * xs[0] + 0.45 * other * np.linalg.norm(xs[0]) / max(
                 np.linalg.norm(other), 1e-12
             )
-            lam, _ = view.lambda_min(xs[0][None, :])
+            lam, _ = cone.lambda_min(xs[0][None, :])
             if lam[0] <= 1e-6:
                 continue
             tested += 1
-            rep = autgroup.garding_check(view.p, view.e, xs, tol=1e-9)
+            rep = autgroup.garding_check(cone.p, cone.e, xs, tol=1e-9)
             gap = rep.details["gap"]
             min_nonprop_gap = min(min_nonprop_gap, gap)
             if not rep.holds or gap < 1e-6:
@@ -715,14 +715,14 @@ ROUTE_CONFIGS = (
 )
 
 
-def _route_points(view, rng, total=10_000):
-    base = rng.standard_normal((total - 4000, view.nvars))
-    lam, _ = view.lambda_min(base[:4000])
+def _route_points(cone, rng, total=10_000):
+    base = rng.standard_normal((total - 4000, cone.nvars))
+    lam, _ = cone.lambda_min(base[:4000])
     waves = []
     for m in (0.05, 0.005):
         for sign in (1.0, -1.0):
             shift = lam[:1000] - sign * m
-            waves.append(base[:1000] - shift[:, None] * view.e_float[None, :])
+            waves.append(base[:1000] - shift[:, None] * cone.e_float[None, :])
     return np.vstack([base] + waves)
 
 
@@ -735,10 +735,9 @@ def check_route_equivalence(seed: int, ctx: dict) -> SuiteCheck:
     for cone_id, orders in ROUTE_CONFIGS:
         base = gallery.parse_cone_id(cone_id)
         for k in orders:
-            target = base.derivative_cone(k) if k else base
-            view = cones.cone_view(target)
-            pts = _route_points(view, rng)
-            eigs, residuals = spectrum.batch_eigenvalues(view, pts)
+            target = base.derivative_cone(k)
+            pts = _route_points(target, rng)
+            eigs, residuals = spectrum.batch_eigenvalues(target, pts)
             lam = eigs[:, -1]
             band = tol + residuals
             eig_verdicts = np.where(lam > band, 1, np.where(lam < -band, -1, 0))
@@ -764,9 +763,8 @@ def check_route_equivalence(seed: int, ctx: dict) -> SuiteCheck:
     l1 = gallery.l1_cone()
     s3 = gallery.soc(3)
     dc = l1.derivative_cone(1)
-    view = cones.cone_view(dc)
-    pts = _route_points(view, rng)
-    eigs, residuals = spectrum.batch_eigenvalues(view, pts)
+    pts = _route_points(dc, rng)
+    eigs, residuals = spectrum.batch_eigenvalues(dc, pts)
     lam = eigs[:, -1]
     band = tol + residuals
     mapped = pts[:, [2, 0, 1]]  # (x1,x2,x3) -> (x3,x1,x2)
@@ -821,14 +819,13 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
         cone = gallery.psd(n)
         for k in orders:
             dc = cone.derivative_cone(k)
-            view = cones.cone_view(dc)
             agreements = disagreements = ambiguous = 0
             for i in range(1000):
                 raw = rng.standard_normal((n, n))
                 sym = (raw + raw.T) / 2
                 fast = gallery.psd_deriv_member(n, k, sym)
                 vec = gallery.svec_float(sym)
-                eigs, res = spectrum.batch_eigenvalues(view, vec[None, :])
+                eigs, res = spectrum.batch_eigenvalues(dc, vec[None, :])
                 lam = eigs[0, -1]
                 band = 1e-8 + res[0]
                 if fast is Membership.BOUNDARY or abs(lam) <= band:
@@ -871,7 +868,7 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
             matrix_rank = int((sv > 1e-6 * max(sv.max(), 1e-300)).sum())
             try:
                 hyp_rank = spectrum.rank(cone, x)
-            except Exception:
+            except InconclusiveError:
                 pair_ambiguous += 1
                 continue
             pair_checked += 1

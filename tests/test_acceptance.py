@@ -8,7 +8,9 @@ instead of recomputing them.
 
 import time
 
-from hypercones import suite
+import pytest
+
+from hypercones import spectrum, suite
 
 SEED = 0
 
@@ -149,6 +151,18 @@ def test_criterion_13_spectral_agreement():
     for n in (2, 3, 4):
         assert check.details["stats"][f"psd:{n}-eigen-max-diff"] <= 1e-8
     assert check.details["stats"]["rank-pairing"]["checked"] > 1500
+
+
+def test_spectral_agreement_propagates_internal_errors(monkeypatch):
+    """Only InconclusiveError counts as an ambiguous rank pairing; any other
+    error from the rank route is an internal fault and must surface."""
+
+    def broken_rank(cone, x, *args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(spectrum, "rank", broken_rank)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        suite.check_spectral_agreement(SEED, {})
 
 
 def test_zz_summary():

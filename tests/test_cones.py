@@ -49,20 +49,19 @@ class TestDerivativeCone:
         dc = gallery.orthant(5).derivative_cone(4)
         from math import factorial
 
-        assert dc.p_k == factorial(4) * elementary_symmetric(5, 1)
+        assert dc.p == factorial(4) * elementary_symmetric(5, 1)
         # halfspace: sum of coordinates nonnegative
         assert cones.membership_exact(dc, (-3, 1, 1, 1, 1)) is Membership.IN
         assert cones.membership_exact(dc, (-5, 1, 1, 1, 1)) is Membership.OUT
 
     def test_first_relaxation_polynomial(self):
         dc = gallery.orthant(4).derivative_cone(1)
-        assert dc.p_k == elementary_symmetric(4, 3)
+        assert dc.p == elementary_symmetric(4, 3)
 
     def test_order_zero_is_the_cone(self):
         cone = gallery.orthant(4)
-        dc = cone.derivative_cone(0)
-        assert dc.as_cone is cone
-        assert dc.p_k == cone.p
+        assert cone.derivative_cone(0) is cone
+        assert cone.base is cone and cone.k == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -71,6 +70,31 @@ class TestDerivativeCone:
     def test_nested_relaxation_composes(self):
         cone = gallery.orthant(5)
         assert cone.derivative_cone(1).derivative_cone(2).k == 3
+
+    def test_nested_relaxation_is_cached(self):
+        cone = gallery.orthant(5)
+        chained = cone.derivative_cone(1).derivative_cone(2)
+        assert chained is cone.derivative_cone(3)
+        assert chained.base is cone
+        assert chained.derivative_cone(0) is chained
+
+    def test_relaxation_shares_base_tower(self):
+        for base in (gallery.orthant(5), gallery.psd(3), gallery.l1_cone()):
+            for k in range(1, base.d):
+                dc = base.derivative_cone(k)
+                assert isinstance(dc, HyperCone)
+                assert dc.base is base and dc.k == k and dc.d == base.d - k
+                assert len(dc.derivs) == dc.d + 1
+                for j, q in enumerate(dc.derivs):
+                    assert q is base.derivs[k + j]
+
+    def test_relaxation_descriptor_roundtrip(self):
+        for base in (gallery.orthant(4), gallery.psd(3)):
+            for k in range(1, base.d):
+                dc = base.derivative_cone(k)
+                again = gallery.cone_from_descriptor(dc.descriptor_json())
+                assert again.k == k and again.base is not again
+                assert again.p == dc.p and again.e == dc.e
 
     def test_direction_interior_in_every_relaxation(self):
         for cone in (gallery.orthant(5), gallery.psd(3), gallery.l1_cone()):

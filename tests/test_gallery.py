@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypercones import cones, exactlin, gallery, spectrum
-from hypercones.cones import DerivedCone, HyperCone
+from hypercones.cones import HyperCone
 from hypercones.report import Membership
 
 
@@ -30,7 +30,7 @@ class TestOrthant:
             cone = gallery.orthant(n)
             for k in range(1, n):
                 dc = gallery.orthant_deriv(n, k)
-                assert dc.p_k == factorial(k) * gallery.elementary_symmetric(n, n - k)
+                assert dc.p == factorial(k) * gallery.elementary_symmetric(n, n - k)
 
     def test_deriv_range(self):
         with pytest.raises(ValueError):
@@ -228,8 +228,9 @@ class TestConeIds:
 
     def test_relaxation_suffix(self):
         dc = gallery.parse_cone_id("orthant:4:k=1")
-        assert isinstance(dc, DerivedCone) and dc.k == 1
-        assert isinstance(gallery.parse_cone_id("l1:k=1"), DerivedCone)
+        assert dc.base is not dc and dc.k == 1
+        l1_relaxed = gallery.parse_cone_id("l1:k=1")
+        assert l1_relaxed.base is not l1_relaxed and l1_relaxed.k == 1
 
     def test_bad_ids(self):
         for bad in ("orthant", "orthant:x", "nope:3", "l1:3", "orthant:4:k=9"):
@@ -246,15 +247,15 @@ class TestConeIds:
         assert again.p == cone.p and again.e == cone.e
         assert again.minimality_assumed and not again.rog_flag
         dc = gallery.parse_cone_id(f"file:{path}:k=1")
-        assert isinstance(dc, DerivedCone) and dc.k == 1
+        assert dc.base is not dc and dc.k == 1
 
     def test_descriptor_file_with_embedded_relaxation(self, tmp_path):
         dc = gallery.orthant(4).derivative_cone(2)
         path = tmp_path / "relaxed.json"
         path.write_text(json.dumps(dc.descriptor_json()))
         again = gallery.parse_cone_id(f"file:{path}")
-        assert isinstance(again, DerivedCone)
-        assert again.k == 2 and again.p_k == dc.p_k
+        assert again.base is not again
+        assert again.k == 2 and again.p == dc.p
         with pytest.raises(ValueError):
             gallery.parse_cone_id(f"file:{path}:k=1")
 
