@@ -423,7 +423,7 @@ def check_deriv_automorphism(
 # ---------------------------------------------------------------------------
 
 
-def garding_check(p, e, xs, tol: float = 1e-9) -> CheckReport:
+def garding_check(cone: HyperCone, xs, tol: float = 1e-9) -> CheckReport:
     """Geometric-mean inequality for the polar form on interior tuples.
 
     Arguments are normalized to p(x) = 1, so the claim becomes
@@ -432,10 +432,9 @@ def garding_check(p, e, xs, tol: float = 1e-9) -> CheckReport:
     caveat).  The verdict also audits that |gap| <= tol happens iff the
     tuple is proportional within tolerance.
     """
-    d = p.degree
+    p, d = cone.p, cone.d
     if len(xs) != d:
         raise ValueError(f"need exactly {d} arguments, got {len(xs)}")
-    cone = HyperCone(p, e)
     pts = np.asarray(
         [[float(v) for v in x] for x in xs], dtype=float
     )
@@ -757,59 +756,53 @@ def membership_violation_witness(
     return None
 
 
-def classify_orthant_deriv(
-    n: int,
-    k: int,
-    A: LinearMap,
-    seed: int = 0,
-    samples: int = 800,
-    tol: float = DEFAULT_TOL,
-    witness_margin: float = 1e-6,
-) -> CheckReport:
-    """Predict and confirm membership of A in the relaxed coordinate cone's
-    automorphism group.
-
-    In the regime n >= 4, 1 <= k <= n-3 the group is exactly the positive
-    multiples of permutation matrices, so the prediction from A's normal
-    form must match the certified verdict; a decisive mismatch raises the
-    classification_violation flag.  Predicted failures additionally get an
-    independent membership-violation witness with two-sided margin.
-    """
-    from .gallery import orthant
-
+def _check_classification_order(n: int, k: int) -> None:
     if n < 4:
         raise ValueError("classification needs n >= 4")
     if not 1 <= k <= n - 1:
         raise ValueError(f"relaxation order {k} outside 1..{n - 1}")
-    cone = orthant(n)
-    in_regime = k <= n - 3
+
+
+def _classify_relaxation(
+    cone: HyperCone,
+    k: int,
+    A,
+    prediction: bool,
+    details: dict,
+    seed: int,
+    samples: int,
+    tol: float,
+    witness_margin: float,
+) -> CheckReport:
+    """Certify A on the k-th relaxation of `cone` and hold it to a prediction.
+
+    The main theorem makes the automorphisms of the relaxation exactly
+    those of `cone` fixing e, which a gallery cone turns into a closed form
+    that `prediction` evaluates for A.  That form holds in the regime
+    1 <= k <= d-3; there a decisive mismatch with the certified verdict
+    raises the classification_violation flag, and outside it no
+    prediction is made.  A map that fails, or is predicted to, also gets an
+    independent membership-violation witness with two-sided margin.
+    `details` are the caller's own keys, merged into the report's details.
+    """
     warnings = []
-    if not in_regime:
+    predicted = prediction if k <= cone.d - 3 else None
+    if predicted is None:
         warnings.append(
-            f"k={k} outside 1..{n - 3}: the group is larger here "
-            "(quadratic or halfspace regime), no classification asserted"
+            f"k={k} outside 1..{cone.d - 3}: no classification asserted in the "
+            "quadratic or halfspace regime"
         )
-    parts = scaled_permutation_parts(A) if isinstance(A, LinearMap) else None
-    predicted = None
-    if in_regime:
-        predicted = parts is not None and len(set(parts[0])) == 1
     rep = check_deriv_automorphism(cone, k, A, samples=samples, seed=seed, tol=tol)
-    details = dict(rep.details)
-    details["normal_form"] = (
-        {"scalings": [str(c) for c in parts[0]], "permutation": list(parts[1])}
-        if parts
-        else None
+    details = {**rep.details, **details, "prediction": predicted}
+    details["classification_violation"] = (
+        predicted is not None
+        and rep.verdict is not Verdict.INCONCLUSIVE
+        and predicted != rep.holds
     )
-    details["prediction"] = predicted
-    violation = False
-    if predicted is not None and rep.verdict is not Verdict.INCONCLUSIVE:
-        violation = predicted != rep.holds
-    details["classification_violation"] = violation
     if rep.verdict is Verdict.FAILS or predicted is False:
-        dc = cone.derivative_cone(k)
-        maps = _map_pair(A)
         found = membership_violation_witness(
-            dc, maps, seed=seed + 17, margin=witness_margin, tol=tol
+            cone.derivative_cone(k), _map_pair(A), seed=seed + 17,
+            margin=witness_margin, tol=tol,
         )
         if found is None:
             details["membership_witness"] = None
@@ -830,6 +823,37 @@ def classify_orthant_deriv(
         regime_warnings=warnings + rep.regime_warnings,
         details=details,
         tier=rep.tier,
+    )
+
+
+def classify_orthant_deriv(
+    n: int,
+    k: int,
+    A: LinearMap,
+    seed: int = 0,
+    samples: int = 800,
+    tol: float = DEFAULT_TOL,
+    witness_margin: float = 1e-6,
+) -> CheckReport:
+    """Predict and confirm membership of A in the relaxed coordinate cone's
+    automorphism group.
+
+    In the regime n >= 4, 1 <= k <= n-3 the group is exactly the positive
+    multiples of permutation matrices, so the prediction from A's normal
+    form must match the certified verdict (see `_classify_relaxation`).
+    """
+    from .gallery import orthant
+
+    _check_classification_order(n, k)
+    parts = scaled_permutation_parts(A) if isinstance(A, LinearMap) else None
+    normal_form = None
+    if parts:
+        normal_form = {"scalings": [str(c) for c in parts[0]], "permutation": list(parts[1])}
+    return _classify_relaxation(
+        orthant(n), k, A,
+        prediction=parts is not None and len(set(parts[0])) == 1,
+        details={"normal_form": normal_form},
+        seed=seed, samples=samples, tol=tol, witness_margin=witness_margin,
     )
 
 
@@ -886,59 +910,19 @@ def classify_psd_deriv(
     The candidate is X -> M X M^T in svec coordinates.  In the regime
     n >= 4, 1 <= k <= n-3, it is an automorphism of the relaxation exactly
     when M^T M is a positive multiple of the identity, and predicted
-    failures must be confirmed by a membership-violation witness.
+    failures must be confirmed by a membership-violation witness (see
+    `_classify_relaxation`).
     """
     from .gallery import psd
 
-    if n < 4:
-        raise ValueError("classification needs n >= 4")
     if n > 4:
         raise ValueError("symbolic matrix-cone route is capped at n = 4")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"relaxation order {k} outside 1..{n - 1}")
-    cone = psd(n)
-    in_regime = k <= n - 3
-    warnings = []
-    if not in_regime:
-        warnings.append(
-            f"k={k} outside 1..{n - 3}: no classification asserted in the "
-            "quadratic or halfspace regime"
-        )
-    L = lm_linear_map(M, n)
-    predicted = None
-    if in_regime:
-        predicted = _is_scaled_orthogonal(M)
-    rep = check_deriv_automorphism(cone, k, L, samples=samples, seed=seed, tol=tol)
-    details = dict(rep.details)
-    details["prediction"] = predicted
-    violation = False
-    if predicted is not None and rep.verdict is not Verdict.INCONCLUSIVE:
-        violation = predicted != rep.holds
-    details["classification_violation"] = violation
-    if rep.verdict is Verdict.FAILS or predicted is False:
-        dc = cone.derivative_cone(k)
-        found = membership_violation_witness(
-            dc, _map_pair(L), seed=seed + 17, margin=witness_margin, tol=tol
-        )
-        if found is None:
-            details["membership_witness"] = None
-            warnings.append("membership-violation witness search exhausted its budget")
-        else:
-            details["membership_witness"] = {
-                "x": [str(v) for v in found["witness"]],
-                "direction": found["direction"],
-                "lambda_min_x": found["lambda_min_x"],
-                "lambda_min_image": found["lambda_min_image"],
-            }
-    return CheckReport(
-        verdict=rep.verdict,
-        kappa=rep.kappa,
-        witness=rep.witness,
-        samples=rep.samples,
-        tolerances=rep.tolerances,
-        regime_warnings=warnings + rep.regime_warnings,
-        details=details,
-        tier=rep.tier,
+    _check_classification_order(n, k)
+    return _classify_relaxation(
+        psd(n), k, lm_linear_map(M, n),
+        prediction=_is_scaled_orthogonal(M),
+        details={},
+        seed=seed, samples=samples, tol=tol, witness_margin=witness_margin,
     )
 
 

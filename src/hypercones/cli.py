@@ -46,10 +46,19 @@ class DimensionFailure(Exception):
 
 def _emit(data, compact: bool):
     if compact:
-        sys.stdout.write(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     else:
-        sys.stdout.write(json.dumps(data, sort_keys=True, indent=2))
-    sys.stdout.write("\n")
+        text = json.dumps(data, sort_keys=True, indent=2)
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull so the
+        # flush at interpreter exit cannot fail again; the verdict still
+        # decides the exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _diag(message: str):
@@ -92,43 +101,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         return 0
-
-
-def default_generator_model(cone) -> faces.GeneratedFaceModel:
-    """Built-in extreme-ray generators for the gallery cones."""
-    kind = cone.gallery.kind if cone.gallery else None
-    if kind == "Orthant":
-        n = cone.gallery.params["n"]
-        gens = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    elif kind == "PSD":
-        n = cone.gallery.params["n"]
-        gens = []
-        for i in range(n):
-            u = [Fraction(1 if j == i else 0) for j in range(n)]
-            gens.append(gallery.svec(tuple(tuple(a * b for b in u) for a in u)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                u = [Fraction(1 if t in (i, j) else 0) for t in range(n)]
-                gens.append(gallery.svec(tuple(tuple(a * b for b in u) for a in u)))
-    elif kind == "SOC":
-        n = cone.gallery.params["n"]
-        gens = []
-        for j in range(1, n):
-            for s in (1, -1):
-                ray = [Fraction(1)] + [Fraction(0)] * (n - 1)
-                ray[j] = Fraction(s)
-                gens.append(tuple(ray))
-        if n >= 3:
-            ray = [Fraction(0)] * n
-            ray[0], ray[1], ray[2] = Fraction(5), Fraction(3), Fraction(4)
-            gens.append(tuple(ray))
-    elif kind == "L1":
-        gens = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
-    else:
-        raise ParseFailure(
-            "no built-in generators for this cone; supply a gallery cone id"
-        )
-    return faces.GeneratedFaceModel(cone, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +169,7 @@ def cmd_autcheck(args) -> int:
 
 def cmd_chain(args) -> int:
     cone = _parse_cone(args.cone_id)
-    model = default_generator_model(cone)
+    model = faces.GeneratedFaceModel(cone, gallery.extreme_rays(cone))
     try:
         chain = faces.build_chain(model, args.start, seed=args.seed if args.shuffle else None)
     except faces.ChainError as exc:
@@ -209,7 +181,7 @@ def cmd_chain(args) -> int:
 
 def cmd_rogcheck(args) -> int:
     cone = _parse_cone(args.cone_id)
-    model = default_generator_model(cone)
+    model = faces.GeneratedFaceModel(cone, gallery.extreme_rays(cone))
     report = faces.rog_check(model, zero_tol=args.tol * 10)
     _emit(report.to_json_dict(), args.json)
     return _VERDICT_EXIT[report.verdict]
@@ -222,24 +194,17 @@ def cmd_garding(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst_random = float("inf")
     worst_prop = 0.0
-    best_perturbed = float("inf")
     problems = []
     for i in range(args.samples):
-        pts = rng.standard_normal((cone.d, cone.nvars))
-        lam, _ = cone.lambda_min(pts)
-        xs = pts - (lam - 0.25)[:, None] * cone.e_float[None, :]
-        rep = autgroup.garding_check(cone.p, cone.e, xs, tol=args.tol)
+        xs = cones.interior_points(cone, rng, cone.d)
+        rep = autgroup.garding_check(cone, xs, tol=args.tol)
         worst_random = min(worst_random, rep.details["gap"])
         if not rep.holds:
             problems.append({"kind": "random", "i": i})
     for i in range(max(args.samples // 10, 1)):
-        base = rng.standard_normal(cone.nvars)
-        lam, _ = cone.lambda_min(base[None, :])
-        base = base - (lam[0] - 0.25) * cone.e_float
+        base = cones.interior_points(cone, rng, 1)[0]
         scalars = rng.uniform(0.5, 3.0, size=cone.d)
-        rep = autgroup.garding_check(
-            cone.p, cone.e, scalars[:, None] * base[None, :], tol=args.tol
-        )
+        rep = autgroup.garding_check(cone, scalars[:, None] * base[None, :], tol=args.tol)
         worst_prop = max(worst_prop, abs(rep.details["gap"]))
         if not rep.holds:
             problems.append({"kind": "proportional", "i": i})

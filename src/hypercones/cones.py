@@ -161,6 +161,13 @@ def cone_view(cone) -> HyperCone:
     return cone
 
 
+def interior_points(cone, rng, count: int, margin: float = 0.25) -> np.ndarray:
+    """`count` Gaussian points shifted along e until lambda_min equals `margin`."""
+    pts = rng.standard_normal((count, cone.nvars))
+    lam, _ = cone.lambda_min(pts)
+    return pts - (lam - margin)[:, None] * cone.e_float[None, :]
+
+
 # ---------------------------------------------------------------------------
 # Membership
 # ---------------------------------------------------------------------------

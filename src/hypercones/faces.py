@@ -45,9 +45,6 @@ class GeneratedFaceModel:
         if not self.label:
             self.label = self.cone.label + "|generators"
 
-    def spectrum_of(self, index: int) -> spectrum.Spectrum:
-        return spectrum.eigenvalues(self.cone, self.generators[index])
-
 
 @dataclass
 class FaceChain:

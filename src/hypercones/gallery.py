@@ -12,6 +12,7 @@ scaling, which keeps determinant coefficients rational.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -181,8 +182,13 @@ def symmetric_det_poly(n: int) -> HomoPoly:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def orthant(n: int) -> HyperCone:
-    """Product of the coordinates along the all-ones direction."""
+    """Product of the coordinates along the all-ones direction.
+
+    Built once per n: every call returns the same cone, with its derivative
+    tower and relaxations, so callers must not mutate it.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     p = HomoPoly(n, n, {(1,) * n: Fraction(1)})
@@ -207,8 +213,12 @@ def orthant_deriv(n: int, k: int) -> HyperCone:
     return dc
 
 
+@functools.cache
 def psd(n: int) -> HyperCone:
-    """Symmetric PSD matrices in svec coordinates, determinant polynomial."""
+    """Symmetric PSD matrices in svec coordinates, determinant polynomial.
+
+    Built once per n, like `orthant`; callers must not mutate the cone.
+    """
     if not 1 <= n <= SYMBOLIC_DET_CAP:
         raise ValueError(f"symbolic determinant capped at n = {SYMBOLIC_DET_CAP}")
     p = symmetric_det_poly(n)
@@ -394,6 +404,65 @@ def soc3_slice_3x3() -> HyperCone:
     a1 = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
     a2 = ((0, 0, 1), (0, 0, 0), (1, 0, 0))
     return spectrahedral([a0, a1, a2], (1, 0, 0), label="soc3-slice-3x3")
+
+
+# ---------------------------------------------------------------------------
+# Generator sets
+# ---------------------------------------------------------------------------
+
+
+def outer(u):
+    """The rank-one symmetric matrix u u^T as a tuple of rows."""
+    return tuple(tuple(a * b for b in u) for a in u)
+
+
+def coordinate_rays(n: int):
+    """The n unit vectors: the extreme rays of the coordinate cone."""
+    return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
+
+
+def extreme_rays(cone: HyperCone):
+    """Built-in extreme-ray generators of a gallery cone or its relaxation:
+    unit vectors; svec(u u^T) for u = e_i and e_i + e_j; e_0 +- e_j plus
+    (5, 3, 4, 0, ...); the four rank-two rays of the l1 cone."""
+    kind = cone.gallery.kind if cone.gallery else None
+    if kind == "L1":
+        return [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    if kind not in ("Orthant", "PSD", "SOC"):
+        raise ValueError("no built-in generators for this cone; supply a gallery cone id")
+    n = cone.gallery.params["n"]
+    units = coordinate_rays(n)
+    if kind == "Orthant":
+        return units
+    if kind == "PSD":
+        pairs = [
+            tuple(a + b for a, b in zip(units[i], units[j]))
+            for i in range(n) for j in range(i + 1, n)
+        ]
+        return [svec(outer(u)) for u in units + pairs]
+    rays = [tuple(a + s * b for a, b in zip(units[0], u)) for u in units[1:] for s in (1, -1)]
+    if n >= 3:
+        rays.append(as_vector((5, 3, 4) + (0,) * (n - 3)))
+    return rays
+
+
+def psd_rank1_generators(n: int, rng, extras: int = 3):
+    """n + extras seeded generators svec(u u^T), entries of u in {-16..16}/8,
+    the first n linearly independent; gives up after 200 draws."""
+    gens = []
+    attempts = 0
+    while len(gens) < n + extras and attempts < 200:
+        attempts += 1
+        u = [Fraction(int(v), 8) for v in rng.integers(-16, 17, size=n)]
+        if all(v == 0 for v in u):
+            continue
+        g = svec(outer(u))
+        if len(gens) < n:
+            vecs = np.array([[float(v) for v in b] for b in gens + [g]])
+            if abs(np.linalg.det(vecs @ vecs.T)) < 1e-6:
+                continue
+        gens.append(g)
+    return gens
 
 
 # ---------------------------------------------------------------------------

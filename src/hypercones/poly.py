@@ -354,27 +354,6 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> "UniPoly":
     return UniPoly(coeffs)
 
 
-def restrict_line_naive(p: HomoPoly, e, x) -> "UniPoly":
-    """Substitute x_i -> e_i*t - x_i and expand.  Debug oracle for restrict_line."""
-    e = as_vector(e)
-    x = as_vector(x)
-    d = p.degree
-    acc = [Fraction(0)] * (d + 1)
-    for exp, c in p.terms.items():
-        conv = [c]
-        for ei, xi, a in zip(e, x, exp):
-            for _ in range(a):
-                # multiply the running univariate by (ei*t - xi)
-                nxt = [Fraction(0)] * (len(conv) + 1)
-                for j, v in enumerate(conv):
-                    nxt[j] += v * (-xi)
-                    nxt[j + 1] += v * ei
-                conv = nxt
-        for j, v in enumerate(conv):
-            acc[j] += v
-    return UniPoly(acc)
-
-
 def polar_form(p: HomoPoly, xs) -> Fraction:
     """Fully symmetric multilinear form P with P(x, ..., x) = p(x).
 

@@ -122,13 +122,27 @@ def check_l1_derivatives(seed: int, ctx: dict) -> SuiteCheck:
 ORTHANT_REGIMES = [(n, k) for n in (4, 5, 6) for k in range(1, n - 2)]
 
 
+def _audit(audit: dict, rep) -> None:
+    """Tally one candidate and its equivalence and classification violations."""
+    audit["candidates"] += 1
+    audit["violations"] += int(rep.details["equivalence_violation"])
+    audit["violations"] += int(rep.details.get("classification_violation", False))
+
+
+def _witness_margin(rep):
+    """Two-sided margin of the report's membership witness, or None."""
+    witness = rep.details.get("membership_witness")
+    if not witness:
+        return None
+    return min(witness["lambda_min_x"], -witness["lambda_min_image"])
+
+
 def _orthant_classification(seed: int, ctx: dict) -> dict:
     if "orthant_classification" in ctx:
         return ctx["orthant_classification"]
     rng = np.random.default_rng([seed, 41])
     problems = []
-    audit_candidates = 0
-    audit_violations = 0
+    audit = {"candidates": 0, "violations": 0}
     min_witness_margin = float("inf")
     holds = refuted = 0
     for n, k in ORTHANT_REGIMES:
@@ -137,9 +151,7 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
             perm = [int(v) for v in rng.permutation(n)]
             cand = LinearMap.scaled_permutation([alpha] * n, perm)
             rep = autgroup.classify_orthant_deriv(n, k, cand, seed=seed + i)
-            audit_candidates += 1
-            audit_violations += int(rep.details["equivalence_violation"])
-            audit_violations += int(rep.details["classification_violation"])
+            _audit(audit, rep)
             expected_kappa = Fraction(1) / alpha ** (n - k)
             if rep.holds and rep.tier == "exact" and rep.kappa == expected_kappa:
                 holds += 1
@@ -164,14 +176,9 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
             rep = autgroup.classify_orthant_deriv(
                 n, k, cand, seed=seed + 1000 + count
             )
-            audit_candidates += 1
-            audit_violations += int(rep.details["equivalence_violation"])
-            audit_violations += int(rep.details["classification_violation"])
-            witness = rep.details.get("membership_witness")
-            if rep.fails and rep.tier == "exact" and witness:
-                margin = min(
-                    witness["lambda_min_x"], -witness["lambda_min_image"]
-                )
+            _audit(audit, rep)
+            margin = _witness_margin(rep)
+            if rep.fails and rep.tier == "exact" and margin is not None:
                 min_witness_margin = min(min_witness_margin, margin)
                 if margin >= 1e-6:
                     refuted += 1
@@ -184,7 +191,7 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
                 problems.append(
                     {"family": "nonconstant-diagonal", "n": n, "k": k,
                      "count": count, "verdict": rep.verdict.value,
-                     "witness_found": witness is not None}
+                     "witness_found": margin is not None}
                 )
             count += 1
     result = {
@@ -192,7 +199,7 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
         "holds": holds,
         "refuted": refuted,
         "min_witness_margin": min_witness_margin,
-        "audit": {"candidates": audit_candidates, "violations": audit_violations},
+        "audit": audit,
     }
     ctx["orthant_classification"] = result
     return result
@@ -219,8 +226,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
     rng = np.random.default_rng([seed, 43])
     n, k = 4, 1
     problems = []
-    audit_candidates = 0
-    audit_violations = 0
+    audit = {"candidates": 0, "violations": 0}
     signed_perm_ok = float_orth_ok = refuted_ok = 0
     for i in range(20):
         perm = [int(v) for v in rng.permutation(n)]
@@ -229,9 +235,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
             [signs[r] if c == perm[r] else 0 for c in range(n)] for r in range(n)
         ]
         rep = autgroup.classify_psd_deriv(n, k, LinearMap(rows), seed=seed + i)
-        audit_candidates += 1
-        audit_violations += int(rep.details["equivalence_violation"])
-        audit_violations += int(rep.details["classification_violation"])
+        _audit(audit, rep)
         if rep.holds and rep.tier == "exact" and rep.kappa == 1:
             signed_perm_ok += 1
         else:
@@ -244,8 +248,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         rep = autgroup.check_deriv_automorphism(
             cone, k, lq, samples=1000, seed=seed + 100 + i, tol=1e-8
         )
-        audit_candidates += 1
-        audit_violations += int(rep.details["equivalence_violation"])
+        _audit(audit, rep)
         if rep.holds and rep.tier == "float":
             float_orth_ok += 1
         else:
@@ -262,18 +265,15 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         if sv.max() / sv.min() < 1.5:
             continue
         rep = autgroup.classify_psd_deriv(n, k, m, seed=seed + 200 + count)
-        audit_candidates += 1
-        audit_violations += int(rep.details["equivalence_violation"])
-        audit_violations += int(rep.details["classification_violation"])
-        witness = rep.details.get("membership_witness")
-        if rep.fails and witness:
-            margin = min(witness["lambda_min_x"], -witness["lambda_min_image"])
+        _audit(audit, rep)
+        margin = _witness_margin(rep)
+        if rep.fails and margin is not None:
             min_witness_margin = min(min_witness_margin, margin)
             refuted_ok += 1
         else:
             problems.append({"family": "spread-singular-values", "count": count,
                              "verdict": rep.verdict.value,
-                             "witness_found": witness is not None})
+                             "witness_found": margin is not None})
         count += 1
     result = {
         "problems": problems,
@@ -281,7 +281,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         "float_orthogonal": float_orth_ok,
         "refuted": refuted_ok,
         "min_witness_margin": min_witness_margin,
-        "audit": {"candidates": audit_candidates, "violations": audit_violations},
+        "audit": audit,
     }
     ctx["psd_classification"] = result
     return result
@@ -320,12 +320,6 @@ def check_stabilizer_equivalence_audit(seed: int, ctx: dict) -> SuiteCheck:
 GARDING_ROSTER = ("orthant:3", "orthant:4", "psd:3", "soc:3", "l1")
 
 
-def _interior_points(cone, rng, count, margin=0.25):
-    pts = rng.standard_normal((count, cone.nvars))
-    lam, _ = cone.lambda_min(pts)
-    return pts - (lam - margin)[:, None] * cone.e_float[None, :]
-
-
 def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
     """Nonnegative gap on random interior tuples; equality iff proportional."""
     rng = np.random.default_rng([seed, 61])
@@ -336,8 +330,8 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
         d = cone.d
         min_gap = float("inf")
         for i in range(1000):
-            xs = _interior_points(cone, rng, d)
-            rep = autgroup.garding_check(cone.p, cone.e, xs, tol=1e-9)
+            xs = cones.interior_points(cone, rng, d)
+            rep = autgroup.garding_check(cone, xs, tol=1e-9)
             gap = rep.details["gap"]
             min_gap = min(min_gap, gap)
             if not rep.holds or gap < -1e-9:
@@ -346,10 +340,10 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
                 break
         max_prop_gap = 0.0
         for i in range(100):
-            base = _interior_points(cone, rng, 1)[0]
+            base = cones.interior_points(cone, rng, 1)[0]
             scalars = rng.uniform(0.5, 3.0, size=d)
             xs = scalars[:, None] * base[None, :]
-            rep = autgroup.garding_check(cone.p, cone.e, xs, tol=1e-9)
+            rep = autgroup.garding_check(cone, xs, tol=1e-9)
             gap = abs(rep.details["gap"])
             max_prop_gap = max(max_prop_gap, gap)
             if not rep.holds or gap > 1e-9:
@@ -361,8 +355,8 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
         attempts = 0
         while tested < 100 and attempts < 1000:
             attempts += 1
-            base = _interior_points(cone, rng, 1)[0]
-            other = _interior_points(cone, rng, 1)[0]
+            base = cones.interior_points(cone, rng, 1)[0]
+            other = cones.interior_points(cone, rng, 1)[0]
             scalars = rng.uniform(0.5, 3.0, size=d)
             xs = scalars[:, None] * base[None, :]
             xs[0] = 0.55 * xs[0] + 0.45 * other * np.linalg.norm(xs[0]) / max(
@@ -372,7 +366,7 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
             if lam[0] <= 1e-6:
                 continue
             tested += 1
-            rep = autgroup.garding_check(cone.p, cone.e, xs, tol=1e-9)
+            rep = autgroup.garding_check(cone, xs, tol=1e-9)
             gap = rep.details["gap"]
             min_nonprop_gap = min(min_nonprop_gap, gap)
             if not rep.holds or gap < 1e-6:
@@ -399,36 +393,12 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
 # ---------------------------------------------------------------------------
 
 
-def _psd_rank1_generators(n: int, rng, extras: int = 3):
-    gens = []
-    attempts = 0
-    while len(gens) < n + extras and attempts < 200:
-        attempts += 1
-        u = [Fraction(int(v), 8) for v in rng.integers(-16, 17, size=n)]
-        if all(v == 0 for v in u):
-            continue
-        if len(gens) < n:
-            # keep the first n outer products independent: check the Gram
-            basis = [g for g in gens] + [gallery.svec(_outer(u))]
-            vecs = [list(map(float, b)) for b in basis]
-            g = np.array(vecs) @ np.array(vecs).T
-            if abs(np.linalg.det(g)) < 1e-6:
-                continue
-        gens.append(gallery.svec(_outer(u)))
-    return gens
-
-
-def _outer(u):
-    return tuple(tuple(a * b for b in u) for a in u)
-
-
 def check_face_chains(seed: int, ctx: dict) -> SuiteCheck:
     """Greedy chains reach full rank one step at a time, repeatably."""
     problems = []
     details = {}
     o6 = gallery.orthant(6)
-    coord = [tuple(Fraction(1 if j == i else 0) for j in range(6)) for i in range(6)]
-    model = faces.GeneratedFaceModel(o6, coord)
+    model = faces.GeneratedFaceModel(o6, gallery.extreme_rays(o6))
     chain = faces.build_chain(model, 0, seed=seed)
     chain_again = faces.build_chain(model, 0, seed=seed)
     if chain.ranks != list(range(7)):
@@ -439,7 +409,7 @@ def check_face_chains(seed: int, ctx: dict) -> SuiteCheck:
 
     rng = np.random.default_rng([seed, 71])
     p4 = gallery.psd(4)
-    gens = _psd_rank1_generators(4, rng)
+    gens = gallery.psd_rank1_generators(4, rng)
     model4 = faces.GeneratedFaceModel(p4, gens)
     chain4 = faces.build_chain(model4, 0, seed=seed)
     chain4_again = faces.build_chain(model4, 0, seed=seed)
@@ -460,7 +430,7 @@ def check_rog_flags(seed: int, ctx: dict) -> SuiteCheck:
     rng = np.random.default_rng([seed, 81])
 
     o3 = gallery.orthant(3)
-    coord3 = [tuple(Fraction(1 if j == i else 0) for j in range(3)) for i in range(3)]
+    coord3 = gallery.extreme_rays(o3)
     rep = faces.rog_check(faces.GeneratedFaceModel(o3, coord3))
     details["orthant:3"] = rep.verdict.value
     if not rep.holds:
@@ -481,7 +451,7 @@ def check_rog_flags(seed: int, ctx: dict) -> SuiteCheck:
             problems.append({"weighted-eigs": list(spec.eigenvalues)})
 
     p3 = gallery.psd(3)
-    gens = _psd_rank1_generators(3, rng, extras=1)
+    gens = gallery.psd_rank1_generators(3, rng, extras=1)
     rep = faces.rog_check(faces.GeneratedFaceModel(p3, gens))
     details["psd:3"] = rep.verdict.value
     if not rep.holds:
@@ -495,7 +465,7 @@ def check_rog_flags(seed: int, ctx: dict) -> SuiteCheck:
         problems.append("second-order boundary rays should have rank one")
 
     l1 = gallery.l1_cone()
-    l1_rays = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    l1_rays = gallery.extreme_rays(l1)
     ranks = [spectrum.rank_exact(l1, r, sturm_verify=True) for r in l1_rays]
     details["l1-extreme-ray-ranks"] = ranks
     if ranks != [2, 2, 2, 2]:

@@ -176,14 +176,14 @@ class TestDerivAutomorphism:
 class TestGarding:
     def test_proportional_tuple_has_zero_gap(self):
         cone = gallery.orthant(3)
-        rep = autgroup.garding_check(cone.p, cone.e, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+        rep = autgroup.garding_check(cone, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
         assert rep.holds
         assert abs(rep.details["gap"]) <= 1e-12
         assert rep.details["proportional"]
 
     def test_non_proportional_tuple_has_positive_gap(self):
         cone = gallery.orthant(3)
-        rep = autgroup.garding_check(cone.p, cone.e, [(1, 1, 1), (1, 1, 1), (1, 1, 4)])
+        rep = autgroup.garding_check(cone, [(1, 1, 1), (1, 1, 1), (1, 1, 4)])
         assert rep.holds
         # normalized gap: polarized value 2 against geometric mean 4^(1/3)
         assert rep.details["gap"] == pytest.approx(2 / 4 ** (1 / 3) - 1, rel=1e-9)
@@ -191,12 +191,12 @@ class TestGarding:
     def test_boundary_argument_rejected(self):
         cone = gallery.orthant(3)
         with pytest.raises(ValueError):
-            autgroup.garding_check(cone.p, cone.e, [(1, 1, 1), (1, 1, 0), (1, 1, 1)])
+            autgroup.garding_check(cone, [(1, 1, 1), (1, 1, 0), (1, 1, 1)])
 
     def test_wrong_arity_rejected(self):
         cone = gallery.orthant(3)
         with pytest.raises(ValueError):
-            autgroup.garding_check(cone.p, cone.e, [(1, 1, 1)] * 2)
+            autgroup.garding_check(cone, [(1, 1, 1)] * 2)
 
 
 class TestPerronAndMinimalFace:

@@ -1,6 +1,9 @@
 """Command-line contract: verdicts mirror the library, exit codes are fixed."""
 
 import json
+import os
+import subprocess
+import sys
 
 from hypercones import cli
 
@@ -35,6 +38,21 @@ class TestEig:
     def test_dimension_mismatch_exits_3(self, capsys):
         code, _, err = run(capsys, "eig", "orthant:3", "1,2")
         assert code == 3 and "coordinates" in err
+
+    def test_closed_stdout_exits_quietly(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypercones.cli", "eig", "orthant:3", "1,2,3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 0
 
     def test_unknown_cone_exits_2(self, capsys):
         code, _, _ = run(capsys, "eig", "mystery:3", "1,2,3")

@@ -9,6 +9,7 @@ import pytest
 
 from hypercones import cones, exactlin, gallery, spectrum
 from hypercones.cones import HyperCone
+from hypercones.poly import HomoPoly
 from hypercones.report import Membership
 
 
@@ -32,11 +33,30 @@ class TestOrthant:
                 dc = gallery.orthant_deriv(n, k)
                 assert dc.p == factorial(k) * gallery.elementary_symmetric(n, n - k)
 
+    def test_built_once_per_dimension(self):
+        assert gallery.orthant(4) is gallery.orthant(4)
+        assert gallery.psd(3) is gallery.psd(3)
+        assert gallery.orthant(4) is not gallery.orthant(5)
+
     def test_deriv_range(self):
         with pytest.raises(ValueError):
             gallery.orthant_deriv(4, 0)
         with pytest.raises(ValueError):
             gallery.orthant_deriv(4, 4)
+
+
+class TestExtremeRays:
+    def test_rank_one_except_l1(self):
+        for cone in (gallery.orthant(3), gallery.psd(3), gallery.soc(4)):
+            rays = gallery.extreme_rays(cone)
+            assert [spectrum.rank_exact(cone, r) for r in rays] == [1] * len(rays)
+        l1 = gallery.l1_cone()
+        assert [spectrum.rank_exact(l1, r) for r in gallery.extreme_rays(l1)] == [2] * 4
+
+    def test_non_gallery_cone_rejected(self):
+        cone = HyperCone(HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1))
+        with pytest.raises(ValueError):
+            gallery.extreme_rays(cone)
 
 
 class TestSvec:

@@ -10,19 +10,40 @@ import pytest
 from hypercones.poly import (
     HomoPoly,
     UniPoly,
+    as_vector,
     derivatives_along,
     is_real_rooted,
     polar_form,
     polar_form_float,
     real_root_count_with_mult,
     restrict_line,
-    restrict_line_naive,
     squarefree_factors,
     sturm_count_distinct,
     uni_divmod,
     uni_gcd,
 )
 from hypercones.gallery import elementary_symmetric, l1_cone
+
+
+def restrict_line_naive(p: HomoPoly, e, x) -> UniPoly:
+    """Substitute x_i -> e_i*t - x_i and expand: the oracle for restrict_line."""
+    e = as_vector(e)
+    x = as_vector(x)
+    d = p.degree
+    acc = [F(0)] * (d + 1)
+    for exp, c in p.terms.items():
+        conv = [c]
+        for ei, xi, a in zip(e, x, exp):
+            for _ in range(a):
+                # multiply the running univariate by (ei*t - xi)
+                nxt = [F(0)] * (len(conv) + 1)
+                for j, v in enumerate(conv):
+                    nxt[j] += v * (-xi)
+                    nxt[j + 1] += v * ei
+                conv = nxt
+        for j, v in enumerate(conv):
+            acc[j] += v
+    return UniPoly(acc)
 
 
 def vars3():
