@@ -2,12 +2,16 @@
 
 Two verification tiers.  The exact tier applies to rational maps: the
 scaling constant kappa = p(e)/p(Ae) is computed exactly and the identity
-kappa * (p o A) = p is checked coefficient by coefficient, which together
-with the image of the direction being interior is a proof of automorphism
-(no minimality needed for that direction).  A coefficient mismatch refutes
-only when the polynomial is flagged minimal; otherwise the check drops to
-the float tier: sampled membership preservation with margins, where every
-refutation re-verifies its witness before being reported.
+kappa * (p o A) = p is checked by exact evaluation on the simplex lattice
+{x in Z>=0^n : |x| = d}.  That lattice is unisolvent for forms of degree
+d, so agreement at every point proves the identity without expanding
+p o A; together with the image of the direction being interior it is a
+proof of automorphism (no minimality needed for that direction).  The
+first point where the sides differ is a witness anyone can re-check with
+two evaluations.  It refutes only when the polynomial is flagged minimal;
+otherwise the check drops to the float tier: sampled membership
+preservation with margins, where every refutation re-verifies its witness
+before being reported.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import scipy.linalg
 from . import exactlin, spectrum
 from .cones import HyperCone, in_interior_exact, membership_exact
 from .gallery import smat_float, svec_float
-from .poly import as_fraction, as_vector, is_exact_vector, polar_form_float
+from .poly import (
+    as_fraction,
+    as_vector,
+    is_exact_vector,
+    polar_form_float,
+    scaling_mismatch,
+)
 from .report import CheckReport, Membership, Verdict
 
 DEFAULT_TOL = 1e-8
@@ -169,11 +179,13 @@ def check_automorphism(
     """Certify or refute A as an automorphism of the cone.
 
     Rational maps first get the exact route: kappa = p(e)/p(Ae) and a
-    coefficient-by-coefficient comparison of kappa * (p o A) with p.
-    Success plus an interior image of the direction is an unconditional
-    certificate.  A mismatch refutes when the polynomial is flagged
-    minimal; otherwise the verdict falls back to sampled membership
-    preservation (also used directly for float maps).
+    comparison of kappa * p(Ax) with p(x) in exact integers at every point
+    of the simplex lattice, which is unisolvent for forms of degree d
+    (see `poly.scaling_mismatch`).  Agreement everywhere plus an interior
+    image of the direction is an unconditional certificate.  A mismatch
+    at lattice point x refutes, with x as the witness, when the polynomial
+    is flagged minimal; otherwise the verdict falls back to sampled
+    membership preservation (also used directly for float maps).
     """
     if isinstance(A, LinearMap):
         if A.n != cone.nvars:
@@ -194,8 +206,8 @@ def check_automorphism(
                 tier="exact",
             )
         kappa = cone.pe / p_ae
-        composed = kappa * cone.p.compose(A.rows)
-        if composed == cone.p:
+        mismatch = scaling_mismatch(cone.p, A.rows, kappa)
+        if mismatch is None:
             if in_interior_exact(cone, ae):
                 details = {"conditional_on_minimality": False}
                 if not cone.minimality_assumed:
@@ -218,18 +230,18 @@ def check_automorphism(
                 details={"reason": "image of the direction is not interior"},
                 tier="exact",
             )
-        exp, lhs, rhs = _first_coefficient_difference(composed, cone.p)
+        x, lhs, rhs = mismatch
         if cone.minimality_assumed:
             return CheckReport(
                 verdict=Verdict.FAILS,
-                witness=tuple(exp),
+                witness=x,
                 kappa=kappa,
                 tolerances={"tol": 0.0},
                 details={
                     "reason": "scaling identity fails",
-                    "coefficient_exponent": list(exp),
-                    "kappa_p_of_A": str(lhs),
-                    "p": str(rhs),
+                    "point": list(x),
+                    "kappa_p_of_Ax": str(lhs),
+                    "p_of_x": str(rhs),
                     "conditional_on_minimality": True,
                 },
                 tier="exact",
@@ -246,16 +258,6 @@ def check_automorphism(
     if not np.isfinite(af).all() or abs(np.linalg.det(af)) < 1e-300:
         raise ValueError("map must be invertible")
     return _sampled_preservation(cone, af, samples=samples, seed=seed, tol=tol)
-
-
-def _first_coefficient_difference(a, b):
-    exps = sorted(set(a.terms) | set(b.terms), reverse=True)
-    for exp in exps:
-        ca = a.terms.get(exp, Fraction(0))
-        cb = b.terms.get(exp, Fraction(0))
-        if ca != cb:
-            return exp, ca, cb
-    raise AssertionError("polynomials are equal")
 
 
 def _biased_points(cone, rng, n_random: int, waves: int = 256):

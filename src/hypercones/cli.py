@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 for In / Holds /
-all-pass, 1 for Out / FailsWithWitness / suite failure, 2 for parse
-errors, 3 for dimension mismatches, 4 for ambiguous or inconclusive
-results.  The default seed comes from HYPERCONE_SEED when set.
+all-pass, 1 for Out / FailsWithWitness / suite failure, 2 for rejected
+input (bad syntax, unknown cone, a cone without built-in generators, a
+singular map, an order or filter out of range), 3 for dimension
+mismatches, 4 for ambiguous or inconclusive results.  Only input is
+rejected with 2 or 3: an error raised while a command runs is a fault of
+the program and propagates with its traceback.  The default seed comes
+from HYPERCONE_SEED when set.
 """
 
 from __future__ import annotations
@@ -95,6 +99,14 @@ def _load_matrix(path: str) -> LinearMap:
         raise ParseFailure(f"cannot load matrix from {path!r}: {exc}") from None
 
 
+def _face_model(cone) -> faces.GeneratedFaceModel:
+    try:
+        rays = gallery.extreme_rays(cone)
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from None
+    return faces.GeneratedFaceModel(cone, rays)
+
+
 def _default_seed() -> int:
     raw = os.environ.get("HYPERCONE_SEED", "0")
     try:
@@ -151,9 +163,13 @@ def cmd_autcheck(args) -> int:
         raise DimensionFailure(
             f"matrix is {mapping.n}x{mapping.n}, cone lives in {cone.nvars}"
         )
+    if not mapping.invertible:
+        raise ParseFailure("map must be invertible")
     if args.k is not None:
         if cone.k:
             raise ParseFailure("--k is for base cone ids; the id already has k")
+        if not 1 <= args.k <= cone.d - 1:
+            raise ParseFailure(f"relaxation order {args.k} outside 1..{cone.d - 1}")
         report = autgroup.check_deriv_automorphism(
             cone, args.k, mapping, samples=args.samples, seed=args.seed, tol=args.tol
         )
@@ -169,7 +185,11 @@ def cmd_autcheck(args) -> int:
 
 def cmd_chain(args) -> int:
     cone = _parse_cone(args.cone_id)
-    model = faces.GeneratedFaceModel(cone, gallery.extreme_rays(cone))
+    model = _face_model(cone)
+    if not 0 <= args.start < len(model.generators):
+        raise ParseFailure(
+            f"start index {args.start} outside 0..{len(model.generators) - 1}"
+        )
     try:
         chain = faces.build_chain(model, args.start, seed=args.seed if args.shuffle else None)
     except faces.ChainError as exc:
@@ -181,7 +201,7 @@ def cmd_chain(args) -> int:
 
 def cmd_rogcheck(args) -> int:
     cone = _parse_cone(args.cone_id)
-    model = faces.GeneratedFaceModel(cone, gallery.extreme_rays(cone))
+    model = _face_model(cone)
     report = faces.rog_check(model, zero_tol=args.tol * 10)
     _emit(report.to_json_dict(), args.json)
     return _VERDICT_EXIT[report.verdict]
@@ -226,14 +246,15 @@ def cmd_suite(args) -> int:
         _diag(f"{check.name}: {check.status} ({elapsed:.2f}s)")
 
     try:
-        result = suite.run_suite(
-            seed=args.seed,
-            name_filter=args.filter,
-            timing=args.timing,
-            progress=progress,
-        )
+        suite.select_checks(args.filter)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from None
+    result = suite.run_suite(
+        seed=args.seed,
+        name_filter=args.filter,
+        timing=args.timing,
+        progress=progress,
+    )
     _emit(result.to_json_dict(), args.json)
     counts = result.counts
     if counts[suite.FAIL]:
@@ -339,9 +360,6 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         _diag(f"inconclusive: {exc}")
         return EXIT_AMBIGUOUS
-    except ValueError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ composition laws, scaling certificates) is an exact statement about
 coefficient maps.  Floating point shows up only in the cached term arrays
 used by the numeric samplers.
 
+Identities between forms are decided by evaluation, not expansion:
+`scaling_mismatch` compares both sides in integers on the simplex
+lattice, which is unisolvent for forms of the given degree.
+
 The univariate side (`UniPoly`) carries the exact machinery needed to
 certify statements about real roots: division, gcd, square-free
 decomposition and Sturm-sequence root counting.
@@ -15,7 +19,9 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from itertools import combinations_with_replacement
+from math import factorial, lcm
 
 import numpy as np
 
@@ -63,7 +69,7 @@ class HomoPoly:
     operations return new polynomials.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_float_terms", "_key")
+    __slots__ = ("nvars", "degree", "terms", "_float_terms", "_int_terms", "_key")
 
     def __init__(self, nvars: int, degree: int, terms):
         if nvars < 1:
@@ -87,6 +93,7 @@ class HomoPoly:
         self.degree = degree
         self.terms = clean
         self._float_terms = None
+        self._int_terms = None
         self._key = None
 
     # -- construction helpers ------------------------------------------------
@@ -272,6 +279,18 @@ class HomoPoly:
             self._float_terms = [(exp, float(c)) for exp, c in self.sorted_terms()]
         return self._float_terms
 
+    def _int_term_list(self):
+        """(den, [(num, ((i, a), ...)), ...]): each coefficient is num / den,
+        with one common denominator and the nonzero exponents of the term."""
+        if self._int_terms is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            self._int_terms = (den, [
+                (c.numerator * (den // c.denominator),
+                 tuple((i, a) for i, a in enumerate(exp) if a))
+                for exp, c in self.sorted_terms()
+            ])
+        return self._int_terms
+
     def eval_float(self, points) -> np.ndarray:
         """Float evaluation at one point (1d) or a batch of points (2d)."""
         pts = np.asarray(points, dtype=float)
@@ -322,6 +341,68 @@ class HomoPoly:
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         tail = " + ..." if len(self.terms) > 8 else ""
         return "HomoPoly(" + " + ".join(parts) + tail + ")"
+
+
+@cache
+def simplex_lattice(nvars: int, degree: int) -> np.ndarray:
+    """The principal simplex lattice {a in Z>=0^nvars : |a| = degree}.
+
+    Its C(nvars + degree - 1, degree) points are unisolvent for forms of
+    that degree (Nicolaides 1972; Chung & Yao 1977): a form vanishing at
+    every point is zero.  Rows are the points in descending lexicographic
+    order (the order in which their index multisets are generated), as a
+    read-only object array of Python ints.
+    """
+    pts = np.array([
+        [c.count(i) for i in range(nvars)]
+        for c in combinations_with_replacement(range(nvars), degree)
+    ], dtype=object)
+    pts.flags.writeable = False
+    return pts
+
+
+def _eval_columns(terms, cols, npts: int) -> np.ndarray:
+    """Integer terms evaluated at npts points given coordinate-wise."""
+    total = np.zeros(npts, dtype=object)
+    for c, mono in terms:
+        t = c
+        for i, a in mono:
+            t = t * (cols[i] if a == 1 else cols[i] ** a)
+        total += t
+    return total
+
+
+def scaling_mismatch(p: HomoPoly, rows, kappa):
+    """First lattice point x with kappa * p(Bx) != p(x), or None.
+
+    Row i of `rows` gives the image of x_i, as in `compose`.  Both sides
+    are forms of degree d, so agreement on `simplex_lattice(n, d)` proves
+    kappa * (p o B) = p without expanding p o B.  Denominators are cleared
+    once, so the comparison num * P(B'x) == den * P(x) runs in Python
+    ints, a whole lattice column at a time.  A mismatch returns the point
+    x (a tuple of ints), kappa * p(Bx) and p(x), the last two as Fractions.
+    """
+    rows = tuple(as_vector(r) for r in rows)
+    if len(rows) != p.nvars or any(len(r) != p.nvars for r in rows):
+        raise ValueError("scaling identity needs a square map on the variables of p")
+    kappa = as_fraction(kappa)
+    scale = lcm(*(v.denominator for r in rows for v in r))
+    den, terms = p._int_term_list()
+    lattice = simplex_lattice(p.nvars, p.degree)
+    x_cols = lattice.T
+    bx_cols = [
+        sum(v.numerator * (scale // v.denominator) * x_cols[j] for j, v in enumerate(r) if v)
+        for r in rows
+    ]
+    # kappa * p(Bx) = kappa * P(scale * Bx) / (den * scale^d) and p(x) = P(x) / den
+    common = kappa.denominator * scale ** p.degree
+    lhs = kappa.numerator * _eval_columns(terms, bx_cols, len(lattice))
+    rhs = common * _eval_columns(terms, x_cols, len(lattice))
+    differ = np.flatnonzero(lhs != rhs)
+    if not len(differ):
+        return None
+    i = differ[0]
+    return tuple(lattice[i]), Fraction(lhs[i], common * den), Fraction(rhs[i], common * den)
 
 
 def derivatives_along(p: HomoPoly, e) -> tuple[HomoPoly, ...]:

@@ -790,14 +790,15 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
         for k in orders:
             dc = cone.derivative_cone(k)
             agreements = disagreements = ambiguous = 0
-            for i in range(1000):
-                raw = rng.standard_normal((n, n))
-                sym = (raw + raw.T) / 2
+            raws = [rng.standard_normal((n, n)) for _ in range(1000)]
+            syms = [(raw + raw.T) / 2 for raw in raws]
+            eigs, res = spectrum.batch_eigenvalues(
+                dc, np.array([gallery.svec_float(sym) for sym in syms])
+            )
+            for i, sym in enumerate(syms):
                 fast = gallery.psd_deriv_member(n, k, sym)
-                vec = gallery.svec_float(sym)
-                eigs, res = spectrum.batch_eigenvalues(dc, vec[None, :])
-                lam = eigs[0, -1]
-                band = 1e-8 + res[0]
+                lam = eigs[i, -1]
+                band = 1e-8 + res[i]
                 if fast is Membership.BOUNDARY or abs(lam) <= band:
                     ambiguous += 1
                     continue
@@ -879,6 +880,17 @@ def check_names():
     return [name for name, _ in ALL_CHECKS]
 
 
+def select_checks(name_filter: str | None = None):
+    """(name, check) pairs whose name contains the filter; ValueError if none."""
+    selected = [
+        (name, fn) for name, fn in ALL_CHECKS
+        if name_filter is None or name_filter in name
+    ]
+    if not selected:
+        raise ValueError(f"filter {name_filter!r} matches no checks")
+    return selected
+
+
 def run_suite(seed: int = 0, name_filter: str | None = None,
               timing: bool = False, progress=None) -> SuiteResult:
     """Run the named checks (optionally substring-filtered) under one seed.
@@ -886,12 +898,7 @@ def run_suite(seed: int = 0, name_filter: str | None = None,
     Identical seeds and filters produce byte-identical JSON; wall times are
     reported only when explicitly requested, to keep that contract.
     """
-    selected = [
-        (name, fn) for name, fn in ALL_CHECKS
-        if name_filter is None or name_filter in name
-    ]
-    if not selected:
-        raise ValueError(f"filter {name_filter!r} matches no checks")
+    selected = select_checks(name_filter)
     ctx: dict = {}
     checks = []
     timings = {} if timing else None

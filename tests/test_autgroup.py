@@ -1,15 +1,57 @@
 """Automorphism certificates, classifications, flows, invariant faces."""
 
 from fractions import Fraction as F
+from math import prod
 
 import numpy as np
 import pytest
 
-from hypercones import autgroup, gallery
+from hypercones import autgroup, exactlin, gallery
 from hypercones.autgroup import LinearMap
-from hypercones.cones import HyperCone
+from hypercones.cones import HyperCone, in_interior_exact
 from hypercones.poly import HomoPoly
 from hypercones.report import Verdict
+
+
+def exact_value(p, x):
+    """p(x) in Fractions, term by term: independent of the library's
+    integer evaluation."""
+    return sum(
+        (c * prod(F(v) ** a for v, a in zip(x, exp)) for exp, c in p.terms.items()),
+        F(0),
+    )
+
+
+def compose_oracle(cone, A):
+    """(verdict, kappa) of the exact tier, decided by expanding p o A."""
+    ae = A.apply(cone.e)
+    p_ae = cone.p.eval(ae)
+    if p_ae <= 0:
+        return Verdict.FAILS, None
+    kappa = cone.pe / p_ae
+    holds = kappa * cone.p.compose(A.rows) == cone.p and in_interior_exact(cone, ae)
+    return (Verdict.HOLDS if holds else Verdict.FAILS), kappa
+
+
+def cayley_orthogonal(rng, n):
+    """Rational orthogonal Q = (I - S)(I + S)^-1 for a random skew S."""
+    s = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s[i][j] = F(int(rng.integers(-2, 3)), int(rng.integers(1, 4)))
+            s[j][i] = -s[i][j]
+    eye = exactlin.identity(n)
+    minus = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
+    plus = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
+    return exactlin.matmul(minus, exactlin.inverse(plus))
+
+
+def dense_integer_map(rng, n):
+    while True:
+        entries = rng.choice([-3, -2, -1, 1, 2, 3], size=(n, n))
+        m = LinearMap([[int(v) for v in row] for row in entries])
+        if m.invertible:
+            return m
 
 
 def weighted_product_cone():
@@ -139,15 +181,31 @@ class TestDerivAutomorphism:
         assert rep.holds and rep.kappa == F(1, 81)
         assert not rep.details["equivalence_violation"]
 
-    def test_unequal_diagonal_refuted_with_coefficient_witness(self):
+    def test_unequal_diagonal_refuted_with_point_witness(self):
         cone = gallery.orthant(5)
-        rep = autgroup.check_deriv_automorphism(
-            cone, 1, LinearMap.diagonal([1, 2, 1, 1, 1])
-        )
+        diag = LinearMap.diagonal([1, 2, 1, 1, 1])
+        rep = autgroup.check_deriv_automorphism(cone, 1, diag)
         assert rep.fails and rep.tier == "exact"
         assert rep.details["base_verdict"] == "Holds"
         assert not rep.details["stabilizer"]["fixed"]
         assert not rep.details["equivalence_violation"]
+        p, x = cone.derivative_cone(1).p, rep.witness
+        assert rep.details["point"] == list(x)
+        lhs = rep.kappa * exact_value(p, diag.apply(x))
+        assert lhs != exact_value(p, x)
+        assert str(lhs) == rep.details["kappa_p_of_Ax"]
+        assert str(exact_value(p, x)) == rep.details["p_of_x"]
+
+    def test_dense_psd4_refutation_witness_rechecks(self):
+        cone = gallery.psd(4)
+        mapping = autgroup.lm_linear_map(dense_integer_map(np.random.default_rng(8), 4), 4)
+        rep = autgroup.check_deriv_automorphism(cone, 1, mapping)
+        assert rep.fails and rep.tier == "exact"
+        assert rep.details["base_verdict"] == "Holds"
+        x = rep.witness
+        assert len(x) == 10 and sum(x) == 3 and min(x) >= 0
+        p = cone.derivative_cone(1).p
+        assert rep.kappa * exact_value(p, mapping.apply(x)) != exact_value(p, x)
 
     def test_l1_hyperbolic_rotation(self):
         # preserves the first relaxation (a quadratic cone) but not the
@@ -171,6 +229,44 @@ class TestDerivAutomorphism:
         )
         assert rep.holds
         assert any("outside" in w for w in rep.regime_warnings)
+
+
+class TestLatticeCertificate:
+    """The exact tier decides like an expansion of p o A would."""
+
+    def cases(self):
+        rng = np.random.default_rng(11)
+        for n in (4, 5):
+            for cone in (gallery.orthant(n), gallery.orthant(n).derivative_cone(1)):
+                for _ in range(3):
+                    perm = [int(v) for v in rng.permutation(n)]
+                    c = F(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+                    yield cone, LinearMap.scaled_permutation([c] * n, perm)
+                    scalings = [F(int(rng.integers(1, 6)), int(rng.integers(1, 4))) for _ in range(n)]
+                    yield cone, LinearMap.scaled_permutation(scalings, perm)
+                    yield cone, LinearMap.diagonal([int(rng.choice([-2, 1, 3])) for _ in range(n)])
+                    yield cone, dense_integer_map(rng, n)
+        for n in (3, 4):
+            base = gallery.psd(n)
+            for cone in [base] + [base.derivative_cone(k) for k in range(1, n - 1)]:
+                for _ in range(2):
+                    signs = [int(v) for v in rng.choice([-1, 1], size=n)]
+                    perm = [int(v) for v in rng.permutation(n)]
+                    signed = exactlin.matmul(exactlin.diag(signs), exactlin.permutation(perm))
+                    yield cone, autgroup.lm_linear_map(signed, n)
+                    yield cone, autgroup.lm_linear_map(cayley_orthogonal(rng, n), n)
+                    if n == 3:
+                        yield cone, autgroup.lm_linear_map(dense_integer_map(rng, n), n)
+
+    def test_agrees_with_compose_oracle(self):
+        seen = set()
+        for cone, A in self.cases():
+            want, kappa = compose_oracle(cone, A)
+            rep = autgroup.check_automorphism(cone, A)
+            assert rep.tier == "exact"
+            assert rep.verdict is want and rep.kappa == kappa
+            seen.add(want)
+        assert seen == {Verdict.HOLDS, Verdict.FAILS}
 
 
 class TestGarding:

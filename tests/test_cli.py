@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hypercones import cli
 
 
@@ -212,3 +214,61 @@ class TestSeedEnv:
     def test_bad_env_seed_falls_back(self, monkeypatch):
         monkeypatch.setenv("HYPERCONE_SEED", "pickles")
         assert cli._default_seed() == 0
+
+
+class TestExitContract:
+    """Rejected input exits 2; an error raised while a command runs is the
+    program's fault and is not dressed up as bad input."""
+
+    @staticmethod
+    def write_matrix(tmp_path, rows):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[str(v) for v in row] for row in rows]))
+        return str(path)
+
+    def test_cone_without_generators_exits_2(self, capsys, tmp_path):
+        from hypercones.cones import HyperCone
+        from hypercones.poly import HomoPoly
+
+        path = tmp_path / "cone.json"
+        cone = HyperCone(HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1))
+        path.write_text(json.dumps(cone.descriptor_json()))
+        for command in ("chain", "rogcheck"):
+            code, out, err = run(capsys, command, f"file:{path}")
+            assert code == 2 and not out and "no built-in generators" in err
+
+    def test_singular_map_exits_2(self, capsys, tmp_path):
+        path = self.write_matrix(tmp_path, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+        for extra in ((), ("--k", "1")):
+            code, out, err = run(capsys, "autcheck", "orthant:3", path, *extra)
+            assert code == 2 and not out and "invertible" in err
+
+    def test_relaxation_order_out_of_range_exits_2(self, capsys, tmp_path):
+        path = self.write_matrix(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        code, out, err = run(capsys, "autcheck", "orthant:3", path, "--k", "3")
+        assert code == 2 and not out and "outside 1..2" in err
+
+    def test_start_index_out_of_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "chain", "orthant:3", "--start", "3")
+        assert code == 2 and not out and "start index" in err
+
+    def test_internal_error_in_autcheck_propagates(self, capsys, tmp_path, monkeypatch):
+        from hypercones import autgroup
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(autgroup, "check_automorphism", broken)
+        path = self.write_matrix(tmp_path, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["autcheck", "orthant:3", path])
+
+    def test_internal_error_in_suite_propagates(self, monkeypatch):
+        from hypercones import suite
+
+        def broken(seed, ctx):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(suite, "ALL_CHECKS", (("broken-check", broken),))
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["suite", "--filter", "broken"])

@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic: examples and cross-check oracles."""
 
+import itertools
 import json
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from hypercones.poly import (
     polar_form_float,
     real_root_count_with_mult,
     restrict_line,
+    scaling_mismatch,
+    simplex_lattice,
     squarefree_factors,
     sturm_count_distinct,
     uni_divmod,
     uni_gcd,
 )
+from hypercones import gallery
 from hypercones.gallery import elementary_symmetric, l1_cone
 
 
@@ -153,6 +157,91 @@ class TestCompose:
         q = p.compose(rows)
         assert q.nvars == 2 and q.degree == 3
         assert q.eval((1, 2)) == 1 * 2 * 3
+
+
+def rank_mod_prime(rows, prime=2_147_483_647) -> int:
+    """Rank of an integer matrix over GF(prime); a lower bound on its rank
+    over Q, so full rank here is full rank over Q."""
+    a = np.array(rows, dtype=np.int64) % prime
+    rank = 0
+    for col in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, col])
+        if not len(nz):
+            continue
+        pivot = rank + nz[0]
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, prime) % prime
+        below = a[rank + 1:]
+        below[:] = (below - np.outer(below[:, col], a[rank]) % prime) % prime
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def certified_shapes():
+    """(nvars, degree) of every gallery cone and relaxation whose scaling
+    identity `check_automorphism` decides on the lattice."""
+    cones = [gallery.orthant(n) for n in range(3, 7)]
+    cones += [gallery.psd(n) for n in range(2, 5)]
+    cones += [gallery.soc(3), l1_cone()]
+    return sorted({(c.nvars, c.d - k) for c in cones for k in range(c.d)})
+
+
+class TestSimplexLattice:
+    def test_points_count_and_order(self):
+        for n, d in [(1, 3), (3, 2), (4, 4), (6, 5)]:
+            pts = [tuple(x) for x in simplex_lattice(n, d)]
+            assert len(pts) == len(set(pts)) == comb(n + d - 1, d)
+            assert all(sum(x) == d and min(x) >= 0 for x in pts)
+            assert pts == sorted(pts, reverse=True)
+        assert simplex_lattice(3, 2).tolist() == [
+            [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]
+        ]
+
+    def test_cached_and_read_only(self):
+        lattice = simplex_lattice(4, 3)
+        assert simplex_lattice(4, 3) is lattice
+        with pytest.raises(ValueError):
+            lattice[0, 0] = 7
+
+    @pytest.mark.parametrize("n, d", certified_shapes())
+    def test_unisolvent_for_certified_shapes(self, n, d):
+        # evaluation matrix of all degree-d monomials at the lattice points
+        monomials = [
+            tuple(c.count(i) for i in range(n))
+            for c in itertools.combinations_with_replacement(range(n), d)
+        ]
+        lattice = simplex_lattice(n, d).astype(np.int64)
+        assert len(lattice) == len(monomials)
+        rows = np.prod(lattice[:, None, :] ** np.array(monomials)[None, :, :], axis=2)
+        assert rank_mod_prime(rows) == len(monomials)
+
+
+class TestScalingMismatch:
+    def test_every_lattice_point_is_checked(self):
+        # L_a = prod_i prod_{k < a_i} (d x_i - k |x|) vanishes at every
+        # lattice point but a, so kappa * L_a = L_a fails at a alone
+        for n, d in [(3, 3), (4, 2), (2, 4)]:
+            total = HomoPoly.linear_form([1] * n)
+            identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            for a in simplex_lattice(n, d):
+                lagrange = HomoPoly.constant(1, n)
+                for i, ai in enumerate(a):
+                    for k in range(ai):
+                        lagrange = lagrange * (d * HomoPoly.variable(i, n) - k * total)
+                x, lhs, rhs = scaling_mismatch(lagrange, identity, 2)
+                assert x == tuple(a) and lhs == 2 * rhs != 0
+
+    def test_weighted_product_swap(self):
+        p = HomoPoly(3, 4, {(2, 1, 1): 1})
+        x, lhs, rhs = scaling_mismatch(p, [(0, 1, 0), (1, 0, 0), (0, 0, 1)], 1)
+        assert (x, lhs, rhs) == ((2, 1, 1), F(2), F(4))
+        assert scaling_mismatch(p, [(F(1, 2), 0, 0), (0, 4, 0), (0, 0, 1)], 1) is None
+
+    def test_rectangular_map_rejected(self):
+        with pytest.raises(ValueError):
+            scaling_mismatch(x1x2x3(), [(1, 0), (0, 1), (1, 1)], 1)
 
 
 class TestRestrictLine:
