@@ -317,7 +317,7 @@ def _sampled_preservation(
                     },
                     tier="float",
                 )
-    if checked < len(pts) // 4:
+    if checked == 0 or checked < len(pts) // 4:
         return CheckReport(
             verdict=Verdict.INCONCLUSIVE,
             samples=checked,

@@ -156,7 +156,13 @@ def cmd_deriv(args) -> int:
     return EXIT_OK
 
 
+def _require_samples(args) -> None:
+    if args.samples < 1:
+        raise ParseFailure(f"--samples must be at least 1, got {args.samples}")
+
+
 def cmd_autcheck(args) -> int:
+    _require_samples(args)
     cone = _parse_cone(args.cone_id)
     mapping = _load_matrix(args.matrix_file)
     if mapping.n != cone.nvars:
@@ -210,6 +216,7 @@ def cmd_rogcheck(args) -> int:
 def cmd_garding(args) -> int:
     import numpy as np
 
+    _require_samples(args)
     cone = _parse_cone(args.cone_id)
     rng = np.random.default_rng(args.seed)
     worst_random = float("inf")

@@ -13,6 +13,8 @@ which is what keeps the checks deterministic instead of flaky.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 from . import spectrum
@@ -91,8 +93,16 @@ class HyperCone:
         return restrict_line(self.p, self.e, as_vector(x), derivs=self.derivs)
 
     def restriction_coeffs_float(self, points: np.ndarray) -> np.ndarray:
-        """(npts, d+1) ascending coefficient rows of the restriction."""
-        return spectrum._coeff_matrix(self.derivs, np.asarray(points, dtype=float))
+        """(npts, d+1) ascending coefficient rows of the restriction.
+
+        Coefficient j of p(t e - x) is (-1)^(d-j) (D_e^j p)(x) / j!.
+        """
+        pts = np.asarray(points, dtype=float)
+        cols = []
+        for j, dj in enumerate(self.derivs):
+            sign = -1.0 if (self.d - j) % 2 else 1.0
+            cols.append(sign / factorial(j) * dj.eval_float(pts))
+        return np.stack(cols, axis=1)
 
     def eigenvalues(self, x, **kw) -> spectrum.Spectrum:
         return spectrum.eigenvalues(self, x, **kw)

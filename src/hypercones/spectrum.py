@@ -1,10 +1,12 @@
 """Eigenvalues of points along a direction: root extraction and rank.
 
-Roots come from balanced companion-matrix eigendecompositions with a light
-Newton polish; everything tolerance-sensitive (zero classification,
-real-rootedness refutations, multiplicities in face chains) can fall back
-to the exact Sturm-sequence machinery in `poly` whenever the input point
-is rational.
+Every float spectrum, single point or batch, goes through one batched
+kernel: balanced companion-matrix eigenvalues plus two guarded Newton
+steps on the rows that came back real.  Rational points add a polish
+with exactly evaluated residuals on top of that rough pass; everything
+tolerance-sensitive (zero classification, real-rootedness refutations,
+multiplicities in face chains) can fall back to the exact Sturm-sequence
+machinery in `poly` whenever the input point is rational.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from .poly import (
     HomoPoly,
     UniPoly,
     as_vector,
-    derivatives_along,
     is_exact_vector,
     is_real_rooted,
-    restrict_line,
 )
 from .report import InconclusiveError
 
@@ -77,46 +77,64 @@ def _classify(roots, residual, zero_tol) -> Spectrum:
     )
 
 
-def _newton_polish(coeffs_asc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    dcoeffs = coeffs_asc[1:] * np.arange(1, len(coeffs_asc))
-    c_desc = coeffs_asc[::-1]
-    dc_desc = dcoeffs[::-1]
-    out = roots.copy()
-    for i, r in enumerate(out):
+def _horner_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row-wise Horner: coeffs (N, m) ascending, points (N, k) -> (N, k)."""
+    acc = np.broadcast_to(coeffs[:, -1:], points.shape).copy()
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * points + coeffs[:, j : j + 1]
+    return acc
+
+
+def _float_roots(coeffs: np.ndarray, tol: float):
+    """Roots of each ascending coefficient row of degree >= 1.
+
+    Leading entries must be nonzero.  Returns (real parts sorted
+    descending per row, max imaginary magnitude per row); rows whose
+    imaginary parts stay within `tol` get two Newton steps, each kept
+    only where it does not increase |f|.
+    """
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((n, d, d))
+    idx = np.arange(d - 1)
+    comp[:, idx + 1, idx] = 1.0
+    comp[:, :, d - 1] = -coeffs[:, :d] / coeffs[:, d:]
+    vals = np.linalg.eigvals(comp)
+    residuals = np.abs(vals.imag).max(axis=1)
+    lam = vals.real.copy()
+    polish = residuals <= tol
+    if polish.any():
+        c = coeffs[polish]
+        dc = c[:, 1:] * np.arange(1, d + 1)
+        r = lam[polish]
         for _ in range(2):
-            f = np.polyval(c_desc, r)
-            fp = np.polyval(dc_desc, r)
-            if fp == 0 or not np.isfinite(fp):
-                break
-            step = f / fp
-            r2 = r - step
-            if abs(np.polyval(c_desc, r2)) <= abs(f):
-                r = r2
-            else:
-                break
-        out[i] = r
-    return out
+            f = _horner_rows(c, r)
+            fp = _horner_rows(dc, r)
+            safe = np.abs(fp) > 1e-300
+            cand = r - np.divide(f, fp, out=np.zeros_like(f), where=safe)
+            r = np.where(np.abs(_horner_rows(c, cand)) <= np.abs(f), cand, r)
+        lam[polish] = r
+    return np.sort(lam, axis=1)[:, ::-1], residuals
 
 
 def roots_from_float_coeffs(coeffs_asc, tol=DEFAULT_RESIDUAL_TOL):
-    """All roots of a float-coefficient polynomial: (real parts desc, residual)."""
+    """All roots of a float-coefficient polynomial: (real parts desc, residual).
+
+    Zero low-order coefficients give exact 0.0 roots; the rest goes
+    through the batched kernel as a single row.
+    """
     c = np.asarray(coeffs_asc, dtype=float)
     nz = np.nonzero(c)[0]
     if len(nz) == 0:
         raise ValueError("zero polynomial has no well-defined roots")
-    deg = nz[-1]
-    if deg == 0:
-        return (), 0.0
-    rr = np.roots(c[: deg + 1][::-1])
-    residual = float(np.max(np.abs(rr.imag))) if len(rr) else 0.0
-    reals = rr.real
-    if residual <= tol:
-        reals = _newton_polish(c[: deg + 1], reals)
-    reals = np.sort(reals)[::-1]
-    return tuple(float(v) for v in reals), residual
+    low, deg = nz[0], nz[-1]
+    if deg == low:
+        return (0.0,) * int(low), 0.0
+    roots, residuals = _float_roots(c[None, low : deg + 1], tol)
+    roots = np.concatenate([roots[0], np.zeros(low)])
+    return tuple(float(v) for v in np.sort(roots)[::-1]), float(residuals[0])
 
 
-def _exact_newton_polish(q: UniPoly, roots):
+def _exact_residual_polish(q: UniPoly, roots):
     """Refine ill-conditioned simple roots with exactly evaluated residuals.
 
     Floating-point Horner near a root loses everything to cancellation;
@@ -171,7 +189,7 @@ def real_roots(q: UniPoly, tol: float = DEFAULT_RESIDUAL_TOL):
         or min(a - b for a, b in zip(rough, rough[1:])) > 1e-5 * scale
     )
     if separated:
-        roots = sorted(_exact_newton_polish(q, rough), reverse=True)
+        roots = sorted(_exact_residual_polish(q, rough), reverse=True)
         return tuple(roots), residual
 
     from .poly import squarefree_factors
@@ -181,7 +199,7 @@ def real_roots(q: UniPoly, tol: float = DEFAULT_RESIDUAL_TOL):
     for factor, mult_ in squarefree_factors(q):
         r, res = roots_from_float_coeffs(factor.float_coeffs(), tol)
         residual = max(residual, res)
-        for v in _exact_newton_polish(factor, r):
+        for v in _exact_residual_polish(factor, r):
             roots.extend([v] * mult_)
     roots.sort(reverse=True)
     return tuple(roots), residual
@@ -209,51 +227,13 @@ def eigenvalues(
     return _classify(roots, residual, zero_tol)
 
 
-def _horner_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row-wise Horner: coeffs (N, m) ascending, points (N, k) -> (N, k)."""
-    acc = np.broadcast_to(coeffs[:, -1:], points.shape).copy()
-    for j in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * points + coeffs[:, j : j + 1]
-    return acc
-
-
-def _companion_eigvals(coeffs: np.ndarray) -> np.ndarray:
-    """Complex roots of each ascending coefficient row (degree >= 1)."""
-    d = coeffs.shape[1] - 1
-    monic = coeffs[:, :d] / coeffs[:, d:]
-    comp = np.zeros((len(coeffs), d, d))
-    if d > 1:
-        idx = np.arange(d - 1)
-        comp[:, idx + 1, idx] = 1.0
-    comp[:, :, d - 1] = -monic
-    return np.linalg.eigvals(comp)
-
-
 def batch_eigenvalues(cone, points: np.ndarray, tol=DEFAULT_RESIDUAL_TOL):
     """Vectorized spectra for a batch of float points.
 
     Returns (eigs, residuals): eigs is (npts, d) with rows sorted
     descending, residuals the max imaginary magnitudes per point.
     """
-    pts = np.asarray(points, dtype=float)
-    coeffs = cone.restriction_coeffs_float(pts)  # (npts, d+1) ascending
-    d = coeffs.shape[1] - 1
-    if d == 0:
-        return np.zeros((len(pts), 0)), np.zeros(len(pts))
-    vals = _companion_eigvals(coeffs)
-    residuals = np.abs(vals.imag).max(axis=1)
-    lam = vals.real.copy()
-    dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)[None, :]
-    for _ in range(2):
-        f = _horner_rows(coeffs, lam)
-        fp = _horner_rows(dcoeffs, lam)
-        safe = np.abs(fp) > 1e-300
-        step = np.where(safe, f / np.where(safe, fp, 1.0), 0.0)
-        cand = lam - step
-        better = np.abs(_horner_rows(coeffs, cand)) <= np.abs(f)
-        lam = np.where(better & np.isfinite(cand), cand, lam)
-    eigs = np.sort(lam, axis=1)[:, ::-1]
-    return eigs, residuals
+    return _float_roots(cone.restriction_coeffs_float(points), tol)
 
 
 def rank_exact(cone, x, sturm_verify: bool = False) -> int:
@@ -391,53 +371,35 @@ def check_hyperbolic(
     rational sample is not real-rooted, so a refutation is certified.
     """
     e = as_vector(e)
-    pe = p.eval(e)
-    if pe <= 0:
+    if p.eval(e) <= 0:
         return HyperbolicityCertificate(
             "RefutedWithWitness", 0, float("inf"), witness=e
         )
-    derivs = derivatives_along(p, e)
+    from .cones import HyperCone
+
+    cone = HyperCone(p, e)
     rng = np.random.default_rng(seed)
     raw = _dyadic(rng.standard_normal((max(nsamples, 1), p.nvars)))
-
-    e_float = np.array([float(v) for v in e])
     worst = 0.0
     checked = 0
 
     def scan(points: np.ndarray):
+        """Witness among the points, if any, plus their batched spectra."""
         nonlocal worst, checked
-        coeffs = _coeff_matrix(derivs, points)
-        deg = coeffs.shape[1] - 1
-        for row, pt in zip(coeffs, points):
-            checked += 1
-            roots, residual = roots_from_float_coeffs(row, tol)
-            worst = max(worst, residual)
-            if residual > tol:
-                x_exact = as_vector(pt)
-                q = restrict_line(p, e, x_exact, derivs)
-                if not is_real_rooted(q):
-                    return x_exact
-        return None
+        eigs, residuals = batch_eigenvalues(cone, points, tol)
+        for i in np.flatnonzero(residuals > tol):
+            x_exact = as_vector(points[i])
+            if not is_real_rooted(cone.restrict(x_exact)):
+                checked += int(i) + 1
+                worst = max(worst, float(residuals[: i + 1].max()))
+                return x_exact, eigs
+        checked += len(points)
+        worst = max(worst, float(residuals.max()))
+        return None, eigs
 
-    witness = scan(raw)
+    witness, eigs = scan(raw)
     if witness is None:
-        vals = _companion_eigvals(_coeff_matrix(derivs, raw))
-        eigs = np.sort(vals.real, axis=1)[:, ::-1]
-        shifted = _dyadic(raw - eigs[:, -1][:, None] * e_float[None, :])
-        witness = scan(shifted)
+        witness, _ = scan(_dyadic(raw - eigs[:, -1:] * cone.e_float[None, :]))
     if witness is not None:
         return HyperbolicityCertificate("RefutedWithWitness", checked, worst, witness)
     return HyperbolicityCertificate("LooksHyperbolic", checked, worst, None)
-
-
-def _coeff_matrix(derivs, points: np.ndarray) -> np.ndarray:
-    """Restriction coefficients c_j(x) for a batch of float points."""
-    d = len(derivs) - 1
-    from math import factorial
-
-    cols = []
-    for j in range(d + 1):
-        sign = -1.0 if (d - j) % 2 else 1.0
-        cols.append(sign / factorial(j) * derivs[j].eval_float(points))
-    return np.stack(cols, axis=1)
-

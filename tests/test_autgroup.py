@@ -172,6 +172,16 @@ class TestCheckAutomorphism:
         assert rep.fails
         assert rep.witness is not None
 
+    def test_no_samples_is_inconclusive(self):
+        # diag(2,1,1) does not preserve this quadratic cone; with nothing
+        # sampled the float tier has no evidence either way
+        rep = autgroup.check_automorphism(
+            gallery.l1_cone().derivative_cone(1), LinearMap.diagonal([2, 1, 1]),
+            samples=0,
+        )
+        assert rep.verdict == Verdict.INCONCLUSIVE
+        assert rep.samples == 0
+
 
 class TestDerivAutomorphism:
     def test_scaled_cycle_holds_both_sides(self):

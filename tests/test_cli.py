@@ -252,6 +252,16 @@ class TestExitContract:
         code, out, err = run(capsys, "chain", "orthant:3", "--start", "3")
         assert code == 2 and not out and "start index" in err
 
+    def test_nonpositive_samples_exit_2(self, capsys, tmp_path):
+        path = self.write_matrix(tmp_path, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        for argv in (
+            ("garding", "soc:3", "--samples", "0"),
+            ("autcheck", "l1:k=1", path, "--samples", "0"),
+            ("autcheck", "orthant:3", path, "--samples", "-5"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and "--samples" in err
+
     def test_internal_error_in_autcheck_propagates(self, capsys, tmp_path, monkeypatch):
         from hypercones import autgroup
 

@@ -44,6 +44,48 @@ class TestRealRoots:
         assert residual <= 1e-12
 
 
+class TestFloatKernel:
+    def test_single_point_matches_batch_row(self):
+        # one kernel: a float point and a one-row batch agree to the bit
+        rng = np.random.default_rng(16)
+        for cone in (
+            gallery.orthant(4),
+            gallery.psd(3),
+            gallery.soc(3),
+            gallery.l1_cone(),
+            gallery.orthant(5).derivative_cone(2),
+        ):
+            for x in rng.standard_normal((20, cone.nvars)):
+                spec = spectrum.eigenvalues(cone, x)
+                eigs, residuals = spectrum.batch_eigenvalues(cone, x[None])
+                assert spec.eigenvalues == tuple(eigs[0])
+                assert spec.residual == residuals[0]
+
+    def test_zero_coordinate_gives_exact_zero(self):
+        spec = spectrum.eigenvalues(gallery.orthant(4), np.array([1.0, 2.0, 3.0, 0.0]))
+        assert spec.eigenvalues[-1] == 0.0
+        assert spec.residual == 0.0
+        assert spec.rank == 3
+
+    def test_distinct_integer_roots_recovered(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6, unique=True))
+        def check(roots):
+            coeffs = [1]  # ascending, monic
+            for r in roots:
+                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            got, residual = spectrum.roots_from_float_coeffs(coeffs)
+            want = sorted(roots, reverse=True)
+            assert residual <= 1e-8 and len(got) == len(want)
+            for g, r in zip(got, want):
+                assert abs(g - r) <= 1e-9 * (1 + abs(r))
+
+        check()
+
+
 class TestEigenvalues:
     def test_weighted_product_rank_two_point(self):
         cone = HyperCone(HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1))
@@ -202,6 +244,11 @@ class TestCheckHyperbolic:
         p = HomoPoly(2, 2, {(1, 1): 1})
         cert = spectrum.check_hyperbolic(p, (1, 0), nsamples=10, seed=3)
         assert cert.refuted
+
+    def test_constant_polynomial_rejected(self):
+        p = HomoPoly(2, 0, {(0, 0): 3})
+        with pytest.raises(ValueError, match="degree at least 1"):
+            spectrum.check_hyperbolic(p, (1, 0))
 
     def test_json_payload(self):
         cone = gallery.orthant(3)
