@@ -4,10 +4,11 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 for In / Holds /
 all-pass, 1 for Out / FailsWithWitness / suite failure, 2 for rejected
 input (bad syntax, unknown cone, a cone without built-in generators, a
 singular map, an order or filter out of range), 3 for dimension
-mismatches, 4 for ambiguous or inconclusive results.  Only input is
-rejected with 2 or 3: an error raised while a command runs is a fault of
-the program and propagates with its traceback.  The default seed comes
-from HYPERCONE_SEED when set.
+mismatches, 4 for ambiguous or inconclusive results, 70 (sysexits
+EX_SOFTWARE) for an internal fault.  Only input is rejected with 2 or 3:
+any other error raised while a command runs is a fault of the program, so
+its traceback goes to stderr and the exit code is 70, never a verdict
+code.  The default seed comes from HYPERCONE_SEED when set.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import autgroup, cones, faces, gallery, spectrum, suite
@@ -27,6 +29,7 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_AMBIGUOUS = 4
+EXIT_INTERNAL = 70
 
 _MEMBERSHIP_EXIT = {
     Membership.IN: EXIT_OK,
@@ -367,6 +370,9 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         _diag(f"inconclusive: {exc}")
         return EXIT_AMBIGUOUS
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -68,7 +68,9 @@ class HyperCone:
         self.k = 0
         self._derivs = None
         self._deriv_cones = {}
+        # read-only: gallery cones are memoised and shared by every caller
         self._e_float = np.array([float(v) for v in e])
+        self._e_float.flags.writeable = False
 
     # -- cached derivative tower -------------------------------------------------
 
@@ -186,10 +188,12 @@ def interior_points(cone, rng, count: int, margin: float = 0.25) -> np.ndarray:
 def contains(cone, x, tol: float = 1e-8) -> Membership:
     """Eigenvalue-route membership with a tolerance band at the boundary.
 
-    The root residual widens the band: a repeated boundary root smears the
-    companion eigenvalues, so decisions require a margin beyond both the
-    tolerance and the observed residual.  Restrictions that look genuinely
-    non-real-rooted raise InconclusiveError.
+    The root residual widens the band: for a float point a repeated
+    boundary root smears the companion eigenvalues, and for a rational
+    point it is the certified enclosure half-width, so decisions require a
+    margin beyond both the tolerance and the residual.  Restrictions that
+    are (rational points) or look (float points) non-real-rooted raise
+    InconclusiveError.
     """
     spec = spectrum.eigenvalues(cone, x)
     scale = 1.0 + abs(spec.lambda_max)

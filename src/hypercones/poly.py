@@ -6,13 +6,14 @@ composition laws, scaling certificates) is an exact statement about
 coefficient maps.  Floating point shows up only in the cached term arrays
 used by the numeric samplers.
 
-Identities between forms are decided by evaluation, not expansion:
-`scaling_mismatch` compares both sides in integers on the simplex
-lattice, which is unisolvent for forms of the given degree.
+Exact evaluation runs in integers: denominators are cleared once and
+divided out at the end.  Identities between forms are decided by
+evaluation, not expansion: `scaling_mismatch` compares both sides on the
+simplex lattice, which is unisolvent for forms of the given degree.
 
-The univariate side (`UniPoly`) carries the exact machinery needed to
-certify statements about real roots: division, gcd, square-free
-decomposition and Sturm-sequence root counting.
+The univariate side (`UniPoly`) certifies statements about real roots on
+primitive integer polynomials: pseudo-remainders, gcd, Yun's square-free
+decomposition and Sturm chains.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
-from math import factorial, lcm
+from itertools import combinations_with_replacement, zip_longest
+from math import factorial, gcd, inf, isinf, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -35,7 +37,7 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions, floats and strings like '3/2' or '0.25'."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (Integral, str)):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(value)  # exact binary value of the float
@@ -181,15 +183,6 @@ class HomoPoly:
 
     # -- calculus ---------------------------------------------------------------
 
-    def partial(self, i: int) -> "HomoPoly":
-        out = {}
-        for exp, c in self.terms.items():
-            a = exp[i]
-            if a:
-                e2 = exp[:i] + (a - 1,) + exp[i + 1 :]
-                out[e2] = out.get(e2, Fraction(0)) + c * a
-        return HomoPoly(self.nvars, max(self.degree - 1, 0), out)
-
     def _dir_step(self, e) -> "HomoPoly":
         out = {}
         for exp, c in self.terms.items():
@@ -260,19 +253,12 @@ class HomoPoly:
     # -- evaluation ----------------------------------------------------------------
 
     def eval(self, point) -> Fraction:
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point, in integers: one division."""
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, a in zip(point, exp):
-                if a:
-                    v *= x ** a
-                    if v == 0:
-                        break
-            total += v
-        return total
+        cols, scale = _clear_denominators(point)
+        den, terms = self._int_term_list()
+        return Fraction(_eval_columns(terms, cols), den * scale**self.degree)
 
     def _float_term_list(self):
         if self._float_terms is None:
@@ -361,15 +347,23 @@ def simplex_lattice(nvars: int, degree: int) -> np.ndarray:
     return pts
 
 
-def _eval_columns(terms, cols, npts: int) -> np.ndarray:
-    """Integer terms evaluated at npts points given coordinate-wise."""
-    total = np.zeros(npts, dtype=object)
+def _eval_columns(terms, cols):
+    """Integer terms evaluated coordinate-wise: each column is a Python
+    int (one point) or an object array of them (many points)."""
+    total = 0
     for c, mono in terms:
         t = c
         for i, a in mono:
             t = t * (cols[i] if a == 1 else cols[i] ** a)
         total += t
     return total
+
+
+def _clear_denominators(point):
+    """(ints, scale) with point == ints / scale coordinate-wise."""
+    point = as_vector(point)
+    scale = lcm(*(v.denominator for v in point))
+    return [v.numerator * (scale // v.denominator) for v in point], scale
 
 
 def scaling_mismatch(p: HomoPoly, rows, kappa):
@@ -396,8 +390,8 @@ def scaling_mismatch(p: HomoPoly, rows, kappa):
     ]
     # kappa * p(Bx) = kappa * P(scale * Bx) / (den * scale^d) and p(x) = P(x) / den
     common = kappa.denominator * scale ** p.degree
-    lhs = kappa.numerator * _eval_columns(terms, bx_cols, len(lattice))
-    rhs = common * _eval_columns(terms, x_cols, len(lattice))
+    lhs = kappa.numerator * _eval_columns(terms, bx_cols)
+    rhs = common * _eval_columns(terms, x_cols)
     differ = np.flatnonzero(lhs != rhs)
     if not len(differ):
         return None
@@ -419,17 +413,21 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> "UniPoly":
 
     Uses the closed form c_j = (-1)^(d-j) (D_e^j p)(x) / j!, which follows
     from homogeneity; the leading coefficient is always p(e).  Pass a
-    precomputed derivative tower to amortize repeated restrictions.
+    precomputed derivative tower to amortize repeated restrictions.  The
+    denominators of x are cleared once and every tower entry is evaluated
+    in integers, with one division per coefficient.
     """
-    e = as_vector(e)
-    x = as_vector(x)
+    if len(x) != p.nvars:
+        raise ValueError("point has wrong dimension")
     d = p.degree
     if derivs is None:
         derivs = derivatives_along(p, e)
+    cols, scale = _clear_denominators(x)
     coeffs = []
     for j in range(d + 1):
-        v = derivs[j].eval(x)
-        coeffs.append(Fraction((-1) ** (d - j)) * v / factorial(j))
+        den, terms = derivs[j]._int_term_list()
+        num = (-1) ** (d - j) * _eval_columns(terms, cols)
+        coeffs.append(Fraction(num, den * scale ** (d - j) * factorial(j)))
     if coeffs and coeffs[-1] == 0:
         warnings.warn("restriction has zero leading coefficient: p(e) = 0")
     return UniPoly(coeffs)
@@ -524,31 +522,6 @@ class UniPoly:
             acc = acc * t + c
         return acc
 
-    def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
-
-    def eval_float(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        if len(self.coeffs) <= 1:
-            return UniPoly((0,))
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
-    def scaled(self, c) -> "UniPoly":
-        c = as_fraction(c)
-        return UniPoly(tuple(c * v for v in self.coeffs))
-
-    def monic(self) -> "UniPoly":
-        d = self.degree
-        if d < 0:
-            raise ValueError("zero polynomial has no monic form")
-        lead = self.coeffs[d]
-        return UniPoly(tuple(c / lead for c in self.coeffs[: d + 1]))
-
     def trailing_zero_count(self) -> int:
         """Multiplicity of 0 as a root (exact)."""
         if self.is_zero():
@@ -577,128 +550,150 @@ class UniPoly:
         return "UniPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-def uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    da, db = a.degree, b.degree
-    rem = list(a.coeffs[: da + 1]) if da >= 0 else [Fraction(0)]
-    if da < db:
-        return UniPoly((0,)), a.trimmed()
-    quo = [Fraction(0)] * (da - db + 1)
-    lead = b.coeffs[db]
-    for k in range(da - db, -1, -1):
-        c = rem[db + k] / lead
-        quo[k] = c
-        if c:
-            for j in range(db + 1):
-                rem[j + k] -= c * b.coeffs[j]
-    return UniPoly(quo), UniPoly(rem[:db] if db > 0 else [Fraction(0)])
+def _primitive(coeffs) -> tuple[int, ...]:
+    g = gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = a.trimmed(), b.trimmed()
-    while not b.is_zero():
-        a, b = b, uni_divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+def _trim(coeffs) -> tuple[int, ...]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _int_form(q: UniPoly) -> tuple[int, ...]:
+    """Primitive integer multiple of q (positive factor), ascending."""
+    return _primitive(_clear_denominators(q.trimmed().coeffs)[0])
+
+
+def _int_derivative(f) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(f) if i)
+
+
+def _negated_remainder(a, b) -> tuple[int, ...]:
+    """-(a mod b) times a positive integer, primitive and trimmed: pseudo-
+    division by |lead(b)| stays in integers without flipping signs."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = sign * r[-1]
+        r = [scale * v for v in r]
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+        r.pop()
+    r = _trim(r)
+    return _primitive([-v for v in r]) if r else ()
+
+
+def _int_gcd(a, b) -> tuple[int, ...]:
+    """Primitive gcd with a positive leading coefficient."""
+    while b:
+        a, b = b, _negated_remainder(a, b)
+    return _primitive(a if a[-1] > 0 else [-c for c in a])
+
+
+def _exact_quotient(a, b) -> tuple[int, ...]:
+    """a / b when the primitive b divides a; the quotient is then integral
+    (Gauss's lemma), so every step is an exact integer division."""
+    q, r = [], list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        q.append(r[k + len(b) - 1] // b[-1])
+        for j, bj in enumerate(b):
+            r[k + j] -= q[-1] * bj
+    return tuple(reversed(q))
 
 
 def squarefree_factors(q: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's decomposition: list of (monic square-free factor, multiplicity)."""
-    q = q.trimmed()
+    """Yun's decomposition: list of (monic square-free factor, multiplicity).
+
+    Runs on primitive integer polynomials.  b and d are always divided by
+    the same gcd, so Yun's identity d = c - b' holds up to one common
+    scale; the first pass, from (q, q'), only strips gcd(q, q').
+    """
     if q.degree <= 0:
         return []
-    dq = q.derivative()
-    a = uni_gcd(q, dq)
-    b = uni_divmod(q, a)[0]
-    c = uni_divmod(dq, a)[0]
-    d = UniPoly(_sub_coeffs(c.coeffs, b.derivative().coeffs))
-    out = []
-    i = 1
-    while b.degree > 0:
-        a = uni_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = uni_divmod(b, a)[0] if not a.is_zero() else b
-        c = uni_divmod(d, a)[0] if not a.is_zero() else d
-        d = UniPoly(_sub_coeffs(c.coeffs, b.derivative().coeffs))
+    b = _int_form(q)
+    d = _int_derivative(b)
+    out, i = [], 0
+    while len(b) > 1:
+        a = _int_gcd(b, d)
+        if i and len(a) > 1:
+            out.append((UniPoly([Fraction(c, a[-1]) for c in a]), i))
+        b = _exact_quotient(b, a)
+        c = _exact_quotient(d, a)
+        d = _trim(x - y for x, y in zip_longest(c, _int_derivative(b), fillvalue=0))
         i += 1
     return out
 
 
-def _sub_coeffs(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
+def _sturm_chain(q: UniPoly) -> list[tuple[int, ...]]:
+    """Canonical Sturm chain of q as primitive ascending integer tuples.
 
-
-def _sturm_chain(q: UniPoly):
-    chain = [q.trimmed()]
-    d = chain[0].derivative().trimmed()
-    if not d.is_zero():
-        chain.append(d)
-        while chain[-1].degree > 0:
-            r = uni_divmod(chain[-2], chain[-1])[1].trimmed()
-            if r.is_zero():
-                break
-            chain.append(UniPoly(tuple(-c for c in r.coeffs)))
+    Each entry is a positive multiple of the rational chain q, q',
+    -rem(q, q'), ..., so sign variations are unchanged.  The last entry is
+    gcd(q, q'); the chain counts distinct real roots for any q.
+    """
+    if q.is_zero():
+        raise ValueError("zero polynomial")
+    f = _int_form(q)
+    chain = [f, _primitive(_int_derivative(f))] if len(f) > 1 else [f]
+    while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
+        chain.append(r)
     return chain
 
 
-def _sign_at(p: UniPoly, t):
-    """Sign at a rational point or at +inf / -inf (passed as the strings below)."""
-    d = p.degree
-    if d < 0:
-        return 0
-    lead = p.coeffs[d]
-    if t == "+inf":
-        return 1 if lead > 0 else -1
-    if t == "-inf":
-        s = 1 if lead > 0 else -1
-        return s if d % 2 == 0 else -s
-    v = p.eval(t)
-    return 0 if v == 0 else (1 if v > 0 else -1)
+def sign_at(f, t) -> int:
+    """Sign of an ascending integer polynomial at t: a Fraction, an int, a
+    float (at its exact dyadic value) or +-inf."""
+    if isinstance(t, float) and isinf(t):
+        s = 1 if f[-1] > 0 else -1
+        return s if t > 0 or len(f) % 2 else -s
+    num, den = t.as_integer_ratio()
+    acc, power = f[-1], 1  # den^deg * f(num / den), by Horner
+    for c in reversed(f[:-1]):
+        power *= den
+        acc = acc * num + c * power
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(chain, t) -> int:
-    signs = [s for s in (_sign_at(p, t) for p in chain) if s != 0]
+def sign_variations(chain, t) -> int:
+    signs = [s for s in (sign_at(f, t) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count_distinct(q: UniPoly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of q in (lo, hi]; None bounds mean +-inf.
+def _chain_count(chain, lo=None, hi=None) -> int:
+    """Distinct real roots in (lo, hi] counted by a Sturm chain; None
+    bounds mean -inf and +inf.  Neither bound may be a multiple root."""
+    a = -inf if lo is None else as_fraction(lo)
+    b = inf if hi is None else as_fraction(hi)
+    return sign_variations(chain, a) - sign_variations(chain, b)
 
-    Valid for arbitrary (possibly non-square-free) q; the canonical Sturm
-    chain counts each real root once.  `lo` must not itself be a root.
-    """
-    q = q.trimmed()
-    if q.is_zero():
-        raise ValueError("zero polynomial")
-    if q.degree == 0:
-        return 0
+
+def sturm_count_distinct(q: UniPoly, lo=None, hi=None) -> int:
+    """Distinct real roots of any q in (lo, hi]; None means -inf / +inf."""
+    return _chain_count(_sturm_chain(q), lo, hi)
+
+
+def factor_chains(q: UniPoly) -> list[tuple[list, int]]:
+    """(Sturm chain, multiplicity) for each square-free factor of q.  When
+    gcd(q, q'), the last entry of q's own chain, is constant, q is
+    square-free and Yun's split is skipped."""
+    if q.degree <= 0:
+        return []
     chain = _sturm_chain(q)
-    a = "-inf" if lo is None else as_fraction(lo)
-    b = "+inf" if hi is None else as_fraction(hi)
-    return _variations(chain, a) - _variations(chain, b)
+    if len(chain[-1]) == 1:
+        return [(chain, 1)]
+    return [(_sturm_chain(f), mult) for f, mult in squarefree_factors(q)]
 
 
 def real_root_count_with_mult(q: UniPoly, lo=None, hi=None) -> int:
     """Real roots in (lo, hi] counted with multiplicity (exact)."""
-    total = 0
-    for factor, mult in squarefree_factors(q):
-        total += mult * sturm_count_distinct(factor, lo, hi)
-    return total
+    return sum(mult * _chain_count(chain, lo, hi) for chain, mult in factor_chains(q))
 
 
 def is_real_rooted(q: UniPoly) -> bool:
     """True when all roots of q are real (counted with multiplicity)."""
-    q = q.trimmed()
     if q.is_zero():
         raise ValueError("zero polynomial")
-    if q.degree == 0:
-        return True
     return real_root_count_with_mult(q) == q.degree

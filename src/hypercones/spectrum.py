@@ -1,18 +1,21 @@
 """Eigenvalues of points along a direction: root extraction and rank.
 
-Every float spectrum, single point or batch, goes through one batched
-kernel: balanced companion-matrix eigenvalues plus two guarded Newton
-steps on the rows that came back real.  Rational points add a polish
-with exactly evaluated residuals on top of that rough pass; everything
-tolerance-sensitive (zero classification, real-rootedness refutations,
-multiplicities in face chains) can fall back to the exact Sturm-sequence
-machinery in `poly` whenever the input point is rational.
+Float points go through one batched kernel: balanced companion-matrix
+eigenvalues plus two guarded Newton steps on the rows that came back
+real.  Rational points go through one exact path: trailing zeros give the
+eigenvalue 0 with its exact multiplicity, one integer Sturm chain per
+square-free factor refutes or certifies real-rootedness, and every root
+is isolated (the float kernel only proposes split points) and refined by
+exact sign evaluations to at most 2 ulp (Collins & Akritas 1976).  So a
+rational point's residual is a certified error bound.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from math import copysign, inf
 
 import numpy as np
 
@@ -20,8 +23,11 @@ from .poly import (
     HomoPoly,
     UniPoly,
     as_vector,
+    factor_chains,
     is_exact_vector,
     is_real_rooted,
+    sign_at,
+    sign_variations,
 )
 from .report import InconclusiveError
 
@@ -36,6 +42,8 @@ RESIDUAL_GATE = 1e-6
 # |eigenvalue| inside (zero_tol / BAND, zero_tol * BAND) cannot be classified
 # as zero or nonzero without risking silent misclassification.
 AMBIGUOUS_BAND = 4.0
+
+NOT_REAL_ROOTED = "restriction is not real-rooted; point outside the hyperbolic regime"
 
 
 @dataclass(frozen=True)
@@ -64,17 +72,6 @@ class Spectrum:
             "mult": self.mult,
             "zero_tol": self.zero_tol,
         }
-
-
-def _classify(roots, residual, zero_tol) -> Spectrum:
-    rank = sum(1 for r in roots if abs(r) > zero_tol)
-    return Spectrum(
-        eigenvalues=tuple(roots),
-        residual=float(residual),
-        zero_tol=float(zero_tol),
-        rank=rank,
-        mult=len(roots) - rank,
-    )
 
 
 def _horner_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -134,73 +131,91 @@ def roots_from_float_coeffs(coeffs_asc, tol=DEFAULT_RESIDUAL_TOL):
     return tuple(float(v) for v in np.sort(roots)[::-1]), float(residuals[0])
 
 
-def _exact_residual_polish(q: UniPoly, roots):
-    """Refine ill-conditioned simple roots with exactly evaluated residuals.
+def _ordinal(x: float) -> int:
+    """Position of x among the floats: adjacent floats differ by one."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
 
-    Floating-point Horner near a root loses everything to cancellation;
-    evaluating the exact polynomial at the (exactly representable) float
-    root restores the full residual, so one or two Newton steps land
-    within an ulp or two of the true root.
+
+def _from_ordinal(n: int) -> float:
+    return copysign(struct.unpack("<d", struct.pack("<q", abs(n)))[0], n)
+
+
+def _enclosure(lo: int, hi: int):
+    """Midpoint and half-width of the float interval (lo, hi] in ordinals."""
+    a, b, m = _from_ordinal(lo), _from_ordinal(hi), _from_ordinal((lo + hi + 1) // 2)
+    return m, max(m - a, b - m)
+
+
+def _refine(f, a: int, b: int, guess):
+    """Shrink (a, b] (ordinals) around the one root of f in it to 2 ulp.
+    Probes gallop away from the guess (the float seed's ordinal), so a good
+    guess costs two or three sign evaluations; others bisect."""
+    sb = sign_at(f, _from_ordinal(b))
+    if sb == 0:
+        return _from_ordinal(b), 0.0
+    t, step = guess, 1
+    while b - a > 2:
+        if not a < t < b:
+            t, step = (a + b) // 2, 0
+        s = sign_at(f, _from_ordinal(t))
+        if s == 0:
+            return _from_ordinal(t), 0.0
+        a, b, t = (a, t, t - step) if s == sb else (t, b, t + step)
+        step *= 2
+    return _enclosure(a, b)
+
+
+def _root_enclosures(chain, tol: float):
+    """(midpoint, half-width) of each root of the square-free chain[0].
+
+    Split points between the float roots isolate the roots; an interval
+    the chain counts twice is bisected, and roots closer than 2 ulp share
+    one interval.  Fewer real roots than the degree is a refutation.
     """
-    dc_desc = (q.derivative().float_coeffs())[::-1]
-    c_desc = q.float_coeffs()[::-1]
-    abs_c_desc = np.abs(c_desc)
-    eps = np.finfo(float).eps
+    f = chain[0]
+    floats = np.array([c / f[-1] for c in f])
+    seeds = [_ordinal(v) for v in _float_roots(floats[None, :], tol)[0][0][::-1]]
+    splits = {(s + t) // 2 for s, t in zip(seeds, seeds[1:]) if s < t}
+    cuts = [_ordinal(-inf), *sorted(splits), _ordinal(inf)]
+    variations = {c: sign_variations(chain, _from_ordinal(c)) for c in cuts}
+    if variations[cuts[0]] - variations[cuts[-1]] < len(f) - 1:
+        raise InconclusiveError(NOT_REAL_ROOTED)
     out = []
-    for r in roots:
-        fp = np.polyval(dc_desc, r)
-        # forward error bound of float Horner at r; the observed residual
-        # is useless here because cancellation can land exactly on zero
-        err_est = eps * np.polyval(abs_c_desc, abs(r)) / max(abs(fp), 1e-300)
-        if abs(fp) > 1e-300 and err_est > 1e-13 * (1.0 + abs(r)):
-            for _ in range(2):
-                f_exact = q.eval(Fraction(r))
-                if f_exact == 0:
-                    break
-                fp = np.polyval(dc_desc, r)
-                if not np.isfinite(fp) or abs(fp) < 1e-300:
-                    break
-                step = float(f_exact) / fp
-                if not np.isfinite(step):
-                    break
-                r = r - step
-        out.append(r)
+    work = list(zip(cuts, cuts[1:]))
+    while work:
+        a, b = work.pop()
+        count = variations[a] - variations[b]
+        if count == 1:
+            guess = next((s for s in seeds if a < s < b), a)
+            out.append(_refine(f, a, b, guess))
+        elif count > 1 and b - a <= 2:
+            out.extend([_enclosure(a, b)] * count)
+        elif count > 1:
+            mid = (a + b) // 2
+            variations[mid] = sign_variations(chain, _from_ordinal(mid))
+            work += [(a, mid), (mid, b)]
     return out
 
 
 def real_roots(q: UniPoly, tol: float = DEFAULT_RESIDUAL_TOL):
-    """Roots of an exact univariate polynomial via its companion matrix.
+    """Certified real roots of an exact polynomial: (descending, residual).
 
-    Returns (real parts sorted descending, max imaginary magnitude).
-    Well-separated spectra go straight through the companion matrix with
-    exact-residual Newton polish.  Clustered or repeated roots wreck
-    companion accuracy, so those polynomials are first split into exact
-    square-free factors, each contributing simple roots with its exact
-    multiplicity.
+    Trailing zeros give exact 0.0 roots; every other root is isolated in
+    its square-free factor and repeated by its exact multiplicity.  Each
+    root lies within `residual`, the largest half-width, of its float;
+    `tol` only steers the float seeds.  A non-real root raises
+    InconclusiveError.
     """
     if q.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")
-    if q.degree == 0:
-        return (), 0.0
-    rough, residual = roots_from_float_coeffs(q.float_coeffs(), tol)
-    scale = 1.0 + max((abs(r) for r in rough), default=0.0)
-    separated = residual <= tol and (
-        len(rough) < 2
-        or min(a - b for a, b in zip(rough, rough[1:])) > 1e-5 * scale
-    )
-    if separated:
-        roots = sorted(_exact_residual_polish(q, rough), reverse=True)
-        return tuple(roots), residual
-
-    from .poly import squarefree_factors
-
-    roots = []
+    m = q.trailing_zero_count()
+    roots = [0.0] * m
     residual = 0.0
-    for factor, mult_ in squarefree_factors(q):
-        r, res = roots_from_float_coeffs(factor.float_coeffs(), tol)
-        residual = max(residual, res)
-        for v in _exact_residual_polish(factor, r):
-            roots.extend([v] * mult_)
+    for chain, mult_ in factor_chains(q.shifted_down(m)):
+        for root, half_width in _root_enclosures(chain, tol):
+            roots.extend([root] * mult_)
+            residual = max(residual, half_width)
     roots.sort(reverse=True)
     return tuple(roots), residual
 
@@ -213,18 +228,20 @@ def eigenvalues(
 ) -> Spectrum:
     """Spectrum of a point: roots of the restriction of the cone polynomial.
 
-    Rational points go through the exact restriction; float points through
-    the cached float coefficient path.  In both cases the root extraction
-    itself is floating point; use `rank_exact` when the answer must be
-    certified.
+    Rational points take `real_roots`: eigenvalues within `residual`, an
+    exact multiplicity of 0 (the trailing-zero count, whatever `zero_tol`
+    says) and InconclusiveError when the restriction is not real-rooted.
+    Float points take the float kernel and are classified by `zero_tol`.
     """
     if is_exact_vector(x):
         q = cone.restrict(as_vector(x))
         roots, residual = real_roots(q, residual_tol)
+        mult_ = q.trailing_zero_count()
     else:
         coeffs = cone.restriction_coeffs_float(np.asarray(x, dtype=float)[None, :])[0]
         roots, residual = roots_from_float_coeffs(coeffs, residual_tol)
-    return _classify(roots, residual, zero_tol)
+        mult_ = sum(1 for r in roots if abs(r) <= zero_tol)
+    return Spectrum(roots, float(residual), float(zero_tol), len(roots) - mult_, mult_)
 
 
 def batch_eigenvalues(cone, points: np.ndarray, tol=DEFAULT_RESIDUAL_TOL):
@@ -240,31 +257,18 @@ def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     """Certified rank of a rational point: degree minus the multiplicity of 0.
 
     The multiplicity of 0 in the exact restriction is its trailing-zero
-    count.  With `sturm_verify` the restriction is additionally certified
-    real-rooted and its nonzero real roots are recounted through the
-    square-free Sturm oracle.
+    count.  With `sturm_verify` the restriction is also certified
+    real-rooted by Sturm counts; a real-rooted restriction with m trailing
+    zeros has exactly d - m nonzero real roots, so nothing is recounted.
     """
     if not is_exact_vector(x):
         raise TypeError("rank_exact needs a rational point")
     q = cone.restrict(as_vector(x))
     if q.is_zero():
         raise ValueError("restriction vanished; p(e) = 0?")
-    m = q.trailing_zero_count()
-    r = cone.d - m
-    if sturm_verify:
-        if not is_real_rooted(q):
-            raise InconclusiveError(
-                "restriction is not real-rooted; point outside the hyperbolic regime"
-            )
-        reduced = q.shifted_down(m)
-        from .poly import real_root_count_with_mult
-
-        nonzero = real_root_count_with_mult(reduced)
-        if nonzero != r:
-            raise InconclusiveError(
-                f"Sturm count {nonzero} disagrees with trailing-zero rank {r}"
-            )
-    return r
+    if sturm_verify and not is_real_rooted(q):
+        raise InconclusiveError(NOT_REAL_ROOTED)
+    return cone.d - q.trailing_zero_count()
 
 
 def _band_check(spec: Spectrum, zero_tol: float):

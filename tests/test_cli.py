@@ -33,6 +33,17 @@ class TestEig:
         assert code == 0
         assert data["eigs"] == [1.0, 1.0, 1.0, 1.0]
 
+    def test_non_real_rooted_rational_point_exits_4(self, capsys, tmp_path):
+        # x0^2 + 1e-20 x1^2 along (1, 0) at (0, 1): roots +-1e-10 i
+        p = {"nvars": 2, "degree": 2, "terms": [
+            {"exp": [2, 0], "num": "1", "den": "1"},
+            {"exp": [0, 2], "num": "1", "den": str(10**20)},
+        ]}
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps({"label": "tilted", "polynomial": p, "e": ["1", "0"]}))
+        code, out, err = run(capsys, "eig", f"file:{path}", "0,1")
+        assert code == 4 and not out and "not real-rooted" in err
+
     def test_malformed_point_exits_2(self, capsys):
         code, out, err = run(capsys, "eig", "orthant:3", "1,2,zebra")
         assert code == 2 and not out and "error" in err
@@ -262,7 +273,7 @@ class TestExitContract:
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and "--samples" in err
 
-    def test_internal_error_in_autcheck_propagates(self, capsys, tmp_path, monkeypatch):
+    def test_internal_error_in_autcheck_exits_70(self, capsys, tmp_path, monkeypatch):
         from hypercones import autgroup
 
         def broken(*args, **kwargs):
@@ -270,15 +281,17 @@ class TestExitContract:
 
         monkeypatch.setattr(autgroup, "check_automorphism", broken)
         path = self.write_matrix(tmp_path, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        with pytest.raises(ValueError, match="internal fault"):
-            cli.main(["autcheck", "orthant:3", path])
+        code, out, err = run(capsys, "autcheck", "orthant:3", path)
+        assert code == cli.EXIT_INTERNAL == 70
+        assert not out and "internal fault" in err and "Traceback" in err
 
-    def test_internal_error_in_suite_propagates(self, monkeypatch):
+    def test_internal_error_in_suite_exits_70(self, capsys, monkeypatch):
         from hypercones import suite
 
         def broken(seed, ctx):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(suite, "ALL_CHECKS", (("broken-check", broken),))
-        with pytest.raises(ValueError, match="internal fault"):
-            cli.main(["suite", "--filter", "broken"])
+        code, out, err = run(capsys, "suite", "--filter", "broken")
+        assert code == 70 and not out
+        assert "internal fault" in err and "Traceback" in err

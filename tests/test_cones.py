@@ -44,6 +44,14 @@ class TestInterior:
         assert not cones.in_interior_exact(cone, (1, 1, 0))
 
 
+class TestSharedCones:
+    def test_memoised_direction_is_read_only(self):
+        cone = gallery.orthant(4)
+        with pytest.raises(ValueError):
+            cone.e_float[0] = 2.0
+        assert gallery.orthant(4).e_float.tolist() == [1.0] * 4
+
+
 class TestDerivativeCone:
     def test_halfspace_at_top_order(self):
         dc = gallery.orthant(5).derivative_cone(4)

@@ -22,8 +22,6 @@ from hypercones.poly import (
     simplex_lattice,
     squarefree_factors,
     sturm_count_distinct,
-    uni_divmod,
-    uni_gcd,
 )
 from hypercones import gallery
 from hypercones.gallery import elementary_symmetric, l1_cone
@@ -370,19 +368,6 @@ class TestCanonicalForm:
 
 
 class TestUniPolyExact:
-    def test_divmod_reconstructs(self):
-        a = UniPoly([F(1), F(-2), F(0), F(3), F(1)])
-        b = UniPoly([F(2), F(1)])
-        q, r = uni_divmod(a, b)
-        # a = q*b + r checked by evaluation at a few rationals
-        for t in (F(0), F(1), F(-3), F(1, 2)):
-            assert a.eval(t) == q.eval(t) * b.eval(t) + r.eval(t)
-
-    def test_gcd_of_shared_factor(self):
-        a = UniPoly([-1, 0, 1])  # (t-1)(t+1)
-        b = UniPoly([-1, 1])
-        assert uni_gcd(a, b) == UniPoly([-1, 1])
-
     def test_squarefree_decomposition(self):
         # t^2 (t-1)^3
         q = UniPoly([0, 0, -1, 3, -3, 1])

@@ -44,6 +44,47 @@ class TestRealRoots:
         assert residual <= 1e-12
 
 
+class TestCertifiedRoots:
+    @pytest.mark.parametrize("j", [20, 30, 40])
+    def test_clustered_orthant_point(self, j):
+        eps = F(1, 2**j)
+        lam = (F(3), 1 + 2 * eps, 1 + eps, F(1))
+        spec = spectrum.eigenvalues(gallery.orthant(4), (1, 1 + eps, 1 + 2 * eps, 3))
+        for got, want in zip(spec.eigenvalues, lam):
+            assert abs(F(got) - want) <= F(1, 10**12)
+            assert abs(F(got) - want) <= F(spec.residual)
+        assert spec.residual <= 1e-15
+
+    def test_complex_pair_near_the_axis_refuted(self):
+        # 1 +- 1e-10 i: the float seeds see a double root at 1, the Sturm
+        # chain sees no real root at all
+        with pytest.raises(InconclusiveError, match="not real-rooted"):
+            spectrum.real_roots(UniPoly([1 + F(1, 10**20), -2, 1]))
+
+    def test_residual_encloses_irrational_roots(self):
+        roots, residual = spectrum.real_roots(UniPoly([-2, 0, 1]))
+        assert 0 < residual <= 2 * np.spacing(1.5)
+        for r in roots:
+            lo, hi = F(r) - F(residual), F(r) + F(residual)
+            assert (lo * lo - 2) * (hi * hi - 2) < 0
+
+    def test_exact_rank_below_zero_tol(self):
+        cone = gallery.orthant(3)
+        x = (1, F(1, 10**9), 0)
+        spec = spectrum.eigenvalues(cone, x)
+        assert spec.rank == 2 == spectrum.rank_exact(cone, x, sturm_verify=True)
+        assert spec.mult == 1 and spec.eigenvalues[1] == 1e-9
+
+    @pytest.mark.parametrize("a, gap", [(F(1), F(1, 2**60)), (F(1, 3), F(1, 2**70))])
+    def test_roots_closer_than_an_ulp(self, a, gap):
+        # distinct roots that no float separates still come back enclosed
+        b = a + gap
+        roots, residual = spectrum.real_roots(UniPoly([a * b, -(a + b), 1]))
+        assert residual <= 2 * np.spacing(float(a))
+        for got, want in zip(roots, (b, a)):
+            assert abs(F(got) - want) <= F(residual)
+
+
 class TestFloatKernel:
     def test_single_point_matches_batch_row(self):
         # one kernel: a float point and a one-row batch agree to the bit
