@@ -10,13 +10,12 @@ from .cones import (
     HyperCone,
     contains,
     contains_by_inequalities,
-    in_interior,
     membership_exact,
     strict_containment_witness,
 )
 from .poly import HomoPoly, UniPoly, as_fraction, as_vector, polar_form, restrict_line
 from .report import CheckReport, InconclusiveError, Membership, Verdict
-from .spectrum import Spectrum, check_hyperbolic, eigenvalues, mult, rank
+from .spectrum import Spectrum, check_hyperbolic, eigenvalues, rank
 
 __all__ = [
     "CheckReport",
@@ -33,9 +32,7 @@ __all__ = [
     "contains",
     "contains_by_inequalities",
     "eigenvalues",
-    "in_interior",
     "membership_exact",
-    "mult",
     "polar_form",
     "rank",
     "restrict_line",

@@ -23,7 +23,13 @@ import numpy as np
 import scipy.linalg
 
 from . import exactlin, spectrum
-from .cones import HyperCone, in_interior_exact, membership_exact
+from .cones import (
+    MEMBERSHIP_TOL,
+    WITNESS_BUDGET,
+    HyperCone,
+    in_interior_exact,
+    membership_exact,
+)
 from .gallery import smat_float, svec_float
 from .poly import (
     as_fraction,
@@ -34,9 +40,21 @@ from .poly import (
 )
 from .report import CheckReport, Membership, Verdict
 
-DEFAULT_TOL = 1e-8
 # |lambda_min| below this is treated as indecisive when sampling membership.
 DECISIVE_MARGIN = 1e-4
+# Two-sided lambda_min margin a membership-violation witness must clear.
+WITNESS_MARGIN = 1e-6
+# Relative residual of A e - alpha e under which a float map fixes the ray.
+STABILIZER_TOL = 1e-10
+# Sampled points whose boundary-shifted copies join the float-tier cloud.
+WAVE_POINTS = 256
+# Terms of the Cesaro average behind the fallback Perron vector.
+CESARO_ITERATIONS = 256
+# Eigenvalues below this fraction of the largest span no face direction.
+RANGE_REL_TOL = 1e-6
+# Relative distance of M^T M from mu I under which a float M counts as
+# scaled orthogonal.
+ORTHOGONALITY_TOL = 1e-8
 
 
 class LinearMap:
@@ -141,7 +159,7 @@ class StabilizerResult:
         }
 
 
-def stabilizer_check(A, e, tol: float = 1e-10) -> StabilizerResult:
+def stabilizer_check(A, e) -> StabilizerResult:
     """Does A map the ray through e to itself (A e = alpha e, alpha > 0)?"""
     if isinstance(A, LinearMap):
         e = as_vector(e)
@@ -159,7 +177,7 @@ def stabilizer_check(A, e, tol: float = 1e-10) -> StabilizerResult:
     alpha = float(ef @ ae) / float(ef @ ef)
     resid = float(np.linalg.norm(ae - alpha * ef))
     scale = max(1.0, float(np.linalg.norm(af, ord=2))) * float(np.linalg.norm(ef))
-    if alpha > 0 and resid <= tol * scale:
+    if alpha > 0 and resid <= STABILIZER_TOL * scale:
         return StabilizerResult(True, alpha)
     return StabilizerResult(False, None)
 
@@ -174,7 +192,7 @@ def check_automorphism(
     A,
     samples: int = 800,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    tol: float = MEMBERSHIP_TOL,
 ) -> CheckReport:
     """Certify or refute A as an automorphism of the cone.
 
@@ -260,12 +278,13 @@ def check_automorphism(
     return _sampled_preservation(cone, af, samples=samples, seed=seed, tol=tol)
 
 
-def _biased_points(cone, rng, n_random: int, waves: int = 256):
-    """Gaussian cloud plus copies shifted to sit just inside / outside."""
+def _biased_points(cone, rng, n_random: int):
+    """Gaussian cloud plus copies of its first WAVE_POINTS points shifted
+    to sit just inside / outside."""
     y = rng.standard_normal((n_random, cone.nvars))
     lam, _ = cone.lambda_min(y)
     chunks = [y]
-    base = y[: min(waves, n_random)]
+    base = y[:WAVE_POINTS]
     lam_b = lam[: len(base)]
     ef = cone.e_float
     for m in (0.5, 0.1, 0.01):
@@ -280,7 +299,7 @@ def _sampled_preservation(
     a_float: np.ndarray,
     samples: int = 800,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    tol: float = MEMBERSHIP_TOL,
 ) -> CheckReport:
     """Float tier: does the map preserve sampled membership both ways?"""
     a_inv = np.linalg.inv(a_float)
@@ -345,7 +364,7 @@ def check_deriv_automorphism(
     A,
     samples: int = 800,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    tol: float = MEMBERSHIP_TOL,
 ) -> CheckReport:
     """Automorphism check on the k-th relaxation plus the equivalence audit.
 
@@ -490,31 +509,21 @@ def garding_check(cone: HyperCone, xs, tol: float = 1e-9) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def perron_eigenvector(
-    cone,
-    A,
-    tol: float = DEFAULT_TOL,
-    assume_invariant: bool = False,
-    samples: int = 128,
-    seed: int = 0,
-) -> CheckReport:
+def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
     """Find an eigenvector of A inside the cone at the spectral radius.
 
-    For a map that keeps the cone invariant such an eigenvector exists;
-    the check returns it (Holds) or reports Inconclusive on numerical
-    eigenspace ambiguity.  It never refutes: a genuine miss for a
-    certified automorphism would be an invariance violation, which is
-    flagged in the details instead.
+    Precondition, not checked here: A is a certified automorphism of the
+    cone (`check_automorphism` Holds), so it keeps the cone invariant and
+    such an eigenvector exists.  The check returns it (Holds) or reports
+    Inconclusive on numerical eigenspace ambiguity; it never refutes.
     """
     af = A.to_float() if isinstance(A, LinearMap) else np.asarray(A, dtype=float)
-    if not assume_invariant:
-        _require_invariance(cone, af, samples, seed, tol)
     w, vecs = np.linalg.eig(af)
     rho = float(np.abs(w).max())
     order = np.argsort(-np.abs(w))
-    margin = max(10 * tol, 1e-9)
+    margin = 10 * MEMBERSHIP_TOL
     for idx in order:
-        if abs(w[idx]) < rho * (1 - 1e-9) - tol:
+        if abs(w[idx]) < rho * (1 - 1e-9) - MEMBERSHIP_TOL:
             break
         if abs(w[idx].imag) > 1e-8 * max(rho, 1.0):
             continue
@@ -534,7 +543,7 @@ def perron_eigenvector(
                 return CheckReport(
                     verdict=Verdict.HOLDS,
                     witness=tuple(float(x) for x in u),
-                    tolerances={"tol": tol},
+                    tolerances={"tol": MEMBERSHIP_TOL},
                     details={
                         "spectral_radius": rho,
                         "eigenvalue": float(w[idx].real),
@@ -550,7 +559,7 @@ def perron_eigenvector(
             return CheckReport(
                 verdict=Verdict.HOLDS,
                 witness=tuple(float(x) for x in u),
-                tolerances={"tol": tol},
+                tolerances={"tol": MEMBERSHIP_TOL},
                 details={
                     "spectral_radius": rho,
                     "eigenvalue": rho,
@@ -561,7 +570,7 @@ def perron_eigenvector(
             )
     return CheckReport(
         verdict=Verdict.INCONCLUSIVE,
-        tolerances={"tol": tol},
+        tolerances={"tol": MEMBERSHIP_TOL},
         details={
             "spectral_radius": rho,
             "reason": "numerical eigenspace ambiguity",
@@ -570,18 +579,7 @@ def perron_eigenvector(
     )
 
 
-def _require_invariance(cone, af, samples, seed, tol):
-    rng = np.random.default_rng(seed)
-    y = rng.standard_normal((samples, cone.nvars))
-    lam, _ = cone.lambda_min(y)
-    inside = y - (lam - 0.05)[:, None] * cone.e_float[None, :]
-    lam_img, res = cone.lambda_min(inside @ af.T)
-    bad = (lam_img < -max(10 * tol, DECISIVE_MARGIN)) & (res < spectrum.RESIDUAL_GATE)
-    if np.any(bad):
-        raise ValueError("map does not keep the cone invariant")
-
-
-def _cesaro_vector(cone, af, rho, seed, iterations: int = 256):
+def _cesaro_vector(cone, af, rho, seed):
     if rho <= 0:
         return None
     rng = np.random.default_rng(seed)
@@ -594,7 +592,7 @@ def _cesaro_vector(cone, af, rho, seed, iterations: int = 256):
             z = y - (lam[0] - 0.5) * cone.e_float
         acc = np.zeros_like(z)
         cur = z / max(np.linalg.norm(z), 1e-300)
-        for _ in range(iterations):
+        for _ in range(CESARO_ITERATIONS):
             acc += cur
             cur = af @ cur / rho
             nrm = np.linalg.norm(cur)
@@ -608,7 +606,7 @@ def _cesaro_vector(cone, af, rho, seed, iterations: int = 256):
     return None
 
 
-def min_face_fix_check(cone, A, z, tol: float = DEFAULT_TOL) -> CheckReport:
+def min_face_fix_check(cone, A, z) -> CheckReport:
     """Does A fix the minimal face of its eigenvector z?
 
     Only gallery cones with explicit face descriptors are supported:
@@ -623,10 +621,10 @@ def min_face_fix_check(cone, A, z, tol: float = DEFAULT_TOL) -> CheckReport:
     zf = np.asarray([float(v) for v in z], dtype=float)
     az = af @ zf
     alpha = float(zf @ az) / float(zf @ zf)
-    if np.linalg.norm(az - alpha * zf) > max(tol, 1e-8) * max(1.0, abs(alpha)) * np.linalg.norm(zf):
+    if np.linalg.norm(az - alpha * zf) > MEMBERSHIP_TOL * max(1.0, abs(alpha)) * np.linalg.norm(zf):
         raise ValueError("z is not an eigenvector of A")
     spec = spectrum.eigenvalues(cone, zf)
-    if spec.lambda_min < -max(10 * tol, DECISIVE_MARGIN):
+    if spec.lambda_min < -DECISIVE_MARGIN:
         raise ValueError("z does not lie in the cone")
 
     if kind == "Orthant":
@@ -671,22 +669,22 @@ def min_face_fix_check(cone, A, z, tol: float = DEFAULT_TOL) -> CheckReport:
         return CheckReport(
             verdict=Verdict.HOLDS,
             witness=tuple(float(v) for v in zf),
-            tolerances={"tol": tol},
+            tolerances={"tol": MEMBERSHIP_TOL},
             details=details,
             tier="float",
         )
     return CheckReport(
         verdict=Verdict.FAILS,
         witness=tuple(float(v) for v in zf),
-        tolerances={"tol": tol},
+        tolerances={"tol": MEMBERSHIP_TOL},
         details=details,
         tier="float",
     )
 
 
-def _range_projector(mat: np.ndarray, rel_tol: float = 1e-6):
+def _range_projector(mat: np.ndarray):
     vals, vecs = np.linalg.eigh(mat)
-    cutoff = rel_tol * max(float(np.abs(vals).max()), 1e-300)
+    cutoff = RANGE_REL_TOL * max(float(np.abs(vals).max()), 1e-300)
     keep = np.abs(vals) > cutoff
     basis = vecs[:, keep]
     return basis @ basis.T, basis
@@ -697,27 +695,21 @@ def _range_projector(mat: np.ndarray, rel_tol: float = 1e-6):
 # ---------------------------------------------------------------------------
 
 
-def membership_violation_witness(
-    derived: HyperCone,
-    maps,
-    seed: int = 0,
-    margin: float = 1e-6,
-    budget: int = 4096,
-    tol: float = DEFAULT_TOL,
-):
+def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
     """Hunt for x in the relaxation whose image under some map leaves it.
 
     `maps` is a list of (label, float matrix, exact LinearMap or None).
-    The witness and its image are re-verified: exact derivative signs at
-    the rational snap when an exact map is available, fresh spectra with
-    two-sided margins of at least `margin` always.
+    Up to WITNESS_BUDGET points are drawn.  The witness and its image are
+    re-verified: exact derivative signs at the rational snap when an exact
+    map is available, fresh spectra with two-sided margins of at least
+    WITNESS_MARGIN always.
     """
     rng = np.random.default_rng(seed)
-    need = max(margin, 10 * tol)
+    need = WITNESS_MARGIN
     tried = 0
     batch = 256
-    while tried < budget:
-        nb = min(batch, budget - tried)
+    while tried < WITNESS_BUDGET:
+        nb = min(batch, WITNESS_BUDGET - tried)
         tried += nb
         y = rng.standard_normal((nb, derived.nvars))
         lam, _ = derived.lambda_min(y)
@@ -772,9 +764,6 @@ def _classify_relaxation(
     prediction: bool,
     details: dict,
     seed: int,
-    samples: int,
-    tol: float,
-    witness_margin: float,
 ) -> CheckReport:
     """Certify A on the k-th relaxation of `cone` and hold it to a prediction.
 
@@ -794,7 +783,7 @@ def _classify_relaxation(
             f"k={k} outside 1..{cone.d - 3}: no classification asserted in the "
             "quadratic or halfspace regime"
         )
-    rep = check_deriv_automorphism(cone, k, A, samples=samples, seed=seed, tol=tol)
+    rep = check_deriv_automorphism(cone, k, A, seed=seed)
     details = {**rep.details, **details, "prediction": predicted}
     details["classification_violation"] = (
         predicted is not None
@@ -803,8 +792,7 @@ def _classify_relaxation(
     )
     if rep.verdict is Verdict.FAILS or predicted is False:
         found = membership_violation_witness(
-            cone.derivative_cone(k), _map_pair(A), seed=seed + 17,
-            margin=witness_margin, tol=tol,
+            cone.derivative_cone(k), _map_pair(A), seed=seed + 17
         )
         if found is None:
             details["membership_witness"] = None
@@ -828,15 +816,7 @@ def _classify_relaxation(
     )
 
 
-def classify_orthant_deriv(
-    n: int,
-    k: int,
-    A: LinearMap,
-    seed: int = 0,
-    samples: int = 800,
-    tol: float = DEFAULT_TOL,
-    witness_margin: float = 1e-6,
-) -> CheckReport:
+def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int = 0) -> CheckReport:
     """Predict and confirm membership of A in the relaxed coordinate cone's
     automorphism group.
 
@@ -855,7 +835,7 @@ def classify_orthant_deriv(
         orthant(n), k, A,
         prediction=parts is not None and len(set(parts[0])) == 1,
         details={"normal_form": normal_form},
-        seed=seed, samples=samples, tol=tol, witness_margin=witness_margin,
+        seed=seed,
     )
 
 
@@ -898,15 +878,7 @@ def lm_linear_map(M, n: int):
     return np.stack(cols, axis=1)
 
 
-def classify_psd_deriv(
-    n: int,
-    k: int,
-    M,
-    seed: int = 0,
-    samples: int = 800,
-    tol: float = DEFAULT_TOL,
-    witness_margin: float = 1e-6,
-) -> CheckReport:
+def classify_psd_deriv(n: int, k: int, M, seed: int = 0) -> CheckReport:
     """Predict and confirm the conjugation map of M on the relaxed matrix cone.
 
     The candidate is X -> M X M^T in svec coordinates.  In the regime
@@ -924,11 +896,11 @@ def classify_psd_deriv(
         psd(n), k, lm_linear_map(M, n),
         prediction=_is_scaled_orthogonal(M),
         details={},
-        seed=seed, samples=samples, tol=tol, witness_margin=witness_margin,
+        seed=seed,
     )
 
 
-def _is_scaled_orthogonal(M, tol: float = 1e-8) -> bool:
+def _is_scaled_orthogonal(M) -> bool:
     if isinstance(M, LinearMap):
         mtm = exactlin.matmul(exactlin.transpose(M.rows), M.rows)
         mu = mtm[0][0]
@@ -945,7 +917,9 @@ def _is_scaled_orthogonal(M, tol: float = 1e-8) -> bool:
     mu = float(np.trace(mtm)) / mtm.shape[0]
     if mu <= 0:
         return False
-    return bool(np.linalg.norm(mtm - mu * np.eye(mtm.shape[0])) <= tol * max(mu, 1.0))
+    return bool(
+        np.linalg.norm(mtm - mu * np.eye(mtm.shape[0])) <= ORTHOGONALITY_TOL * max(mu, 1.0)
+    )
 
 
 def spectral_aut_projection(
@@ -954,7 +928,6 @@ def spectral_aut_projection(
     M,
     lm_report: CheckReport | None = None,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Project a matrix-space candidate to the vector cone via singular values.
 
@@ -970,7 +943,7 @@ def spectral_aut_projection(
     if spread <= 1 + 1e-9:
         rep = CheckReport(
             verdict=Verdict.HOLDS,
-            tolerances={"tol": tol},
+            tolerances={"tol": MEMBERSHIP_TOL},
             details={
                 "singular_values_squared": [float(v) for v in d2],
                 "note": "positive scaling of the identity is always an automorphism",
@@ -979,7 +952,7 @@ def spectral_aut_projection(
         )
     else:
         diag_map = LinearMap.diagonal([as_fraction(float(v)) for v in d2])
-        rep = classify_orthant_deriv(n, k, diag_map, seed=seed, tol=tol)
+        rep = classify_orthant_deriv(n, k, diag_map, seed=seed)
         rep.details["singular_values_squared"] = [float(v) for v in d2]
     if lm_report is not None:
         implied_ok = not (lm_report.holds and not rep.holds)
@@ -1001,7 +974,6 @@ def lie_probe(
     t_grid,
     samples: int = 600,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Test a generator candidate: is exp(tL) an automorphism for each t?
 
@@ -1021,11 +993,11 @@ def lie_probe(
         if not np.isfinite(flow).all():
             return CheckReport(
                 verdict=Verdict.INCONCLUSIVE,
-                tolerances={"tol": tol},
+                tolerances={"tol": MEMBERSHIP_TOL},
                 details={"t": float(t), "reason": "exponential overflow"},
                 tier="float",
             )
-        rep = _sampled_preservation(target, flow, samples=samples, seed=seed + i, tol=tol)
+        rep = _sampled_preservation(target, flow, samples=samples, seed=seed + i)
         total += rep.samples
         if rep.verdict is Verdict.FAILS:
             return CheckReport(
@@ -1047,7 +1019,7 @@ def lie_probe(
     return CheckReport(
         verdict=Verdict.HOLDS,
         samples=total,
-        tolerances={"tol": tol},
+        tolerances={"tol": MEMBERSHIP_TOL},
         details={"t_grid": [float(t) for t in t_grid]},
         tier="float",
     )

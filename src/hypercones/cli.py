@@ -287,24 +287,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False):
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=_default_seed())
+    def common(p):
         p.add_argument(
             "--json",
             action="store_true",
             help="compact single-line JSON (default is indented)",
         )
 
+    def tol(p):
+        p.add_argument("--tol", type=float, default=cones.MEMBERSHIP_TOL)
+
+    def seed(p):
+        p.add_argument("--seed", type=int, default=_default_seed())
+
     p = sub.add_parser("eig", help="eigenvalues of a point")
     p.add_argument("cone_id")
     p.add_argument("point", help="comma-separated rationals, e.g. 1,3/2,-0.25")
+    tol(p)
     common(p)
     p.set_defaults(fn=cmd_eig)
 
     p = sub.add_parser("member", help="three-valued cone membership")
     p.add_argument("cone_id")
     p.add_argument("point")
+    tol(p)
     common(p)
     p.set_defaults(fn=cmd_member)
 
@@ -320,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="check the k-th derivative relaxation instead")
     p.add_argument("--samples", type=int, default=800)
+    tol(p)
+    seed(p)
     common(p)
     p.set_defaults(fn=cmd_autcheck)
 
@@ -328,17 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--shuffle", action="store_true",
                    help="shuffle candidate order under --seed")
+    seed(p)
     common(p)
     p.set_defaults(fn=cmd_chain)
 
     p = sub.add_parser("rogcheck", help="are all built-in generators rank one?")
     p.add_argument("cone_id")
+    tol(p)
     common(p)
     p.set_defaults(fn=cmd_rogcheck)
 
     p = sub.add_parser("garding", help="sampled polarized-mean inequality check")
     p.add_argument("cone_id")
     p.add_argument("--samples", type=int, default=100)
+    tol(p)
+    seed(p)
     common(p)
     p.set_defaults(fn=cmd_garding)
 
@@ -346,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None, help="substring of check names")
     p.add_argument("--timing", action="store_true",
                    help="include wall times in the JSON output")
+    seed(p)
     common(p)
     p.set_defaults(fn=cmd_suite)
 

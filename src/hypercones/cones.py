@@ -27,6 +27,14 @@ from .poly import (
 )
 from .report import CheckReport, InconclusiveError, Membership, Verdict
 
+# Boundary band of the membership routes, and the default `tol` of the
+# sampled automorphism checks in autgroup.
+MEMBERSHIP_TOL = 1e-8
+# Points drawn by the witness searches before they report Inconclusive.
+WITNESS_BUDGET = 4096
+# lambda_min of the points drawn by `interior_points`.
+INTERIOR_MARGIN = 0.25
+
 
 class HyperCone:
     """A cone of points whose restriction roots along e are all nonnegative.
@@ -106,9 +114,6 @@ class HyperCone:
             cols.append(sign / factorial(j) * dj.eval_float(pts))
         return np.stack(cols, axis=1)
 
-    def eigenvalues(self, x, **kw) -> spectrum.Spectrum:
-        return spectrum.eigenvalues(self, x, **kw)
-
     def lambda_min(self, points: np.ndarray):
         """Batched smallest eigenvalue; returns (lambda_min, residuals)."""
         eigs, residuals = spectrum.batch_eigenvalues(self, points)
@@ -173,11 +178,12 @@ def cone_view(cone) -> HyperCone:
     return cone
 
 
-def interior_points(cone, rng, count: int, margin: float = 0.25) -> np.ndarray:
-    """`count` Gaussian points shifted along e until lambda_min equals `margin`."""
+def interior_points(cone, rng, count: int) -> np.ndarray:
+    """`count` Gaussian points shifted along e until lambda_min equals
+    INTERIOR_MARGIN."""
     pts = rng.standard_normal((count, cone.nvars))
     lam, _ = cone.lambda_min(pts)
-    return pts - (lam - margin)[:, None] * cone.e_float[None, :]
+    return pts - (lam - INTERIOR_MARGIN)[:, None] * cone.e_float[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +191,9 @@ def interior_points(cone, rng, count: int, margin: float = 0.25) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def contains(cone, x, tol: float = 1e-8) -> Membership:
-    """Eigenvalue-route membership with a tolerance band at the boundary.
+def contains(cone, x) -> Membership:
+    """Eigenvalue-route membership with a band of MEMBERSHIP_TOL at the
+    boundary.
 
     The root residual widens the band: for a float point a repeated
     boundary root smears the companion eigenvalues, and for a rational
@@ -203,17 +210,13 @@ def contains(cone, x, tol: float = 1e-8) -> Membership:
             "not real-rooted within tolerance",
             payload=spec,
         )
-    band = tol + spec.residual
+    band = MEMBERSHIP_TOL + spec.residual
     lmin = spec.lambda_min
     if lmin > band:
         return Membership.IN
     if lmin < -band:
         return Membership.OUT
     return Membership.BOUNDARY
-
-
-def in_interior(cone, x, tol: float = 1e-8) -> bool:
-    return contains(cone, x, tol) is Membership.IN
 
 
 def membership_exact(cone, x) -> Membership:
@@ -239,28 +242,31 @@ def in_interior_exact(cone, x) -> bool:
     return membership_exact(cone, x) is Membership.IN
 
 
-def contains_by_inequalities(cone, k: int, x, tol: float = 1e-8) -> Membership:
-    """Membership in the k-th relaxation via the derivative-sign description.
+def contains_by_inequalities(
+    cone, k: int, x, tol: float = MEMBERSHIP_TOL
+) -> Membership:
+    """Membership in the k-th relaxation of `cone` via derivative signs.
 
-    For rational points the verdict is exact closed-cone membership: In
-    when every derivative value is nonnegative (boundary included), Out
-    otherwise.  For float points each value is compared against a
-    documented normalization scale_i = max|coefficient|(D^i p) *
+    Orders compose: for a relaxation of order j the target is the root
+    cone's relaxation of order j + k.  For rational points the verdict is
+    exact closed-cone membership: In when every derivative value is
+    nonnegative (boundary included), Out otherwise.  For float points each
+    value D^i q(x) of the target polynomial q of degree d is compared
+    against a documented normalization scale_i = max|coefficient|(D^i q) *
     ||x||^(d-i), and anything inside the band comes back
     Boundary-ambiguous.
     """
-    base = cone.base
-    if not 0 <= k <= base.d - 1:
-        raise ValueError(f"relaxation order {k} outside 0..{base.d - 1}")
+    if not 0 <= k <= cone.d - 1:
+        raise ValueError(f"relaxation order {k} outside 0..{cone.d - 1}")
+    target = cone.derivative_cone(k)
     if is_exact_vector(x):
-        verdict = membership_exact(base.derivative_cone(k), x)
+        verdict = membership_exact(target, x)
         return Membership.IN if verdict is Membership.BOUNDARY else verdict
     pt = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(pt))
     boundary = False
-    for i in range(k, base.d):
-        q = base.derivs[i]
-        scale = float(q.max_abs_coeff()) * max(norm, 1e-300) ** (base.d - i)
+    for i, q in enumerate(target.derivs[: target.d]):
+        scale = float(q.max_abs_coeff()) * max(norm, 1e-300) ** (target.d - i)
         v = float(q.eval_float(pt))
         if v < -tol * scale:
             return Membership.OUT
@@ -274,20 +280,15 @@ def contains_by_inequalities(cone, k: int, x, tol: float = 1e-8) -> Membership:
 # ---------------------------------------------------------------------------
 
 
-def strict_containment_witness(
-    cone: HyperCone,
-    k: int,
-    budget: int = 4096,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> CheckReport:
+def strict_containment_witness(cone: HyperCone, k: int, seed: int = 0) -> CheckReport:
     """Search for a point separating relaxation k from relaxation k-1.
 
     The witness x lies in the k-th relaxation and outside the (k-1)-th,
-    with two-sided eigenvalue margins of at least 10*tol, re-verified both
-    by fresh spectra and by exact derivative signs at a rational snap of
-    the point.  Failure to find one is reported as Inconclusive, never as
-    a refutation.
+    with two-sided eigenvalue margins of at least 10 * MEMBERSHIP_TOL,
+    re-verified both by fresh spectra and by exact derivative signs at a
+    rational snap of the point.  Failure to find one among WITNESS_BUDGET
+    sampled points is reported as float-tier Inconclusive, never as a
+    refutation.
     """
     if not 1 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 1..{cone.d - 1}")
@@ -299,11 +300,12 @@ def strict_containment_witness(
     inner = cone.derivative_cone(k - 1)
     outer = cone.derivative_cone(k)
     rng = np.random.default_rng(seed)
+    tol = MEMBERSHIP_TOL
     margin_req = 10 * tol
     tried = 0
     batch = 256
-    while tried < budget:
-        n = min(batch, budget - tried)
+    while tried < WITNESS_BUDGET:
+        n = min(batch, WITNESS_BUDGET - tried)
         tried += n
         y = rng.standard_normal((n, cone.nvars))
         lam_in, res_in = inner.lambda_min(y)
@@ -341,4 +343,5 @@ def strict_containment_witness(
         samples=tried,
         tolerances={"tol": tol, "margin": margin_req},
         details={"k": k, "reason": "budget exhausted without a certified witness"},
+        tier="float",
     )

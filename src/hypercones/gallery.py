@@ -233,14 +233,15 @@ def psd(n: int) -> HyperCone:
     )
 
 
-def psd_deriv_member(n: int, k: int, X, tol: float = 1e-8) -> Membership:
+def psd_deriv_member(n: int, k: int, X) -> Membership:
     """Relaxation membership for a symmetric matrix via its eigenvalues.
 
     Works for any n: the matrix goes through a symmetric eigensolver and
     the eigenvalue vector through the derivative-sign description of the
-    k-th orthant relaxation.  Values that sit in the tolerance band but on
-    the nonnegative side count as In (closed membership); only sign-
-    ambiguous values report Boundary-ambiguous.
+    k-th orthant relaxation, with its default band `cones.MEMBERSHIP_TOL`.
+    Values that sit in the band but on the nonnegative side count as In
+    (closed membership); only sign-ambiguous values report
+    Boundary-ambiguous.
     """
     mat = np.asarray(X, dtype=float)
     if mat.shape != (n, n):
@@ -249,7 +250,7 @@ def psd_deriv_member(n: int, k: int, X, tol: float = 1e-8) -> Membership:
         raise ValueError("matrix is not symmetric")
     lam = np.linalg.eigvalsh(mat)
     base = orthant(n)
-    verdict = contains_by_inequalities(base, k, lam, tol)
+    verdict = contains_by_inequalities(base, k, lam)
     if verdict is Membership.BOUNDARY:
         values = [float(base.derivs[i].eval_float(lam)) for i in range(k, n)]
         if all(v >= 0.0 for v in values):

@@ -19,10 +19,6 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class DimensionMismatch(ValueError):
-    """Point / polynomial / matrix dimensions disagree."""
-
-
 class InconclusiveError(RuntimeError):
     """A numeric classification fell inside an ambiguous tolerance band."""
 

@@ -7,15 +7,17 @@ eigenvalue 0 with its exact multiplicity, one integer Sturm chain per
 square-free factor refutes or certifies real-rootedness, and every root
 is isolated (the float kernel only proposes split points) and refined by
 exact sign evaluations to at most 2 ulp (Collins & Akritas 1976).  So a
-rational point's residual is a certified error bound.
+rational point's residual is a certified error bound, and an eigenvalue
+beyond the float range is reported as inconclusive, not rounded.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, inf
+from math import copysign, inf, isfinite
 
 import numpy as np
 
@@ -31,12 +33,14 @@ from .poly import (
 )
 from .report import InconclusiveError
 
-DEFAULT_RESIDUAL_TOL = 1e-8
+# Float roots whose imaginary parts stay within this get the Newton polish,
+# and a sampled restriction with a larger residual is a refutation candidate.
+RESIDUAL_TOL = 1e-8
 DEFAULT_ZERO_TOL = 1e-7
 
 # Residuals below this are treated as root-extraction noise when classifying
 # membership; repeated real roots perturb companion eigenvalues by roughly
-# sqrt(machine epsilon), well above DEFAULT_RESIDUAL_TOL.
+# sqrt(machine epsilon), well above RESIDUAL_TOL.
 RESIDUAL_GATE = 1e-6
 
 # |eigenvalue| inside (zero_tol / BAND, zero_tol * BAND) cannot be classified
@@ -44,6 +48,9 @@ RESIDUAL_GATE = 1e-6
 AMBIGUOUS_BAND = 4.0
 
 NOT_REAL_ROOTED = "restriction is not real-rooted; point outside the hyperbolic regime"
+
+FLOAT_MAX = sys.float_info.max
+OUTSIDE_FLOAT_RANGE = f"an eigenvalue lies outside the float range [-{FLOAT_MAX}, {FLOAT_MAX}]"
 
 
 @dataclass(frozen=True)
@@ -82,13 +89,13 @@ def _horner_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _float_roots(coeffs: np.ndarray, tol: float):
+def _float_roots(coeffs: np.ndarray):
     """Roots of each ascending coefficient row of degree >= 1.
 
     Leading entries must be nonzero.  Returns (real parts sorted
     descending per row, max imaginary magnitude per row); rows whose
-    imaginary parts stay within `tol` get two Newton steps, each kept
-    only where it does not increase |f|.
+    imaginary parts stay within RESIDUAL_TOL get two Newton steps, each
+    kept only where it does not increase |f|.
     """
     n, d = coeffs.shape[0], coeffs.shape[1] - 1
     comp = np.zeros((n, d, d))
@@ -98,7 +105,7 @@ def _float_roots(coeffs: np.ndarray, tol: float):
     vals = np.linalg.eigvals(comp)
     residuals = np.abs(vals.imag).max(axis=1)
     lam = vals.real.copy()
-    polish = residuals <= tol
+    polish = residuals <= RESIDUAL_TOL
     if polish.any():
         c = coeffs[polish]
         dc = c[:, 1:] * np.arange(1, d + 1)
@@ -113,7 +120,7 @@ def _float_roots(coeffs: np.ndarray, tol: float):
     return np.sort(lam, axis=1)[:, ::-1], residuals
 
 
-def roots_from_float_coeffs(coeffs_asc, tol=DEFAULT_RESIDUAL_TOL):
+def roots_from_float_coeffs(coeffs_asc):
     """All roots of a float-coefficient polynomial: (real parts desc, residual).
 
     Zero low-order coefficients give exact 0.0 roots; the rest goes
@@ -126,7 +133,7 @@ def roots_from_float_coeffs(coeffs_asc, tol=DEFAULT_RESIDUAL_TOL):
     low, deg = nz[0], nz[-1]
     if deg == low:
         return (0.0,) * int(low), 0.0
-    roots, residuals = _float_roots(c[None, low : deg + 1], tol)
+    roots, residuals = _float_roots(c[None, low : deg + 1])
     roots = np.concatenate([roots[0], np.zeros(low)])
     return tuple(float(v) for v in np.sort(roots)[::-1]), float(residuals[0])
 
@@ -166,21 +173,49 @@ def _refine(f, a: int, b: int, guess):
     return _enclosure(a, b)
 
 
-def _root_enclosures(chain, tol: float):
+def _float_seeds(f) -> list[int]:
+    """Ordinals of the finite float-kernel roots of the integer polynomial f,
+    ascending.  They only propose split points, so coefficients beyond the
+    float range give no seeds and an overflowing Newton step stays silent."""
+    try:
+        coeffs = np.array([[c / f[-1] for c in f]])
+    except OverflowError:
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = _float_roots(coeffs)[0][0]
+    return [_ordinal(float(v)) for v in roots[::-1] if isfinite(v)]
+
+
+def _inside_float_range(chain) -> bool:
+    """Do all roots of the square-free, real-rooted chain[0] lie in
+    [-FLOAT_MAX, FLOAT_MAX]?  The Cauchy bound 1 + max|c_i / c_d| settles
+    most polynomials in integers; the rest take two Sturm counts."""
+    f = chain[0]
+    lead = abs(f[-1])
+    if max(abs(c) for c in f[:-1]) + lead <= int(FLOAT_MAX) * lead:
+        return True
+    inside = sign_variations(chain, -FLOAT_MAX) - sign_variations(chain, FLOAT_MAX)
+    inside += sign_at(f, -FLOAT_MAX) == 0  # (lo, hi] counts leave out -FLOAT_MAX
+    return inside == len(f) - 1
+
+
+def _root_enclosures(chain):
     """(midpoint, half-width) of each root of the square-free chain[0].
 
     Split points between the float roots isolate the roots; an interval
     the chain counts twice is bisected, and roots closer than 2 ulp share
-    one interval.  Fewer real roots than the degree is a refutation.
+    one interval.  Fewer real roots than the degree is a refutation; a
+    root beyond the float range is inconclusive.
     """
     f = chain[0]
-    floats = np.array([c / f[-1] for c in f])
-    seeds = [_ordinal(v) for v in _float_roots(floats[None, :], tol)[0][0][::-1]]
+    seeds = _float_seeds(f)
     splits = {(s + t) // 2 for s, t in zip(seeds, seeds[1:]) if s < t}
     cuts = [_ordinal(-inf), *sorted(splits), _ordinal(inf)]
     variations = {c: sign_variations(chain, _from_ordinal(c)) for c in cuts}
     if variations[cuts[0]] - variations[cuts[-1]] < len(f) - 1:
         raise InconclusiveError(NOT_REAL_ROOTED)
+    if not _inside_float_range(chain):
+        raise InconclusiveError(OUTSIDE_FLOAT_RANGE)
     out = []
     work = list(zip(cuts, cuts[1:]))
     while work:
@@ -198,13 +233,13 @@ def _root_enclosures(chain, tol: float):
     return out
 
 
-def real_roots(q: UniPoly, tol: float = DEFAULT_RESIDUAL_TOL):
+def real_roots(q: UniPoly):
     """Certified real roots of an exact polynomial: (descending, residual).
 
     Trailing zeros give exact 0.0 roots; every other root is isolated in
     its square-free factor and repeated by its exact multiplicity.  Each
-    root lies within `residual`, the largest half-width, of its float;
-    `tol` only steers the float seeds.  A non-real root raises
+    root lies within `residual`, the largest half-width, of its float.  A
+    non-real root, or a root beyond the float range, raises
     InconclusiveError.
     """
     if q.is_zero():
@@ -212,45 +247,41 @@ def real_roots(q: UniPoly, tol: float = DEFAULT_RESIDUAL_TOL):
     m = q.trailing_zero_count()
     roots = [0.0] * m
     residual = 0.0
-    for chain, mult_ in factor_chains(q.shifted_down(m)):
-        for root, half_width in _root_enclosures(chain, tol):
-            roots.extend([root] * mult_)
+    for chain, mult in factor_chains(q.shifted_down(m)):
+        for root, half_width in _root_enclosures(chain):
+            roots.extend([root] * mult)
             residual = max(residual, half_width)
     roots.sort(reverse=True)
     return tuple(roots), residual
 
 
-def eigenvalues(
-    cone,
-    x,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> Spectrum:
+def eigenvalues(cone, x, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
     """Spectrum of a point: roots of the restriction of the cone polynomial.
 
     Rational points take `real_roots`: eigenvalues within `residual`, an
     exact multiplicity of 0 (the trailing-zero count, whatever `zero_tol`
-    says) and InconclusiveError when the restriction is not real-rooted.
-    Float points take the float kernel and are classified by `zero_tol`.
+    says) and InconclusiveError when the restriction is not real-rooted or
+    an eigenvalue is beyond the float range.  Float points take the float
+    kernel and are classified by `zero_tol`.
     """
     if is_exact_vector(x):
         q = cone.restrict(as_vector(x))
-        roots, residual = real_roots(q, residual_tol)
-        mult_ = q.trailing_zero_count()
+        roots, residual = real_roots(q)
+        mult = q.trailing_zero_count()
     else:
         coeffs = cone.restriction_coeffs_float(np.asarray(x, dtype=float)[None, :])[0]
-        roots, residual = roots_from_float_coeffs(coeffs, residual_tol)
-        mult_ = sum(1 for r in roots if abs(r) <= zero_tol)
-    return Spectrum(roots, float(residual), float(zero_tol), len(roots) - mult_, mult_)
+        roots, residual = roots_from_float_coeffs(coeffs)
+        mult = sum(1 for r in roots if abs(r) <= zero_tol)
+    return Spectrum(roots, float(residual), float(zero_tol), len(roots) - mult, mult)
 
 
-def batch_eigenvalues(cone, points: np.ndarray, tol=DEFAULT_RESIDUAL_TOL):
+def batch_eigenvalues(cone, points: np.ndarray):
     """Vectorized spectra for a batch of float points.
 
     Returns (eigs, residuals): eigs is (npts, d) with rows sorted
     descending, residuals the max imaginary magnitudes per point.
     """
-    return _float_roots(cone.restriction_coeffs_float(points), tol)
+    return _float_roots(cone.restriction_coeffs_float(points))
 
 
 def rank_exact(cone, x, sturm_verify: bool = False) -> int:
@@ -271,58 +302,26 @@ def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     return cone.d - q.trailing_zero_count()
 
 
-def _band_check(spec: Spectrum, zero_tol: float):
-    lo, hi = zero_tol / AMBIGUOUS_BAND, zero_tol * AMBIGUOUS_BAND
+def rank(cone, x) -> int:
+    """Number of nonzero eigenvalues of x.
+
+    Rational points are classified exactly.  Float points raise
+    InconclusiveError when the root residual exceeds RESIDUAL_GATE or any
+    eigenvalue falls inside the ambiguous band around DEFAULT_ZERO_TOL.
+    """
+    if is_exact_vector(x):
+        return rank_exact(cone, x)
+    spec = eigenvalues(cone, x)
+    if spec.residual > RESIDUAL_GATE:
+        raise InconclusiveError(f"root residual {spec.residual} too large", payload=spec)
+    lo, hi = DEFAULT_ZERO_TOL / AMBIGUOUS_BAND, DEFAULT_ZERO_TOL * AMBIGUOUS_BAND
     for lam in spec.eigenvalues:
         if lo < abs(lam) < hi:
             raise InconclusiveError(
                 f"eigenvalue {lam} inside the ambiguous zero band ({lo}, {hi})",
                 payload=spec,
             )
-
-
-def rank(
-    cone,
-    x,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    cross_direction=None,
-) -> int:
-    """Number of nonzero eigenvalues of x.
-
-    Rational points are classified exactly.  Float points raise
-    InconclusiveError when any eigenvalue falls inside the ambiguous band
-    around zero_tol.  `cross_direction` optionally recomputes the rank
-    along a second interior direction and demands agreement.
-    """
-    if is_exact_vector(x):
-        r = rank_exact(cone, x)
-    else:
-        spec = eigenvalues(cone, x, residual_tol, zero_tol)
-        if spec.residual > max(residual_tol, RESIDUAL_GATE):
-            raise InconclusiveError(
-                f"root residual {spec.residual} too large", payload=spec
-            )
-        _band_check(spec, zero_tol)
-        r = spec.rank
-    if cross_direction is not None:
-        other = _along_other_direction(cone, cross_direction)
-        r2 = rank(other, x, zero_tol, residual_tol)
-        if r2 != r:
-            raise InconclusiveError(
-                f"rank disagrees across directions: {r} vs {r2}"
-            )
-    return r
-
-
-def mult(cone, x, zero_tol: float = DEFAULT_ZERO_TOL, **kw) -> int:
-    return cone.d - rank(cone, x, zero_tol, **kw)
-
-
-def _along_other_direction(cone, direction):
-    from .cones import HyperCone
-
-    return HyperCone(cone.p, as_vector(direction), label=cone.label + "|alt-direction")
+    return spec.rank
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +353,21 @@ class HyperbolicityCertificate:
         return out
 
 
-def _dyadic(arr: np.ndarray, bits: int = 16) -> np.ndarray:
-    scale = float(1 << bits)
-    return np.round(arr * scale) / scale
+def _dyadic(arr: np.ndarray) -> np.ndarray:
+    """Snap to the nearest multiples of 2^-16: short exact rationals."""
+    return np.round(arr * 65536.0) / 65536.0
 
 
 def check_hyperbolic(
-    p: HomoPoly,
-    e,
-    nsamples: int = 200,
-    seed: int = 0,
-    tol: float = DEFAULT_RESIDUAL_TOL,
+    p: HomoPoly, e, nsamples: int = 200, seed: int = 0
 ) -> HyperbolicityCertificate:
     """Sample restrictions of p along e and hunt for non-real roots.
 
     Sampling distribution: standard Gaussian coordinates snapped to dyadic
     rationals, plus a boundary-biased second wave x = y - lambda_min(y) e.
-    A candidate refutation (companion-matrix residual above tol) is only
-    reported after the exact Sturm oracle confirms the restriction at the
-    rational sample is not real-rooted, so a refutation is certified.
+    A candidate refutation (companion-matrix residual above RESIDUAL_TOL)
+    is only reported after the exact Sturm oracle confirms the restriction
+    at the rational sample is not real-rooted, so a refutation is certified.
     """
     e = as_vector(e)
     if p.eval(e) <= 0:
@@ -390,8 +385,8 @@ def check_hyperbolic(
     def scan(points: np.ndarray):
         """Witness among the points, if any, plus their batched spectra."""
         nonlocal worst, checked
-        eigs, residuals = batch_eigenvalues(cone, points, tol)
-        for i in np.flatnonzero(residuals > tol):
+        eigs, residuals = batch_eigenvalues(cone, points)
+        for i in np.flatnonzero(residuals > RESIDUAL_TOL):
             x_exact = as_vector(points[i])
             if not is_real_rooted(cone.restrict(x_exact)):
                 checked += int(i) + 1

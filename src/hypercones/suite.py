@@ -538,8 +538,7 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
         if not cert.holds:
             problems.append({"cone": "orthant:4", "i": i, "stage": "certify"})
             continue
-        pf = autgroup.perron_eigenvector(o4, cand, assume_invariant=True,
-                                         seed=seed + i)
+        pf = autgroup.perron_eigenvector(o4, cand, seed=seed + i)
         if not pf.holds:
             problems.append({"cone": "orthant:4", "i": i, "stage": "eigenvector",
                              "verdict": pf.verdict.value})
@@ -561,8 +560,7 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
         if not cert.holds:
             problems.append({"cone": "psd:3", "i": i, "stage": "certify"})
             continue
-        pf = autgroup.perron_eigenvector(p3, cand, assume_invariant=True,
-                                         seed=seed + 100 + i)
+        pf = autgroup.perron_eigenvector(p3, cand, seed=seed + 100 + i)
         if not pf.holds:
             problems.append({"cone": "psd:3", "i": i, "stage": "eigenvector",
                              "verdict": pf.verdict.value})
@@ -685,8 +683,12 @@ ROUTE_CONFIGS = (
 )
 
 
-def _route_points(cone, rng, total=10_000):
-    base = rng.standard_normal((total - 4000, cone.nvars))
+# Points per relaxation: 6,000 Gaussian, plus 4,000 boundary-wave copies.
+ROUTE_POINTS = 10_000
+
+
+def _route_points(cone, rng):
+    base = rng.standard_normal((ROUTE_POINTS - 4000, cone.nvars))
     lam, _ = cone.lambda_min(base[:4000])
     waves = []
     for m in (0.05, 0.005):

@@ -309,29 +309,21 @@ class TestPerronAndMinimalFace:
     def test_transposition_eigenvector(self):
         cone = gallery.orthant(3)
         cand = LinearMap.permutation([1, 0, 2])
-        rep = autgroup.perron_eigenvector(cone, cand, assume_invariant=True)
+        rep = autgroup.perron_eigenvector(cone, cand)
         assert rep.holds
         w = np.array(rep.witness)
         assert rep.details["eigenvalue"] == pytest.approx(1.0)
         assert w.min() > -1e-9
 
     def test_scaling_returns_any_direction(self):
-        rep = autgroup.perron_eigenvector(
-            gallery.orthant(3), LinearMap.diagonal([2, 2, 2]), assume_invariant=True
-        )
+        rep = autgroup.perron_eigenvector(gallery.orthant(3), LinearMap.diagonal([2, 2, 2]))
         assert rep.holds
 
     def test_rotation_conjugation_fixes_identity_direction(self):
         q = LinearMap([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
         lq = autgroup.lm_linear_map(q, 3)
-        rep = autgroup.perron_eigenvector(gallery.psd(3), lq, assume_invariant=True)
+        rep = autgroup.perron_eigenvector(gallery.psd(3), lq)
         assert rep.holds
-
-    def test_invariance_precondition_enforced(self):
-        with pytest.raises(ValueError):
-            autgroup.perron_eigenvector(
-                gallery.orthant(3), LinearMap.diagonal([-1, 1, 1])
-            )
 
     def test_min_face_support_preserved(self):
         cone = gallery.orthant(3)

@@ -44,6 +44,10 @@ class TestEig:
         code, out, err = run(capsys, "eig", f"file:{path}", "0,1")
         assert code == 4 and not out and "not real-rooted" in err
 
+    def test_eigenvalue_beyond_float_range_exits_4(self, capsys):
+        code, out, err = run(capsys, "eig", "orthant:3", f"{10**400},1,2")
+        assert code == 4 and not out and "float range" in err
+
     def test_malformed_point_exits_2(self, capsys):
         code, out, err = run(capsys, "eig", "orthant:3", "1,2,zebra")
         assert code == 2 and not out and "error" in err
@@ -262,6 +266,19 @@ class TestExitContract:
     def test_start_index_out_of_range_exits_2(self, capsys):
         code, out, err = run(capsys, "chain", "orthant:3", "--start", "3")
         assert code == 2 and not out and "start index" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("deriv", "orthant:3", "--tol", "5"),
+        ("deriv", "orthant:3", "--seed", "9"),
+        ("chain", "orthant:3", "--tol", "1e-3"),
+        ("suite", "--filter", "l1", "--tol", "1e-3"),
+        ("eig", "orthant:3", "1,2,3", "--seed", "3"),
+        ("member", "orthant:3", "1,2,3", "--seed", "3"),
+        ("rogcheck", "orthant:3", "--seed", "3"),
+    ])
+    def test_flags_a_command_does_not_read_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "unrecognized arguments" in err
 
     def test_nonpositive_samples_exit_2(self, capsys, tmp_path):
         path = self.write_matrix(tmp_path, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -9,7 +9,7 @@ from hypercones import cones, gallery, spectrum
 from hypercones.cones import HyperCone
 from hypercones.gallery import elementary_symmetric
 from hypercones.poly import HomoPoly
-from hypercones.report import Membership
+from hypercones.report import Membership, Verdict
 
 
 class TestContains:
@@ -30,13 +30,13 @@ class TestContains:
 class TestInterior:
     def test_direction_is_interior(self):
         cone = gallery.orthant(3)
-        assert cones.in_interior(cone, (1, 1, 1))
+        assert cones.contains(cone, (1, 1, 1)) is Membership.IN
 
     def test_boundary_is_not(self):
-        assert not cones.in_interior(gallery.orthant(3), (1, 1, 0))
+        assert cones.contains(gallery.orthant(3), (1, 1, 0)) is not Membership.IN
 
     def test_soc_interior(self):
-        assert cones.in_interior(gallery.soc(3), (2, 1, 0))
+        assert cones.contains(gallery.soc(3), (2, 1, 0)) is Membership.IN
 
     def test_exact_interior_route(self):
         cone = gallery.orthant(3)
@@ -131,6 +131,30 @@ class TestInequalityRoute:
         x = np.array([-1.0, 3.0, 3.0, 3.0])  # third elementary symmetric = 0
         assert cones.contains_by_inequalities(cone, 1, x) is Membership.BOUNDARY
 
+    def test_order_counts_from_a_relaxation(self):
+        # the order is relative to the cone passed in, as for membership_exact
+        dc = gallery.orthant(4).derivative_cone(1)
+        x = (-1, 3, 3, 3)  # third elementary symmetric = 0
+        assert cones.membership_exact(dc, x) is Membership.BOUNDARY
+        assert cones.contains_by_inequalities(dc, 0, x) is Membership.IN
+        # e2 = 9 and e1 = 7: inside the second relaxation, outside the first
+        y = (-2, 3, 3, 3)
+        assert cones.contains_by_inequalities(dc, 1, y) is Membership.IN
+        assert cones.contains_by_inequalities(dc, 1, np.array(y, dtype=float)) is Membership.IN
+        assert cones.contains_by_inequalities(dc, 0, y) is Membership.OUT
+        with pytest.raises(ValueError):
+            cones.contains_by_inequalities(dc, 3, y)
+
+    def test_orders_compose(self):
+        root = gallery.orthant(5)
+        rng = np.random.default_rng(24)
+        for j in (1, 2):
+            dc = root.derivative_cone(j)
+            for k in range(dc.d):
+                for x in rng.standard_normal((50, 5)):
+                    got = cones.contains_by_inequalities(dc, k, x)
+                    assert got is cones.contains_by_inequalities(root, j + k, x)
+
     def test_nesting_along_k(self):
         # membership can only grow with the relaxation order
         cone = gallery.orthant(5)
@@ -198,6 +222,14 @@ class TestStrictContainment:
     def test_needs_rank_one_generated_flag(self):
         with pytest.raises(ValueError):
             cones.strict_containment_witness(gallery.l1_cone(), 1)
+
+    def test_exhausted_budget_is_float_tier(self, monkeypatch):
+        # no exact step decided it: nothing was sampled
+        monkeypatch.setattr(cones, "WITNESS_BUDGET", 0)
+        rep = cones.strict_containment_witness(gallery.orthant(4), 1)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert rep.samples == 0
+        assert rep.tier == "float"
 
     def test_report_payload(self):
         rep = cones.strict_containment_witness(gallery.orthant(4), 1, seed=6)

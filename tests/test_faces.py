@@ -213,7 +213,7 @@ class TestCompositionalConverse:
         cone = gallery.orthant(4)
         cand = LinearMap.scaled_permutation([2, 2, 2, 2], [1, 2, 3, 0])
         assert autgroup.check_automorphism(cone, cand).holds
-        pf = autgroup.perron_eigenvector(cone, cand, assume_invariant=True)
+        pf = autgroup.perron_eigenvector(cone, cand)
         assert pf.holds
         # eigenvector proportional to the all-ones direction: minimal face is
         # the whole cone and the map passes every relaxation check
