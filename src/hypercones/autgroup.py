@@ -444,38 +444,49 @@ def check_deriv_automorphism(
 # ---------------------------------------------------------------------------
 
 
-def garding_check(cone: HyperCone, xs, tol: float = 1e-9) -> CheckReport:
+def garding_check(
+    cone: HyperCone, xs, tol: float = 1e-9
+) -> CheckReport | list[CheckReport]:
     """Geometric-mean inequality for the polar form on interior tuples.
 
     Arguments are normalized to p(x) = 1, so the claim becomes
     P(xs) >= 1 with equality exactly for pairwise proportional tuples
     (the gallery cones are pointed, so proportionality has no lineality
     caveat).  The verdict also audits that |gap| <= tol happens iff the
-    tuple is proportional within tolerance.
+    tuple is proportional within tolerance.  `xs` is one tuple of d
+    points, which gets one `CheckReport`, or a (T, d, n) stack of tuples,
+    which gets a list of T; one argument outside the interior anywhere in
+    the stack raises ValueError.
     """
     p, d = cone.p, cone.d
-    if len(xs) != d:
-        raise ValueError(f"need exactly {d} arguments, got {len(xs)}")
-    pts = np.asarray(
-        [[float(v) for v in x] for x in xs], dtype=float
-    )
+    pts = np.asarray(xs, dtype=float)
+    single = pts.ndim == 2
+    if single:
+        pts = pts[None]
+    if pts.ndim != 3 or pts.shape[1] != d:
+        raise ValueError(f"need exactly {d} arguments per tuple, got shape {np.shape(xs)}")
+    flat = pts.reshape(-1, pts.shape[2])
     # proportional tuples have maximally repeated roots, which inflate the
     # companion residual; interior needs lambda_min clear of that noise
-    lam, res = cone.lambda_min(pts)
+    lam, res = cone.lambda_min(flat)
     if np.any(lam <= res + 1e-12):
         raise ValueError("all arguments must be strictly interior")
-    values = p.eval_float(pts)
-    normalized = pts / values[:, None] ** (1.0 / d)
+    values = p.eval_float(flat).reshape(len(pts), d)
+    normalized = pts / values[:, :, None] ** (1.0 / d)
     polarized = polar_form_float(p, normalized)
-    gap = polarized - 1.0
+    gaps = polarized - 1.0
+    unit = pts / np.linalg.norm(pts, axis=2)[:, :, None]
+    # largest coordinate gap over all pairs of unit arguments
+    prop_dists = np.abs(unit[:, :, None, :] - unit[:, None, :, :]).max(axis=(1, 2, 3))
+    reports = [
+        _garding_report(x, float(gap), float(polar), float(dist), tol)
+        for x, gap, polar, dist in zip(pts, gaps, polarized, prop_dists)
+    ]
+    return reports[0] if single else reports
 
-    unit = pts / np.linalg.norm(pts, axis=1)[:, None]
-    prop_dist = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            prop_dist = max(prop_dist, float(np.abs(unit[i] - unit[j]).max()))
+
+def _garding_report(pts, gap, polarized, prop_dist, tol) -> CheckReport:
     proportional = prop_dist <= 1e-8
-
     details = {
         "gap": gap,
         "polar_value": polarized,

@@ -222,22 +222,20 @@ def cmd_garding(args) -> int:
     _require_samples(args)
     cone = _parse_cone(args.cone_id)
     rng = np.random.default_rng(args.seed)
-    worst_random = float("inf")
-    worst_prop = 0.0
-    problems = []
-    for i in range(args.samples):
-        xs = cones.interior_points(cone, rng, cone.d)
-        rep = autgroup.garding_check(cone, xs, tol=args.tol)
-        worst_random = min(worst_random, rep.details["gap"])
-        if not rep.holds:
-            problems.append({"kind": "random", "i": i})
-    for i in range(max(args.samples // 10, 1)):
-        base = cones.interior_points(cone, rng, 1)[0]
-        scalars = rng.uniform(0.5, 3.0, size=cone.d)
-        rep = autgroup.garding_check(cone, scalars[:, None] * base[None, :], tol=args.tol)
-        worst_prop = max(worst_prop, abs(rep.details["gap"]))
-        if not rep.holds:
-            problems.append({"kind": "proportional", "i": i})
+    d, n = cone.d, cone.nvars
+    xs = cones.interior_points(cone, rng, args.samples * d).reshape(-1, d, n)
+    reps = autgroup.garding_check(cone, xs, tol=args.tol)
+    worst_random = min(rep.details["gap"] for rep in reps)
+    problems = [{"kind": "random", "i": i} for i, rep in enumerate(reps) if not rep.holds]
+    draws = [
+        (rng.standard_normal((1, n)), rng.uniform(0.5, 3.0, size=d))
+        for _ in range(max(args.samples // 10, 1))
+    ]
+    bases = cones.to_interior(cone, np.concatenate([b for b, _ in draws]))
+    scalars = np.array([s for _, s in draws])
+    reps = autgroup.garding_check(cone, scalars[:, :, None] * bases[:, None, :], tol=args.tol)
+    worst_prop = max([0.0, *(abs(rep.details["gap"]) for rep in reps)])
+    problems += [{"kind": "proportional", "i": i} for i, rep in enumerate(reps) if not rep.holds]
     _emit(
         {
             "cone": args.cone_id,

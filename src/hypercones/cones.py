@@ -75,6 +75,7 @@ class HyperCone:
         self.base = self
         self.k = 0
         self._derivs = None
+        self._deriv_scales = None
         self._deriv_cones = {}
         # read-only: gallery cones are memoised and shared by every caller
         self._e_float = np.array([float(v) for v in e])
@@ -89,6 +90,13 @@ class HyperCone:
 
             self._derivs = derivatives_along(self.p, self.e)
         return self._derivs
+
+    @property
+    def deriv_scales(self) -> tuple[float, ...]:
+        """Float max|coefficient| of each tower entry."""
+        if self._deriv_scales is None:
+            self._deriv_scales = tuple(float(q.max_abs_coeff()) for q in self.derivs)
+        return self._deriv_scales
 
     @property
     def nvars(self) -> int:
@@ -179,11 +187,19 @@ def cone_view(cone) -> HyperCone:
 
 
 def interior_points(cone, rng, count: int) -> np.ndarray:
-    """`count` Gaussian points shifted along e until lambda_min equals
-    INTERIOR_MARGIN."""
-    pts = rng.standard_normal((count, cone.nvars))
+    """`count` Gaussian points moved into the interior by `to_interior`."""
+    return to_interior(cone, rng.standard_normal((count, cone.nvars)))
+
+
+def to_interior(cone, pts: np.ndarray) -> np.ndarray:
+    """Each row shifted along e until its lambda_min equals INTERIOR_MARGIN."""
     lam, _ = cone.lambda_min(pts)
     return pts - (lam - INTERIOR_MARGIN)[:, None] * cone.e_float[None, :]
+
+
+def row_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, with the bits of np.linalg.norm(row)."""
+    return np.sqrt((pts[:, None, :] @ pts[:, :, None]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -244,35 +260,47 @@ def in_interior_exact(cone, x) -> bool:
 
 def contains_by_inequalities(
     cone, k: int, x, tol: float = MEMBERSHIP_TOL
-) -> Membership:
+) -> Membership | list[Membership]:
     """Membership in the k-th relaxation of `cone` via derivative signs.
 
     Orders compose: for a relaxation of order j the target is the root
-    cone's relaxation of order j + k.  For rational points the verdict is
+    cone's relaxation of order j + k.  For a rational point the verdict is
     exact closed-cone membership: In when every derivative value is
     nonnegative (boundary included), Out otherwise.  For float points each
     value D^i q(x) of the target polynomial q of degree d is compared
     against a documented normalization scale_i = max|coefficient|(D^i q) *
-    ||x||^(d-i), and anything inside the band comes back
-    Boundary-ambiguous.
+    ||x||^(d-i): a point is Out at the first order below -tol * scale_i,
+    and otherwise Boundary-ambiguous if any value sat inside the band.
+
+    `x` is one point, which gets one `Membership`, or a 2-D float array,
+    which gets a list with one `Membership` per row; each derivative is
+    evaluated once over the whole array.
     """
     if not 0 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 0..{cone.d - 1}")
     target = cone.derivative_cone(k)
-    if is_exact_vector(x):
+    if np.ndim(x) == 1 and is_exact_vector(x):
         verdict = membership_exact(target, x)
         return Membership.IN if verdict is Membership.BOUNDARY else verdict
-    pt = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(pt))
-    boundary = False
-    for i, q in enumerate(target.derivs[: target.d]):
-        scale = float(q.max_abs_coeff()) * max(norm, 1e-300) ** (target.d - i)
-        v = float(q.eval_float(pt))
-        if v < -tol * scale:
-            return Membership.OUT
-        if v <= tol * scale:
-            boundary = True
-    return Membership.BOUNDARY if boundary else Membership.IN
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    norms = np.maximum(row_norms(pts), 1e-300)
+    out = np.zeros(len(pts), dtype=bool)
+    boundary = np.zeros(len(pts), dtype=bool)
+    for i, (q, coeff) in enumerate(zip(target.derivs[: target.d], target.deriv_scales)):
+        if out.all():
+            break
+        band = tol * (coeff * norms ** (target.d - i))
+        v = q.eval_float(pts)
+        out |= v < -band
+        boundary |= v <= band
+    verdicts = [
+        Membership.OUT if o else Membership.BOUNDARY if b else Membership.IN
+        for o, b in zip(out.tolist(), boundary.tolist())
+    ]
+    return verdicts[0] if single else verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def psd(n: int) -> HyperCone:
     )
 
 
-def psd_deriv_member(n: int, k: int, X) -> Membership:
+def psd_deriv_member(n: int, k: int, X) -> Membership | list[Membership]:
     """Relaxation membership for a symmetric matrix via its eigenvalues.
 
     Works for any n: the matrix goes through a symmetric eigensolver and
@@ -241,21 +241,30 @@ def psd_deriv_member(n: int, k: int, X) -> Membership:
     k-th orthant relaxation, with its default band `cones.MEMBERSHIP_TOL`.
     Values that sit in the band but on the nonnegative side count as In
     (closed membership); only sign-ambiguous values report
-    Boundary-ambiguous.
+    Boundary-ambiguous.  `X` is one (n, n) matrix, which gets one
+    `Membership`, or an (m, n, n) stack, which gets a list of m.
     """
-    mat = np.asarray(X, dtype=float)
-    if mat.shape != (n, n):
+    mats = np.asarray(X, dtype=float)
+    single = mats.ndim == 2
+    if single:
+        mats = mats[None]
+    if mats.ndim != 3 or mats.shape[1:] != (n, n):
         raise ValueError("matrix has wrong shape")
-    if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, np.abs(mat).max())):
+    mt = mats.transpose(0, 2, 1)
+    atol = 1e-12 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    if not np.isclose(mats, mt, atol=atol[:, None, None]).all():
         raise ValueError("matrix is not symmetric")
-    lam = np.linalg.eigvalsh(mat)
+    lam = np.linalg.eigvalsh(mats)
     base = orthant(n)
-    verdict = contains_by_inequalities(base, k, lam)
-    if verdict is Membership.BOUNDARY:
-        values = [float(base.derivs[i].eval_float(lam)) for i in range(k, n)]
-        if all(v >= 0.0 for v in values):
-            return Membership.IN
-    return verdict
+    verdicts = contains_by_inequalities(base, k, lam)
+    band = [i for i, v in enumerate(verdicts) if v is Membership.BOUNDARY]
+    if band:
+        closed = np.ones(len(band), dtype=bool)
+        for q in base.derivs[k:n]:
+            closed &= q.eval_float(lam[band]) >= 0.0
+        for i in np.asarray(band)[closed]:
+            verdicts[i] = Membership.IN
+    return verdicts[0] if single else verdicts
 
 
 def soc(n: int) -> HyperCone:

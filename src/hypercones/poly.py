@@ -466,20 +466,30 @@ def polar_form(p: HomoPoly, xs) -> Fraction:
     return total / factorial(d)
 
 
-def polar_form_float(p: HomoPoly, xs) -> float:
-    """Float version of polar_form; one batched evaluation per call."""
+def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
+    """Float version of polar_form; one batched evaluation per call.
+
+    `xs` is one tuple of d points, which gets a float, or a (T, d, n)
+    stack of tuples, which gets a length-T array.
+    """
     d = p.degree
-    if len(xs) != d:
-        raise ValueError(f"need exactly {d} arguments, got {len(xs)}")
+    pts = np.asarray(xs, dtype=float)
+    single = pts.ndim == 2
+    if single:
+        pts = pts[None]
+    if pts.ndim != 3 or pts.shape[1] != d:
+        raise ValueError(f"need exactly {d} arguments per tuple, got shape {np.shape(xs)}")
     if d > POLAR_DEGREE_CAP:
         raise ValueError(f"polarization sum needs 2^{d} evaluations; cap is {POLAR_DEGREE_CAP}")
-    pts = np.asarray(xs, dtype=float)
     masks = np.arange(1, 1 << d)
     sel = (masks[:, None] >> np.arange(d)[None, :]) & 1
     points = sel @ pts
     sizes = sel.sum(axis=1)
     signs = np.where((d - sizes) % 2 == 0, 1.0, -1.0)
-    return float(signs @ p.eval_float(points)) / factorial(d)
+    values = p.eval_float(points.reshape(-1, pts.shape[2])).reshape(len(pts), -1)
+    # one dot product per tuple, the same bits as `signs @ values` row by row
+    polar = (values[:, None, :] @ signs[:, None]).ravel() / factorial(d)
+    return float(polar[0]) if single else polar
 
 
 # ---------------------------------------------------------------------------

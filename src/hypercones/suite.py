@@ -9,6 +9,7 @@ cache so the audit check never recomputes classifications.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -320,60 +321,96 @@ def check_stabilizer_equivalence_audit(seed: int, ctx: dict) -> SuiteCheck:
 GARDING_ROSTER = ("orthant:3", "orthant:4", "psd:3", "soc:3", "l1")
 
 
+def _speculate(rng, draw, count: int) -> list:
+    """The next `count` candidates of `rng`, drawn from a copy of it."""
+    twin = copy.deepcopy(rng)
+    return [draw(twin) for _ in range(count)]
+
+
+def _replay(rng, draw, used: int) -> None:
+    """Consume from `rng` exactly the draws of its first `used` candidates."""
+    for _ in range(used):
+        draw(rng)
+
+
+def _first(flags):
+    """Index of the first true flag, or None."""
+    return next((i for i, flag in enumerate(flags) if flag), None)
+
+
 def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
-    """Nonnegative gap on random interior tuples; equality iff proportional."""
+    """Nonnegative gap on random interior tuples; equality iff proportional.
+
+    Each family checks its tuples as one stack.  The generator is shared
+    by the whole roster, so a family draws its candidates from a copy and
+    then replays on the generator exactly the draws a tuple-by-tuple loop
+    consumes: up to the first problem, and for the perturbed family up to
+    its 100th accepted tuple.
+    """
     rng = np.random.default_rng([seed, 61])
     problems = []
     stats = {}
     for cone_id in GARDING_ROSTER:
         cone = gallery.parse_cone_id(cone_id)
-        d = cone.d
-        min_gap = float("inf")
-        for i in range(1000):
-            xs = cones.interior_points(cone, rng, d)
-            rep = autgroup.garding_check(cone, xs, tol=1e-9)
-            gap = rep.details["gap"]
-            min_gap = min(min_gap, gap)
-            if not rep.holds or gap < -1e-9:
-                problems.append({"cone": cone_id, "kind": "random", "i": i,
-                                 "gap": gap, "verdict": rep.verdict.value})
-                break
-        max_prop_gap = 0.0
-        for i in range(100):
-            base = cones.interior_points(cone, rng, 1)[0]
-            scalars = rng.uniform(0.5, 3.0, size=d)
-            xs = scalars[:, None] * base[None, :]
-            rep = autgroup.garding_check(cone, xs, tol=1e-9)
-            gap = abs(rep.details["gap"])
-            max_prop_gap = max(max_prop_gap, gap)
-            if not rep.holds or gap > 1e-9:
-                problems.append({"cone": cone_id, "kind": "proportional", "i": i,
-                                 "gap": gap, "verdict": rep.verdict.value})
-                break
-        min_nonprop_gap = float("inf")
-        tested = 0
-        attempts = 0
-        while tested < 100 and attempts < 1000:
-            attempts += 1
-            base = cones.interior_points(cone, rng, 1)[0]
-            other = cones.interior_points(cone, rng, 1)[0]
-            scalars = rng.uniform(0.5, 3.0, size=d)
-            xs = scalars[:, None] * base[None, :]
-            xs[0] = 0.55 * xs[0] + 0.45 * other * np.linalg.norm(xs[0]) / max(
-                np.linalg.norm(other), 1e-12
-            )
-            lam, _ = cone.lambda_min(xs[0][None, :])
-            if lam[0] <= 1e-6:
-                continue
-            tested += 1
-            rep = autgroup.garding_check(cone, xs, tol=1e-9)
-            gap = rep.details["gap"]
-            min_nonprop_gap = min(min_nonprop_gap, gap)
-            if not rep.holds or gap < 1e-6:
-                problems.append({"cone": cone_id, "kind": "perturbed",
-                                 "i": tested, "gap": gap,
-                                 "verdict": rep.verdict.value})
-                break
+        d, n = cone.d, cone.nvars
+
+        def draw_random(g):
+            return g.standard_normal((d, n))
+
+        raws = _speculate(rng, draw_random, 1000)
+        xs = cones.to_interior(cone, np.concatenate(raws)).reshape(-1, d, n)
+        reps = autgroup.garding_check(cone, xs, tol=1e-9)
+        gaps = [rep.details["gap"] for rep in reps]
+        bad = _first(not rep.holds or gap < -1e-9 for rep, gap in zip(reps, gaps))
+        used = len(reps) if bad is None else bad + 1
+        _replay(rng, draw_random, used)
+        min_gap = min([float("inf"), *gaps[:used]])
+        if bad is not None:
+            problems.append({"cone": cone_id, "kind": "random", "i": bad,
+                             "gap": gaps[bad], "verdict": reps[bad].verdict.value})
+
+        def draw_proportional(g):
+            return g.standard_normal((1, n)), g.uniform(0.5, 3.0, size=d)
+
+        cands = _speculate(rng, draw_proportional, 100)
+        bases = cones.to_interior(cone, np.concatenate([b for b, _ in cands]))
+        scalars = np.array([s for _, s in cands])
+        reps = autgroup.garding_check(cone, scalars[:, :, None] * bases[:, None, :], tol=1e-9)
+        gaps = [abs(rep.details["gap"]) for rep in reps]
+        bad = _first(not rep.holds or gap > 1e-9 for rep, gap in zip(reps, gaps))
+        used = len(reps) if bad is None else bad + 1
+        _replay(rng, draw_proportional, used)
+        max_prop_gap = max([0.0, *gaps[:used]])
+        if bad is not None:
+            problems.append({"cone": cone_id, "kind": "proportional", "i": bad,
+                             "gap": gaps[bad], "verdict": reps[bad].verdict.value})
+
+        def draw_perturbed(g):
+            return (g.standard_normal((1, n)), g.standard_normal((1, n)),
+                    g.uniform(0.5, 3.0, size=d))
+
+        cands = _speculate(rng, draw_perturbed, 1000)
+        bases = cones.to_interior(cone, np.concatenate([b for b, _, _ in cands]))
+        others = cones.to_interior(cone, np.concatenate([o for _, o, _ in cands]))
+        scalars = np.array([s for _, _, s in cands])
+        xs = scalars[:, :, None] * bases[:, None, :]
+        heads = xs[:, 0]
+        xs[:, 0] = 0.55 * heads + 0.45 * others * cones.row_norms(heads)[:, None] / (
+            np.maximum(cones.row_norms(others), 1e-12)[:, None]
+        )
+        lam, _ = cone.lambda_min(xs[:, 0])
+        accepted = np.flatnonzero(~(lam <= 1e-6))[:100]
+        reps = autgroup.garding_check(cone, xs[accepted], tol=1e-9)
+        gaps = [rep.details["gap"] for rep in reps]
+        bad = _first(not rep.holds or gap < 1e-6 for rep, gap in zip(reps, gaps))
+        tested = len(reps) if bad is None else bad + 1
+        stopped = bad is not None or tested == 100
+        _replay(rng, draw_perturbed, accepted[tested - 1] + 1 if stopped else len(cands))
+        min_nonprop_gap = min([float("inf"), *gaps[:tested]])
+        if bad is not None:
+            problems.append({"cone": cone_id, "kind": "perturbed",
+                             "i": tested, "gap": gaps[bad],
+                             "verdict": reps[bad].verdict.value})
         if tested < 100:
             problems.append({"cone": cone_id, "kind": "perturbed",
                              "reason": f"only {tested} tuples evaluated"})
@@ -689,7 +726,7 @@ ROUTE_POINTS = 10_000
 
 def _route_points(cone, rng):
     base = rng.standard_normal((ROUTE_POINTS - 4000, cone.nvars))
-    lam, _ = cone.lambda_min(base[:4000])
+    lam, _ = cone.lambda_min(base[:1000])
     waves = []
     for m in (0.05, 0.005):
         for sign in (1.0, -1.0):
@@ -701,7 +738,7 @@ def _route_points(cone, rng):
 def check_route_equivalence(seed: int, ctx: dict) -> SuiteCheck:
     """Eigenvalue membership vs derivative-sign membership, decisively."""
     rng = np.random.default_rng([seed, 121])
-    tol = 1e-8
+    tol = cones.MEMBERSHIP_TOL
     problems = []
     stats = {}
     for cone_id, orders in ROUTE_CONFIGS:
@@ -713,24 +750,19 @@ def check_route_equivalence(seed: int, ctx: dict) -> SuiteCheck:
             lam = eigs[:, -1]
             band = tol + residuals
             eig_verdicts = np.where(lam > band, 1, np.where(lam < -band, -1, 0))
-            disagreements = 0
-            ambiguous = 0
-            for idx in range(len(pts)):
-                ineq = cones.contains_by_inequalities(base, k, pts[idx], tol)
-                if ineq is Membership.BOUNDARY or eig_verdicts[idx] == 0:
-                    ambiguous += 1
-                    continue
-                agree = (ineq is Membership.IN) == (eig_verdicts[idx] == 1)
-                if not agree:
-                    disagreements += 1
-                    problems.append({"cone": cone_id, "k": k,
-                                     "x": [float(v) for v in pts[idx]],
-                                     "eig_lambda_min": float(lam[idx]),
-                                     "inequality": ineq.value})
+            ineq = cones.contains_by_inequalities(base, k, pts, tol)
+            ineq_in = np.array([v is Membership.IN for v in ineq])
+            ambiguous = np.array([v is Membership.BOUNDARY for v in ineq]) | (eig_verdicts == 0)
+            mismatched = np.flatnonzero(~ambiguous & (ineq_in != (eig_verdicts == 1)))
+            for idx in mismatched:
+                problems.append({"cone": cone_id, "k": k,
+                                 "x": [float(v) for v in pts[idx]],
+                                 "eig_lambda_min": float(lam[idx]),
+                                 "inequality": ineq[idx].value})
             stats[f"{cone_id}:k={k}"] = {
                 "points": len(pts),
-                "ambiguous_band": ambiguous,
-                "disagreements": disagreements,
+                "ambiguous_band": int(ambiguous.sum()),
+                "disagreements": len(mismatched),
             }
     l1 = gallery.l1_cone()
     s3 = gallery.soc(3)
@@ -797,14 +829,14 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
             eigs, res = spectrum.batch_eigenvalues(
                 dc, np.array([gallery.svec_float(sym) for sym in syms])
             )
-            for i, sym in enumerate(syms):
-                fast = gallery.psd_deriv_member(n, k, sym)
+            fast = gallery.psd_deriv_member(n, k, np.array(syms))
+            for i, verdict in enumerate(fast):
                 lam = eigs[i, -1]
-                band = 1e-8 + res[i]
-                if fast is Membership.BOUNDARY or abs(lam) <= band:
+                band = cones.MEMBERSHIP_TOL + res[i]
+                if verdict is Membership.BOUNDARY or abs(lam) <= band:
                     ambiguous += 1
                     continue
-                if (fast is Membership.IN) == (lam > 0):
+                if (verdict is Membership.IN) == (lam > 0):
                     agreements += 1
                 else:
                     disagreements += 1

@@ -1,15 +1,16 @@
 """Automorphism certificates, classifications, flows, invariant faces."""
 
+import dataclasses
 from fractions import Fraction as F
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 import pytest
 
-from hypercones import autgroup, exactlin, gallery
+from hypercones import autgroup, cones, exactlin, gallery, suite
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone, in_interior_exact
-from hypercones.poly import HomoPoly
+from hypercones.poly import HomoPoly, polar_form_float
 from hypercones.report import Verdict
 
 
@@ -303,6 +304,165 @@ class TestGarding:
         cone = gallery.orthant(3)
         with pytest.raises(ValueError):
             autgroup.garding_check(cone, [(1, 1, 1)] * 2)
+
+
+def reference_garding_numbers(cone, xs):
+    """(gap, proportionality distance) of one tuple, computed tuple by
+    tuple as the garding check did before it took stacks."""
+    p, d = cone.p, cone.d
+    pts = np.asarray([[float(v) for v in x] for x in xs], dtype=float)
+    values = p.eval_float(pts)
+    normalized = pts / values[:, None] ** (1.0 / d)
+    masks = np.arange(1, 1 << d)
+    sel = (masks[:, None] >> np.arange(d)[None, :]) & 1
+    signs = np.where((d - sel.sum(axis=1)) % 2 == 0, 1.0, -1.0)
+    polarized = float(signs @ p.eval_float(sel @ normalized)) / factorial(d)
+    unit = pts / np.linalg.norm(pts, axis=1)[:, None]
+    prop_dist = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            prop_dist = max(prop_dist, float(np.abs(unit[i] - unit[j]).max()))
+    return polarized - 1.0, prop_dist
+
+
+class TestGardingStack:
+    @pytest.mark.parametrize("cone_id", suite.GARDING_ROSTER)
+    def test_stack_matches_tuples_bitwise(self, cone_id):
+        cone = gallery.parse_cone_id(cone_id)
+        d, n = cone.d, cone.nvars
+        rng = np.random.default_rng(27)
+        xs = cones.interior_points(cone, rng, 60 * d).reshape(60, d, n)
+        base = cones.interior_points(cone, rng, 20)
+        scalars = rng.uniform(0.5, 3.0, size=(20, d))
+        stack = np.concatenate([xs, scalars[:, :, None] * base[:, None, :]])
+        stacked = autgroup.garding_check(cone, stack)
+        assert len(stacked) == len(stack)
+        assert any(rep.details["proportional"] for rep in stacked)
+        for tup, rep in zip(stack, stacked):
+            one = autgroup.garding_check(cone, tup)
+            assert rep == one
+            gap, dist = reference_garding_numbers(cone, tup)
+            assert rep.details["gap"].hex() == gap.hex()
+            assert rep.details["proportionality_distance"].hex() == dist.hex()
+
+    def test_one_non_interior_tuple_rejects_the_stack(self):
+        cone = gallery.orthant(3)
+        good = [(1, 1, 1), (1, 2, 1), (1, 1, 3)]
+        bad = [(1, 1, 1), (1, 1, 0), (1, 1, 1)]
+        with pytest.raises(ValueError, match="strictly interior"):
+            autgroup.garding_check(cone, bad)
+        with pytest.raises(ValueError, match="strictly interior"):
+            autgroup.garding_check(cone, [good, bad, good])
+
+    def test_polar_form_stack(self):
+        cone = gallery.psd(3)
+        xs = cones.interior_points(cone, np.random.default_rng(28), 30).reshape(10, 3, 6)
+        stacked = polar_form_float(cone.p, xs)
+        assert [v.hex() for v in stacked.tolist()] == [
+            polar_form_float(cone.p, x).hex() for x in xs
+        ]
+
+
+def reference_garding_check(seed, roster):
+    """The garding-inequality check as it ran tuple by tuple: the oracle for
+    the order and number of draws of the stacked check."""
+    rng = np.random.default_rng([seed, 61])
+    problems = []
+    stats = {}
+    for cone_id in roster:
+        cone = gallery.parse_cone_id(cone_id)
+        d = cone.d
+        min_gap = float("inf")
+        for i in range(1000):
+            xs = cones.interior_points(cone, rng, d)
+            rep = autgroup.garding_check(cone, xs, tol=1e-9)
+            gap = rep.details["gap"]
+            min_gap = min(min_gap, gap)
+            if not rep.holds or gap < -1e-9:
+                problems.append({"cone": cone_id, "kind": "random", "i": i,
+                                 "gap": gap, "verdict": rep.verdict.value})
+                break
+        max_prop_gap = 0.0
+        for i in range(100):
+            base = cones.interior_points(cone, rng, 1)[0]
+            scalars = rng.uniform(0.5, 3.0, size=d)
+            xs = scalars[:, None] * base[None, :]
+            rep = autgroup.garding_check(cone, xs, tol=1e-9)
+            gap = abs(rep.details["gap"])
+            max_prop_gap = max(max_prop_gap, gap)
+            if not rep.holds or gap > 1e-9:
+                problems.append({"cone": cone_id, "kind": "proportional", "i": i,
+                                 "gap": gap, "verdict": rep.verdict.value})
+                break
+        min_nonprop_gap = float("inf")
+        tested = 0
+        attempts = 0
+        while tested < 100 and attempts < 1000:
+            attempts += 1
+            base = cones.interior_points(cone, rng, 1)[0]
+            other = cones.interior_points(cone, rng, 1)[0]
+            scalars = rng.uniform(0.5, 3.0, size=d)
+            xs = scalars[:, None] * base[None, :]
+            xs[0] = 0.55 * xs[0] + 0.45 * other * np.linalg.norm(xs[0]) / max(
+                np.linalg.norm(other), 1e-12
+            )
+            lam, _ = cone.lambda_min(xs[0][None, :])
+            if lam[0] <= 1e-6:
+                continue
+            tested += 1
+            rep = autgroup.garding_check(cone, xs, tol=1e-9)
+            gap = rep.details["gap"]
+            min_nonprop_gap = min(min_nonprop_gap, gap)
+            if not rep.holds or gap < 1e-6:
+                problems.append({"cone": cone_id, "kind": "perturbed",
+                                 "i": tested, "gap": gap,
+                                 "verdict": rep.verdict.value})
+                break
+        if tested < 100:
+            problems.append({"cone": cone_id, "kind": "perturbed",
+                             "reason": f"only {tested} tuples evaluated"})
+        stats[cone_id] = {
+            "min_random_gap": min_gap,
+            "max_proportional_gap": max_prop_gap,
+            "min_perturbed_gap": min_nonprop_gap,
+        }
+    return {"stats": stats, "problems": problems}
+
+
+def failing_where_large(check, threshold):
+    """garding_check, with every tuple whose first coordinate exceeds
+    `threshold` reported as failing: forces the early stops."""
+    def wrapped(cone, xs, tol=1e-9):
+        reports = check(cone, xs, tol)
+        single = not isinstance(reports, list)
+        tuples = np.asarray(xs, dtype=float).reshape(-1, cone.d, cone.nvars)
+        flipped = [
+            dataclasses.replace(rep, verdict=Verdict.FAILS) if tup[0, 0] > threshold else rep
+            for tup, rep in zip(tuples, [reports] if single else reports)
+        ]
+        return flipped[0] if single else flipped
+    return wrapped
+
+
+class TestGardingReplay:
+    ROSTER = ("soc:3", "orthant:3")
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_tuple_by_tuple_loop(self, monkeypatch, seed):
+        monkeypatch.setattr(suite, "GARDING_ROSTER", self.ROSTER)
+        got = suite.check_garding_inequality(seed, {}).details
+        assert got == reference_garding_check(seed, self.ROSTER)
+        assert not got["problems"]
+
+    @pytest.mark.parametrize("threshold", [3.5, 5.0])
+    def test_early_stops_draw_what_the_loop_draws(self, monkeypatch, threshold):
+        monkeypatch.setattr(suite, "GARDING_ROSTER", self.ROSTER)
+        monkeypatch.setattr(
+            autgroup, "garding_check", failing_where_large(autgroup.garding_check, threshold)
+        )
+        got = suite.check_garding_inequality(1, {}).details
+        assert got == reference_garding_check(1, self.ROSTER)
+        assert {p["kind"] for p in got["problems"]} == {"random", "proportional", "perturbed"}
 
 
 class TestPerronAndMinimalFace:

@@ -218,6 +218,22 @@ class TestSuite:
         json.loads(out)  # stdout is pure JSON
         assert "orthant-derivative-identity: pass" in err
 
+    @pytest.mark.parametrize("name", ["route-equivalence", "garding"])
+    def test_json_does_not_depend_on_the_hash_seed(self, name):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        outs = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypercones.cli", "suite", "--seed", "0",
+                 "--json", "--filter", name],
+                capture_output=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["counts"]["pass"] == 1
+
 
 class TestSeedEnv:
     def test_env_seed_used_as_default(self, capsys, monkeypatch):

@@ -5,11 +5,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hypercones import cones, gallery, spectrum
+from hypercones import cones, gallery, spectrum, suite
 from hypercones.cones import HyperCone
 from hypercones.gallery import elementary_symmetric
 from hypercones.poly import HomoPoly
 from hypercones.report import Membership, Verdict
+
+try:  # hypothesis is a test-only dependency
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    given = None
 
 
 class TestContains:
@@ -166,6 +171,54 @@ class TestInequalityRoute:
                 order[cones.contains_by_inequalities(cone, k, x)] for k in range(5)
             ]
             assert levels == sorted(levels)
+
+
+class TestBatchedInequalityRoute:
+    def test_earlier_band_hit_then_out(self):
+        # order 0: x1 x2 x3 x4 = 0 sits in the band; order 1: e3 = -5 is Out
+        cone = gallery.orthant(4)
+        x = np.array([0.0, 1.0, 1.0, -5.0])
+        assert cones.contains_by_inequalities(cone, 0, x) is Membership.OUT
+        rows = np.array([[1.0, 1.0, 1.0, 1.0], x, [0.0, 1.0, 1.0, 1.0]])
+        assert cones.contains_by_inequalities(cone, 0, rows) == [
+            Membership.IN, Membership.OUT, Membership.BOUNDARY
+        ]
+
+    def test_empty_array(self):
+        assert cones.contains_by_inequalities(gallery.psd(3), 1, np.zeros((0, 6))) == []
+
+    def test_row_norms_match_linalg_norm(self):
+        pts = np.random.default_rng(25).standard_normal((500, 6)) * 10.0 ** np.arange(-3, 3)
+        want = np.array([np.linalg.norm(x) for x in pts])
+        assert np.array_equal(cones.row_norms(pts), want)
+
+
+ROUTE_PAIRS = [(cone_id, k) for cone_id, orders in suite.ROUTE_CONFIGS for k in orders]
+WAVES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+
+if given is not None:
+
+    class TestBatchedRouteProperty:
+        @given(
+            pair=st.sampled_from(ROUTE_PAIRS),
+            seed=st.integers(0, 2**32 - 1),
+            scale=st.floats(1e-3, 1e3),
+        )
+        @settings(max_examples=40, deadline=None)
+        def test_rows_match_one_row_calls(self, pair, seed, scale):
+            cone_id, k = pair
+            base = gallery.parse_cone_id(cone_id)
+            target = base.derivative_cone(k)
+            y = np.random.default_rng(seed).standard_normal((16, target.nvars)) * scale
+            lam, _ = target.lambda_min(y)
+            pts = np.vstack([y] + [
+                y - (lam - sign * m * scale)[:, None] * target.e_float[None, :]
+                for m in WAVES for sign in (1.0, -1.0)
+            ])
+            batched = cones.contains_by_inequalities(base, k, pts)
+            assert len(batched) == len(pts)
+            for x, got in zip(pts, batched):
+                assert got is cones.contains_by_inequalities(base, k, x)
 
 
 class TestNesting:

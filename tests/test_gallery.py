@@ -138,6 +138,33 @@ class TestPSDDerivMember:
         with pytest.raises(ValueError):
             gallery.psd_deriv_member(3, 1, np.triu(np.ones((3, 3))))
 
+    def test_band_recheck_counts_as_in(self):
+        # e_3 = 0 sits in the band, e_2 and e_1 are positive: In
+        lam = np.array([0.0, 0.0, 1.0, 1.0])
+        assert cones.contains_by_inequalities(gallery.orthant(4), 1, lam) is Membership.BOUNDARY
+        assert gallery.psd_deriv_member(4, 1, np.diag(lam)) is Membership.IN
+
+    def test_stack_matches_one_matrix_calls(self):
+        rng = np.random.default_rng(26)
+        for n, k in ((3, 1), (4, 1), (4, 2)):
+            raws = rng.standard_normal((200, n, n))
+            mats = [(raw + raw.T) / 2 for raw in raws]
+            # a band value on the nonnegative side (In after the re-check),
+            # one on the negative side (stays Boundary-ambiguous), In and Out
+            mats += [np.diag([0.0] * (k + 1) + [1.0] * (n - k - 1)),
+                     np.diag([-1e-12] + [0.0] * k + [1.0] * (n - k - 1)),
+                     np.eye(n), np.diag([-5.0] + [1.0] * (n - 1))]
+            stacked = gallery.psd_deriv_member(n, k, np.array(mats))
+            assert len(stacked) == len(mats)
+            for mat, got in zip(mats, stacked):
+                assert got is gallery.psd_deriv_member(n, k, mat)
+            assert set(stacked) == set(Membership)
+
+    def test_stack_with_one_asymmetric_matrix_rejected(self):
+        mats = np.array([np.eye(3), np.triu(np.ones((3, 3)))])
+        with pytest.raises(ValueError):
+            gallery.psd_deriv_member(3, 1, mats)
+
 
 class TestSOC:
     def test_boundary_ray_rank_one(self):
