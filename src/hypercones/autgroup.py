@@ -27,8 +27,10 @@ from .cones import (
     MEMBERSHIP_TOL,
     WITNESS_BUDGET,
     HyperCone,
+    boundary_cloud,
     in_interior_exact,
     membership_exact,
+    to_level,
 )
 from .gallery import smat_float, svec_float
 from .poly import (
@@ -46,8 +48,10 @@ DECISIVE_MARGIN = 1e-4
 WITNESS_MARGIN = 1e-6
 # Relative residual of A e - alpha e under which a float map fixes the ray.
 STABILIZER_TOL = 1e-10
-# Sampled points whose boundary-shifted copies join the float-tier cloud.
+# Sampled points whose copies at lambda_min = +-m, for each m in
+# WAVE_MARGINS, join the float-tier cloud.
 WAVE_POINTS = 256
+WAVE_MARGINS = (0.5, 0.1, 0.01)
 # Terms of the Cesaro average behind the fallback Perron vector.
 CESARO_ITERATIONS = 256
 # Eigenvalues below this fraction of the largest span no face direction.
@@ -278,22 +282,6 @@ def check_automorphism(
     return _sampled_preservation(cone, af, samples=samples, seed=seed, tol=tol)
 
 
-def _biased_points(cone, rng, n_random: int):
-    """Gaussian cloud plus copies of its first WAVE_POINTS points shifted
-    to sit just inside / outside."""
-    y = rng.standard_normal((n_random, cone.nvars))
-    lam, _ = cone.lambda_min(y)
-    chunks = [y]
-    base = y[:WAVE_POINTS]
-    lam_b = lam[: len(base)]
-    ef = cone.e_float
-    for m in (0.5, 0.1, 0.01):
-        for sign in (1.0, -1.0):
-            shift = lam_b - sign * m
-            chunks.append(base - shift[:, None] * ef[None, :])
-    return np.vstack(chunks)
-
-
 def _sampled_preservation(
     cone: HyperCone,
     a_float: np.ndarray,
@@ -304,7 +292,7 @@ def _sampled_preservation(
     """Float tier: does the map preserve sampled membership both ways?"""
     a_inv = np.linalg.inv(a_float)
     rng = np.random.default_rng(seed)
-    pts = _biased_points(cone, rng, samples)
+    pts = boundary_cloud(cone, rng, samples, WAVE_POINTS, WAVE_MARGINS)
     margin = max(10 * tol, DECISIVE_MARGIN)
     lam_x, res_x = cone.lambda_min(pts)
     checked = 0
@@ -598,9 +586,8 @@ def _cesaro_vector(cone, af, rho, seed):
         if attempt == 0:
             z = cone.e_float.copy()
         else:
-            y = rng.standard_normal(cone.nvars)
-            lam, _ = cone.lambda_min(y[None, :])
-            z = y - (lam[0] - 0.5) * cone.e_float
+            y = rng.standard_normal((1, cone.nvars))
+            z = to_level(cone, y, 0.5, cone.lambda_min(y)[0])[0]
         acc = np.zeros_like(z)
         cur = z / max(np.linalg.norm(z), 1e-300)
         for _ in range(CESARO_ITERATIONS):
@@ -725,7 +712,7 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
         y = rng.standard_normal((nb, derived.nvars))
         lam, _ = derived.lambda_min(y)
         for m in (0.3, 0.03):
-            x = y - (lam - m)[:, None] * derived.e_float[None, :]
+            x = to_level(derived, y, m, lam)
             lam_x, res_x = derived.lambda_min(x)
             for label, mf, mexact in maps:
                 lam_img, res_img = derived.lambda_min(x @ mf.T)

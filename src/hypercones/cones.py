@@ -191,10 +191,26 @@ def interior_points(cone, rng, count: int) -> np.ndarray:
     return to_interior(cone, rng.standard_normal((count, cone.nvars)))
 
 
+def to_level(cone, pts: np.ndarray, level, lam: np.ndarray) -> np.ndarray:
+    """Each row of `pts`, whose lambda_min is `lam`, shifted along e to
+    lambda_min `level`: the eigenvalues of x - t e are those of x minus t."""
+    return pts - (lam - level)[:, None] * cone.e_float[None, :]
+
+
 def to_interior(cone, pts: np.ndarray) -> np.ndarray:
-    """Each row shifted along e until its lambda_min equals INTERIOR_MARGIN."""
-    lam, _ = cone.lambda_min(pts)
-    return pts - (lam - INTERIOR_MARGIN)[:, None] * cone.e_float[None, :]
+    """Each row moved to lambda_min = INTERIOR_MARGIN."""
+    return to_level(cone, pts, INTERIOR_MARGIN, cone.lambda_min(pts)[0])
+
+
+def boundary_cloud(cone, rng, count: int, waves: int, margins) -> np.ndarray:
+    """`count` Gaussian points, then for each margin m two copies of the
+    first `waves` of them, placed at lambda_min = m and at -m."""
+    y = rng.standard_normal((count, cone.nvars))
+    base = y[:waves]
+    lam, _ = cone.lambda_min(base)
+    return np.vstack(
+        [y] + [to_level(cone, base, sign * m, lam) for m in margins for sign in (1.0, -1.0)]
+    )
 
 
 def row_norms(pts: np.ndarray) -> np.ndarray:
@@ -207,7 +223,7 @@ def row_norms(pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def contains(cone, x) -> Membership:
+def contains(cone, x) -> Membership | list[Membership]:
     """Eigenvalue-route membership with a band of MEMBERSHIP_TOL at the
     boundary.
 
@@ -217,22 +233,32 @@ def contains(cone, x) -> Membership:
     margin beyond both the tolerance and the residual.  Restrictions that
     are (rational points) or look (float points) non-real-rooted raise
     InconclusiveError.
+
+    `x` is one point, which gets one `Membership`, or a 2-D float array,
+    which gets a list with one `Membership` per row from one batched
+    spectrum; a row that looks non-real-rooted raises for the whole array.
     """
-    spec = spectrum.eigenvalues(cone, x)
-    scale = 1.0 + abs(spec.lambda_max)
-    if spec.residual > 0.05 * scale:
+    single = np.ndim(x) == 1
+    if single and is_exact_vector(x):
+        spec = spectrum.eigenvalues(cone, x)
+        eigs, residuals = np.array([spec.eigenvalues]), np.array([spec.residual])
+    else:
+        pts = np.asarray(x, dtype=float)
+        eigs, residuals = spectrum.batch_eigenvalues(cone, pts[None, :] if single else pts)
+    over = np.flatnonzero(residuals > 0.05 * (1.0 + np.abs(eigs[:, 0])))
+    if len(over):
+        row = int(over[0])
         raise InconclusiveError(
-            f"restriction roots have residual {spec.residual}; "
+            f"restriction roots of row {row} have residual {residuals[row]}; "
             "not real-rooted within tolerance",
-            payload=spec,
+            payload=row,
         )
-    band = MEMBERSHIP_TOL + spec.residual
-    lmin = spec.lambda_min
-    if lmin > band:
-        return Membership.IN
-    if lmin < -band:
-        return Membership.OUT
-    return Membership.BOUNDARY
+    band = MEMBERSHIP_TOL + residuals
+    verdicts = [
+        Membership.IN if lmin > b else Membership.OUT if lmin < -b else Membership.BOUNDARY
+        for lmin, b in zip(eigs[:, -1].tolist(), band.tolist())
+    ]
+    return verdicts[0] if single else verdicts
 
 
 def membership_exact(cone, x) -> Membership:

@@ -29,7 +29,7 @@ from .report import Membership
 
 @dataclass(frozen=True)
 class GalleryDescriptor:
-    kind: str  # Orthant | OrthantDeriv | PSD | PSDDeriv | SOC | L1 | Spectrahedral
+    kind: str  # Orthant | PSD | SOC | L1 | Spectrahedral
     params: dict = field(default_factory=dict)
 
 

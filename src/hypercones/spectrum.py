@@ -374,7 +374,7 @@ def check_hyperbolic(
         return HyperbolicityCertificate(
             "RefutedWithWitness", 0, float("inf"), witness=e
         )
-    from .cones import HyperCone
+    from .cones import HyperCone, to_level
 
     cone = HyperCone(p, e)
     rng = np.random.default_rng(seed)
@@ -398,7 +398,7 @@ def check_hyperbolic(
 
     witness, eigs = scan(raw)
     if witness is None:
-        witness, _ = scan(_dyadic(raw - eigs[:, -1:] * cone.e_float[None, :]))
+        witness, _ = scan(_dyadic(to_level(cone, raw, 0.0, eigs[:, -1])))
     if witness is not None:
         return HyperbolicityCertificate("RefutedWithWitness", checked, worst, witness)
     return HyperbolicityCertificate("LooksHyperbolic", checked, worst, None)

@@ -232,10 +232,8 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
     for i in range(20):
         perm = [int(v) for v in rng.permutation(n)]
         signs = [int(s) for s in rng.choice([-1, 1], size=n)]
-        rows = [
-            [signs[r] if c == perm[r] else 0 for c in range(n)] for r in range(n)
-        ]
-        rep = autgroup.classify_psd_deriv(n, k, LinearMap(rows), seed=seed + i)
+        cand = LinearMap.scaled_permutation(signs, perm)
+        rep = autgroup.classify_psd_deriv(n, k, cand, seed=seed + i)
         _audit(audit, rep)
         if rep.holds and rep.tier == "exact" and rep.kappa == 1:
             signed_perm_ok += 1
@@ -588,10 +586,8 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
     for i in range(50):
         perm = [int(v) for v in rng.permutation(3)]
         signs = [int(s) for s in rng.choice([-1, 1], size=3)]
-        rows = [[signs[r] if c == perm[r] else 0 for c in range(3)]
-                for r in range(3)]
         alpha = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
-        lq = autgroup.lm_linear_map(LinearMap(rows), 3)
+        lq = autgroup.lm_linear_map(LinearMap.scaled_permutation(signs, perm), 3)
         cand = LinearMap([[alpha * v for v in row] for row in lq.rows])
         cert = autgroup.check_automorphism(p3, cand)
         if not cert.holds:
@@ -720,70 +716,51 @@ ROUTE_CONFIGS = (
 )
 
 
-# Points per relaxation: 6,000 Gaussian, plus 4,000 boundary-wave copies.
-ROUTE_POINTS = 10_000
-
-
-def _route_points(cone, rng):
-    base = rng.standard_normal((ROUTE_POINTS - 4000, cone.nvars))
-    lam, _ = cone.lambda_min(base[:1000])
-    waves = []
-    for m in (0.05, 0.005):
-        for sign in (1.0, -1.0):
-            shift = lam[:1000] - sign * m
-            waves.append(base[:1000] - shift[:, None] * cone.e_float[None, :])
-    return np.vstack([base] + waves)
+# Each relaxation's cloud: 6,000 Gaussian points, and copies of the first
+# 1,000 placed at lambda_min = +-0.05 and +-0.005.
+ROUTE_CLOUD = (6000, 1000, (0.05, 0.005))
 
 
 def check_route_equivalence(seed: int, ctx: dict) -> SuiteCheck:
     """Eigenvalue membership vs derivative-sign membership, decisively."""
     rng = np.random.default_rng([seed, 121])
-    tol = cones.MEMBERSHIP_TOL
     problems = []
     stats = {}
     for cone_id, orders in ROUTE_CONFIGS:
         base = gallery.parse_cone_id(cone_id)
         for k in orders:
             target = base.derivative_cone(k)
-            pts = _route_points(target, rng)
-            eigs, residuals = spectrum.batch_eigenvalues(target, pts)
-            lam = eigs[:, -1]
-            band = tol + residuals
-            eig_verdicts = np.where(lam > band, 1, np.where(lam < -band, -1, 0))
-            ineq = cones.contains_by_inequalities(base, k, pts, tol)
-            ineq_in = np.array([v is Membership.IN for v in ineq])
-            ambiguous = np.array([v is Membership.BOUNDARY for v in ineq]) | (eig_verdicts == 0)
-            mismatched = np.flatnonzero(~ambiguous & (ineq_in != (eig_verdicts == 1)))
-            for idx in mismatched:
-                problems.append({"cone": cone_id, "k": k,
-                                 "x": [float(v) for v in pts[idx]],
-                                 "eig_lambda_min": float(lam[idx]),
-                                 "inequality": ineq[idx].value})
+            pts = cones.boundary_cloud(target, rng, *ROUTE_CLOUD)
+            eig = cones.contains(target, pts)
+            ineq = cones.contains_by_inequalities(base, k, pts, cones.MEMBERSHIP_TOL)
+            ambiguous = [Membership.BOUNDARY in pair for pair in zip(eig, ineq)]
+            mismatched = [
+                i for i, (a, b) in enumerate(zip(eig, ineq)) if a is not b and not ambiguous[i]
+            ]
+            if mismatched:
+                lam, _ = target.lambda_min(pts[mismatched])
+                for idx, lmin in zip(mismatched, lam):
+                    problems.append({"cone": cone_id, "k": k,
+                                     "x": [float(v) for v in pts[idx]],
+                                     "eig_lambda_min": float(lmin),
+                                     "inequality": ineq[idx].value})
             stats[f"{cone_id}:k={k}"] = {
                 "points": len(pts),
-                "ambiguous_band": int(ambiguous.sum()),
+                "ambiguous_band": sum(ambiguous),
                 "disagreements": len(mismatched),
             }
-    l1 = gallery.l1_cone()
-    s3 = gallery.soc(3)
-    dc = l1.derivative_cone(1)
-    pts = _route_points(dc, rng)
-    eigs, residuals = spectrum.batch_eigenvalues(dc, pts)
-    lam = eigs[:, -1]
-    band = tol + residuals
+    dc = gallery.l1_cone().derivative_cone(1)
+    pts = cones.boundary_cloud(dc, rng, *ROUTE_CLOUD)
     mapped = pts[:, [2, 0, 1]]  # (x1,x2,x3) -> (x3,x1,x2)
-    eigs2, residuals2 = spectrum.batch_eigenvalues(s3, mapped)
-    lam2 = eigs2[:, -1]
-    band2 = tol + residuals2
-    decisive = (np.abs(lam) > band) & (np.abs(lam2) > band2)
-    mismatch = decisive & ((lam > 0) != (lam2 > 0))
-    if int(mismatch.sum()):
-        problems.append({"cone": "l1(1) vs soc:3",
-                         "disagreements": int(mismatch.sum())})
+    pairs = list(zip(cones.contains(dc, pts), cones.contains(gallery.soc(3), mapped)))
+    decisive = sum(Membership.BOUNDARY not in pair for pair in pairs)
+    mismatch = sum(Membership.BOUNDARY not in pair and pair[0] is not pair[1] for pair in pairs)
+    if mismatch:
+        problems.append({"cone": "l1(1) vs soc:3", "disagreements": mismatch})
     stats["l1(1)-vs-soc:3"] = {
         "points": len(pts),
-        "decisive": int(decisive.sum()),
-        "disagreements": int(mismatch.sum()),
+        "decisive": decisive,
+        "disagreements": mismatch,
     }
     return SuiteCheck(
         "route-equivalence", _status(problems), seed,
@@ -826,17 +803,13 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
             agreements = disagreements = ambiguous = 0
             raws = [rng.standard_normal((n, n)) for _ in range(1000)]
             syms = [(raw + raw.T) / 2 for raw in raws]
-            eigs, res = spectrum.batch_eigenvalues(
-                dc, np.array([gallery.svec_float(sym) for sym in syms])
-            )
             fast = gallery.psd_deriv_member(n, k, np.array(syms))
-            for i, verdict in enumerate(fast):
-                lam = eigs[i, -1]
-                band = cones.MEMBERSHIP_TOL + res[i]
-                if verdict is Membership.BOUNDARY or abs(lam) <= band:
+            slow = cones.contains(dc, np.array([gallery.svec_float(sym) for sym in syms]))
+            for i, pair in enumerate(zip(fast, slow)):
+                if Membership.BOUNDARY in pair:
                     ambiguous += 1
                     continue
-                if (verdict is Membership.IN) == (lam > 0):
+                if pair[0] is pair[1]:
                     agreements += 1
                 else:
                     disagreements += 1
@@ -865,8 +838,7 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
         slices += 1
         cone = gallery.spectrahedral(mats, (1, 0, 0), label=f"slice-{slices}")
         pts = rng.standard_normal((200, 3))
-        lam, _ = cone.lambda_min(pts)
-        boundary = pts - lam[:, None] * cone.e_float[None, :]
+        boundary = cones.to_level(cone, pts, 0.0, cone.lambda_min(pts)[0])
         for x in np.vstack([pts, boundary]):
             mat = gallery.pencil_matrix_float(mats, x)
             sv = np.linalg.svd(mat, compute_uv=False)

@@ -507,6 +507,20 @@ class TestPerronAndMinimalFace:
                 cone, LinearMap.permutation([1, 0, 2]), (1, 0, 0)
             )
 
+    def test_cesaro_fallback(self, monkeypatch):
+        # eig hands back a basis with no vector in the cone, so the
+        # Cesaro average of e has to find the fixed direction
+        basis = np.array([[1.0, -2.0], [-2.0, 1.0]]) / np.sqrt(5.0)
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.ones(2), basis))
+        rep = autgroup.perron_eigenvector(gallery.orthant(2), LinearMap.identity(2))
+        assert rep.holds and rep.details["method"] == "cesaro-average"
+        assert np.allclose(rep.witness, np.ones(2) / np.sqrt(2.0))
+
+    def test_rotation_without_real_eigenvector_is_inconclusive(self):
+        # the quarter turn has eigenvalues +-i: every Cesaro average cancels
+        rep = autgroup.perron_eigenvector(gallery.orthant(2), LinearMap([[0, -1], [1, 0]]))
+        assert rep.verdict is Verdict.INCONCLUSIVE
+
     def test_unsupported_gallery_rejected(self):
         with pytest.raises(ValueError):
             autgroup.min_face_fix_check(
@@ -548,6 +562,20 @@ class TestClassifications:
         m = LinearMap.diagonal([3, 3, 3, 3])
         rep = autgroup.classify_psd_deriv(4, 1, m, seed=4)
         assert rep.holds and rep.details["prediction"] is True
+
+    def test_psd_float_orthogonal_holds(self):
+        q, _ = np.linalg.qr(np.random.default_rng(30).standard_normal((4, 4)))
+        rep = autgroup.classify_psd_deriv(4, 1, q, seed=7)
+        assert rep.holds and rep.details["prediction"] is True
+        assert not rep.details["classification_violation"]
+
+    def test_psd_float_unequal_diagonal_fails_with_witness(self):
+        rep = autgroup.classify_psd_deriv(4, 1, np.diag([1.0, 2.0, 1.0, 1.0]), seed=8)
+        assert rep.fails and rep.details["prediction"] is False
+        w = rep.details["membership_witness"]
+        assert w is not None
+        margin = autgroup.WITNESS_MARGIN
+        assert w["lambda_min_x"] >= margin and w["lambda_min_image"] <= -margin
 
     def test_psd_unequal_diagonal_fails_with_witness(self):
         m = LinearMap.diagonal([1, 1, 1, 2])

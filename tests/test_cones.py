@@ -9,7 +9,7 @@ from hypercones import cones, gallery, spectrum, suite
 from hypercones.cones import HyperCone
 from hypercones.gallery import elementary_symmetric
 from hypercones.poly import HomoPoly
-from hypercones.report import Membership, Verdict
+from hypercones.report import InconclusiveError, Membership, Verdict
 
 try:  # hypothesis is a test-only dependency
     from hypothesis import given, settings, strategies as st
@@ -173,6 +173,43 @@ class TestInequalityRoute:
             assert levels == sorted(levels)
 
 
+class TestBatchedEigenvalueRoute:
+    def test_rows_get_their_own_verdicts(self):
+        rows = np.array([[1.0, 2.0, 3.0], [-1.0, 2.0, 3.0], [0.0, 2.0, 3.0]])
+        assert cones.contains(gallery.orthant(3), rows) == [
+            Membership.IN, Membership.OUT, Membership.BOUNDARY
+        ]
+
+    def test_one_non_real_rooted_row_rejects_the_stack(self):
+        # x0^2 + x1^2 restricts to (t - x0)^2 + x1^2: roots x0 +- i x1
+        cone = HyperCone(HomoPoly(2, 2, {(2, 0): 1, (0, 2): 1}), (1, 0))
+        with pytest.raises(InconclusiveError):
+            cones.contains(cone, np.array([0.0, 1.0]))
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(InconclusiveError, match="row 1 "):
+            cones.contains(cone, rows)
+        assert cones.contains(cone, rows[[0, 2]]) == [Membership.IN] * 2
+
+    def test_empty_array(self):
+        assert cones.contains(gallery.psd(3), np.zeros((0, 6))) == []
+
+    def test_to_level_places_rows(self):
+        cone = gallery.psd(3)
+        pts = np.random.default_rng(26).standard_normal((50, 6))
+        for level in (0.25, 0.0, -0.5):
+            moved = cones.to_level(cone, pts, level, cone.lambda_min(pts)[0])
+            assert np.allclose(cone.lambda_min(moved)[0], level, atol=1e-9)
+
+    def test_boundary_cloud_layout(self):
+        cone = gallery.orthant(3)
+        pts = cones.boundary_cloud(cone, np.random.default_rng(27), 40, 10, (0.5, 0.01))
+        y = np.random.default_rng(27).standard_normal((40, 3))
+        assert pts.shape == (80, 3) and np.array_equal(pts[:40], y)
+        lam, _ = cone.lambda_min(pts[40:])
+        want = np.repeat([0.5, -0.5, 0.01, -0.01], 10)
+        assert np.allclose(lam, want, atol=1e-9)
+
+
 class TestBatchedInequalityRoute:
     def test_earlier_band_hit_then_out(self):
         # order 0: x1 x2 x3 x4 = 0 sits in the band; order 1: e3 = -5 is Out
@@ -212,13 +249,15 @@ if given is not None:
             y = np.random.default_rng(seed).standard_normal((16, target.nvars)) * scale
             lam, _ = target.lambda_min(y)
             pts = np.vstack([y] + [
-                y - (lam - sign * m * scale)[:, None] * target.e_float[None, :]
+                cones.to_level(target, y, sign * m * scale, lam)
                 for m in WAVES for sign in (1.0, -1.0)
             ])
             batched = cones.contains_by_inequalities(base, k, pts)
-            assert len(batched) == len(pts)
-            for x, got in zip(pts, batched):
+            eig = cones.contains(target, pts)
+            assert len(batched) == len(eig) == len(pts)
+            for x, got, got_eig in zip(pts, batched, eig):
                 assert got is cones.contains_by_inequalities(base, k, x)
+                assert got_eig is cones.contains(target, x)
 
 
 class TestNesting:

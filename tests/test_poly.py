@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -54,6 +55,17 @@ def vars3():
 
 def x1x2x3():
     return HomoPoly(3, 3, {(1, 1, 1): 1})
+
+
+def restrict_line_warned(p: HomoPoly, e, x) -> UniPoly:
+    """restrict_line, asserting that it warns exactly when p(e) = 0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q = restrict_line(p, e, x)
+    assert [str(w.message) for w in caught] == (
+        ["restriction has zero leading coefficient: p(e) = 0"] if p.eval(e) == 0 else []
+    )
+    return q
 
 
 def rand_vec(rng, n, den=8):
@@ -271,14 +283,14 @@ class TestRestrictLine:
         for p in polys:
             for _ in range(20):
                 e, x = rand_vec(rng, 3), rand_vec(rng, 3)
-                assert restrict_line(p, e, x) == restrict_line_naive(p, e, x)
+                assert restrict_line_warned(p, e, x) == restrict_line_naive(p, e, x)
 
     def test_eval_at_point_matches_direct_evaluation(self):
         rng = np.random.default_rng(5)
         p = l1_cone().p
         for _ in range(20):
             e, x, t0 = rand_vec(rng, 3), rand_vec(rng, 3), F(int(rng.integers(-8, 9)), 4)
-            q = restrict_line(p, e, x)
+            q = restrict_line_warned(p, e, x)
             direct = p.eval(tuple(t0 * ei - xi for ei, xi in zip(e, x)))
             assert q.eval(t0) == direct
 
