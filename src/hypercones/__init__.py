@@ -13,9 +13,9 @@ from .cones import (
     membership_exact,
     strict_containment_witness,
 )
-from .poly import HomoPoly, UniPoly, as_fraction, as_vector, polar_form, restrict_line
+from .poly import HomoPoly, UniPoly, as_fraction, as_vector, restrict_line
 from .report import CheckReport, InconclusiveError, Membership, Verdict
-from .spectrum import Spectrum, check_hyperbolic, eigenvalues, rank
+from .spectrum import Spectrum, eigenvalues, rank
 
 __all__ = [
     "CheckReport",
@@ -28,12 +28,10 @@ __all__ = [
     "Verdict",
     "as_fraction",
     "as_vector",
-    "check_hyperbolic",
     "contains",
     "contains_by_inequalities",
     "eigenvalues",
     "membership_exact",
-    "polar_form",
     "rank",
     "restrict_line",
     "strict_containment_witness",

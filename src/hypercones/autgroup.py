@@ -28,6 +28,7 @@ from .cones import (
     WITNESS_BUDGET,
     HyperCone,
     boundary_cloud,
+    contains,
     in_interior_exact,
     membership_exact,
     to_level,
@@ -40,7 +41,7 @@ from .poly import (
     polar_form_float,
     scaling_mismatch,
 )
-from .report import CheckReport, Membership, Verdict
+from .report import CheckReport, InconclusiveError, Membership, Verdict
 
 # |lambda_min| below this is treated as indecisive when sampling membership.
 DECISIVE_MARGIN = 1e-4
@@ -285,8 +286,8 @@ def check_automorphism(
 def _sampled_preservation(
     cone: HyperCone,
     a_float: np.ndarray,
-    samples: int = 800,
-    seed: int = 0,
+    samples: int,
+    seed: int,
     tol: float = MEMBERSHIP_TOL,
 ) -> CheckReport:
     """Float tier: does the map preserve sampled membership both ways?"""
@@ -520,7 +521,6 @@ def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
     w, vecs = np.linalg.eig(af)
     rho = float(np.abs(w).max())
     order = np.argsort(-np.abs(w))
-    margin = 10 * MEMBERSHIP_TOL
     for idx in order:
         if abs(w[idx]) < rho * (1 - 1e-9) - MEMBERSHIP_TOL:
             break
@@ -532,13 +532,8 @@ def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
             continue
         for s in (1.0, -1.0):
             u = s * v / nrm
-            spec = spectrum.eigenvalues(cone, u)
-            # repeated roots smear the companion eigenvalues; accept within
-            # the observed residual, reject only genuinely complex spectra
-            if (
-                spec.residual <= 0.05 * (1.0 + abs(spec.lambda_max))
-                and spec.lambda_min >= -(margin + spec.residual)
-            ):
+            verdict = _candidate_membership(cone, u)
+            if verdict is not None:
                 return CheckReport(
                     verdict=Verdict.HOLDS,
                     witness=tuple(float(x) for x in u),
@@ -546,27 +541,25 @@ def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
                     details={
                         "spectral_radius": rho,
                         "eigenvalue": float(w[idx].real),
-                        "lambda_min": spec.lambda_min,
+                        "membership": verdict.value,
                     },
                     tier="float",
                 )
     u = _cesaro_vector(cone, af, rho, seed)
-    if u is not None:
-        spec = spectrum.eigenvalues(cone, u)
-        resid = float(np.linalg.norm(af @ u - rho * u))
-        if spec.lambda_min >= -(margin + spec.residual) and resid <= 1e-6 * max(1.0, rho):
-            return CheckReport(
-                verdict=Verdict.HOLDS,
-                witness=tuple(float(x) for x in u),
-                tolerances={"tol": MEMBERSHIP_TOL},
-                details={
-                    "spectral_radius": rho,
-                    "eigenvalue": rho,
-                    "lambda_min": spec.lambda_min,
-                    "method": "cesaro-average",
-                },
-                tier="float",
-            )
+    verdict = None if u is None else _candidate_membership(cone, u)
+    if verdict is not None:
+        return CheckReport(
+            verdict=Verdict.HOLDS,
+            witness=tuple(float(x) for x in u),
+            tolerances={"tol": MEMBERSHIP_TOL},
+            details={
+                "spectral_radius": rho,
+                "eigenvalue": rho,
+                "membership": verdict.value,
+                "method": "cesaro-average",
+            },
+            tier="float",
+        )
     return CheckReport(
         verdict=Verdict.INCONCLUSIVE,
         tolerances={"tol": MEMBERSHIP_TOL},
@@ -576,6 +569,16 @@ def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
         },
         tier="float",
     )
+
+
+def _candidate_membership(cone, u) -> Membership | None:
+    """`cones.contains` of a candidate eigenvector, or None when it is Out
+    or its restriction does not look real-rooted (InconclusiveError)."""
+    try:
+        verdict = contains(cone, u)
+    except InconclusiveError:
+        return None
+    return None if verdict is Membership.OUT else verdict
 
 
 def _cesaro_vector(cone, af, rho, seed):
@@ -920,46 +923,6 @@ def _is_scaled_orthogonal(M) -> bool:
     )
 
 
-def spectral_aut_projection(
-    n: int,
-    k: int,
-    M,
-    lm_report: CheckReport | None = None,
-    seed: int = 0,
-) -> CheckReport:
-    """Project a matrix-space candidate to the vector cone via singular values.
-
-    Forms D = diag(singular values of M) and tests D^2 against the
-    relaxed coordinate cone's automorphism group.  When a report for the
-    conjugation map of M is supplied, consistency is audited: a certified
-    conjugation automorphism forces D^2 to be one as well.
-    """
-    mf = M.to_float() if isinstance(M, LinearMap) else np.asarray(M, dtype=float)
-    sv = np.linalg.svd(mf, compute_uv=False)
-    d2 = sv**2
-    spread = float(d2.max() / d2.min())
-    if spread <= 1 + 1e-9:
-        rep = CheckReport(
-            verdict=Verdict.HOLDS,
-            tolerances={"tol": MEMBERSHIP_TOL},
-            details={
-                "singular_values_squared": [float(v) for v in d2],
-                "note": "positive scaling of the identity is always an automorphism",
-            },
-            tier="float",
-        )
-    else:
-        diag_map = LinearMap.diagonal([as_fraction(float(v)) for v in d2])
-        rep = classify_orthant_deriv(n, k, diag_map, seed=seed)
-        rep.details["singular_values_squared"] = [float(v) for v in d2]
-    if lm_report is not None:
-        implied_ok = not (lm_report.holds and not rep.holds)
-        rep.details["projection_consistent"] = implied_ok
-        if not implied_ok:
-            rep.details["projection_violation"] = True
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # Exponential flows
 # ---------------------------------------------------------------------------
@@ -970,8 +933,8 @@ def lie_probe(
     k: int,
     L,
     t_grid,
-    samples: int = 600,
-    seed: int = 0,
+    samples: int,
+    seed: int,
 ) -> CheckReport:
     """Test a generator candidate: is exp(tL) an automorphism for each t?
 

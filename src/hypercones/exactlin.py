@@ -1,4 +1,4 @@
-"""Exact rational matrix helpers: determinant, solve, inverse, rank.
+"""Exact rational matrix helpers: determinant, inverse, rank.
 
 Desk-scale only (dimensions in the tens); plain fraction-pivot Gaussian
 elimination is entirely adequate and keeps every verdict exact.
@@ -107,47 +107,6 @@ def rank(rows) -> int:
         if rk == len(rows):
             break
     return rk
-
-
-def solve(rows, rhs):
-    """Unique exact solution of (rows) x = rhs.
-
-    Works for rectangular systems with full column rank; raises ValueError
-    when the system is inconsistent or underdetermined.
-    """
-    a = [list(r) for r in as_matrix(rows)]
-    b = list(as_vector(rhs))
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        b[r] *= inv
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-                b[i] -= f * b[r]
-        pivots.append(col)
-        r += 1
-    if len(pivots) < ncols:
-        raise ValueError("system is underdetermined (basis not independent)")
-    for i in range(r, nrows):
-        if b[i] != 0:
-            raise ValueError("inconsistent system (vector outside span)")
-    x = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        x[col] = b[row_idx]
-    return tuple(x)
 
 
 def inverse(rows):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactlin, spectrum
+from . import spectrum
 from .cones import HyperCone, membership_exact
 from .poly import as_vector, is_exact_vector
 from .report import CheckReport, InconclusiveError, Membership, Verdict
@@ -71,21 +71,6 @@ def _sum_vectors(vectors):
         for i, x in enumerate(v):
             out[i] += x
     return tuple(out)
-
-
-def face_rank_of_points(model: GeneratedFaceModel, indices) -> int:
-    """Rank of the minimal face containing the selected generators.
-
-    Equal to the rank of the sum of the selected points; exact for the
-    rational generators a model carries.
-    """
-    indices = list(indices)
-    if not indices:
-        raise ValueError("need at least one index")
-    if any(i < 0 or i >= len(model.generators) for i in indices):
-        raise IndexError("generator index out of range")
-    total = _sum_vectors([model.generators[i] for i in indices])
-    return spectrum.rank_exact(model.cone, total, sturm_verify=True)
 
 
 def build_chain(model: GeneratedFaceModel, start_index: int = 0, seed=None) -> FaceChain:
@@ -173,34 +158,3 @@ def rog_check(model: GeneratedFaceModel, zero_tol: float = 1e-7) -> CheckReport:
         details={"generators": len(model.generators)},
     )
 
-
-def face_restrict(cone: HyperCone, z, basis) -> HyperCone:
-    """The face through z as a cone in the coordinates of `basis`.
-
-    Differentiates the cone polynomial mult(z) times along e, substitutes
-    the basis, and uses z's coordinates as the new direction.  A
-    nonpositive value at those coordinates signals a basis that does not
-    match the face (or a wrong multiplicity) and raises ValueError.
-    """
-    z = as_vector(z)
-    if membership_exact(cone, z) is Membership.OUT:
-        raise ValueError("z lies outside the cone")
-    m = cone.d - spectrum.rank_exact(cone, z)
-    basis = [as_vector(b) for b in basis]
-    if any(len(b) != cone.nvars for b in basis):
-        raise ValueError("basis vectors have wrong dimension")
-    columns = list(zip(*basis))  # n x r matrix with basis vectors as columns
-    coords = exactlin.solve(columns, z)
-    q = cone.derivs[m].compose(columns)
-    if q.eval(coords) <= 0:
-        raise ValueError(
-            "restricted polynomial is nonpositive at z's coordinates; "
-            "basis or multiplicity does not match the face"
-        )
-    return HyperCone(
-        q,
-        coords,
-        label=cone.label + "|face",
-        minimality_assumed=cone.rog_flag and cone.minimality_assumed,
-        rog_flag=cone.rog_flag,
-    )

@@ -17,7 +17,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -200,17 +199,6 @@ def orthant(n: int) -> HyperCone:
         rog_flag=True,
         gallery=GalleryDescriptor("Orthant", {"n": n}),
     )
-
-
-def orthant_deriv(n: int, k: int) -> HyperCone:
-    """k-th relaxation of the coordinate cone; generator is k! * e_{n-k}."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"relaxation order {k} outside 1..{n - 1}")
-    dc = orthant(n).derivative_cone(k)
-    expected = factorial(k) * elementary_symmetric(n, n - k)
-    if dc.p != expected:
-        raise AssertionError("derivative polynomial differs from k! * e_{n-k}")
-    return dc
 
 
 @functools.cache

@@ -211,8 +211,10 @@ class HomoPoly:
         """Exact expansion of x -> p(Bx) where row i gives the image of x_i.
 
         `rows` has one row per variable of `self`; the row length sets the
-        variable count of the result, so rectangular substitutions (e.g.
-        restriction to a subspace basis) are allowed.
+        variable count of the result.  The library decides identities by
+        lattice evaluation instead (`scaling_mismatch`); this expansion
+        stays for the frozen benchmark's tracer, which names it, and as the
+        tests' oracle for the lattice certificates.
         """
         rows = tuple(as_vector(r) for r in rows)
         if len(rows) != self.nvars:
@@ -433,44 +435,15 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> "UniPoly":
     return UniPoly(coeffs)
 
 
-def polar_form(p: HomoPoly, xs) -> Fraction:
-    """Fully symmetric multilinear form P with P(x, ..., x) = p(x).
+def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
+    """Fully symmetric multilinear form P with P(x, ..., x) = p(x), in
+    floats; one batched evaluation per call.
 
     Computed by the polarization identity
     P = (1/d!) * sum over nonempty S of (-1)^(d-|S|) p(sum of xs in S),
-    a dense 2^d - 1 term sum, hence the degree cap.
-    """
-    d = p.degree
-    if len(xs) != d:
-        raise ValueError(f"need exactly {d} arguments, got {len(xs)}")
-    if d > POLAR_DEGREE_CAP:
-        raise ValueError(f"polarization sum needs 2^{d} evaluations; cap is {POLAR_DEGREE_CAP}")
-    if d == 0:
-        return p.eval((Fraction(0),) * p.nvars)
-    xs = [as_vector(x) for x in xs]
-    total = Fraction(0)
-    for mask in range(1, 1 << d):
-        point = [Fraction(0)] * p.nvars
-        size = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                size += 1
-                xi = xs[i]
-                for j in range(p.nvars):
-                    point[j] += xi[j]
-            m >>= 1
-            i += 1
-        total += Fraction((-1) ** (d - size)) * p.eval(point)
-    return total / factorial(d)
-
-
-def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
-    """Float version of polar_form; one batched evaluation per call.
-
-    `xs` is one tuple of d points, which gets a float, or a (T, d, n)
-    stack of tuples, which gets a length-T array.
+    a dense 2^d - 1 term sum, hence the degree cap.  `xs` is one tuple of
+    d points, which gets a float, or a (T, d, n) stack of tuples, which
+    gets a length-T array.
     """
     d = p.degree
     pts = np.asarray(xs, dtype=float)
@@ -678,11 +651,6 @@ def _chain_count(chain, lo=None, hi=None) -> int:
     a = -inf if lo is None else as_fraction(lo)
     b = inf if hi is None else as_fraction(hi)
     return sign_variations(chain, a) - sign_variations(chain, b)
-
-
-def sturm_count_distinct(q: UniPoly, lo=None, hi=None) -> int:
-    """Distinct real roots of any q in (lo, hi]; None means -inf / +inf."""
-    return _chain_count(_sturm_chain(q), lo, hi)
 
 
 def factor_chains(q: UniPoly) -> list[tuple[list, int]]:

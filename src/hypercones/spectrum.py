@@ -16,13 +16,11 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from math import copysign, inf, isfinite
 
 import numpy as np
 
 from .poly import (
-    HomoPoly,
     UniPoly,
     as_vector,
     factor_chains,
@@ -33,8 +31,7 @@ from .poly import (
 )
 from .report import InconclusiveError
 
-# Float roots whose imaginary parts stay within this get the Newton polish,
-# and a sampled restriction with a larger residual is a refutation candidate.
+# Float roots whose imaginary parts stay within this get the Newton polish.
 RESIDUAL_TOL = 1e-8
 DEFAULT_ZERO_TOL = 1e-7
 
@@ -324,81 +321,6 @@ def rank(cone, x) -> int:
     return spec.rank
 
 
-# ---------------------------------------------------------------------------
-# Sampling-based real-rootedness check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HyperbolicityCertificate:
-    """Falsification result: a refutation is proof, a pass is only evidence."""
-
-    verdict: str  # "LooksHyperbolic" | "RefutedWithWitness"
-    samples_checked: int
-    worst_residual: float
-    witness: tuple[Fraction, ...] | None = None
-
-    @property
-    def refuted(self) -> bool:
-        return self.verdict == "RefutedWithWitness"
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "samples_checked": self.samples_checked,
-            "worst_residual": self.worst_residual,
-        }
-        if self.witness is not None:
-            out["witness"] = [str(v) for v in self.witness]
-        return out
-
-
 def _dyadic(arr: np.ndarray) -> np.ndarray:
     """Snap to the nearest multiples of 2^-16: short exact rationals."""
     return np.round(arr * 65536.0) / 65536.0
-
-
-def check_hyperbolic(
-    p: HomoPoly, e, nsamples: int = 200, seed: int = 0
-) -> HyperbolicityCertificate:
-    """Sample restrictions of p along e and hunt for non-real roots.
-
-    Sampling distribution: standard Gaussian coordinates snapped to dyadic
-    rationals, plus a boundary-biased second wave x = y - lambda_min(y) e.
-    A candidate refutation (companion-matrix residual above RESIDUAL_TOL)
-    is only reported after the exact Sturm oracle confirms the restriction
-    at the rational sample is not real-rooted, so a refutation is certified.
-    """
-    e = as_vector(e)
-    if p.eval(e) <= 0:
-        return HyperbolicityCertificate(
-            "RefutedWithWitness", 0, float("inf"), witness=e
-        )
-    from .cones import HyperCone, to_level
-
-    cone = HyperCone(p, e)
-    rng = np.random.default_rng(seed)
-    raw = _dyadic(rng.standard_normal((max(nsamples, 1), p.nvars)))
-    worst = 0.0
-    checked = 0
-
-    def scan(points: np.ndarray):
-        """Witness among the points, if any, plus their batched spectra."""
-        nonlocal worst, checked
-        eigs, residuals = batch_eigenvalues(cone, points)
-        for i in np.flatnonzero(residuals > RESIDUAL_TOL):
-            x_exact = as_vector(points[i])
-            if not is_real_rooted(cone.restrict(x_exact)):
-                checked += int(i) + 1
-                worst = max(worst, float(residuals[: i + 1].max()))
-                return x_exact, eigs
-        checked += len(points)
-        worst = max(worst, float(residuals.max()))
-        return None, eigs
-
-    witness, eigs = scan(raw)
-    if witness is None:
-        witness, _ = scan(_dyadic(to_level(cone, raw, 0.0, eigs[:, -1])))
-    if witness is not None:
-        return HyperbolicityCertificate("RefutedWithWitness", checked, worst, witness)
-    return HyperbolicityCertificate("LooksHyperbolic", checked, worst, None)

@@ -516,6 +516,15 @@ class TestPerronAndMinimalFace:
         assert rep.holds and rep.details["method"] == "cesaro-average"
         assert np.allclose(rep.witness, np.ones(2) / np.sqrt(2.0))
 
+    def test_non_real_rooted_cesaro_vector_is_inconclusive(self, monkeypatch):
+        # along (1, 0) the restriction of x0^2 + x1^2 at (0, 1) is t^2 + 1,
+        # roots +-i: the Cesaro vector must be rejected, not accepted inside
+        # a band its own residual widens
+        cone = HyperCone(HomoPoly(2, 2, {(2, 0): 1, (0, 2): 1}), (1, 0))
+        monkeypatch.setattr(autgroup, "_cesaro_vector", lambda *args: np.array([0.0, 1.0]))
+        rep = autgroup.perron_eigenvector(cone, LinearMap.diagonal([1, 2]))
+        assert rep.verdict is Verdict.INCONCLUSIVE
+
     def test_rotation_without_real_eigenvector_is_inconclusive(self):
         # the quarter turn has eigenvalues +-i: every Cesaro average cancels
         rep = autgroup.perron_eigenvector(gallery.orthant(2), LinearMap([[0, -1], [1, 0]]))
@@ -599,27 +608,6 @@ class TestRankOnePreservation:
                 u[0] = F(1)
             vec = gallery.svec(tuple(tuple(a * b for b in u) for a in u))
             assert spectrum.rank_exact(cone, cand.apply(vec)) == 1
-
-
-class TestSpectralProjection:
-    def test_orthogonal_projects_to_identity(self):
-        m = LinearMap([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-        rep = autgroup.spectral_aut_projection(4, 1, m)
-        assert rep.holds
-
-    def test_scaled_orthogonal_projects_to_scaling(self):
-        m = LinearMap.diagonal([2, 2, 2, 2])
-        rep = autgroup.spectral_aut_projection(4, 1, m)
-        assert rep.holds
-
-    def test_spread_diagonal_refuted_consistently(self):
-        m = LinearMap.diagonal([1, 2, 1, 1])
-        lm_rep = autgroup.classify_psd_deriv(4, 1, m, seed=6)
-        assert lm_rep.fails
-        rep = autgroup.spectral_aut_projection(4, 1, m, lm_report=lm_rep, seed=7)
-        assert rep.fails
-        assert rep.details["projection_consistent"]
-        assert rep.details["singular_values_squared"] == [4.0, 1.0, 1.0, 1.0]
 
 
 class TestLieProbe:

@@ -336,6 +336,11 @@ class TestConeValidation:
         with pytest.raises(ValueError):
             HyperCone(p, (1, -1))
 
+    def test_constant_polynomial_rejected(self):
+        p = HomoPoly(2, 0, {(0, 0): 3})
+        with pytest.raises(ValueError, match="degree at least 1"):
+            HyperCone(p, (1, 0))
+
     def test_dimension_mismatch(self):
         p = HomoPoly(2, 2, {(1, 1): 1})
         with pytest.raises(ValueError):

@@ -14,11 +14,10 @@ from hypercones.poly import (
     UniPoly,
     real_root_count_with_mult,
     restrict_line,
-    sturm_count_distinct,
 )
 from hypercones.report import InconclusiveError
 
-from test_poly import restrict_line_naive
+from test_poly import restrict_line_naive, sturm_count_distinct
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -1,11 +1,11 @@
-"""Facial machinery: ranks of sums, greedy chains, restriction to faces."""
+"""Facial machinery: ranks of sums, greedy chains, fixed minimal faces."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hypercones import cones, faces, gallery, spectrum
+from hypercones import faces, gallery, spectrum
 from hypercones.cones import HyperCone
 from hypercones.poly import HomoPoly
 
@@ -36,24 +36,24 @@ def psd_model(n, rng, extras=2):
     return faces.GeneratedFaceModel(gallery.psd(n), gens)
 
 
+def rank_of_sum(cone, gens):
+    """Rank of the minimal face containing the generators: the rank of
+    their sum, which is how `build_chain` climbs."""
+    total = tuple(sum(col, F(0)) for col in zip(*gens))
+    return spectrum.rank_exact(cone, total, sturm_verify=True)
+
+
 class TestFaceRank:
     def test_orthant_pair(self):
-        assert faces.face_rank_of_points(orthant_model(4), [0, 1]) == 2
+        assert rank_of_sum(gallery.orthant(4), [unit(0, 4), unit(1, 4)]) == 2
 
     def test_single_generator(self):
-        assert faces.face_rank_of_points(orthant_model(4), [2]) == 1
+        assert rank_of_sum(gallery.orthant(4), [unit(2, 4)]) == 1
 
     def test_psd_independent_pair(self):
-        cone = gallery.psd(3)
         u, v = (F(1), F(0), F(2)), (F(0), F(1), F(-1))
-        model = faces.GeneratedFaceModel(
-            cone, [gallery.svec(outer(u)), gallery.svec(outer(v))]
-        )
-        assert faces.face_rank_of_points(model, [0, 1]) == 2
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            faces.face_rank_of_points(orthant_model(3), [])
+        gens = [gallery.svec(outer(u)), gallery.svec(outer(v))]
+        assert rank_of_sum(gallery.psd(3), gens) == 2
 
     def test_invariant_under_reorder_and_rescale(self):
         cone = gallery.orthant(5)
@@ -67,13 +67,7 @@ class TestFaceRank:
                 tuple(c * v for v in base[i])
                 for c, i in zip(scale, reversed(picks))
             ]
-            ra = faces.face_rank_of_points(
-                faces.GeneratedFaceModel(cone, gens_a), range(3)
-            )
-            rb = faces.face_rank_of_points(
-                faces.GeneratedFaceModel(cone, gens_b), range(3)
-            )
-            assert ra == rb
+            assert rank_of_sum(cone, gens_a) == rank_of_sum(cone, gens_b)
 
     def test_independent_rank_one_pairs_sum_to_rank_two(self):
         cone = gallery.psd(3)
@@ -154,55 +148,6 @@ class TestRogCheck:
             faces.GeneratedFaceModel(gallery.orthant(3), [(-1, 0, 0)])
 
 
-class TestFaceRestrict:
-    def test_orthant_two_face(self):
-        cone = gallery.orthant(4)
-        face = faces.face_restrict(cone, (1, 1, 0, 0), [unit(0, 4), unit(1, 4)])
-        assert face.p == HomoPoly(2, 2, {(1, 1): 2})
-        assert face.e == (F(1), F(1))
-
-    def test_psd_block_face_is_small_determinant(self):
-        cone = gallery.psd(3)
-        z = gallery.svec(((1, 0, 0), (0, 1, 0), (0, 0, 0)))
-        basis = [
-            gallery.svec(((1, 0, 0), (0, 0, 0), (0, 0, 0))),
-            gallery.svec(((0, 0, 0), (0, 1, 0), (0, 0, 0))),
-            gallery.svec(((0, 1, 0), (1, 0, 0), (0, 0, 0))),
-        ]
-        face = faces.face_restrict(cone, z, basis)
-        # determinant of [[a, c], [c, b]] in coordinates (a, b, c)
-        assert face.p == HomoPoly(3, 2, {(1, 1, 0): 1, (0, 0, 2): -1})
-
-    def test_interior_point_full_basis_recovers_cone(self):
-        cone = gallery.orthant(4)
-        face = faces.face_restrict(
-            cone, (1, 2, 3, 4), [unit(i, 4) for i in range(4)]
-        )
-        assert face.p == cone.p
-        assert face.e == (F(1), F(2), F(3), F(4))
-
-    def test_wrong_basis_rejected(self):
-        cone = gallery.orthant(4)
-        with pytest.raises(ValueError):
-            # z is not in the span of the basis
-            faces.face_restrict(cone, (1, 1, 1, 0), [unit(0, 4), unit(1, 4)])
-
-    def test_faces_of_rank_one_generated_cones_stay_rank_one(self):
-        cone = gallery.psd(3)
-        z = gallery.svec(((1, 0, 0), (0, 1, 0), (0, 0, 0)))
-        basis = [
-            gallery.svec(((1, 0, 0), (0, 0, 0), (0, 0, 0))),
-            gallery.svec(((0, 0, 0), (0, 1, 0), (0, 0, 0))),
-            gallery.svec(((0, 1, 0), (1, 0, 0), (0, 0, 0))),
-        ]
-        face = faces.face_restrict(cone, z, basis)
-        assert face.rog_flag
-        # rank-1 generators of the face, mapped into face coordinates
-        for u in ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(2), F(-1))):
-            coords = (u[0] * u[0], u[1] * u[1], u[0] * u[1])
-            assert spectrum.rank_exact(face, coords, sturm_verify=True) == 1
-
-
 class TestCompositionalConverse:
     """Automorphisms restrict to relaxations of the face at an eigenvector."""
 
@@ -231,9 +176,3 @@ class TestCompositionalConverse:
         z = (F(1), F(1), F(0), F(0))
         mf = autgroup.min_face_fix_check(cone, cand, z)
         assert mf.holds
-        face = faces.face_restrict(cone, z, [unit(0, 4), unit(1, 4)])
-        # the map acts on face coordinates as the swap, which fixes the
-        # face's direction (1, 1): certify it on the face's relaxation
-        swap = LinearMap.permutation([1, 0])
-        rep = autgroup.check_deriv_automorphism(face, 1, swap)
-        assert rep.holds

@@ -30,7 +30,7 @@ class TestOrthant:
         for n in range(3, 9):
             cone = gallery.orthant(n)
             for k in range(1, n):
-                dc = gallery.orthant_deriv(n, k)
+                dc = cone.derivative_cone(k)
                 assert dc.p == factorial(k) * gallery.elementary_symmetric(n, n - k)
 
     def test_built_once_per_dimension(self):
@@ -40,9 +40,9 @@ class TestOrthant:
 
     def test_deriv_range(self):
         with pytest.raises(ValueError):
-            gallery.orthant_deriv(4, 0)
+            gallery.orthant(4).derivative_cone(-1)
         with pytest.raises(ValueError):
-            gallery.orthant_deriv(4, 4)
+            gallery.orthant(4).derivative_cone(4)
 
 
 class TestExtremeRays:

@@ -15,15 +15,14 @@ from hypercones.poly import (
     as_vector,
     derivatives_along,
     is_real_rooted,
-    polar_form,
     polar_form_float,
     real_root_count_with_mult,
     restrict_line,
     scaling_mismatch,
     simplex_lattice,
     squarefree_factors,
-    sturm_count_distinct,
 )
+from hypercones.poly import _chain_count, _sturm_chain
 from hypercones import gallery
 from hypercones.gallery import elementary_symmetric, l1_cone
 
@@ -47,6 +46,24 @@ def restrict_line_naive(p: HomoPoly, e, x) -> UniPoly:
         for j, v in enumerate(conv):
             acc[j] += v
     return UniPoly(acc)
+
+
+def polar_form(p: HomoPoly, xs) -> F:
+    """Exact polarization sum over nonempty subsets S of the d arguments,
+    (1/d!) * sum (-1)^(d-|S|) p(sum of xs in S): the oracle for
+    polar_form_float."""
+    d = p.degree
+    total = F(0)
+    for size in range(1, d + 1):
+        for subset in itertools.combinations(xs, size):
+            point = tuple(sum(col, F(0)) for col in zip(*map(as_vector, subset)))
+            total += (-1) ** (d - size) * p.eval(point)
+    return total / factorial(d)
+
+
+def sturm_count_distinct(q: UniPoly, lo=None, hi=None) -> int:
+    """Distinct real roots of any q in (lo, hi]; None means -inf / +inf."""
+    return _chain_count(_sturm_chain(q), lo, hi)
 
 
 def vars3():
@@ -339,13 +356,13 @@ class TestPolarForm:
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            polar_form(x1x2x3(), [(1, 1, 1)] * 2)
+            polar_form_float(x1x2x3(), [(1.0, 1.0, 1.0)] * 2)
 
     def test_degree_cap(self):
         n = 25
         p = HomoPoly(1, n, {(n,): 1})
-        with pytest.raises(ValueError):
-            polar_form(p, [(1,)] * n)
+        with pytest.raises(ValueError, match="cap"):
+            polar_form_float(p, [(1.0,)] * n)
 
     def test_float_variant_matches(self):
         rng = np.random.default_rng(10)

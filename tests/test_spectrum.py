@@ -1,4 +1,4 @@
-"""Root extraction, spectra, rank classification, hyperbolicity sampling."""
+"""Root extraction, spectra and rank classification."""
 
 from fractions import Fraction as F
 
@@ -272,49 +272,3 @@ class TestRankProperties:
                 assert residual <= 1e-8
                 positive = sum(1 for r in roots if r > 1e-9)
                 assert positive == real_root_count_with_mult(q, F(1, 10**9), None)
-
-
-class TestCheckHyperbolic:
-    def test_product_of_coordinates(self):
-        cone = gallery.orthant(3)
-        cert = spectrum.check_hyperbolic(cone.p, cone.e, nsamples=100, seed=0)
-        assert cert.verdict == "LooksHyperbolic"
-        assert cert.worst_residual <= 1e-8
-
-    def test_lorentz_polynomial(self):
-        cone = gallery.soc(3)
-        cert = spectrum.check_hyperbolic(cone.p, cone.e, nsamples=100, seed=1)
-        assert cert.verdict == "LooksHyperbolic"
-
-    def test_sum_of_squares_refuted(self):
-        p = HomoPoly(2, 2, {(2, 0): 1, (0, 2): 1})
-        cert = spectrum.check_hyperbolic(p, (1, 0), nsamples=50, seed=2)
-        assert cert.refuted
-        # the witness is certified: its restriction is not real-rooted
-        from hypercones.poly import is_real_rooted, restrict_line
-
-        assert not is_real_rooted(restrict_line(p, (1, 0), cert.witness))
-
-    def test_repeated_factor_never_falsely_refuted(self):
-        # every restriction of x1^2 x2 x3 has a double root, the worst case
-        # for companion residuals; the exact confirmation must hold the line
-        p = HomoPoly(3, 4, {(2, 1, 1): 1})
-        cert = spectrum.check_hyperbolic(p, (1, 1, 1), nsamples=200, seed=5)
-        assert cert.verdict == "LooksHyperbolic"
-
-    def test_nonpositive_at_direction_refutes_immediately(self):
-        p = HomoPoly(2, 2, {(1, 1): 1})
-        cert = spectrum.check_hyperbolic(p, (1, 0), nsamples=10, seed=3)
-        assert cert.refuted
-
-    def test_constant_polynomial_rejected(self):
-        p = HomoPoly(2, 0, {(0, 0): 3})
-        with pytest.raises(ValueError, match="degree at least 1"):
-            spectrum.check_hyperbolic(p, (1, 0))
-
-    def test_json_payload(self):
-        cone = gallery.orthant(3)
-        cert = spectrum.check_hyperbolic(cone.p, cone.e, nsamples=20, seed=4)
-        data = cert.to_json_dict()
-        assert data["verdict"] == "LooksHyperbolic"
-        assert "witness" not in data
