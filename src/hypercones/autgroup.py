@@ -16,7 +16,7 @@ before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -79,18 +79,6 @@ class LinearMap:
         self._inv = None
 
     @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(exactlin.identity(n))
-
-    @classmethod
-    def diagonal(cls, entries) -> "LinearMap":
-        return cls(exactlin.diag(entries))
-
-    @classmethod
-    def permutation(cls, perm) -> "LinearMap":
-        return cls(exactlin.permutation(perm))
-
-    @classmethod
     def scaled_permutation(cls, scalings, perm) -> "LinearMap":
         scalings = as_vector(scalings)
         base = exactlin.permutation(perm)
@@ -122,12 +110,6 @@ class LinearMap:
         if self._float is None:
             self._float = np.array([[float(v) for v in row] for row in self.rows])
         return self._float
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(exactlin.matmul(self.rows, other.rows))
-
-    def to_json_rows(self):
-        return [[str(v) for v in row] for row in self.rows]
 
     @classmethod
     def from_json_rows(cls, data) -> "LinearMap":
@@ -306,13 +288,8 @@ def _sampled_preservation(
         flip = decisive & ((lam_x >= margin) != (lam_img >= margin))
         for idx in np.nonzero(flip)[0]:
             x = pts[idx]
-            spec_x = spectrum.eigenvalues(cone, x)
-            spec_img = spectrum.eigenvalues(cone, mat @ x)
-            if (
-                abs(spec_x.lambda_min) >= margin
-                and abs(spec_img.lambda_min) >= margin
-                and (spec_x.lambda_min > 0) != (spec_img.lambda_min > 0)
-            ):
+            lam_pt, lam_im = cone.lambda_min(np.array([x, mat @ x]))[0].tolist()
+            if min(abs(lam_pt), abs(lam_im)) >= margin and (lam_pt > 0) != (lam_im > 0):
                 return CheckReport(
                     verdict=Verdict.FAILS,
                     witness=tuple(float(v) for v in x),
@@ -320,8 +297,8 @@ def _sampled_preservation(
                     tolerances={"tol": tol, "margin": margin},
                     details={
                         "direction": label,
-                        "lambda_min_x": spec_x.lambda_min,
-                        "lambda_min_image": spec_img.lambda_min,
+                        "lambda_min_x": lam_pt,
+                        "lambda_min_image": lam_im,
                     },
                     tier="float",
                 )
@@ -416,15 +393,11 @@ def check_deriv_automorphism(
             "equivalence_violation": violation,
         }
     )
-    return CheckReport(
-        verdict=deriv_rep.verdict,
-        kappa=deriv_rep.kappa,
-        witness=deriv_rep.witness,
+    return replace(
+        deriv_rep,
         samples=deriv_rep.samples + base_rep.samples,
-        tolerances=deriv_rep.tolerances,
         regime_warnings=warnings,
         details=details,
-        tier=deriv_rep.tier,
     )
 
 
@@ -624,8 +597,7 @@ def min_face_fix_check(cone, A, z) -> CheckReport:
     alpha = float(zf @ az) / float(zf @ zf)
     if np.linalg.norm(az - alpha * zf) > MEMBERSHIP_TOL * max(1.0, abs(alpha)) * np.linalg.norm(zf):
         raise ValueError("z is not an eigenvector of A")
-    spec = spectrum.eigenvalues(cone, zf)
-    if spec.lambda_min < -DECISIVE_MARGIN:
+    if cone.lambda_min(zf[None, :])[0][0] < -DECISIVE_MARGIN:
         raise ValueError("z does not lie in the cone")
 
     if kind == "Orthant":
@@ -736,16 +708,17 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
                         img_exact = mexact.apply(xe)
                         if membership_exact(derived, img_exact) is not Membership.OUT:
                             continue
-                        spec_img = spectrum.eigenvalues(derived, img_exact)
+                        lam_im = spectrum.eigenvalues(derived, img_exact).lambda_min
                     else:
-                        spec_img = spectrum.eigenvalues(derived, mf @ np.asarray([float(v) for v in xe]))
-                    if spec_img.lambda_min > -need:
+                        img = mf @ np.asarray([float(v) for v in xe])
+                        lam_im = float(derived.lambda_min(img[None, :])[0][0])
+                    if lam_im > -need:
                         continue
                     return {
                         "witness": xe,
                         "direction": label,
                         "lambda_min_x": spec_x.lambda_min,
-                        "lambda_min_image": spec_img.lambda_min,
+                        "lambda_min_image": lam_im,
                         "samples": tried,
                     }
     return None
@@ -805,16 +778,7 @@ def _classify_relaxation(
                 "lambda_min_x": found["lambda_min_x"],
                 "lambda_min_image": found["lambda_min_image"],
             }
-    return CheckReport(
-        verdict=rep.verdict,
-        kappa=rep.kappa,
-        witness=rep.witness,
-        samples=rep.samples,
-        tolerances=rep.tolerances,
-        regime_warnings=warnings + rep.regime_warnings,
-        details=details,
-        tier=rep.tier,
-    )
+    return replace(rep, regime_warnings=warnings + rep.regime_warnings, details=details)
 
 
 def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int = 0) -> CheckReport:
@@ -960,23 +924,10 @@ def lie_probe(
             )
         rep = _sampled_preservation(target, flow, samples=samples, seed=seed + i)
         total += rep.samples
-        if rep.verdict is Verdict.FAILS:
-            return CheckReport(
-                verdict=Verdict.FAILS,
-                witness=(float(t),) + tuple(rep.witness),
-                samples=total,
-                tolerances=rep.tolerances,
-                details={**rep.details, "t": float(t)},
-                tier="float",
-            )
-        if rep.verdict is Verdict.INCONCLUSIVE:
-            return CheckReport(
-                verdict=Verdict.INCONCLUSIVE,
-                samples=total,
-                tolerances=rep.tolerances,
-                details={**rep.details, "t": float(t)},
-                tier="float",
-            )
+        if not rep.holds:
+            witness = None if rep.witness is None else (float(t),) + tuple(rep.witness)
+            return replace(rep, witness=witness, samples=total,
+                           details={**rep.details, "t": float(t)})
     return CheckReport(
         verdict=Verdict.HOLDS,
         samples=total,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -127,7 +128,7 @@ def cmd_eig(args) -> int:
     cone = _parse_cone(args.cone_id)
     point = _parse_point(args.point)
     _check_dimension(cone, point)
-    spec = spectrum.eigenvalues(cone, point, zero_tol=args.tol * 10)
+    spec = spectrum.eigenvalues(cone, point)
     _emit(spec.to_json_dict(), args.json)
     return EXIT_OK
 
@@ -136,12 +137,11 @@ def cmd_member(args) -> int:
     cone = _parse_cone(args.cone_id)
     point = _parse_point(args.point)
     _check_dimension(cone, point)
-    verdict = cones.contains_by_inequalities(cone.base, cone.k, point, args.tol)
+    verdict = cones.contains_by_inequalities(cone.base, cone.k, point)
     _emit(
         {
             "cone": args.cone_id,
             "verdict": verdict.value,
-            "tol": args.tol,
             "point": [str(v) for v in point],
         },
         args.json,
@@ -157,6 +157,16 @@ def cmd_deriv(args) -> int:
         raise ParseFailure(f"derivative order {k} outside 0..{base.d}")
     _emit(base.derivs[k].to_json_dict(), args.json)
     return EXIT_OK
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _require_samples(args) -> None:
@@ -211,7 +221,7 @@ def cmd_chain(args) -> int:
 def cmd_rogcheck(args) -> int:
     cone = _parse_cone(args.cone_id)
     model = _face_model(cone)
-    report = faces.rog_check(model, zero_tol=args.tol * 10)
+    report = faces.rog_check(model)
     _emit(report.to_json_dict(), args.json)
     return _VERDICT_EXIT[report.verdict]
 
@@ -293,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def tol(p):
-        p.add_argument("--tol", type=float, default=cones.MEMBERSHIP_TOL)
+        p.add_argument("--tol", type=_positive_float, default=cones.MEMBERSHIP_TOL)
 
     def seed(p):
         p.add_argument("--seed", type=int, default=_default_seed())
@@ -301,14 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eig", help="eigenvalues of a point")
     p.add_argument("cone_id")
     p.add_argument("point", help="comma-separated rationals, e.g. 1,3/2,-0.25")
-    tol(p)
     common(p)
     p.set_defaults(fn=cmd_eig)
 
     p = sub.add_parser("member", help="three-valued cone membership")
     p.add_argument("cone_id")
     p.add_argument("point")
-    tol(p)
     common(p)
     p.set_defaults(fn=cmd_member)
 
@@ -340,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rogcheck", help="are all built-in generators rank one?")
     p.add_argument("cone_id")
-    tol(p)
     common(p)
     p.set_defaults(fn=cmd_rogcheck)
 

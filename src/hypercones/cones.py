@@ -155,15 +155,6 @@ class HyperCone:
             self._deriv_cones[k] = dc
         return self._deriv_cones[k]
 
-    def descriptor_json(self) -> dict:
-        if self.base is not self:
-            return {**self.base.descriptor_json(), "k": self.k}
-        return {
-            "label": self.label,
-            "polynomial": self.p.to_json_dict(),
-            "e": [str(v) for v in self.e],
-        }
-
     def __repr__(self):
         return f"HyperCone({self.label}, degree {self.d}, {self.nvars} vars)"
 
@@ -250,8 +241,7 @@ def contains(cone, x) -> Membership | list[Membership]:
         row = int(over[0])
         raise InconclusiveError(
             f"restriction roots of row {row} have residual {residuals[row]}; "
-            "not real-rooted within tolerance",
-            payload=row,
+            "not real-rooted within tolerance"
         )
     band = MEMBERSHIP_TOL + residuals
     verdicts = [

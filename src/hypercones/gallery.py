@@ -367,10 +367,11 @@ def _pencil_at(mats, x):
     return tuple(tuple(r) for r in out)
 
 
-def pencil_matrix_float(matrices, x) -> np.ndarray:
+def pencil_matrix_float(matrices, points) -> np.ndarray:
+    """The pencil sum_i x_i M_i at each row x of `points`: (npts, m, m)."""
     mats = [np.array([[float(v) for v in r] for r in m]) for m in matrices]
-    x = np.asarray(x, dtype=float)
-    return sum(c * m for c, m in zip(x, mats))
+    pts = np.asarray(points, dtype=float)
+    return sum(pts[:, i, None, None] * m for i, m in enumerate(mats))
 
 
 def _is_positive_definite(rows) -> bool:

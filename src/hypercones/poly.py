@@ -101,10 +101,6 @@ class HomoPoly:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def constant(value, nvars: int) -> "HomoPoly":
-        return HomoPoly(nvars, 0, {(0,) * nvars: as_fraction(value)})
-
-    @staticmethod
     def variable(i: int, nvars: int) -> "HomoPoly":
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return HomoPoly(nvars, 1, {exp: Fraction(1)})

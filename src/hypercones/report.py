@@ -22,10 +22,6 @@ class Verdict(str, Enum):
 class InconclusiveError(RuntimeError):
     """A numeric classification fell inside an ambiguous tolerance band."""
 
-    def __init__(self, message, payload=None):
-        super().__init__(message)
-        self.payload = payload
-
 
 def _json_value(v):
     if isinstance(v, Fraction):

@@ -1,14 +1,17 @@
 """Eigenvalues of points along a direction: root extraction and rank.
 
-Float points go through one batched kernel: balanced companion-matrix
-eigenvalues plus two guarded Newton steps on the rows that came back
-real.  Rational points go through one exact path: trailing zeros give the
-eigenvalue 0 with its exact multiplicity, one integer Sturm chain per
-square-free factor refutes or certifies real-rootedness, and every root
-is isolated (the float kernel only proposes split points) and refined by
-exact sign evaluations to at most 2 ulp (Collins & Akritas 1976).  So a
-rational point's residual is a certified error bound, and an eigenvalue
+A `Spectrum` is a certificate, and only rational points get one: trailing
+zeros give the eigenvalue 0 with its exact multiplicity, one integer Sturm
+chain per square-free factor refutes or certifies real-rootedness, and
+every root is isolated (the float kernel only proposes split points) and
+refined by exact sign evaluations to at most 2 ulp (Collins & Akritas
+1976).  So its residual is a certified error bound, and an eigenvalue
 beyond the float range is reported as inconclusive, not rounded.
+
+Float points only ever go through one batched kernel: balanced
+companion-matrix eigenvalues plus two guarded Newton steps on the rows
+that came back real (`batch_eigenvalues`, `HyperCone.lambda_min`, and the
+float rows of `rank`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .report import InconclusiveError
 
 # Float roots whose imaginary parts stay within this get the Newton polish.
 RESIDUAL_TOL = 1e-8
+# |eigenvalue| up to this counts as zero in the rank of a float point.
 DEFAULT_ZERO_TOL = 1e-7
 
 # Residuals below this are treated as root-extraction noise when classifying
@@ -40,7 +44,7 @@ DEFAULT_ZERO_TOL = 1e-7
 # sqrt(machine epsilon), well above RESIDUAL_TOL.
 RESIDUAL_GATE = 1e-6
 
-# |eigenvalue| inside (zero_tol / BAND, zero_tol * BAND) cannot be classified
+# |eigenvalue| inside (DEFAULT_ZERO_TOL / BAND, DEFAULT_ZERO_TOL * BAND) cannot be classified
 # as zero or nonzero without risking silent misclassification.
 AMBIGUOUS_BAND = 4.0
 
@@ -52,11 +56,15 @@ OUTSIDE_FLOAT_RANGE = f"an eigenvalue lies outside the float range [-{FLOAT_MAX}
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues of a point plus the bookkeeping used to trust them."""
+    """Certified spectrum of a rational point.
+
+    `eigenvalues` are sorted descending, each within `residual` of a true
+    eigenvalue; `mult` is the exact multiplicity of 0 and `rank` the number
+    of nonzero eigenvalues.
+    """
 
     eigenvalues: tuple[float, ...]
     residual: float
-    zero_tol: float
     rank: int
     mult: int
 
@@ -64,17 +72,12 @@ class Spectrum:
     def lambda_min(self) -> float:
         return self.eigenvalues[-1] if self.eigenvalues else 0.0
 
-    @property
-    def lambda_max(self) -> float:
-        return self.eigenvalues[0] if self.eigenvalues else 0.0
-
     def to_json_dict(self) -> dict:
         return {
             "eigs": list(self.eigenvalues),
             "residual": self.residual,
             "rank": self.rank,
             "mult": self.mult,
-            "zero_tol": self.zero_tol,
         }
 
 
@@ -115,24 +118,6 @@ def _float_roots(coeffs: np.ndarray):
             r = np.where(np.abs(_horner_rows(c, cand)) <= np.abs(f), cand, r)
         lam[polish] = r
     return np.sort(lam, axis=1)[:, ::-1], residuals
-
-
-def roots_from_float_coeffs(coeffs_asc):
-    """All roots of a float-coefficient polynomial: (real parts desc, residual).
-
-    Zero low-order coefficients give exact 0.0 roots; the rest goes
-    through the batched kernel as a single row.
-    """
-    c = np.asarray(coeffs_asc, dtype=float)
-    nz = np.nonzero(c)[0]
-    if len(nz) == 0:
-        raise ValueError("zero polynomial has no well-defined roots")
-    low, deg = nz[0], nz[-1]
-    if deg == low:
-        return (0.0,) * int(low), 0.0
-    roots, residuals = _float_roots(c[None, low : deg + 1])
-    roots = np.concatenate([roots[0], np.zeros(low)])
-    return tuple(float(v) for v in np.sort(roots)[::-1]), float(residuals[0])
 
 
 def _ordinal(x: float) -> int:
@@ -252,24 +237,21 @@ def real_roots(q: UniPoly):
     return tuple(roots), residual
 
 
-def eigenvalues(cone, x, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
-    """Spectrum of a point: roots of the restriction of the cone polynomial.
+def eigenvalues(cone, x) -> Spectrum:
+    """Certified spectrum of a rational point: `real_roots` of the
+    restriction of the cone polynomial.
 
-    Rational points take `real_roots`: eigenvalues within `residual`, an
-    exact multiplicity of 0 (the trailing-zero count, whatever `zero_tol`
-    says) and InconclusiveError when the restriction is not real-rooted or
-    an eigenvalue is beyond the float range.  Float points take the float
-    kernel and are classified by `zero_tol`.
+    The multiplicity of 0 is the exact trailing-zero count.  A restriction
+    that is not real-rooted, or an eigenvalue beyond the float range,
+    raises InconclusiveError; a float point raises TypeError (float points
+    take `batch_eigenvalues`).
     """
-    if is_exact_vector(x):
-        q = cone.restrict(as_vector(x))
-        roots, residual = real_roots(q)
-        mult = q.trailing_zero_count()
-    else:
-        coeffs = cone.restriction_coeffs_float(np.asarray(x, dtype=float)[None, :])[0]
-        roots, residual = roots_from_float_coeffs(coeffs)
-        mult = sum(1 for r in roots if abs(r) <= zero_tol)
-    return Spectrum(roots, float(residual), float(zero_tol), len(roots) - mult, mult)
+    if not is_exact_vector(x):
+        raise TypeError("eigenvalues needs a rational point; use batch_eigenvalues")
+    q = cone.restrict(as_vector(x))
+    roots, residual = real_roots(q)
+    mult = q.trailing_zero_count()
+    return Spectrum(roots, float(residual), len(roots) - mult, mult)
 
 
 def batch_eigenvalues(cone, points: np.ndarray):
@@ -299,26 +281,34 @@ def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     return cone.d - q.trailing_zero_count()
 
 
-def rank(cone, x) -> int:
+def rank(cone, x) -> int | list[int | None]:
     """Number of nonzero eigenvalues of x.
 
-    Rational points are classified exactly.  Float points raise
-    InconclusiveError when the root residual exceeds RESIDUAL_GATE or any
-    eigenvalue falls inside the ambiguous band around DEFAULT_ZERO_TOL.
+    Rational points are classified exactly (`rank_exact`).  Float points
+    take one batched spectrum; a row cannot be classified when its root
+    residual exceeds RESIDUAL_GATE or an eigenvalue falls inside the
+    ambiguous band around DEFAULT_ZERO_TOL.  One float point gets an int
+    and raises InconclusiveError there; a 2-D float array gets a list with
+    one rank per row and None on each such row.
     """
-    if is_exact_vector(x):
+    if np.ndim(x) == 1 and is_exact_vector(x):
         return rank_exact(cone, x)
-    spec = eigenvalues(cone, x)
-    if spec.residual > RESIDUAL_GATE:
-        raise InconclusiveError(f"root residual {spec.residual} too large", payload=spec)
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    eigs, residuals = batch_eigenvalues(cone, pts[None, :] if single else pts)
+    mag = np.abs(eigs)
     lo, hi = DEFAULT_ZERO_TOL / AMBIGUOUS_BAND, DEFAULT_ZERO_TOL * AMBIGUOUS_BAND
-    for lam in spec.eigenvalues:
-        if lo < abs(lam) < hi:
-            raise InconclusiveError(
-                f"eigenvalue {lam} inside the ambiguous zero band ({lo}, {hi})",
-                payload=spec,
-            )
-    return spec.rank
+    unclear = (residuals > RESIDUAL_GATE) | ((lo < mag) & (mag < hi)).any(axis=1)
+    ranks = eigs.shape[1] - (mag <= DEFAULT_ZERO_TOL).sum(axis=1)
+    out = [None if u else r for u, r in zip(unclear.tolist(), ranks.tolist())]
+    if not single:
+        return out
+    if residuals[0] > RESIDUAL_GATE:
+        raise InconclusiveError(f"root residual {residuals[0]} too large")
+    if out[0] is None:
+        lam = eigs[0][(lo < mag[0]) & (mag[0] < hi)][0]
+        raise InconclusiveError(f"eigenvalue {lam} inside the ambiguous zero band ({lo}, {hi})")
+    return out[0]
 
 
 def _dyadic(arr: np.ndarray) -> np.ndarray:

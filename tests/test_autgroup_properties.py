@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hypercones import autgroup, gallery
+from hypercones import autgroup, exactlin, gallery
 from hypercones.autgroup import LinearMap
 from hypercones.cones import in_interior_exact
 from hypercones.poly import scaling_mismatch
@@ -47,7 +47,7 @@ def cone_and_map(draw):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(small)
     mapping = LinearMap(rows)
     if not mapping.invertible:
-        mapping = LinearMap.identity(n)
+        mapping = LinearMap(exactlin.identity(n))
     return cone, mapping
 
 

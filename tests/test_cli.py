@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hypercones import cli
+from test_gallery import descriptor
 
 
 def run(capsys, *argv):
@@ -141,7 +142,7 @@ class TestAutcheck:
         q = LinearMap([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
         lq = autgroup.lm_linear_map(q, 4)
         path = tmp_path / "lq.json"
-        path.write_text(json.dumps(lq.to_json_rows()))
+        path.write_text(json.dumps([[str(v) for v in row] for row in lq.rows]))
         code, data, _ = run_json(capsys, "autcheck", "psd:4", str(path), "--k", "1")
         assert code == 0 and data["verdict"] == "Holds"
 
@@ -179,7 +180,7 @@ class TestDescriptorFileCones:
         from hypercones import gallery
 
         path = tmp_path / "cone.json"
-        path.write_text(json.dumps(gallery.soc(3).descriptor_json()))
+        path.write_text(json.dumps(descriptor(gallery.soc(3))))
         code, data, _ = run_json(capsys, "member", f"file:{path}", "2,1,0")
         assert code == 0 and data["verdict"] == "In"
         code, data, _ = run_json(capsys, "member", f"file:{path}", "0,1,0")
@@ -263,7 +264,7 @@ class TestExitContract:
 
         path = tmp_path / "cone.json"
         cone = HyperCone(HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1))
-        path.write_text(json.dumps(cone.descriptor_json()))
+        path.write_text(json.dumps(descriptor(cone)))
         for command in ("chain", "rogcheck"):
             code, out, err = run(capsys, command, f"file:{path}")
             assert code == 2 and not out and "no built-in generators" in err
@@ -291,6 +292,9 @@ class TestExitContract:
         ("eig", "orthant:3", "1,2,3", "--seed", "3"),
         ("member", "orthant:3", "1,2,3", "--seed", "3"),
         ("rogcheck", "orthant:3", "--seed", "3"),
+        ("eig", "orthant:3", "1,2,0", "--tol", "1e-3"),
+        ("member", "orthant:3", "1,2,3", "--tol", "1e-3"),
+        ("rogcheck", "l1", "--tol", "1e3"),
     ])
     def test_flags_a_command_does_not_read_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -305,6 +309,18 @@ class TestExitContract:
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and "--samples" in err
+
+    def test_tol_not_finite_and_positive_exits_2(self, capsys, tmp_path):
+        path = self.write_matrix(tmp_path, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        for argv in (
+            ("autcheck", "l1:k=1", path, "--tol", "nan"),
+            ("autcheck", "orthant:3", path, "--tol", "0"),
+            ("garding", "soc:3", "--samples", "5", "--tol", "-1"),
+            ("garding", "soc:3", "--samples", "5", "--tol", "nan"),
+            ("garding", "soc:3", "--samples", "5", "--tol", "inf"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and "--tol" in err
 
     def test_internal_error_in_autcheck_exits_70(self, capsys, tmp_path, monkeypatch):
         from hypercones import autgroup

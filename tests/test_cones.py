@@ -10,6 +10,7 @@ from hypercones.cones import HyperCone
 from hypercones.gallery import elementary_symmetric
 from hypercones.poly import HomoPoly
 from hypercones.report import InconclusiveError, Membership, Verdict
+from test_gallery import descriptor
 
 try:  # hypothesis is a test-only dependency
     from hypothesis import given, settings, strategies as st
@@ -105,7 +106,7 @@ class TestDerivativeCone:
         for base in (gallery.orthant(4), gallery.psd(3)):
             for k in range(1, base.d):
                 dc = base.derivative_cone(k)
-                again = gallery.cone_from_descriptor(dc.descriptor_json())
+                again = gallery.cone_from_descriptor(descriptor(dc))
                 assert again.k == k and again.base is not again
                 assert again.p == dc.p and again.e == dc.e
 
@@ -347,8 +348,10 @@ class TestConeValidation:
             HyperCone(p, (1, 1, 1))
 
     def test_descriptor_json(self):
-        cone = gallery.orthant(3)
-        data = cone.descriptor_json()
-        assert data["label"] == "orthant:3"
-        dc = cone.derivative_cone(1)
-        assert dc.descriptor_json()["k"] == 1
+        # the documented descriptor format, written by hand
+        data = {"label": "orthant:3", "e": ["1", "1", "1"], "k": 1,
+                "polynomial": {"nvars": 3, "degree": 3,
+                               "terms": [{"exp": [1, 1, 1], "num": "1", "den": "1"}]}}
+        dc = gallery.cone_from_descriptor(data)
+        assert dc.label == "orthant:3^(1)" and dc.k == 1
+        assert dc.base.label == "orthant:3" and dc.base.p == gallery.orthant(3).p

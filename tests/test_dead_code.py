@@ -4,11 +4,14 @@ Every module-level function and class in `src/hypercones` must be named
 somewhere outside its own definition: in a library module (the package
 `__init__` does not count: re-exporting is not using) or in the benchmark
 under `perfbench/`, whose tracer names its targets in strings.  A
-definition that only tests call belongs in the tests.  And no library
-module may import a name it never uses.
+definition that only tests call belongs in the tests.  The same holds for
+class members: a method or property must be read as an attribute outside
+its own definition, and a classmethod or staticmethod as `Class.name`.
+And no library module may import a name it never uses.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,45 @@ def unreferenced_definitions() -> list[str]:
     ]
 
 
+def attribute_reads(node: ast.AST) -> Counter:
+    """How often a subtree reads each attribute, under its bare name and,
+    where it is read off a plain name, as `Owner.attr` too; dotted strings
+    such as "HomoPoly.compose" count as reads."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+            if isinstance(sub.value, ast.Name):
+                out[f"{sub.value.id}.{sub.attr}"] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                out.update(parts[1:])
+                out.update(f"{a}.{b}" for a, b in zip(parts, parts[1:]))
+    return out
+
+
+def unread_members() -> list[str]:
+    """`module.Class.member` of each non-dunder method or property that no
+    library or benchmark code reads outside the member itself."""
+    reads = sum((attribute_reads(parse(path)) for path in CALLERS), Counter())
+    out = []
+    for path in MODULES:
+        for cls in parse(path).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("__"):
+                    continue
+                decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+                key = fn.name
+                if decorators & {"classmethod", "staticmethod"}:
+                    key = f"{cls.name}.{fn.name}"
+                if reads[key] <= attribute_reads(fn)[key]:
+                    out.append(f"{path.stem}.{cls.name}.{fn.name}")
+    return out
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names a module imports and never reads; `__all__` counts as a read."""
     tree = parse(path)
@@ -75,6 +117,10 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unreferenced_definitions() == []
+
+
+def test_every_class_member_is_read():
+    assert unread_members() == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

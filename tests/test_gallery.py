@@ -13,6 +13,16 @@ from hypercones.poly import HomoPoly
 from hypercones.report import Membership
 
 
+def descriptor(cone) -> dict:
+    """The descriptor JSON of a cone, in the format that
+    `gallery.cone_from_descriptor` reads: a relaxation is its root cone's
+    descriptor plus its order `k`."""
+    base = cone.base
+    data = {"label": base.label, "polynomial": base.p.to_json_dict(),
+            "e": [str(v) for v in base.e]}
+    return {**data, "k": cone.k} if cone.k else data
+
+
 class TestOrthant:
     def test_direction_interior(self):
         cone = gallery.orthant(4)
@@ -250,6 +260,21 @@ class TestSpectrahedral:
             hyperbolic_rank = cone.d - q.trailing_zero_count()
             assert hyperbolic_rank == matrix_rank
 
+    def test_float_pencil_of_a_stack(self):
+        # quarter-integer points and integer matrices: every float product
+        # and sum is exact, so each slice must equal the rational pencil
+        mats = [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((0, 1, 0), (1, 0, 0), (0, 0, 0)),
+                ((0, 0, 1), (0, 0, 0), (1, 0, -2))]
+        rng = np.random.default_rng(45)
+        pts = rng.integers(-8, 9, size=(20, 3)) / 4
+        stack = gallery.pencil_matrix_float(mats, pts)
+        assert stack.shape == (20, 3, 3)
+        for x, got in zip(pts, stack):
+            want = [[float(sum(F(x[t]) * mats[t][i][j] for t in range(3))) for j in range(3)]
+                    for i in range(3)]
+            assert got.tolist() == want
+
     def test_degenerate_direction_rejected(self):
         a0 = ((1, 0), (0, 0))
         a1 = ((0, 0), (0, 1))
@@ -288,7 +313,7 @@ class TestConeIds:
         cone = gallery.l1_cone()
         path = tmp_path / "cone.json"
         path.write_text(json.dumps(
-            {**cone.descriptor_json(), "minimality_assumed": True}
+            {**descriptor(cone), "minimality_assumed": True}
         ))
         again = gallery.parse_cone_id(f"file:{path}")
         assert again.p == cone.p and again.e == cone.e
@@ -299,7 +324,7 @@ class TestConeIds:
     def test_descriptor_file_with_embedded_relaxation(self, tmp_path):
         dc = gallery.orthant(4).derivative_cone(2)
         path = tmp_path / "relaxed.json"
-        path.write_text(json.dumps(dc.descriptor_json()))
+        path.write_text(json.dumps(descriptor(dc)))
         again = gallery.parse_cone_id(f"file:{path}")
         assert again.base is not again
         assert again.k == 2 and again.p == dc.p

@@ -253,7 +253,7 @@ class TestScalingMismatch:
             total = HomoPoly.linear_form([1] * n)
             identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
             for a in simplex_lattice(n, d):
-                lagrange = HomoPoly.constant(1, n)
+                lagrange = HomoPoly(n, 0, {(0,) * n: 1})
                 for i, ai in enumerate(a):
                     for k in range(ai):
                         lagrange = lagrange * (d * HomoPoly.variable(i, n) - k * total)

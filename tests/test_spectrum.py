@@ -113,7 +113,8 @@ class TestBeyondFloatRange:
 
 class TestFloatKernel:
     def test_single_point_matches_batch_row(self):
-        # one kernel: a float point and a one-row batch agree to the bit
+        # rows are independent: a one-row batch and the same row of a
+        # stacked batch agree to the bit
         rng = np.random.default_rng(16)
         for cone in (
             gallery.orthant(4),
@@ -122,17 +123,27 @@ class TestFloatKernel:
             gallery.l1_cone(),
             gallery.orthant(5).derivative_cone(2),
         ):
-            for x in rng.standard_normal((20, cone.nvars)):
-                spec = spectrum.eigenvalues(cone, x)
-                eigs, residuals = spectrum.batch_eigenvalues(cone, x[None])
-                assert spec.eigenvalues == tuple(eigs[0])
-                assert spec.residual == residuals[0]
+            pts = rng.standard_normal((20, cone.nvars))
+            eigs, residuals = spectrum.batch_eigenvalues(cone, pts)
+            for i, x in enumerate(pts):
+                one_eigs, one_residuals = spectrum.batch_eigenvalues(cone, x[None])
+                assert one_eigs[0].tolist() == eigs[i].tolist()
+                assert one_residuals[0] == residuals[i]
+
+    def test_float_point_has_no_certified_spectrum(self):
+        with pytest.raises(TypeError, match="rational point"):
+            spectrum.eigenvalues(gallery.orthant(3), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(TypeError, match="rational point"):
+            spectrum.eigenvalues(gallery.orthant(3), (1, 2.5, 3))
 
     def test_zero_coordinate_gives_exact_zero(self):
-        spec = spectrum.eigenvalues(gallery.orthant(4), np.array([1.0, 2.0, 3.0, 0.0]))
-        assert spec.eigenvalues[-1] == 0.0
-        assert spec.residual == 0.0
-        assert spec.rank == 3
+        cone = gallery.orthant(4)
+        eigs, residuals = spectrum.batch_eigenvalues(
+            cone, np.array([[1.0, 2.0, 3.0, 0.0], [1.0, 0.0, 3.0, 0.0]])
+        )
+        assert eigs.tolist() == [[3.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 0.0]]
+        assert residuals.tolist() == [0.0, 0.0]
+        assert spectrum.rank(cone, np.array([1.0, 2.0, 3.0, 0.0])) == 3
 
     def test_distinct_integer_roots_recovered(self):
         pytest.importorskip("hypothesis")
@@ -141,13 +152,12 @@ class TestFloatKernel:
         @settings(max_examples=200, deadline=None)
         @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6, unique=True))
         def check(roots):
-            coeffs = [1]  # ascending, monic
-            for r in roots:
-                coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-            got, residual = spectrum.roots_from_float_coeffs(coeffs)
+            # the eigenvalues of x in the orthant are its coordinates
+            cone = gallery.orthant(len(roots))
+            eigs, residuals = spectrum.batch_eigenvalues(cone, np.array([roots], dtype=float))
             want = sorted(roots, reverse=True)
-            assert residual <= 1e-8 and len(got) == len(want)
-            for g, r in zip(got, want):
+            assert residuals[0] <= 1e-8 and len(eigs[0]) == len(want)
+            for g, r in zip(eigs[0], want):
                 assert abs(g - r) <= 1e-9 * (1 + abs(r))
 
         check()
@@ -206,6 +216,26 @@ class TestRankMult:
         cone = gallery.orthant(3)
         with pytest.raises(InconclusiveError):
             spectrum.rank(cone, np.array([1.0, 1.0, 2e-7]))
+
+    def test_stacked_rank_matches_one_row_calls(self):
+        cone = gallery.orthant(3)
+        rng = np.random.default_rng(17)
+        pts = np.vstack([
+            [[1.0, 1.0, 1.0],   # triple root: residual over the gate
+             [1.0, 1.0, 2e-7],  # eigenvalue inside the ambiguous band
+             [1.0, 2.0, 0.0],
+             [1.0, 0.0, 0.0]],
+            rng.standard_normal((12, 3)),
+        ])
+        assert spectrum.batch_eigenvalues(cone, pts[:1])[1][0] > spectrum.RESIDUAL_GATE
+        ranks = spectrum.rank(cone, pts)
+        assert ranks[:4] == [None, None, 2, 1] and ranks[4:] == [3] * 12
+        for x, r in zip(pts, ranks):
+            if r is None:
+                with pytest.raises(InconclusiveError):
+                    spectrum.rank(cone, x)
+            else:
+                assert spectrum.rank(cone, x) == r
 
     def test_exact_rank_ignores_band(self):
         cone = gallery.orthant(3)
