@@ -10,8 +10,11 @@ proof of automorphism (no minimality needed for that direction).  The
 first point where the sides differ is a witness anyone can re-check with
 two evaluations.  It refutes only when the polynomial is flagged minimal;
 otherwise the check drops to the float tier: sampled membership
-preservation with margins, where every refutation re-verifies its witness
-before being reported.
+preservation with margins.  Since the eigenvalues of x - t e are those of
+x minus t, lambda_min(x) >= m and <= -m are memberships of x -+ m e, which
+the float tier decides by derivative signs (Renegar 2006), without roots.
+Eigenvalues only place the sampled points and re-verify every refutation
+and membership-violation witness before it is reported.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .cones import (
     MEMBERSHIP_TOL,
     WITNESS_BUDGET,
     HyperCone,
+    _sign_flags,
     boundary_cloud,
     contains,
     in_interior_exact,
@@ -272,20 +276,26 @@ def _sampled_preservation(
     seed: int,
     tol: float = MEMBERSHIP_TOL,
 ) -> CheckReport:
-    """Float tier: does the map preserve sampled membership both ways?"""
+    """Float tier: does the map preserve sampled membership both ways?
+
+    A `boundary_cloud` row and its image under A (or A^-1) are decisive
+    when both clear the margin m = max(10 tol, DECISIVE_MARGIN) on one
+    side, lambda_min >= m or <= -m.  `_margin_sides` decides that by
+    derivative signs of x -+ m e, without roots; eigenvalues only place
+    the cloud and re-verify a flip before it is reported.  Each direction
+    needs a quarter of the cloud decisive, or the check is Inconclusive.
+    """
     a_inv = np.linalg.inv(a_float)
     rng = np.random.default_rng(seed)
     pts = boundary_cloud(cone, rng, samples, WAVE_POINTS, WAVE_MARGINS)
     margin = max(10 * tol, DECISIVE_MARGIN)
-    lam_x, res_x = cone.lambda_min(pts)
-    checked = 0
+    sides_x = _margin_sides(cone, pts, margin)
+    checked = []
     for label, mat in (("A", a_float), ("A_inv", a_inv)):
-        images = pts @ mat.T
-        lam_img, res_img = cone.lambda_min(images)
-        ok = (res_x < spectrum.RESIDUAL_GATE) & (res_img < spectrum.RESIDUAL_GATE)
-        decisive = ok & (np.abs(lam_x) >= margin) & (np.abs(lam_img) >= margin)
-        checked += int(decisive.sum())
-        flip = decisive & ((lam_x >= margin) != (lam_img >= margin))
+        sides_img = _margin_sides(cone, pts @ mat.T, margin)
+        decisive = (sides_x != 0) & (sides_img != 0)
+        checked.append(int(decisive.sum()))
+        flip = decisive & (sides_x != sides_img)
         for idx in np.nonzero(flip)[0]:
             x = pts[idx]
             lam_pt, lam_im = cone.lambda_min(np.array([x, mat @ x]))[0].tolist()
@@ -293,7 +303,7 @@ def _sampled_preservation(
                 return CheckReport(
                     verdict=Verdict.FAILS,
                     witness=tuple(float(v) for v in x),
-                    samples=checked,
+                    samples=sum(checked),
                     tolerances={"tol": tol, "margin": margin},
                     details={
                         "direction": label,
@@ -302,21 +312,37 @@ def _sampled_preservation(
                     },
                     tier="float",
                 )
-    if checked == 0 or checked < len(pts) // 4:
+    if min(checked) < max(1, len(pts) // 4):
         return CheckReport(
             verdict=Verdict.INCONCLUSIVE,
-            samples=checked,
+            samples=sum(checked),
             tolerances={"tol": tol, "margin": margin},
             details={"reason": "too few decisive samples"},
             tier="float",
         )
     return CheckReport(
         verdict=Verdict.HOLDS,
-        samples=checked,
+        samples=sum(checked),
         tolerances={"tol": tol, "margin": margin},
         details={"note": "sampled membership preserved in both directions"},
         tier="float",
     )
+
+
+def _margin_sides(cone: HyperCone, pts: np.ndarray, m: float) -> np.ndarray:
+    """Side of the band |lambda_min| < m of each row x of `pts`, root-free.
+
+    The eigenvalues of x - t e are those of x minus t, so lambda_min(x) > m
+    exactly when x - m e is interior, and lambda_min(x) < -m when x + m e
+    is outside the cone.  Both are derivative-sign memberships (Renegar
+    2006), one evaluation pass per order over the two shifted stacks.
+    Returns an int8 array: +1 where x - m e is In, -1 where x + m e is
+    Out, 0 elsewhere.
+    """
+    shift = m * cone.e_float
+    out, boundary = _sign_flags(cone, np.vstack([pts - shift, pts + shift]), MEMBERSHIP_TOL)
+    n = len(pts)
+    return np.where(~(out[:n] | boundary[:n]), 1, np.where(out[n:], -1, 0)).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +698,14 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
     """Hunt for x in the relaxation whose image under some map leaves it.
 
     `maps` is a list of (label, float matrix, exact LinearMap or None).
-    Up to WITNESS_BUDGET points are drawn.  The witness and its image are
-    re-verified: exact derivative signs at the rational snap when an exact
-    map is available, fresh spectra with two-sided margins of at least
-    WITNESS_MARGIN always.
+    Up to WITNESS_BUDGET points are drawn and placed by eigenvalues at
+    lambda_min 0.3 and 0.03.  A candidate is a point and image on the two
+    sides of the WITNESS_MARGIN band by `_margin_sides`, the derivative
+    signs of x -+ m e.  Each candidate is re-verified before it is
+    returned: exact derivative signs at the rational snap, and a certified
+    spectrum of the snap and of its image when an exact map is available
+    (a fresh float spectrum of the image otherwise), both clear of the
+    margin.
     """
     rng = np.random.default_rng(seed)
     need = WITNESS_MARGIN
@@ -688,15 +718,9 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
         lam, _ = derived.lambda_min(y)
         for m in (0.3, 0.03):
             x = to_level(derived, y, m, lam)
-            lam_x, res_x = derived.lambda_min(x)
+            inside = _margin_sides(derived, x, need) == 1
             for label, mf, mexact in maps:
-                lam_img, res_img = derived.lambda_min(x @ mf.T)
-                good = (
-                    (lam_x >= need)
-                    & (lam_img <= -need)
-                    & (res_x < spectrum.RESIDUAL_GATE)
-                    & (res_img < spectrum.RESIDUAL_GATE)
-                )
+                good = inside & (_margin_sides(derived, x @ mf.T, need) == -1)
                 for idx in np.nonzero(good)[0]:
                     xe = as_vector(spectrum._dyadic(x[idx]))
                     if membership_exact(derived, xe) is not Membership.IN:

@@ -300,8 +300,18 @@ def contains_by_inequalities(
         return Membership.IN if verdict is Membership.BOUNDARY else verdict
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    out, boundary = _sign_flags(target, pts[None, :] if single else pts, tol)
+    verdicts = [
+        Membership.OUT if o else Membership.BOUNDARY if b else Membership.IN
+        for o, b in zip(out.tolist(), boundary.tolist())
+    ]
+    return verdicts[0] if single else verdicts
+
+
+def _sign_flags(target, pts: np.ndarray, tol: float):
+    """The float derivative-sign route of `contains_by_inequalities` on the
+    rows of a 2-D array, as boolean arrays `(out, boundary)`: a row is Out
+    where `out`, else Boundary-ambiguous where `boundary`, else In."""
     norms = np.maximum(row_norms(pts), 1e-300)
     out = np.zeros(len(pts), dtype=bool)
     boundary = np.zeros(len(pts), dtype=bool)
@@ -312,11 +322,7 @@ def contains_by_inequalities(
         v = q.eval_float(pts)
         out |= v < -band
         boundary |= v <= band
-    verdicts = [
-        Membership.OUT if o else Membership.BOUNDARY if b else Membership.IN
-        for o, b in zip(out.tolist(), boundary.tolist())
-    ]
-    return verdicts[0] if single else verdicts
+    return out, boundary
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
-from hypercones import autgroup, cones, exactlin, gallery, suite
+from hypercones import autgroup, cones, exactlin, gallery, spectrum, suite
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone, in_interior_exact
 from hypercones.poly import HomoPoly, polar_form_float
@@ -181,6 +181,76 @@ class TestCheckAutomorphism:
         )
         assert rep.verdict == Verdict.INCONCLUSIVE
         assert rep.samples == 0
+
+    def test_one_sided_evidence_is_inconclusive(self):
+        # A shrinks the whole cloud into the margin band, so no row and
+        # image is decisive under A; A^-1 alone must not carry a Holds
+        rep = autgroup.check_automorphism(
+            gallery.orthant(3), 1e-9 * np.eye(3), samples=600, seed=0
+        )
+        assert rep.verdict == Verdict.INCONCLUSIVE
+        assert rep.samples > 0
+
+    def test_float_tier_places_by_eigenvalues_once(self, monkeypatch):
+        # decisions are derivative signs; the one batched spectrum of a
+        # float check that Holds is the `boundary_cloud` placement
+        calls = []
+        batch = spectrum.batch_eigenvalues
+
+        def counted(cone, points):
+            calls.append(len(points))
+            return batch(cone, points)
+
+        monkeypatch.setattr(spectrum, "batch_eigenvalues", counted)
+        rng = np.random.default_rng(2)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rep = autgroup.check_automorphism(
+            gallery.psd(3), autgroup.lm_linear_map(q, 3), samples=600, seed=3
+        )
+        assert rep.holds and rep.tier == "float"
+        assert calls == [autgroup.WAVE_POINTS]
+
+
+MARGIN_SIDE_CONES = [
+    ("psd:4", 0), ("psd:4", 1), ("orthant:6", 0), ("orthant:6", 2),
+]
+
+
+class TestMarginSides:
+    """`_margin_sides` against lambda_min: +1 means lambda_min > m, -1 means
+    lambda_min < -m, and 0 is the only answer allowed inside the band."""
+
+    @staticmethod
+    def cloud(cone_id, k, waves, seed=0):
+        cone = gallery.parse_cone_id(cone_id).derivative_cone(k)
+        rng = np.random.default_rng(seed)
+        pts = cones.boundary_cloud(cone, rng, 800, 256, waves)
+        return cone, pts, cone.lambda_min(pts)[0]
+
+    @pytest.mark.parametrize("cone_id,k", MARGIN_SIDE_CONES)
+    @pytest.mark.parametrize("m", [1e-4, 1e-6])
+    def test_never_contradicts_lambda_min(self, cone_id, k, m):
+        # waves on both sides of the margin and on it
+        cone, pts, lam = self.cloud(cone_id, k, autgroup.WAVE_MARGINS + (1e-3, 1e-5, m))
+        sides = autgroup._margin_sides(cone, pts, m)
+        assert np.all(lam[sides == 1] >= m - 1e-9)
+        assert np.all(lam[sides == -1] <= -m + 1e-9)
+        assert (sides != 0).mean() > 0.5
+
+    @pytest.mark.parametrize("cone_id,k", MARGIN_SIDE_CONES)
+    @pytest.mark.parametrize("m", [1e-4, 1e-6])
+    def test_agrees_off_the_margin(self, cone_id, k, m):
+        cone, pts, lam = self.cloud(cone_id, k, (m,))
+        sides = autgroup._margin_sides(cone, pts, m)
+        clear = np.abs(np.abs(lam) - m) > 1e-6
+        want = np.where(lam > m, 1, np.where(lam < -m, -1, 0))
+        assert clear.sum() >= 800
+        assert np.array_equal(sides[clear], want[clear])
+
+    def test_empty_stack(self):
+        cone = gallery.psd(3)
+        sides = autgroup._margin_sides(cone, np.zeros((0, cone.nvars)), 1e-4)
+        assert sides.shape == (0,)
 
 
 class TestDerivAutomorphism:
