@@ -37,7 +37,7 @@ from .cones import (
     membership_exact,
     to_level,
 )
-from .gallery import smat_float, svec_float
+from .gallery import smat_float, svec_float, svec_product
 from .poly import (
     as_fraction,
     as_vector,
@@ -623,7 +623,7 @@ def min_face_fix_check(cone, A, z) -> CheckReport:
     alpha = float(zf @ az) / float(zf @ zf)
     if np.linalg.norm(az - alpha * zf) > MEMBERSHIP_TOL * max(1.0, abs(alpha)) * np.linalg.norm(zf):
         raise ValueError("z is not an eigenvector of A")
-    if cone.lambda_min(zf[None, :])[0][0] < -DECISIVE_MARGIN:
+    if contains(cone, zf) is Membership.OUT:
         raise ValueError("z does not lie in the cone")
 
     if kind == "Orthant":
@@ -775,13 +775,13 @@ def _classify_relaxation(
     `details` are the caller's own keys, merged into the report's details.
     """
     warnings = []
-    predicted = prediction if k <= cone.d - 3 else None
+    rep = check_deriv_automorphism(cone, k, A, seed=seed)
+    predicted = prediction if rep.details["equivalence_regime"] else None
     if predicted is None:
         warnings.append(
             f"k={k} outside 1..{cone.d - 3}: no classification asserted in the "
             "quadratic or halfspace regime"
         )
-    rep = check_deriv_automorphism(cone, k, A, seed=seed)
     details = {**rep.details, **details, "prediction": predicted}
     details["classification_violation"] = (
         predicted is not None
@@ -839,32 +839,18 @@ def _map_pair(A):
 
 
 def lm_linear_map(M, n: int):
-    """The action X -> M X M^T on svec coordinates.
+    """The action X -> M X M^T on svec coordinates: `svec_product(M, M)`.
 
     Returns a LinearMap when M is rational, else a float matrix.
     """
-    from .gallery import smat, svec, svec_dim
-
-    N = svec_dim(n)
-    if isinstance(M, LinearMap) or (
-        not isinstance(M, np.ndarray) and is_exact_vector([v for row in M for v in row])
-    ):
-        rows = M.rows if isinstance(M, LinearMap) else exactlin.as_matrix(M)
-        cols = []
-        for t in range(N):
-            basis_vec = tuple(Fraction(1 if i == t else 0) for i in range(N))
-            b = smat(basis_vec, n)
-            image = exactlin.matmul(exactlin.matmul(rows, b), exactlin.transpose(rows))
-            cols.append(svec(image))
-        return LinearMap(tuple(zip(*cols)))
-    mf = np.asarray(M, dtype=float)
-    cols = []
-    for t in range(N):
-        basis_vec = np.zeros(N)
-        basis_vec[t] = 1.0
-        b = smat_float(basis_vec, n)
-        cols.append(svec_float(mf @ b @ mf.T))
-    return np.stack(cols, axis=1)
+    if isinstance(M, LinearMap):
+        M = M.rows
+    exact = not isinstance(M, np.ndarray) and is_exact_vector([v for row in M for v in row])
+    m = np.array(exactlin.as_matrix(M), dtype=object) if exact else np.asarray(M, dtype=float)
+    if m.shape != (n, n):
+        raise ValueError("conjugating matrix has wrong shape")
+    image = svec_product(m, m)
+    return LinearMap(image.tolist()) if exact else image
 
 
 def classify_psd_deriv(n: int, k: int, M, seed: int = 0) -> CheckReport:
@@ -890,25 +876,18 @@ def classify_psd_deriv(n: int, k: int, M, seed: int = 0) -> CheckReport:
 
 
 def _is_scaled_orthogonal(M) -> bool:
-    if isinstance(M, LinearMap):
-        mtm = exactlin.matmul(exactlin.transpose(M.rows), M.rows)
-        mu = mtm[0][0]
-        if mu <= 0:
-            return False
-        n = len(mtm)
-        for i in range(n):
-            for j in range(n):
-                if mtm[i][j] != (mu if i == j else 0):
-                    return False
-        return True
-    mf = np.asarray(M, dtype=float)
-    mtm = mf.T @ mf
-    mu = float(np.trace(mtm)) / mtm.shape[0]
+    """Is M^T M a positive multiple mu I?  Exactly for a LinearMap, else
+    within ORTHOGONALITY_TOL relative to max(mu, 1)."""
+    exact = isinstance(M, LinearMap)
+    m = np.array(M.rows, dtype=object) if exact else np.asarray(M, dtype=float)
+    mtm = m.T @ m
+    mu = np.trace(mtm) / len(mtm)
     if mu <= 0:
         return False
-    return bool(
-        np.linalg.norm(mtm - mu * np.eye(mtm.shape[0])) <= ORTHOGONALITY_TOL * max(mu, 1.0)
-    )
+    gap = mtm - mu * np.eye(len(mtm), dtype=m.dtype)
+    if exact:
+        return not gap.any()
+    return bool(np.linalg.norm(gap) <= ORTHOGONALITY_TOL * max(mu, 1.0))
 
 
 # ---------------------------------------------------------------------------

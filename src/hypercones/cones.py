@@ -366,8 +366,8 @@ def strict_containment_witness(cone: HyperCone, k: int, seed: int = 0) -> CheckR
         for idx in order[:8]:
             if gap[idx] < max(40 * tol, 1e-4):
                 break
-            shift = (lam_in[idx] + lam_out[idx]) / 2.0
-            xf = y[idx] - shift * cone.e_float
+            mid = (lam_in[[idx]] + lam_out[[idx]]) / 2.0
+            xf = to_level(cone, y[[idx]], 0.0, mid)[0]
             x_exact = as_vector(spectrum._dyadic(xf))
             if membership_exact(outer, x_exact) is not Membership.IN:
                 continue

@@ -7,7 +7,13 @@ specific instances, not computed certificates.
 
 svec convention: a symmetric matrix maps to its diagonal entries followed
 by the off-diagonal entries (i < j, row-major), stored raw with no sqrt(2)
-scaling, which keeps determinant coefficients rational.
+scaling, which keeps determinant coefficients rational.  `_svec_pairs`
+holds that order once.  `svec_product(A, B)` is the svec matrix of
+X -> A X B^T, with entry ((i, j), (k, l)) = A_ik B_jl + A_il B_jk, or
+A_ik B_jk on a diagonal column k = l: the symmetric Kronecker product
+without its sqrt(2) scaling.  `svec_product(M, M)` is the congruence
+X -> M X M^T, and `svec_product(W, I) + svec_product(I, W)` is the flow
+generator X -> W X + X W^T.
 """
 
 from __future__ import annotations
@@ -65,70 +71,46 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def svec_index(i: int, j: int, n: int) -> int:
-    """Coordinate index of entry (i, j): diagonal first, then i < j row-major."""
-    if i == j:
-        return i
-    if i > j:
-        i, j = j, i
-    off = n
-    for r in range(i):
-        off += n - 1 - r
-    return off + (j - i - 1)
+@functools.cache
+def _svec_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each svec coordinate of an n x n matrix."""
+    upper = np.triu_indices(n, 1)
+    pairs = np.r_[np.arange(n), upper[0]], np.r_[np.arange(n), upper[1]]
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def svec(matrix) -> tuple[Fraction, ...]:
-    rows = exactlin.as_matrix(matrix)
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("matrix is not symmetric")
-    out = [rows[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(rows[i][j])
-    return tuple(out)
-
-
-def smat(vec, n: int):
-    vec = as_vector(vec)
-    if len(vec) != svec_dim(n):
-        raise ValueError("vector has wrong svec dimension")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = vec[i]
-    pos = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = vec[pos]
-            pos += 1
-    return tuple(tuple(r) for r in rows)
+    mat = np.array(exactlin.as_matrix(matrix), dtype=object)
+    if mat.shape[0] != mat.shape[1] or (mat != mat.T).any():
+        raise ValueError("matrix is not symmetric")
+    return tuple(mat[_svec_pairs(len(mat))])
 
 
 def smat_float(vec: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    v = np.asarray(vec, dtype=float)
-    for i in range(n):
-        out[i, i] = v[i]
-    pos = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = v[pos]
-            pos += 1
+    rows, cols = _svec_pairs(n)
+    out = np.empty((n, n))
+    out[rows, cols] = out[cols, rows] = np.asarray(vec, dtype=float)
     return out
 
 
 def svec_float(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    out = np.empty(svec_dim(n))
-    for i in range(n):
-        out[i] = mat[i, i]
-    pos = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[pos] = mat[i, j]
-            pos += 1
+    """svec of one (n, n) matrix, or of each matrix of an (m, n, n) stack."""
+    mat = np.asarray(mat, dtype=float)
+    rows, cols = _svec_pairs(mat.shape[-1])
+    return mat[..., rows, cols]
+
+
+def svec_product(A, B) -> np.ndarray:
+    """The svec matrix of X -> A X B^T, read off the upper triangle, with
+    the entries the module docstring gives.  Fraction object arrays stay
+    exact, float arrays stay float."""
+    A, B = np.asarray(A), np.asarray(B)
+    n = len(A)
+    rows, cols = _svec_pairs(n)
+    out = A[rows[:, None], rows] * B[cols[:, None], cols]
+    out[:, n:] += A[rows[:, None], cols[n:]] * B[cols[:, None], rows[n:]]
     return out
 
 
@@ -170,9 +152,10 @@ def symmetric_det_poly(n: int) -> HomoPoly:
     if not 1 <= n <= SYMBOLIC_DET_CAP:
         raise ValueError(f"symbolic determinant capped at n = {SYMBOLIC_DET_CAP}")
     N = svec_dim(n)
-    entries = [
-        [HomoPoly.variable(svec_index(i, j, n), N) for j in range(n)] for i in range(n)
-    ]
+    rows, cols = _svec_pairs(n)
+    coord = np.empty((n, n), dtype=int)
+    coord[rows, cols] = coord[cols, rows] = np.arange(N)
+    entries = [[HomoPoly.variable(int(c), N) for c in row] for row in coord]
     return _det_poly_from_entries(entries, n)
 
 
@@ -322,18 +305,13 @@ def spectrahedral(
     for m in mats:
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("matrices must share one square shape")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrices must be symmetric")
     rows = [svec(m) for m in mats]
     if exactlin.rank(rows) != len(mats):
         raise ValueError("matrices are linearly dependent")
     xbar = as_vector(xbar)
     if len(xbar) != len(mats):
         raise ValueError("xbar has wrong dimension")
-    slice_at_xbar = _pencil_at(mats, xbar)
-    if not _is_positive_definite(slice_at_xbar):
+    if not _is_positive_definite(pencil_matrix(mats, [xbar])[0]):
         raise ValueError("pencil at xbar is not positive definite")
     m_vars = len(mats)
     entries = [
@@ -357,30 +335,18 @@ def spectrahedral(
     )
 
 
-def _pencil_at(mats, x):
-    n = len(mats[0])
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for coef, m in zip(x, mats):
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += coef * m[i][j]
-    return tuple(tuple(r) for r in out)
+def pencil_matrix(matrices, points) -> np.ndarray:
+    """The pencil sum_i x_i M_i at each row x of `points`: (npts, m, m).
 
-
-def pencil_matrix_float(matrices, points) -> np.ndarray:
-    """The pencil sum_i x_i M_i at each row x of `points`: (npts, m, m)."""
-    mats = [np.array([[float(v) for v in r] for r in m]) for m in matrices]
-    pts = np.asarray(points, dtype=float)
+    Rational points keep Fraction entries; float points give floats.
+    """
+    pts = np.asarray(points)
+    mats = np.array(matrices, dtype=object if pts.dtype == object else float)
     return sum(pts[:, i, None, None] * m for i, m in enumerate(mats))
 
 
-def _is_positive_definite(rows) -> bool:
-    n = len(rows)
-    for k in range(1, n + 1):
-        minor = [r[:k] for r in rows[:k]]
-        if exactlin.det(minor) <= 0:
-            return False
-    return True
+def _is_positive_definite(mat: np.ndarray) -> bool:
+    return all(exactlin.det(mat[:k, :k]) > 0 for k in range(1, len(mat) + 1))
 
 
 def soc3_slice_2x2() -> HyperCone:
@@ -422,8 +388,9 @@ def coordinate_rays(n: int):
 
 def extreme_rays(cone: HyperCone):
     """Built-in extreme-ray generators of a gallery cone or its relaxation:
-    unit vectors; svec(u u^T) for u = e_i and e_i + e_j; e_0 +- e_j plus
-    (5, 3, 4, 0, ...); the four rank-two rays of the l1 cone."""
+    unit vectors; svec(u u^T) for u = e_i and e_i + e_j, i < j, in svec
+    order; e_0 +- e_j plus (5, 3, 4, 0, ...); the four rank-two rays of the
+    l1 cone."""
     kind = cone.gallery.kind if cone.gallery else None
     if kind == "L1":
         return [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
@@ -434,11 +401,10 @@ def extreme_rays(cone: HyperCone):
     if kind == "Orthant":
         return units
     if kind == "PSD":
-        pairs = [
-            tuple(a + b for a, b in zip(units[i], units[j]))
-            for i in range(n) for j in range(i + 1, n)
+        return [
+            svec(outer([Fraction(int(t in (i, j))) for t in range(n)]))
+            for i, j in zip(*_svec_pairs(n))
         ]
-        return [svec(outer(u)) for u in units + pairs]
     rays = [tuple(a + s * b for a, b in zip(units[0], u)) for u in units[1:] for s in (1, -1)]
     if n >= 3:
         rays.append(as_vector((5, 3, 4) + (0,) * (n - 3)))

@@ -177,7 +177,7 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
             margin = _witness_margin(rep)
             if rep.fails and rep.tier == "exact" and margin is not None:
                 min_witness_margin = min(min_witness_margin, margin)
-                if margin >= 1e-6:
+                if margin >= autgroup.WITNESS_MARGIN:
                     refuted += 1
                 else:
                     problems.append(
@@ -613,15 +613,8 @@ FLOW_GRID = (-1.0, -0.1, 0.1, 1.0)
 
 def _conjugation_flow_generator(w: np.ndarray) -> np.ndarray:
     """svec-space generator of X -> W X + X W^T."""
-    n = w.shape[0]
-    dim = gallery.svec_dim(n)
-    cols = []
-    for t in range(dim):
-        b = np.zeros(dim)
-        b[t] = 1.0
-        mat = gallery.smat_float(b, n)
-        cols.append(gallery.svec_float(w @ mat + mat @ w.T))
-    return np.stack(cols, axis=1)
+    eye = np.eye(len(w))
+    return gallery.svec_product(w, eye) + gallery.svec_product(eye, w)
 
 
 def check_lyapunov_flows(seed: int, ctx: dict) -> SuiteCheck:
@@ -798,9 +791,9 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
             dc = cone.derivative_cone(k)
             agreements = disagreements = ambiguous = 0
             raws = [rng.standard_normal((n, n)) for _ in range(1000)]
-            syms = [(raw + raw.T) / 2 for raw in raws]
-            fast = gallery.psd_deriv_member(n, k, np.array(syms))
-            slow = cones.contains(dc, np.array([gallery.svec_float(sym) for sym in syms]))
+            syms = np.array([(raw + raw.T) / 2 for raw in raws])
+            fast = gallery.psd_deriv_member(n, k, syms)
+            slow = cones.contains(dc, gallery.svec_float(syms))
             for i, pair in enumerate(zip(fast, slow)):
                 if Membership.BOUNDARY in pair:
                     ambiguous += 1
@@ -836,7 +829,7 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
         pts = rng.standard_normal((200, 3))
         boundary = cones.to_level(cone, pts, 0.0, cone.lambda_min(pts)[0])
         xs = np.vstack([pts, boundary])
-        sv = np.linalg.svd(gallery.pencil_matrix_float(mats, xs), compute_uv=False)
+        sv = np.linalg.svd(gallery.pencil_matrix(mats, xs), compute_uv=False)
         matrix_ranks = (sv > 1e-6 * np.maximum(sv.max(axis=1), 1e-300)[:, None]).sum(axis=1)
         for x, matrix_rank, hyp_rank in zip(xs, matrix_ranks.tolist(), spectrum.rank(cone, xs)):
             if hyp_rank is None:

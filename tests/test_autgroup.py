@@ -125,6 +125,10 @@ class TestCheckAutomorphism:
         )
         assert rep.holds and rep.kappa == 1
 
+    def test_conjugation_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="wrong shape"):
+            autgroup.lm_linear_map(exactlin.identity(3), 4)
+
     def test_direction_image_outside_refuted(self):
         rep = autgroup.check_automorphism(
             gallery.orthant(3), LinearMap(exactlin.diag([-1, 1, 1]))
@@ -576,6 +580,17 @@ class TestPerronAndMinimalFace:
                 cone, LinearMap(exactlin.permutation([1, 0, 2])), (1, 0, 0)
             )
 
+    def test_point_outside_the_cone_rejected(self):
+        # lambda_min of -1e-5 and -5e-5: inside the old 1e-4 band, but Out
+        # by `cones.contains`
+        with pytest.raises(ValueError, match="does not lie in the cone"):
+            autgroup.min_face_fix_check(
+                gallery.orthant(3), LinearMap(exactlin.identity(3)), (1.0, 1.0, -1e-5)
+            )
+        z = gallery.svec_float(np.diag([1.0, 1.0, -5e-5]))
+        with pytest.raises(ValueError, match="does not lie in the cone"):
+            autgroup.min_face_fix_check(gallery.psd(3), LinearMap(exactlin.identity(6)), z)
+
     def test_cesaro_fallback(self, monkeypatch):
         # eig hands back a basis with no vector in the cone, so the
         # Cesaro average of e has to find the fixed direction
@@ -699,14 +714,7 @@ class TestLieProbe:
     def test_skew_conjugation_flow_preserves_matrix_relaxation(self):
         w = np.zeros((4, 4))
         w[0, 2], w[2, 0] = 1.0, -1.0
-        dim = gallery.svec_dim(4)
-        cols = []
-        for t in range(dim):
-            b = np.zeros(dim)
-            b[t] = 1.0
-            mat = gallery.smat_float(b, 4)
-            cols.append(gallery.svec_float(w @ mat + mat @ w.T))
-        gen = np.stack(cols, axis=1)
+        gen = gallery.svec_product(w, np.eye(4)) + gallery.svec_product(np.eye(4), w)
         # the flow is conjugation by a rotation; verified numerically
         flow = __import__("scipy.linalg", fromlist=["expm"]).expm(0.7 * w)
         assert np.allclose(flow @ flow.T, np.eye(4), atol=1e-12)

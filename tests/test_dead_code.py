@@ -8,6 +8,10 @@ definition that only tests call belongs in the tests.  The same holds for
 class members: a method or property must be read as an attribute outside
 its own definition, and a classmethod or staticmethod as `Class.name`.
 And no library module may import a name it never uses.
+
+A ratchet keeps configuration from growing back: the defaulted parameters
+of the library (positional and keyword-only defaults) may not exceed
+DEFAULTED_PARAMETER_CAP.  Lower the cap when a default goes.
 """
 
 import ast
@@ -21,6 +25,7 @@ MODULES = sorted((ROOT / "src" / "hypercones").glob("*.py"))
 CALLERS = [m for m in MODULES if m.name != "__init__.py"]
 CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+DEFAULTED_PARAMETER_CAP = 37
 
 
 def parse(path: Path) -> ast.Module:
@@ -115,6 +120,17 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+def defaulted_parameters() -> int:
+    """Parameters with a default value, over every function and lambda."""
+    count = 0
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
+
+
 def test_every_definition_has_a_caller():
     assert unreferenced_definitions() == []
 
@@ -126,3 +142,7 @@ def test_every_class_member_is_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_defaulted_parameters_do_not_grow():
+    assert defaulted_parameters() <= DEFAULTED_PARAMETER_CAP

@@ -7,7 +7,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from hypercones import cones, exactlin, gallery, spectrum
+from hypercones import autgroup, cones, exactlin, gallery, spectrum
+from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone
 from hypercones.poly import HomoPoly
 from hypercones.report import Membership
@@ -69,10 +70,36 @@ class TestExtremeRays:
             gallery.extreme_rays(cone)
 
 
+def smat(vec, n):
+    """The symmetric matrix of an svec vector, walked out by hand: the
+    oracle for the library's index table."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = vec[i]
+    pos = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = vec[pos]
+            pos += 1
+    return exactlin.as_matrix(rows)
+
+
+def random_rational(rng, shape):
+    return np.array(
+        [F(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, size=shape).flat,
+                                           rng.integers(1, 6, size=shape).flat)],
+        dtype=object,
+    ).reshape(shape)
+
+
 class TestSvec:
     def test_roundtrip(self):
         mat = ((1, 2, 3), (2, 4, 5), (3, 5, 6))
-        assert gallery.smat(gallery.svec(mat), 3) == exactlin.as_matrix(mat)
+        assert smat(gallery.svec(mat), 3) == exactlin.as_matrix(mat)
+        rng = np.random.default_rng(40)
+        for n in (1, 2, 3, 4, 5):
+            vec = tuple(random_rational(rng, gallery.svec_dim(n)))
+            assert gallery.svec(smat(vec, n)) == vec
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -80,17 +107,61 @@ class TestSvec:
 
     def test_index_layout(self):
         # diagonal first, then off-diagonal row-major
-        assert [gallery.svec_index(i, i, 3) for i in range(3)] == [0, 1, 2]
-        assert gallery.svec_index(0, 1, 3) == 3
-        assert gallery.svec_index(0, 2, 3) == 4
-        assert gallery.svec_index(1, 2, 3) == 5
-        assert gallery.svec_index(2, 1, 3) == 5  # symmetric access
+        mat = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+        assert gallery.svec(mat) == tuple(range(6))
+        assert gallery.svec_float(np.array(mat)).tolist() == list(range(6))
 
     def test_float_roundtrip(self):
         rng = np.random.default_rng(41)
         raw = rng.standard_normal((4, 4))
         sym = raw + raw.T
         assert np.allclose(gallery.smat_float(gallery.svec_float(sym), 4), sym)
+
+    def test_float_svec_of_a_stack(self):
+        rng = np.random.default_rng(46)
+        raw = rng.standard_normal((5, 3, 3))
+        stack = raw + raw.transpose(0, 2, 1)
+        assert gallery.svec_float(stack).tolist() == [
+            gallery.svec_float(m).tolist() for m in stack
+        ]
+
+
+class TestSvecProduct:
+    def test_congruence_is_exact(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                m = random_rational(rng, (n, n))
+                raw = random_rational(rng, (n, n))
+                x = raw + raw.T
+                got = LinearMap(gallery.svec_product(m, m).tolist()).apply(gallery.svec(x))
+                assert got == gallery.svec(m @ x @ m.T)
+                assert all(type(v) is F for v in got)
+
+    def test_flow_generator(self):
+        rng = np.random.default_rng(48)
+        for n in (2, 3, 4):
+            eye = np.eye(n, dtype=object)
+            for _ in range(10):
+                w = random_rational(rng, (n, n))
+                raw = random_rational(rng, (n, n))
+                x = raw + raw.T
+                gen = gallery.svec_product(w, eye) + gallery.svec_product(eye, w)
+                assert tuple(gen @ np.array(gallery.svec(x), dtype=object)) == gallery.svec(
+                    w @ x + x @ w.T
+                )
+
+    def test_float_rows_agree_with_exact(self):
+        rng = np.random.default_rng(49)
+        for n in (2, 3, 4):
+            a, b = random_rational(rng, (n, n)), random_rational(rng, (n, n))
+            exact = gallery.svec_product(a, b)
+            approx = gallery.svec_product(a.astype(float), b.astype(float))
+            assert approx.dtype == float
+            assert np.allclose(approx, exact.astype(float), rtol=0, atol=1e-12)
+            congruence = autgroup.lm_linear_map(a.astype(float), n)
+            exact_rows = np.array(autgroup.lm_linear_map(a.tolist(), n).rows, dtype=float)
+            assert np.allclose(congruence, exact_rows, rtol=0, atol=1e-12)
 
 
 class TestPSD:
@@ -268,12 +339,23 @@ class TestSpectrahedral:
                 ((0, 0, 1), (0, 0, 0), (1, 0, -2))]
         rng = np.random.default_rng(45)
         pts = rng.integers(-8, 9, size=(20, 3)) / 4
-        stack = gallery.pencil_matrix_float(mats, pts)
-        assert stack.shape == (20, 3, 3)
+        stack = gallery.pencil_matrix(mats, pts)
+        assert stack.shape == (20, 3, 3) and stack.dtype == float
         for x, got in zip(pts, stack):
             want = [[float(sum(F(x[t]) * mats[t][i][j] for t in range(3))) for j in range(3)]
                     for i in range(3)]
             assert got.tolist() == want
+
+    def test_rational_pencil(self):
+        mats = [((1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0))]
+        pts = [(F(1, 3), F(1, 2), F(-2, 7)), (F(1), F(0), F(5, 4))]
+        stack = gallery.pencil_matrix(mats, pts)
+        assert stack.shape == (2, 2, 2)
+        assert stack.tolist() == [
+            [[F(5, 6), F(-2, 7)], [F(-2, 7), F(-1, 6)]],
+            [[F(1), F(5, 4)], [F(5, 4), F(1)]],
+        ]
+        assert all(type(v) is F for v in stack.flat)
 
     def test_degenerate_direction_rejected(self):
         a0 = ((1, 0), (0, 0))
