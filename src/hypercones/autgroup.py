@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +42,7 @@ from .gallery import smat_float, svec_float, svec_product
 from .poly import (
     as_fraction,
     as_vector,
+    clear_denominators,
     is_exact_vector,
     polar_form_float,
     scaling_mismatch,
@@ -67,9 +69,15 @@ ORTHOGONALITY_TOL = 1e-8
 
 
 class LinearMap:
-    """Square matrix with exact rational entries and a cached float view."""
+    """Square matrix with exact rational entries.
 
-    __slots__ = ("n", "rows", "_det", "_float", "_inv")
+    `rows` is the tuple of Fraction rows.  Two views are cached on first
+    use: the integer form, numerators over one common denominator, on
+    which `apply`, `det` and `inverse` run in Python ints, and a float
+    matrix for the sampled tier.
+    """
+
+    __slots__ = ("n", "rows", "_det", "_float", "_inv", "_int")
 
     def __init__(self, rows):
         rows = exactlin.as_matrix(rows)
@@ -81,6 +89,7 @@ class LinearMap:
         self._det = None
         self._float = None
         self._inv = None
+        self._int = None
 
     @classmethod
     def scaled_permutation(cls, scalings, perm) -> "LinearMap":
@@ -92,10 +101,19 @@ class LinearMap:
             )
         )
 
+    def _integer_form(self):
+        """(nums, den) with rows == nums / den entrywise."""
+        if self._int is None:
+            den = lcm(*(v.denominator for row in self.rows for v in row))
+            nums = [[v.numerator * (den // v.denominator) for v in row] for row in self.rows]
+            self._int = (nums, den)
+        return self._int
+
     @property
     def det(self) -> Fraction:
         if self._det is None:
-            self._det = exactlin.det(self.rows)
+            nums, den = self._integer_form()
+            self._det = Fraction(exactlin.int_det(nums), den**self.n)
         return self._det
 
     @property
@@ -103,12 +121,21 @@ class LinearMap:
         return self.det != 0
 
     def inverse(self) -> "LinearMap":
+        # (nums / den)^-1 = den * adj / d
         if self._inv is None:
-            self._inv = LinearMap(exactlin.inverse(self.rows))
+            nums, den = self._integer_form()
+            adj, d = exactlin.int_inverse(nums)
+            self._inv = LinearMap([[Fraction(v * den, d) for v in row] for row in adj])
         return self._inv
 
     def apply(self, v):
-        return exactlin.matvec(self.rows, v)
+        nums, den = self._integer_form()
+        ints, scale = clear_denominators(v)
+        if len(ints) != self.n:
+            raise ValueError("dimension mismatch")
+        return tuple(
+            Fraction(sum(a * b for a, b in zip(row, ints)), den * scale) for row in nums
+        )
 
     def to_float(self) -> np.ndarray:
         if self._float is None:
@@ -841,16 +868,24 @@ def _map_pair(A):
 def lm_linear_map(M, n: int):
     """The action X -> M X M^T on svec coordinates: `svec_product(M, M)`.
 
-    Returns a LinearMap when M is rational, else a float matrix.
+    Returns a LinearMap when M is rational, else a float matrix.  A
+    rational M = N / den is multiplied out in Python ints, and the image
+    is svec_product(N, N) / den^2.
     """
-    if isinstance(M, LinearMap):
-        M = M.rows
-    exact = not isinstance(M, np.ndarray) and is_exact_vector([v for row in M for v in row])
-    m = np.array(exactlin.as_matrix(M), dtype=object) if exact else np.asarray(M, dtype=float)
+    exact = isinstance(M, LinearMap) or (
+        not isinstance(M, np.ndarray) and is_exact_vector([v for row in M for v in row])
+    )
+    if exact:
+        nums, den = (M if isinstance(M, LinearMap) else LinearMap(M))._integer_form()
+        m = np.array(nums, dtype=object)
+    else:
+        m = np.asarray(M, dtype=float)
     if m.shape != (n, n):
         raise ValueError("conjugating matrix has wrong shape")
     image = svec_product(m, m)
-    return LinearMap(image.tolist()) if exact else image
+    if not exact:
+        return image
+    return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])
 
 
 def classify_psd_deriv(n: int, k: int, M, seed: int = 0) -> CheckReport:

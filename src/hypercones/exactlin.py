@@ -1,14 +1,18 @@
-"""Exact rational matrix helpers: determinant, inverse, rank.
+"""Exact rational matrix helpers: products, determinant, inverse, rank.
 
-Desk-scale only (dimensions in the tens); plain fraction-pivot Gaussian
-elimination is entirely adequate and keeps every verdict exact.
+Determinant, rank and inverse come from one fraction-free elimination
+(Bareiss, Math. Comp. 1968, in Gauss-Jordan form) on integer rows: each
+row's denominators are cleared once and every step divides exactly by
+the previous pivot, so no gcd is taken until the result is built.
+`LinearMap` calls the integer entry points `int_det` and `int_inverse`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .poly import as_vector
+from .poly import as_vector, clear_denominators
 
 
 def as_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -19,9 +23,7 @@ def as_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def identity(n: int):
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return diag([1] * n)
 
 
 def diag(entries):
@@ -42,13 +44,6 @@ def permutation(perm):
     )
 
 
-def matvec(rows, v):
-    v = as_vector(v)
-    if rows and len(rows[0]) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in rows)
-
-
 def matmul(a, b):
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
@@ -63,69 +58,74 @@ def transpose(rows):
     return tuple(zip(*rows))
 
 
-def det(rows) -> Fraction:
-    rows = [list(r) for r in as_matrix(rows)]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            result = -result
-        result *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return result
+def _integer_rows(rows, square: str):
+    """(nums, scales): row i of the matrix is nums[i] / scales[i].  A
+    nonempty `square` names the operation that needs a square matrix."""
+    cleared = [clear_denominators(r) for r in as_matrix(rows)]
+    if square and any(len(c[0]) != len(cleared) for c in cleared):
+        raise ValueError(f"{square} needs a square matrix")
+    return [c[0] for c in cleared], [c[1] for c in cleared]
 
 
-def rank(rows) -> int:
-    rows = [list(r) for r in as_matrix(rows)]
-    if not rows:
-        return 0
-    m = len(rows[0])
-    rk = 0
-    for col in range(m):
-        pivot = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+def _eliminate(rows, width: int):
+    """Fraction-free Gauss-Jordan elimination of integer rows, pivoting in
+    the first `width` columns; returns (rank, last pivot, reduced rows).
+
+    A step with pivot p replaces every other row r by
+    (p * r - r[col] * pivot row) / previous pivot, an exact division
+    (Sylvester's identity).  A row swap negates the row moved down, so
+    the determinant is preserved: at full rank on a square left block the
+    last pivot is its determinant and the block ends as pivot * I.
+    """
+    rows = [list(r) for r in rows]
+    prev, rk = 1, 0
+    for col in range(width):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if piv is None:
             continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = 1 / rows[rk][col]
-        for r in range(len(rows)):
-            if r != rk and rows[r][col]:
-                f = rows[r][col] * inv
-                for c in range(col, m):
-                    rows[r][c] -= f * rows[rk][c]
+        if piv != rk:
+            rows[rk], rows[piv] = rows[piv], [-v for v in rows[rk]]
+        top = rows[rk]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != rk:
+                f = row[col]
+                rows[i] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+        prev = p
         rk += 1
         if rk == len(rows):
             break
-    return rk
+    return rk, prev, rows
+
+
+def int_det(nums) -> int:
+    """Determinant of a square integer matrix."""
+    rk, pivot, _ = _eliminate(nums, len(nums))
+    return pivot if rk == len(nums) else 0
+
+
+def int_inverse(nums):
+    """(adj, d) with adj / d the inverse of a square integer matrix."""
+    n = len(nums)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(nums)]
+    rk, d, rows = _eliminate(aug, n)
+    if rk < n:
+        raise ValueError("matrix is singular")
+    return [r[n:] for r in rows], d
+
+
+def det(rows) -> Fraction:
+    nums, scales = _integer_rows(rows, "determinant")
+    return Fraction(int_det(nums), prod(scales))
+
+
+def rank(rows) -> int:
+    nums, _ = _integer_rows(rows, "")
+    return _eliminate(nums, len(nums[0]) if nums else 0)[0]
 
 
 def inverse(rows):
-    rows = as_matrix(rows)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("inverse needs a square matrix")
-    aug = [list(rows[i]) + list(identity(n)[i]) for i in range(n)]
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    # row i of A is nums[i] / scales[i], so A^-1 = nums^-1 diag(scales)
+    nums, scales = _integer_rows(rows, "inverse")
+    adj, d = int_inverse(nums)
+    return tuple(tuple(Fraction(v * s, d) for v, s in zip(row, scales)) for row in adj)

@@ -254,7 +254,7 @@ class HomoPoly:
         """Exact evaluation at a rational point, in integers: one division."""
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
-        cols, scale = _clear_denominators(point)
+        cols, scale = clear_denominators(point)
         den, terms = self._int_term_list()
         return Fraction(_eval_columns(terms, cols), den * scale**self.degree)
 
@@ -335,19 +335,19 @@ def simplex_lattice(nvars: int, degree: int) -> np.ndarray:
     that degree (Nicolaides 1972; Chung & Yao 1977): a form vanishing at
     every point is zero.  Rows are the points in descending lexicographic
     order (the order in which their index multisets are generated), as a
-    read-only object array of Python ints.
+    read-only int64 array.
     """
     pts = np.array([
         [c.count(i) for i in range(nvars)]
         for c in combinations_with_replacement(range(nvars), degree)
-    ], dtype=object)
+    ], dtype=np.int64)
     pts.flags.writeable = False
     return pts
 
 
 def _eval_columns(terms, cols):
     """Integer terms evaluated coordinate-wise: each column is a Python
-    int (one point) or an object array of them (many points)."""
+    int (one point) or an int64 or object array of them (many points)."""
     total = 0
     for c, mono in terms:
         t = c
@@ -357,11 +357,32 @@ def _eval_columns(terms, cols):
     return total
 
 
-def _clear_denominators(point):
-    """(ints, scale) with point == ints / scale coordinate-wise."""
-    point = as_vector(point)
-    scale = lcm(*(v.denominator for v in point))
-    return [v.numerator * (scale // v.denominator) for v in point], scale
+def clear_denominators(values):
+    """(ints, scale) with values == ints / scale coordinate-wise."""
+    values = as_vector(values)
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _lattice_dtype(terms, col_bounds):
+    """np.int64 when int64 evaluation of `terms` cannot overflow, else object.
+
+    With |column i| <= M_i, every partial product and partial sum of
+    `_eval_columns` is at most sum_t |c_t| * prod_i max(M_i, 1)^a_i.
+    """
+    bounds = [max(m, 1) for m in col_bounds]
+    total = 0
+    for c, mono in terms:
+        t = abs(c)
+        for i, a in mono:
+            t *= bounds[i] ** a
+        total += t
+    if total <= _INT64_MAX and max(bounds, default=0) <= _INT64_MAX:
+        return np.int64
+    return object
 
 
 def scaling_mismatch(p: HomoPoly, rows, kappa):
@@ -369,32 +390,45 @@ def scaling_mismatch(p: HomoPoly, rows, kappa):
 
     Row i of `rows` gives the image of x_i, as in `compose`.  Both sides
     are forms of degree d, so agreement on `simplex_lattice(n, d)` proves
-    kappa * (p o B) = p without expanding p o B.  Denominators are cleared
-    once, so the comparison num * P(B'x) == den * P(x) runs in Python
-    ints, a whole lattice column at a time.  A mismatch returns the point
-    x (a tuple of ints), kappa * p(Bx) and p(x), the last two as Fractions.
+    kappa * (p o B) = p without expanding p o B.  The denominators of B
+    are cleared once, B' = scale * B, and the comparison
+    num(kappa) * P(B'x) == den(kappa) * scale^d * P(x) runs in integers,
+    a whole lattice column at a time.
+
+    Dtype rule: on the lattice (x >= 0, |x| = d) each column obeys
+    |(B'x)_i| <= M_i = d * max_j |B'_ij|, and |x_i| <= d.  When every M_i
+    and the bound sum_t |c_t| * prod_i max(M_i, 1)^a_i on every partial
+    product and partial sum of P (`_lattice_dtype`) fit in int64, the
+    lattice, B' and both evaluations are int64 and B'x is one matmul;
+    otherwise they are object arrays of Python ints.  Either way the products with
+    num(kappa) and den(kappa) * scale^d are taken in Python ints.  A
+    mismatch returns the point x (a tuple of ints), kappa * p(Bx) and
+    p(x), the last two as Fractions.
     """
     rows = tuple(as_vector(r) for r in rows)
     if len(rows) != p.nvars or any(len(r) != p.nvars for r in rows):
         raise ValueError("scaling identity needs a square map on the variables of p")
     kappa = as_fraction(kappa)
     scale = lcm(*(v.denominator for r in rows for v in r))
+    bmat = [[v.numerator * (scale // v.denominator) for v in r] for r in rows]
     den, terms = p._int_term_list()
-    lattice = simplex_lattice(p.nvars, p.degree)
-    x_cols = lattice.T
-    bx_cols = [
-        sum(v.numerator * (scale // v.denominator) * x_cols[j] for j, v in enumerate(r) if v)
-        for r in rows
-    ]
-    # kappa * p(Bx) = kappa * P(scale * Bx) / (den * scale^d) and p(x) = P(x) / den
-    common = kappa.denominator * scale ** p.degree
-    lhs = kappa.numerator * _eval_columns(terms, bx_cols)
-    rhs = common * _eval_columns(terms, x_cols)
+    d = p.degree
+    lattice = simplex_lattice(p.nvars, d)
+
+    def lattice_values(mat):
+        dtype = _lattice_dtype(terms, [d * max(abs(v) for v in r) for r in mat])
+        cols = (lattice.astype(dtype) @ np.array(mat, dtype=dtype).T).T
+        return np.asarray(_eval_columns(terms, cols)).astype(object)
+
+    # kappa * p(Bx) = kappa * P(B'x) / (den * scale^d) and p(x) = P(x) / den
+    common = kappa.denominator * scale**d
+    lhs = kappa.numerator * lattice_values(bmat)
+    rhs = common * lattice_values([[int(i == j) for j in range(p.nvars)] for i in range(p.nvars)])
     differ = np.flatnonzero(lhs != rhs)
     if not len(differ):
         return None
     i = differ[0]
-    return tuple(lattice[i]), Fraction(lhs[i], common * den), Fraction(rhs[i], common * den)
+    return tuple(lattice[i].tolist()), Fraction(lhs[i], common * den), Fraction(rhs[i], common * den)
 
 
 def derivatives_along(p: HomoPoly, e) -> tuple[HomoPoly, ...]:
@@ -420,7 +454,7 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> "UniPoly":
     d = p.degree
     if derivs is None:
         derivs = derivatives_along(p, e)
-    cols, scale = _clear_denominators(x)
+    cols, scale = clear_denominators(x)
     coeffs = []
     for j in range(d + 1):
         den, terms = derivs[j]._int_term_list()
@@ -543,7 +577,7 @@ def _trim(coeffs) -> tuple[int, ...]:
 
 def _int_form(q: UniPoly) -> tuple[int, ...]:
     """Primitive integer multiple of q (positive factor), ascending."""
-    return _primitive(_clear_denominators(q.trimmed().coeffs)[0])
+    return _primitive(clear_denominators(q.trimmed().coeffs)[0])
 
 
 def _int_derivative(f) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ import itertools
 import json
 import warnings
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 import pytest
@@ -22,8 +22,9 @@ from hypercones.poly import (
     simplex_lattice,
     squarefree_factors,
 )
-from hypercones.poly import _chain_count, _sturm_chain
-from hypercones import gallery
+from hypercones.poly import _chain_count, _eval_columns, _sturm_chain
+from hypercones import autgroup, exactlin, gallery, poly
+from hypercones.autgroup import LinearMap
 from hypercones.gallery import elementary_symmetric, l1_cone
 
 
@@ -245,6 +246,29 @@ class TestSimplexLattice:
         assert rank_mod_prime(rows) == len(monomials)
 
 
+def scaling_mismatch_oracle(p: HomoPoly, rows, kappa):
+    """`scaling_mismatch` as it was before its int64 path: the lattice and
+    B'x as object arrays of Python ints, one sum per column of B'."""
+    rows = tuple(as_vector(r) for r in rows)
+    kappa = F(kappa)
+    scale = lcm(*(v.denominator for r in rows for v in r))
+    den, terms = p._int_term_list()
+    lattice = simplex_lattice(p.nvars, p.degree).astype(object)
+    x_cols = lattice.T
+    bx_cols = [
+        sum(v.numerator * (scale // v.denominator) * x_cols[j] for j, v in enumerate(r) if v)
+        for r in rows
+    ]
+    common = kappa.denominator * scale ** p.degree
+    lhs = kappa.numerator * _eval_columns(terms, bx_cols)
+    rhs = common * _eval_columns(terms, x_cols)
+    differ = np.flatnonzero(lhs != rhs)
+    if not len(differ):
+        return None
+    i = differ[0]
+    return tuple(lattice[i]), F(lhs[i], common * den), F(rhs[i], common * den)
+
+
 class TestScalingMismatch:
     def test_every_lattice_point_is_checked(self):
         # L_a = prod_i prod_{k < a_i} (d x_i - k |x|) vanishes at every
@@ -269,6 +293,80 @@ class TestScalingMismatch:
     def test_rectangular_map_rejected(self):
         with pytest.raises(ValueError):
             scaling_mismatch(x1x2x3(), [(1, 0), (0, 1), (1, 1)], 1)
+
+
+class TestScalingMismatchDtypeBoundary:
+    """The int64 path is taken only under the overflow bound, and both
+    paths return exactly what the object-array oracle returns."""
+
+    @pytest.fixture
+    def lhs_dtypes(self, monkeypatch):
+        # dtype chosen for kappa * P(B'x); the next call covers P(x)
+        seen = []
+        real = poly._lattice_dtype
+
+        def spy(terms, bounds):
+            seen.append(real(terms, bounds))
+            return seen[-1]
+
+        monkeypatch.setattr(poly, "_lattice_dtype", spy)
+        return seen
+
+    @staticmethod
+    def check(p, rows, kappa):
+        """The identity holds at kappa and fails at kappa (1 + 1/den)."""
+        for kap, holds in ((kappa, True), (kappa * (1 + F(1, kappa.denominator)), False)):
+            got = scaling_mismatch(p, rows, kap)
+            assert got == scaling_mismatch_oracle(p, rows, kap)
+            assert (got is None) == holds
+            if got is not None:
+                assert all(type(v) is int for v in got[0])
+
+    def test_orthant4_power_of_two_scalings(self, lhs_dtypes):
+        # B' = 2^k P: M_i = 4 * 2^k and the bound (4 * 2^k)^4 = 2^(4k + 8)
+        p = gallery.orthant(4).p
+        perm = exactlin.permutation([2, 0, 3, 1])
+        for k in range(10, 18):
+            self.check(p, [[2**k * v for v in row] for row in perm], F(1, 2 ** (4 * k)))
+        lhs = lhs_dtypes[0::2]
+        assert lhs == [np.int64] * 8 + [object] * 8  # k <= 13: 2^60 < 2^63 <= 2^64
+        assert set(lhs_dtypes[1::2]) == {np.int64}
+
+    def test_psd3_congruence_scalings(self, lhs_dtypes):
+        p = gallery.psd(3).p
+        s = [[0, F(1, 2), 1], [F(-1, 2), 0, F(1, 3)], [-1, F(-1, 3), 0]]
+        eye = exactlin.identity(3)
+        minus = [[eye[i][j] - s[i][j] for j in range(3)] for i in range(3)]
+        plus = [[eye[i][j] + s[i][j] for j in range(3)] for i in range(3)]
+        q = exactlin.matmul(minus, exactlin.inverse(plus))
+        congruence = autgroup.lm_linear_map(q, 3).rows
+        for k in range(0, 24, 2):
+            # det(2^k Q X Q^T) = 2^(3k) det X
+            self.check(p, [[2**k * v for v in row] for row in congruence], F(1, 2 ** (3 * k)))
+        assert {np.int64, object} <= set(lhs_dtypes[0::2])
+
+    def test_values_next_to_the_int64_limit(self, lhs_dtypes):
+        # B = c J sends every lattice point to (4c, 4c, 4c, 4c), so P(B'x)
+        # equals the bound (4c)^4: 55108^4 < 2^63 - 1 < 55112^4
+        assert (4 * 13777) ** 4 < 2**63 - 1 < (4 * 13778) ** 4
+        for p in (gallery.orthant(4).p, HomoPoly(4, 4, {(2, 1, 0, 1): 1})):
+            for c, dtype in ((13777, np.int64), (13778, object)):
+                lhs_dtypes.clear()
+                got = scaling_mismatch(p, [[c] * 4] * 4, 1)
+                assert lhs_dtypes[0] is dtype
+                assert got == ((4, 0, 0, 0), (4 * c) ** 4, 0)
+                assert got == scaling_mismatch_oracle(p, [[c] * 4] * 4, 1)
+
+    def test_float_entries_read_from_json(self, lhs_dtypes):
+        # Fraction(0.1) has denominator 2^55: B' = 2^55 B leaves int64
+        p = gallery.orthant(4).p
+        perm = [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+        for c, dtype in ((0.1, object), (0.25, np.int64)):
+            lhs_dtypes.clear()
+            A = LinearMap.from_json_rows([[c * v for v in row] for row in perm])
+            assert A.rows[0][2] == F(c)
+            self.check(p, A.rows, 1 / F(c) ** 4)
+            assert lhs_dtypes[0] is dtype
 
 
 class TestRestrictLine:
