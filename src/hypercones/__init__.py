@@ -13,7 +13,7 @@ from .cones import (
     membership_exact,
     strict_containment_witness,
 )
-from .poly import HomoPoly, UniPoly, as_fraction, as_vector, restrict_line
+from .poly import HomoPoly, as_fraction, as_vector, restrict_line
 from .report import CheckReport, InconclusiveError, Membership, Verdict
 from .spectrum import Spectrum, eigenvalues, rank
 
@@ -24,7 +24,6 @@ __all__ = [
     "InconclusiveError",
     "Membership",
     "Spectrum",
-    "UniPoly",
     "Verdict",
     "as_fraction",
     "as_vector",

@@ -34,7 +34,6 @@ from .cones import (
     _sign_flags,
     boundary_cloud,
     contains,
-    in_interior_exact,
     membership_exact,
     to_level,
 )
@@ -244,7 +243,7 @@ def check_automorphism(
         kappa = cone.pe / p_ae
         mismatch = scaling_mismatch(cone.p, A.rows, kappa)
         if mismatch is None:
-            if in_interior_exact(cone, ae):
+            if membership_exact(cone, ae) is Membership.IN:
                 details = {"conditional_on_minimality": False}
                 if not cone.minimality_assumed:
                     details["note"] = (
@@ -677,7 +676,6 @@ def min_face_fix_check(cone, A, z) -> CheckReport:
         proj_a, _ = _range_projector(am)
         descriptor_ok = bool(np.linalg.norm(proj_a - proj_z) <= 1e-6 * max(1.0, np.linalg.norm(proj_z)))
         face_ok = True
-        eye = np.eye(n)
         for u in basis.T:
             gen = svec_float(np.outer(u, u))
             img = smat_float(af @ gen, n)

@@ -3,7 +3,10 @@
 A `HyperCone` bundles a homogeneous polynomial with a distinguished
 interior direction and caches the directional-derivative tower, since
 every membership question reduces to signs of those derivatives or to
-roots of the line restriction.  The k-th derivative relaxation of a cone
+roots of the line restriction.  For a rational point both come from one
+primitive integer polynomial, `restrict` (coefficient j of p(te - x) is
+(-1)^(d-j) D_e^j p(x) / j!), so exact membership, rank and spectra clear
+the point's denominators once.  The k-th derivative relaxation of a cone
 is itself the cone of D_e^k p along the same e (Renegar 2006), so it is a
 `HyperCone` too, built by `derivative_cone` on the root cone's tower.
 Membership is three-valued (In / Out / Boundary-ambiguous): every property
@@ -20,7 +23,6 @@ import numpy as np
 from . import spectrum
 from .poly import (
     HomoPoly,
-    UniPoly,
     as_vector,
     is_exact_vector,
     restrict_line,
@@ -106,9 +108,11 @@ class HyperCone:
     def e_float(self) -> np.ndarray:
         return self._e_float
 
-    def restrict(self, x) -> UniPoly:
-        """Exact restriction q(t) = p(t e - x) for a rational point."""
-        return restrict_line(self.p, self.e, as_vector(x), derivs=self.derivs)
+    def restrict(self, x) -> tuple[int, ...]:
+        """Exact restriction q(t) = p(t e - x) of a rational point, as the
+        primitive ascending integer tuple of `restrict_line`: a positive
+        multiple of q with d + 1 entries, since p(e) > 0."""
+        return restrict_line(self.p, self.e, x, derivs=self.derivs)
 
     def restriction_coeffs_float(self, points: np.ndarray) -> np.ndarray:
         """(npts, d+1) ascending coefficient rows of the restriction.
@@ -255,23 +259,18 @@ def membership_exact(cone, x) -> Membership:
     """Exact membership of a rational point via derivative signs.
 
     IN means interior (all derivative values strictly positive), OUT means
-    outside the closed cone, BOUNDARY means on the boundary exactly.
+    outside the closed cone, BOUNDARY means on the boundary exactly.  The
+    signs are read off the one integer restriction r = `cone.restrict(x)`:
+    sign(D_e^j p(x)) = (-1)^(d-j) sign(r_j) for j < d.
     """
     if not is_exact_vector(x):
         raise TypeError("membership_exact needs a rational point")
-    x = as_vector(x)
-    boundary = False
-    for q in cone.derivs[: cone.d]:
-        v = q.eval(x)
-        if v < 0:
-            return Membership.OUT
-        if v == 0:
-            boundary = True
-    return Membership.BOUNDARY if boundary else Membership.IN
-
-
-def in_interior_exact(cone, x) -> bool:
-    return membership_exact(cone, x) is Membership.IN
+    d = cone.d
+    # positive multiples of D_e^j p(x), j < d
+    values = [c if (d - j) % 2 == 0 else -c for j, c in enumerate(cone.restrict(x)[:d])]
+    if any(v < 0 for v in values):
+        return Membership.OUT
+    return Membership.BOUNDARY if 0 in values else Membership.IN
 
 
 def contains_by_inequalities(

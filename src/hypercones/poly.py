@@ -11,9 +11,12 @@ divided out at the end.  Identities between forms are decided by
 evaluation, not expansion: `scaling_mismatch` compares both sides on the
 simplex lattice, which is unisolvent for forms of the given degree.
 
-The univariate side (`UniPoly`) certifies statements about real roots on
-primitive integer polynomials: pseudo-remainders, gcd, Yun's square-free
-decomposition and Sturm chains.
+The univariate side is one representation: an ascending tuple of Python
+ints.  `restrict_line` returns the line restriction p(te - x) as such a
+tuple, primitive and a positive multiple of the true restriction, after
+clearing the denominators of x once; pseudo-remainders, gcd, Yun's
+square-free decomposition and Sturm chains then certify statements about
+its real roots without building a Fraction.
 """
 
 from __future__ import annotations
@@ -418,7 +421,8 @@ def scaling_mismatch(p: HomoPoly, rows, kappa):
     def lattice_values(mat):
         dtype = _lattice_dtype(terms, [d * max(abs(v) for v in r) for r in mat])
         cols = (lattice.astype(dtype) @ np.array(mat, dtype=dtype).T).T
-        return np.asarray(_eval_columns(terms, cols)).astype(object)
+        # a form with no variable in any term evaluates to one scalar
+        return np.broadcast_to(np.asarray(_eval_columns(terms, cols), dtype=object), len(lattice))
 
     # kappa * p(Bx) = kappa * P(B'x) / (den * scale^d) and p(x) = P(x) / den
     common = kappa.denominator * scale**d
@@ -440,14 +444,18 @@ def derivatives_along(p: HomoPoly, e) -> tuple[HomoPoly, ...]:
     return tuple(out)
 
 
-def restrict_line(p: HomoPoly, e, x, derivs=None) -> "UniPoly":
-    """Exact coefficients of q(t) = p(t*e - x).
+def restrict_line(p: HomoPoly, e, x, derivs=None) -> tuple[int, ...]:
+    """The primitive integer polynomial of q(t) = p(t*e - x), ascending.
 
     Uses the closed form c_j = (-1)^(d-j) (D_e^j p)(x) / j!, which follows
     from homogeneity; the leading coefficient is always p(e).  Pass a
     precomputed derivative tower to amortize repeated restrictions.  The
-    denominators of x are cleared once and every tower entry is evaluated
-    in integers, with one division per coefficient.
+    denominators of x are cleared once (x = X / scale) and each tower entry
+    D^j p = N_j / den_j is evaluated in integers; with L the lcm of the
+    den_j, L * d! * scale^d * c_j is the integer
+    (-1)^(d-j) N_j(X) * (L / den_j) * (d! / j!) * scale^j.  The result is
+    that tuple divided by its content, so it is a positive multiple of q,
+    with trailing zeros trimmed (the zero polynomial is ()).
     """
     if len(x) != p.nvars:
         raise ValueError("point has wrong dimension")
@@ -455,14 +463,15 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> "UniPoly":
     if derivs is None:
         derivs = derivatives_along(p, e)
     cols, scale = clear_denominators(x)
+    tower = [q._int_term_list() for q in derivs]
+    common = lcm(*(den for den, _ in tower))
     coeffs = []
-    for j in range(d + 1):
-        den, terms = derivs[j]._int_term_list()
+    for j, (den, terms) in enumerate(tower):
         num = (-1) ** (d - j) * _eval_columns(terms, cols)
-        coeffs.append(Fraction(num, den * scale ** (d - j) * factorial(j)))
-    if coeffs and coeffs[-1] == 0:
+        coeffs.append(num * (common // den) * (factorial(d) // factorial(j)) * scale**j)
+    if not coeffs[-1]:
         warnings.warn("restriction has zero leading coefficient: p(e) = 0")
-    return UniPoly(coeffs)
+    return _primitive(_trim(coeffs))
 
 
 def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
@@ -496,71 +505,11 @@ def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials and exact root counting
+# Univariate integer polynomials and exact root counting
+#
+# A univariate polynomial is an ascending tuple of Python ints whose last
+# entry is nonzero; () is the zero polynomial.
 # ---------------------------------------------------------------------------
-
-
-class UniPoly:
-    """Univariate polynomial, ascending exact rational coefficients c_0..c_d.
-
-    Restriction results keep their full declared length (leading
-    coefficient p(e)); arithmetic helpers trim trailing zeros as needed.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(as_fraction(c) for c in coeffs)
-        self.coeffs = cs if cs else (Fraction(0),)
-
-    @property
-    def degree(self) -> int:
-        """Degree after trimming; -1 for the zero polynomial."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    def trimmed(self) -> "UniPoly":
-        d = self.degree
-        return UniPoly(self.coeffs[: d + 1]) if d >= 0 else UniPoly((0,))
-
-    def eval(self, t) -> Fraction:
-        t = as_fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def trailing_zero_count(self) -> int:
-        """Multiplicity of 0 as a root (exact)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable")
-
-    def shifted_down(self, m: int) -> "UniPoly":
-        """Divide by t^m (requires the first m coefficients to vanish)."""
-        if any(self.coeffs[i] for i in range(m)):
-            raise ValueError("polynomial not divisible by t^m")
-        return UniPoly(self.coeffs[m:])
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.trimmed().coeffs, other.trimmed().coeffs
-        return a == b
-
-    def __hash__(self):
-        return hash(self.trimmed().coeffs)
-
-    def __repr__(self):
-        return "UniPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
 def _primitive(coeffs) -> tuple[int, ...]:
@@ -573,11 +522,6 @@ def _trim(coeffs) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _int_form(q: UniPoly) -> tuple[int, ...]:
-    """Primitive integer multiple of q (positive factor), ascending."""
-    return _primitive(clear_denominators(q.trimmed().coeffs)[0])
 
 
 def _int_derivative(f) -> tuple[int, ...]:
@@ -617,22 +561,21 @@ def _exact_quotient(a, b) -> tuple[int, ...]:
     return tuple(reversed(q))
 
 
-def squarefree_factors(q: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's decomposition: list of (monic square-free factor, multiplicity).
+def squarefree_factors(f) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's decomposition of f: (square-free factor, multiplicity) pairs,
+    each factor primitive with a positive leading coefficient.
 
-    Runs on primitive integer polynomials.  b and d are always divided by
-    the same gcd, so Yun's identity d = c - b' holds up to one common
-    scale; the first pass, from (q, q'), only strips gcd(q, q').
+    b and d are always divided by the same gcd, so Yun's identity d = c - b'
+    holds up to one common scale; the first pass, from (f, f'), only strips
+    gcd(f, f').
     """
-    if q.degree <= 0:
-        return []
-    b = _int_form(q)
+    b = f
     d = _int_derivative(b)
     out, i = [], 0
     while len(b) > 1:
         a = _int_gcd(b, d)
         if i and len(a) > 1:
-            out.append((UniPoly([Fraction(c, a[-1]) for c in a]), i))
+            out.append((a, i))
         b = _exact_quotient(b, a)
         c = _exact_quotient(d, a)
         d = _trim(x - y for x, y in zip_longest(c, _int_derivative(b), fillvalue=0))
@@ -640,16 +583,16 @@ def squarefree_factors(q: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-def _sturm_chain(q: UniPoly) -> list[tuple[int, ...]]:
-    """Canonical Sturm chain of q as primitive ascending integer tuples.
+def _sturm_chain(f) -> list[tuple[int, ...]]:
+    """Canonical Sturm chain of f as ascending integer tuples.
 
-    Each entry is a positive multiple of the rational chain q, q',
-    -rem(q, q'), ..., so sign variations are unchanged.  The last entry is
-    gcd(q, q'); the chain counts distinct real roots for any q.
+    Each entry after f is a positive multiple of the rational chain f',
+    -rem(f, f'), ..., made primitive, so sign variations are unchanged.
+    The last entry is gcd(f, f'); the chain counts distinct real roots for
+    any f.
     """
-    if q.is_zero():
+    if not f:
         raise ValueError("zero polynomial")
-    f = _int_form(q)
     chain = [f, _primitive(_int_derivative(f))] if len(f) > 1 else [f]
     while len(chain[-1]) > 1 and (r := _negated_remainder(chain[-2], chain[-1])):
         chain.append(r)
@@ -675,33 +618,28 @@ def sign_variations(chain, t) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _chain_count(chain, lo=None, hi=None) -> int:
-    """Distinct real roots in (lo, hi] counted by a Sturm chain; None
-    bounds mean -inf and +inf.  Neither bound may be a multiple root."""
-    a = -inf if lo is None else as_fraction(lo)
-    b = inf if hi is None else as_fraction(hi)
-    return sign_variations(chain, a) - sign_variations(chain, b)
-
-
-def factor_chains(q: UniPoly) -> list[tuple[list, int]]:
-    """(Sturm chain, multiplicity) for each square-free factor of q.  When
-    gcd(q, q'), the last entry of q's own chain, is constant, q is
+def factor_chains(f) -> list[tuple[list, int]]:
+    """(Sturm chain, multiplicity) for each square-free factor of f.  When
+    gcd(f, f'), the last entry of f's own chain, is constant, f is
     square-free and Yun's split is skipped."""
-    if q.degree <= 0:
+    if len(f) <= 1:
         return []
-    chain = _sturm_chain(q)
+    chain = _sturm_chain(f)
     if len(chain[-1]) == 1:
         return [(chain, 1)]
-    return [(_sturm_chain(f), mult) for f, mult in squarefree_factors(q)]
+    return [(_sturm_chain(g), mult) for g, mult in squarefree_factors(f)]
 
 
-def real_root_count_with_mult(q: UniPoly, lo=None, hi=None) -> int:
-    """Real roots in (lo, hi] counted with multiplicity (exact)."""
-    return sum(mult * _chain_count(chain, lo, hi) for chain, mult in factor_chains(q))
+def real_root_count_with_mult(f) -> int:
+    """Real roots of f counted with multiplicity (exact)."""
+    return sum(
+        mult * (sign_variations(chain, -inf) - sign_variations(chain, inf))
+        for chain, mult in factor_chains(f)
+    )
 
 
-def is_real_rooted(q: UniPoly) -> bool:
-    """True when all roots of q are real (counted with multiplicity)."""
-    if q.is_zero():
+def is_real_rooted(f) -> bool:
+    """True when all roots of f are real (counted with multiplicity)."""
+    if not f:
         raise ValueError("zero polynomial")
-    return real_root_count_with_mult(q) == q.degree
+    return real_root_count_with_mult(f) == len(f) - 1

@@ -1,8 +1,10 @@
 """Eigenvalues of points along a direction: root extraction and rank.
 
-A `Spectrum` is a certificate, and only rational points get one: trailing
-zeros give the eigenvalue 0 with its exact multiplicity, one integer Sturm
-chain per square-free factor refutes or certifies real-rootedness, and
+A `Spectrum` is a certificate, and only rational points get one.  The
+line restriction arrives as one primitive integer polynomial
+(`HyperCone.restrict`); its zero coefficients at the low end give the
+eigenvalue 0 with its exact multiplicity and are sliced off, one integer
+Sturm chain per square-free factor refutes or certifies real-rootedness, and
 every root is isolated (the float kernel only proposes split points) and
 refined by exact sign evaluations to at most 2 ulp (Collins & Akritas
 1976).  So its residual is a certified error bound, and an eigenvalue
@@ -24,8 +26,6 @@ from math import copysign, inf, isfinite
 import numpy as np
 
 from .poly import (
-    UniPoly,
-    as_vector,
     factor_chains,
     is_exact_vector,
     is_real_rooted,
@@ -215,21 +215,27 @@ def _root_enclosures(chain):
     return out
 
 
-def real_roots(q: UniPoly):
-    """Certified real roots of an exact polynomial: (descending, residual).
+def _zero_multiplicity(f) -> int:
+    """Multiplicity of 0 as a root of f: the index of its first nonzero coefficient."""
+    return next(i for i, c in enumerate(f) if c)
 
-    Trailing zeros give exact 0.0 roots; every other root is isolated in
-    its square-free factor and repeated by its exact multiplicity.  Each
-    root lies within `residual`, the largest half-width, of its float.  A
-    non-real root, or a root beyond the float range, raises
-    InconclusiveError.
+
+def real_roots(f):
+    """Certified real roots of an ascending integer polynomial f:
+    (descending, residual).
+
+    Zero coefficients at the low end give exact 0.0 roots and are sliced
+    off; every other root is isolated in its square-free factor and
+    repeated by its exact multiplicity.  Each root lies within `residual`,
+    the largest half-width, of its float.  A non-real root, or a root
+    beyond the float range, raises InconclusiveError.
     """
-    if q.is_zero():
+    if not f:
         raise ValueError("zero polynomial has no well-defined roots")
-    m = q.trailing_zero_count()
+    m = _zero_multiplicity(f)
     roots = [0.0] * m
     residual = 0.0
-    for chain, mult in factor_chains(q.shifted_down(m)):
+    for chain, mult in factor_chains(f[m:]):
         for root, half_width in _root_enclosures(chain):
             roots.extend([root] * mult)
             residual = max(residual, half_width)
@@ -241,16 +247,16 @@ def eigenvalues(cone, x) -> Spectrum:
     """Certified spectrum of a rational point: `real_roots` of the
     restriction of the cone polynomial.
 
-    The multiplicity of 0 is the exact trailing-zero count.  A restriction
-    that is not real-rooted, or an eigenvalue beyond the float range,
-    raises InconclusiveError; a float point raises TypeError (float points
-    take `batch_eigenvalues`).
+    The multiplicity of 0 is read exactly off the restriction's
+    coefficients.  A restriction that is not real-rooted, or an eigenvalue
+    beyond the float range, raises InconclusiveError; a float point raises
+    TypeError (float points take `batch_eigenvalues`).
     """
     if not is_exact_vector(x):
         raise TypeError("eigenvalues needs a rational point; use batch_eigenvalues")
-    q = cone.restrict(as_vector(x))
-    roots, residual = real_roots(q)
-    mult = q.trailing_zero_count()
+    f = cone.restrict(x)
+    roots, residual = real_roots(f)
+    mult = _zero_multiplicity(f)
     return Spectrum(roots, float(residual), len(roots) - mult, mult)
 
 
@@ -266,19 +272,19 @@ def batch_eigenvalues(cone, points: np.ndarray):
 def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     """Certified rank of a rational point: degree minus the multiplicity of 0.
 
-    The multiplicity of 0 in the exact restriction is its trailing-zero
-    count.  With `sturm_verify` the restriction is also certified
-    real-rooted by Sturm counts; a real-rooted restriction with m trailing
-    zeros has exactly d - m nonzero real roots, so nothing is recounted.
+    The multiplicity m of 0 is the number of zero coefficients at the low
+    end of the exact restriction, whose leading coefficient p(e) is
+    positive.  With `sturm_verify` the restriction is also certified
+    real-rooted by Sturm counts; a real-rooted restriction with root 0 of
+    multiplicity m has exactly d - m nonzero real roots, so nothing is
+    recounted.
     """
     if not is_exact_vector(x):
         raise TypeError("rank_exact needs a rational point")
-    q = cone.restrict(as_vector(x))
-    if q.is_zero():
-        raise ValueError("restriction vanished; p(e) = 0?")
-    if sturm_verify and not is_real_rooted(q):
+    f = cone.restrict(x)
+    if sturm_verify and not is_real_rooted(f):
         raise InconclusiveError(NOT_REAL_ROOTED)
-    return cone.d - q.trailing_zero_count()
+    return cone.d - _zero_multiplicity(f)
 
 
 def rank(cone, x) -> int | list[int | None]:

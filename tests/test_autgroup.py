@@ -9,9 +9,9 @@ import pytest
 
 from hypercones import autgroup, cones, exactlin, gallery, spectrum, suite
 from hypercones.autgroup import LinearMap
-from hypercones.cones import HyperCone, in_interior_exact
+from hypercones.cones import HyperCone, membership_exact
 from hypercones.poly import HomoPoly, polar_form_float
-from hypercones.report import Verdict
+from hypercones.report import Membership, Verdict
 
 
 def exact_value(p, x):
@@ -30,7 +30,7 @@ def compose_oracle(cone, A):
     if p_ae <= 0:
         return Verdict.FAILS, None
     kappa = cone.pe / p_ae
-    holds = kappa * cone.p.compose(A.rows) == cone.p and in_interior_exact(cone, ae)
+    holds = kappa * cone.p.compose(A.rows) == cone.p and membership_exact(cone, ae) is Membership.IN
     return (Verdict.HOLDS if holds else Verdict.FAILS), kappa
 
 

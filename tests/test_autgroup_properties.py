@@ -9,9 +9,9 @@ import pytest
 
 from hypercones import autgroup, exactlin, gallery
 from hypercones.autgroup import LinearMap
-from hypercones.cones import in_interior_exact
+from hypercones.cones import membership_exact
 from hypercones.poly import scaling_mismatch
-from hypercones.report import Verdict
+from hypercones.report import Membership, Verdict
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -65,6 +65,6 @@ def test_lattice_verdict_matches_compose(case):
     identity = kappa * cone.p.compose(A.rows) == cone.p
     assert (scaling_mismatch(cone.p, A.rows, kappa) is None) == identity
     # every cone above is flagged minimal, so a mismatch refutes exactly
-    holds = identity and in_interior_exact(cone, ae)
+    holds = identity and membership_exact(cone, ae) is Membership.IN
     assert rep.tier == "exact" and rep.kappa == kappa
     assert rep.verdict is (Verdict.HOLDS if holds else Verdict.FAILS)

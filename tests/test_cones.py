@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hypercones import cones, gallery, spectrum, suite
+from hypercones import cones, gallery, poly, spectrum, suite
 from hypercones.cones import HyperCone
 from hypercones.gallery import elementary_symmetric
 from hypercones.poly import HomoPoly
@@ -46,8 +46,32 @@ class TestInterior:
 
     def test_exact_interior_route(self):
         cone = gallery.orthant(3)
-        assert cones.in_interior_exact(cone, (1, 1, 1))
-        assert not cones.in_interior_exact(cone, (1, 1, 0))
+        assert cones.membership_exact(cone, (1, 1, 1)) is Membership.IN
+        assert cones.membership_exact(cone, (1, 1, 0)) is Membership.BOUNDARY
+
+    def test_one_denominator_clearing_per_point(self, monkeypatch):
+        # the exact spectrum, rank and membership of a point all read its
+        # one integer restriction; the cones are built before counting
+        targets = [gallery.orthant(4), gallery.psd(3).derivative_cone(1), gallery.l1_cone()]
+        calls = []
+        real = poly.clear_denominators
+
+        def counted(values):
+            calls.append(values)
+            return real(values)
+
+        monkeypatch.setattr(poly, "clear_denominators", counted)
+        rng = np.random.default_rng(31)
+        for cone in targets:
+            for _ in range(3):
+                x = tuple(F(int(v), 6) for v in rng.integers(-12, 13, size=cone.nvars))
+                for route in (spectrum.eigenvalues, spectrum.rank_exact, cones.membership_exact):
+                    calls.clear()
+                    route(cone, x)
+                    assert len(calls) == 1, route.__name__
+                calls.clear()
+                spectrum.rank_exact(cone, x, sturm_verify=True)
+                assert len(calls) == 1
 
 
 class TestSharedCones:

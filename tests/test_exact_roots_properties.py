@@ -1,5 +1,6 @@
 """Property tests for the exact spectrum path: integer line restriction,
-exact rank and multiplicity, certified root enclosures and Sturm counts.
+exact membership, exact rank and multiplicity, certified root enclosures
+and Sturm counts.
 
 Needs hypothesis, a test-only dependency; the module is skipped without
 it.  The sympy oracle tests are skipped when sympy is missing.
@@ -9,15 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from hypercones import gallery, spectrum
-from hypercones.poly import (
-    UniPoly,
-    real_root_count_with_mult,
-    restrict_line,
-)
-from hypercones.report import InconclusiveError
+import numpy as np
 
-from test_poly import restrict_line_naive, sturm_count_distinct
+from hypercones import cones, exactlin, gallery, spectrum
+from hypercones.poly import real_root_count_with_mult, restrict_line
+from hypercones.report import InconclusiveError, Membership
+
+from test_poly import evaluate, int_form, restrict_line_naive, sturm_count_distinct
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -49,7 +48,7 @@ def cone_and_point(draw):
 @given(cone_and_point())
 def test_integer_restriction_matches_naive_expansion(case):
     cone, x = case
-    want = restrict_line_naive(cone.p, cone.e, x)
+    want = int_form(restrict_line_naive(cone.p, cone.e, x))
     assert restrict_line(cone.p, cone.e, x) == want
     assert cone.restrict(x) == want
 
@@ -64,10 +63,93 @@ def test_exact_spectrum_rank_is_certified(case):
     assert spec.eigenvalues.count(0.0) >= spec.mult
 
 
+MEMBERSHIP_BASES = {
+    **{f"orthant:{n}": (lambda n=n: gallery.orthant(n)) for n in range(3, 7)},
+    "psd:3": lambda: gallery.psd(3),
+    "soc:3": lambda: gallery.soc(3),
+    "l1": gallery.l1_cone,
+}
+nonnegative = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+
+def membership_by_derivatives(cone, x):
+    """The sign rule on one `HomoPoly.eval` per derivative D_e^j p, j < d:
+    the oracle for `membership_exact`."""
+    boundary = False
+    for q in cone.derivs[: cone.d]:
+        v = q.eval(x)
+        if v < 0:
+            return Membership.OUT
+        if v == 0:
+            boundary = True
+    return Membership.BOUNDARY if boundary else Membership.IN
+
+
+@st.composite
+def relaxation(draw, bases):
+    base = bases[draw(st.sampled_from(sorted(bases)))]()
+    return base.derivative_cone(draw(st.integers(0, base.d - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relaxation(MEMBERSHIP_BASES), st.data())
+def test_membership_matches_derivative_evaluations(cone, data):
+    x = tuple(data.draw(st.lists(rational, min_size=cone.nvars, max_size=cone.nvars)))
+    assert cones.membership_exact(cone, x) is membership_by_derivatives(cone, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_membership_on_orthant_boundary(n, data):
+    # a nonnegative point with a zero coordinate lies on the boundary
+    base = gallery.orthant(n)
+    k = data.draw(st.integers(0, n - 1))
+    x = data.draw(st.lists(nonnegative, min_size=n, max_size=n))
+    x[data.draw(st.integers(0, n - 1))] = F(0)
+    verdict = cones.membership_exact(base.derivative_cone(k), x)
+    assert verdict is membership_by_derivatives(base.derivative_cone(k), x)
+    if k == 0:
+        assert verdict is Membership.BOUNDARY
+
+
+@st.composite
+def psd_boundary_point(draw):
+    """(n, Q diag(lam) Q^T in svec coordinates) for a rational Cayley
+    transform Q = (I - S)(I + S)^-1 and lam >= 0 with a zero entry."""
+    n = draw(st.sampled_from([3, 4]))
+    skew = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+            skew[j][i] = -skew[i][j]
+    eye = exactlin.identity(n)
+    minus = [[eye[i][j] - skew[i][j] for j in range(n)] for i in range(n)]
+    plus = [[eye[i][j] + skew[i][j] for j in range(n)] for i in range(n)]
+    q = np.array(exactlin.matmul(minus, exactlin.inverse(plus)), dtype=object)
+    lam = draw(st.lists(nonnegative, min_size=n, max_size=n))
+    lam[draw(st.integers(0, n - 1))] = F(0)
+    diag = np.array(lam + [F(0)] * (gallery.svec_dim(n) - n), dtype=object)
+    return n, tuple(gallery.svec_product(q, q) @ diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(psd_boundary_point(), st.data())
+def test_membership_on_psd_boundary(case, data):
+    n, x = case
+    assert all(isinstance(v, F) for v in x)
+    k = data.draw(st.integers(0, n - 1))
+    cone = gallery.psd(n).derivative_cone(k)
+    verdict = cones.membership_exact(cone, x)
+    assert verdict is membership_by_derivatives(cone, x)
+    if k == 0:
+        assert verdict is Membership.BOUNDARY
+
+
 @st.composite
 def univariate(draw):
     """A product of rational linear factors (often repeated, sometimes
-    clustered) times an optional quadratic that may have complex roots."""
+    clustered) times an optional quadratic that may have complex roots, as
+    an ascending integer tuple that need not be primitive or positive."""
     roots = draw(st.lists(rational, min_size=0, max_size=4))
     if roots and draw(st.booleans()):
         roots.append(roots[0] + F(1, 2 ** draw(st.integers(20, 60))))
@@ -84,14 +166,12 @@ def univariate(draw):
             for j, v in enumerate(quad):
                 out[i + j] += u * v
         coeffs = out
-    return UniPoly([draw(st.sampled_from([1, -3, F(2, 5)])) * c for c in coeffs])
+    return tuple(draw(st.sampled_from([1, -3, 2])) * c for c in int_form(coeffs))
 
 
-def _sympy_poly(q):
+def _sympy_poly(f):
     sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    return sympy, sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                              for c in reversed(q.trimmed().coeffs)], t)
+    return sympy, sympy.Poly(list(reversed(f)), sympy.Symbol("t"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,7 +179,7 @@ def _sympy_poly(q):
 def test_certified_roots_enclose_sympy_roots(q):
     sympy, poly = _sympy_poly(q)
     exact = poly.real_roots()  # with multiplicity, ascending
-    if len(exact) < q.degree:
+    if len(exact) < len(q) - 1:
         with pytest.raises(InconclusiveError):
             spectrum.real_roots(q)
         return
@@ -118,6 +198,6 @@ def test_sturm_counts_match_sympy(q, lo, width):
     hi = lo + width
     assert sturm_count_distinct(q) == poly.count_roots()
     assert real_root_count_with_mult(q) == len(poly.real_roots())
-    if q.eval(lo) and q.eval(hi):
+    if evaluate(q, lo) and evaluate(q, hi):
         # sympy counts on [lo, hi], the chain on (lo, hi]: equal off the roots
         assert sturm_count_distinct(q, lo, hi) == poly.count_roots(lo, hi)

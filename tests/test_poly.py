@@ -4,32 +4,34 @@ import itertools
 import json
 import warnings
 from fractions import Fraction as F
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 import pytest
 
 from hypercones.poly import (
     HomoPoly,
-    UniPoly,
     as_vector,
     derivatives_along,
+    factor_chains,
     is_real_rooted,
     polar_form_float,
     real_root_count_with_mult,
     restrict_line,
     scaling_mismatch,
+    sign_variations,
     simplex_lattice,
     squarefree_factors,
 )
-from hypercones.poly import _chain_count, _eval_columns, _sturm_chain
+from hypercones.poly import _eval_columns, _sturm_chain
 from hypercones import autgroup, exactlin, gallery, poly
 from hypercones.autgroup import LinearMap
 from hypercones.gallery import elementary_symmetric, l1_cone
 
 
-def restrict_line_naive(p: HomoPoly, e, x) -> UniPoly:
-    """Substitute x_i -> e_i*t - x_i and expand: the oracle for restrict_line."""
+def restrict_line_naive(p: HomoPoly, e, x) -> list[F]:
+    """Substitute x_i -> e_i*t - x_i and expand: the oracle for restrict_line,
+    as ascending Fraction coefficients."""
     e = as_vector(e)
     x = as_vector(x)
     d = p.degree
@@ -46,7 +48,38 @@ def restrict_line_naive(p: HomoPoly, e, x) -> UniPoly:
                 conv = nxt
         for j, v in enumerate(conv):
             acc[j] += v
-    return UniPoly(acc)
+    return acc
+
+
+def int_form(coeffs) -> tuple[int, ...]:
+    """Primitive integer multiple (positive factor) of ascending rational
+    coefficients, trailing zeros trimmed: the oracle for restrict_line."""
+    coeffs = [F(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def evaluate(coeffs, t) -> F:
+    """Ascending coefficients evaluated at t, by Horner."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def positive_factor(f, coeffs) -> F:
+    """The c > 0 with f = c * coeffs (both ascending), asserted to exist."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert len(f) == len(coeffs)
+    c = F(f[-1]) / coeffs[-1]
+    assert c > 0 and all(a == c * b for a, b in zip(f, coeffs))
+    return c
 
 
 def polar_form(p: HomoPoly, xs) -> F:
@@ -62,9 +95,24 @@ def polar_form(p: HomoPoly, xs) -> F:
     return total / factorial(d)
 
 
-def sturm_count_distinct(q: UniPoly, lo=None, hi=None) -> int:
-    """Distinct real roots of any q in (lo, hi]; None means -inf / +inf."""
-    return _chain_count(_sturm_chain(q), lo, hi)
+def chain_count(chain, lo=None, hi=None) -> int:
+    """Distinct real roots in (lo, hi] counted by a Sturm chain; None
+    bounds mean -inf and +inf.  Neither bound may be a multiple root of
+    chain[0]."""
+    a = -float("inf") if lo is None else F(lo)
+    b = float("inf") if hi is None else F(hi)
+    return sign_variations(chain, a) - sign_variations(chain, b)
+
+
+def sturm_count_distinct(f, lo=None, hi=None) -> int:
+    """Distinct real roots of an ascending integer polynomial f in (lo, hi]."""
+    return chain_count(_sturm_chain(f), lo, hi)
+
+
+def root_count_with_mult(f, lo=None, hi=None) -> int:
+    """Real roots of f in (lo, hi] counted with multiplicity: the bounded
+    oracle next to the library's unbounded real_root_count_with_mult."""
+    return sum(mult * chain_count(chain, lo, hi) for chain, mult in factor_chains(f))
 
 
 def vars3():
@@ -75,7 +123,7 @@ def x1x2x3():
     return HomoPoly(3, 3, {(1, 1, 1): 1})
 
 
-def restrict_line_warned(p: HomoPoly, e, x) -> UniPoly:
+def restrict_line_warned(p: HomoPoly, e, x) -> tuple[int, ...]:
     """restrict_line, asserting that it warns exactly when p(e) = 0."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -357,6 +405,13 @@ class TestScalingMismatchDtypeBoundary:
                 assert got == ((4, 0, 0, 0), (4 * c) ** 4, 0)
                 assert got == scaling_mismatch_oracle(p, [[c] * 4] * 4, 1)
 
+    def test_degree_zero_form(self):
+        # no term has a variable, so each side is one scalar on the lattice
+        p = HomoPoly(2, 0, {(0, 0): 1})
+        eye = [(1, 0), (0, 1)]
+        assert scaling_mismatch(p, eye, 2) == ((0, 0), F(2), F(1))
+        assert scaling_mismatch(p, eye, 1) is None
+
     def test_float_entries_read_from_json(self, lhs_dtypes):
         # Fraction(0.1) has denominator 2^55: B' = 2^55 B leaves int64
         p = gallery.orthant(4).p
@@ -373,24 +428,27 @@ class TestRestrictLine:
     def test_product_form_factorization(self):
         p = x1x2x3()
         q = restrict_line(p, (1, 1, 1), (F(2), F(5), F(-7)))
-        want = UniPoly([F(70), F(-39), F(0), F(1)])  # (t-2)(t-5)(t+7)
-        assert q == want
+        assert q == (70, -39, 0, 1)  # (t-2)(t-5)(t+7)
 
     def test_restriction_at_origin(self):
         q = restrict_line(x1x2x3(), (1, 1, 1), (0, 0, 0))
-        assert q == UniPoly([0, 0, 0, 1])
+        assert q == (0, 0, 0, 1)
 
     def test_lorentz_restriction(self):
         p = HomoPoly(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
         q = restrict_line(p, (1, 0, 0), (0, 1, 0))
-        assert q == UniPoly([-1, 0, 1])
+        assert q == (-1, 0, 1)
 
     def test_leading_coefficient_is_value_at_direction(self):
         rng = np.random.default_rng(3)
         p = l1_cone().p
         e = (F(1, 2), F(-1, 4), F(3))
-        q = restrict_line(p, e, rand_vec(rng, 3))
-        assert q.coeffs[-1] == p.eval(e)
+        x = rand_vec(rng, 3)
+        q = restrict_line(p, e, x)
+        # the positive factor is the one that takes p(e) to q's lead
+        positive_factor(q, restrict_line_naive(p, e, x))
+        assert restrict_line_naive(p, e, x)[-1] == p.eval(e)
+        assert F(q[-1]) / p.eval(e) > 0
 
     def test_naive_oracle_agreement(self):
         rng = np.random.default_rng(4)
@@ -398,7 +456,7 @@ class TestRestrictLine:
         for p in polys:
             for _ in range(20):
                 e, x = rand_vec(rng, 3), rand_vec(rng, 3)
-                assert restrict_line_warned(p, e, x) == restrict_line_naive(p, e, x)
+                assert restrict_line_warned(p, e, x) == int_form(restrict_line_naive(p, e, x))
 
     def test_eval_at_point_matches_direct_evaluation(self):
         rng = np.random.default_rng(5)
@@ -407,7 +465,7 @@ class TestRestrictLine:
             e, x, t0 = rand_vec(rng, 3), rand_vec(rng, 3), F(int(rng.integers(-8, 9)), 4)
             q = restrict_line_warned(p, e, x)
             direct = p.eval(tuple(t0 * ei - xi for ei, xi in zip(e, x)))
-            assert q.eval(t0) == direct
+            assert evaluate(q, t0) == positive_factor(q, restrict_line_naive(p, e, x)) * direct
 
 
 class TestPolarForm:
@@ -495,35 +553,36 @@ class TestCanonicalForm:
 
 
 class TestUniPolyExact:
+    """Univariate root counting on ascending integer tuples."""
+
     def test_squarefree_decomposition(self):
-        # t^2 (t-1)^3
-        q = UniPoly([0, 0, -1, 3, -3, 1])
-        factors = sorted(squarefree_factors(q), key=lambda fm: fm[1])
-        assert [(f.coeffs, m) for f, m in factors] == [
-            ((F(0), F(1)), 2),
-            ((F(-1), F(1)), 3),
-        ]
+        # -2 t^2 (t-1)^3: factors come back primitive with a positive lead
+        assert squarefree_factors((0, 0, 2, -6, 6, -2)) == [((0, 1), 2), ((-1, 1), 3)]
 
     def test_sturm_counts(self):
         # (t-1)(t-2)(t+3): three distinct real roots, two positive
-        q = UniPoly([6, -7, -2, 1])
-        assert sturm_count_distinct(q) == 3
-        assert sturm_count_distinct(q, 0, None) == 2
-        assert real_root_count_with_mult(q) == 3
+        f = (6, -7, -2, 1)
+        assert sturm_count_distinct(f) == 3
+        assert sturm_count_distinct(f, 0, None) == 2
+        assert real_root_count_with_mult(f) == 3
 
     def test_sturm_with_multiplicity(self):
-        q = UniPoly([0, 0, -6, 11, -6, 1])  # t^2 (t-1)(t-2)(t-3)
-        assert q.trailing_zero_count() == 2
-        assert real_root_count_with_mult(q, 0, None) == 3
-        assert is_real_rooted(q)
+        f = (0, 0, -6, 11, -6, 1)  # t^2 (t-1)(t-2)(t-3)
+        assert root_count_with_mult(f, None, 0) == 2
+        assert root_count_with_mult(f, 0, None) == 3
+        assert real_root_count_with_mult(f) == 5
+        assert is_real_rooted(f)
 
     def test_not_real_rooted(self):
-        assert not is_real_rooted(UniPoly([1, 0, 1]))  # t^2 + 1
+        assert not is_real_rooted((1, 0, 1))  # t^2 + 1
+        assert real_root_count_with_mult((-1, 0, 0, 1)) == 1  # t^3 - 1
+        with pytest.raises(ValueError):
+            is_real_rooted(())
 
     def test_interval_endpoint_convention(self):
-        q = UniPoly([-1, 1])  # root at 1; interval (lo, hi]
-        assert sturm_count_distinct(q, 0, 1) == 1
-        assert sturm_count_distinct(q, 1, 2) == 0
+        f = (-1, 1)  # root at 1; interval (lo, hi]
+        assert sturm_count_distinct(f, 0, 1) == 1
+        assert sturm_count_distinct(f, 1, 2) == 0
 
 
 def test_derivative_tower_lengths():

@@ -8,38 +8,36 @@ import pytest
 from hypercones import gallery, spectrum
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone
-from hypercones.poly import (
-    HomoPoly,
-    UniPoly,
-    real_root_count_with_mult,
-)
+from hypercones.poly import HomoPoly
 from hypercones.report import InconclusiveError
+
+from test_poly import int_form, root_count_with_mult
 
 
 class TestRealRoots:
     def test_pure_power(self):
-        roots, residual = spectrum.real_roots(UniPoly([0, 0, 0, 1]))
+        roots, residual = spectrum.real_roots((0, 0, 0, 1))
         assert roots == (0.0, 0.0, 0.0)
         assert residual == 0.0
 
     def test_constructed_factorization(self):
         # (t-1)(t-2)(t-3) = t^3 - 6t^2 + 11t - 6
-        roots, residual = spectrum.real_roots(UniPoly([-6, 11, -6, 1]))
+        roots, residual = spectrum.real_roots((-6, 11, -6, 1))
         assert np.allclose(roots, (3, 2, 1), atol=1e-12)
         assert residual <= 1e-12
 
     def test_quadratic(self):
-        roots, _ = spectrum.real_roots(UniPoly([-1, 0, 1]))
+        roots, _ = spectrum.real_roots((-1, 0, 1))
         assert np.allclose(roots, (1, -1), atol=1e-14)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            spectrum.real_roots(UniPoly([0]))
+            spectrum.real_roots(())
 
     def test_repeated_roots_exactly_resolved(self):
         # (t-1)^4: naive companion roots scatter by ~1e-4, the square-free
         # split recovers them exactly
-        roots, residual = spectrum.real_roots(UniPoly([1, -4, 6, -4, 1]))
+        roots, residual = spectrum.real_roots((1, -4, 6, -4, 1))
         assert roots == (1.0, 1.0, 1.0, 1.0)
         assert residual <= 1e-12
 
@@ -59,10 +57,10 @@ class TestCertifiedRoots:
         # 1 +- 1e-10 i: the float seeds see a double root at 1, the Sturm
         # chain sees no real root at all
         with pytest.raises(InconclusiveError, match="not real-rooted"):
-            spectrum.real_roots(UniPoly([1 + F(1, 10**20), -2, 1]))
+            spectrum.real_roots(int_form([1 + F(1, 10**20), -2, 1]))
 
     def test_residual_encloses_irrational_roots(self):
-        roots, residual = spectrum.real_roots(UniPoly([-2, 0, 1]))
+        roots, residual = spectrum.real_roots((-2, 0, 1))
         assert 0 < residual <= 2 * np.spacing(1.5)
         for r in roots:
             lo, hi = F(r) - F(residual), F(r) + F(residual)
@@ -79,7 +77,7 @@ class TestCertifiedRoots:
     def test_roots_closer_than_an_ulp(self, a, gap):
         # distinct roots that no float separates still come back enclosed
         b = a + gap
-        roots, residual = spectrum.real_roots(UniPoly([a * b, -(a + b), 1]))
+        roots, residual = spectrum.real_roots(int_form([a * b, -(a + b), 1]))
         assert residual <= 2 * np.spacing(float(a))
         for got, want in zip(roots, (b, a)):
             assert abs(F(got) - want) <= F(residual)
@@ -92,7 +90,7 @@ class TestBeyondFloatRange:
 
     def test_root_beyond_float_range_is_inconclusive(self):
         with pytest.raises(InconclusiveError, match="float range"):
-            spectrum.real_roots(UniPoly([-(10**400), 1]))
+            spectrum.real_roots((-(10**400), 1))
 
     def test_overflowing_seed_step_is_silent(self):
         # the float seeding's Newton step overflows at 1e200; the certified
@@ -301,4 +299,4 @@ class TestRankProperties:
                 roots, residual = spectrum.real_roots(q)
                 assert residual <= 1e-8
                 positive = sum(1 for r in roots if r > 1e-9)
-                assert positive == real_root_count_with_mult(q, F(1, 10**9), None)
+                assert positive == root_count_with_mult(q, F(1, 10**9), None)
