@@ -26,13 +26,14 @@ from math import lcm
 import numpy as np
 import scipy.linalg
 
-from . import exactlin, spectrum
+from . import exactlin
 from .cones import (
     MEMBERSHIP_TOL,
     WITNESS_BUDGET,
     HyperCone,
     _sign_flags,
     boundary_cloud,
+    certified_separation,
     contains,
     membership_exact,
     to_level,
@@ -458,27 +459,21 @@ def check_deriv_automorphism(
 # ---------------------------------------------------------------------------
 
 
-def garding_check(
-    cone: HyperCone, xs, tol: float = 1e-9
-) -> CheckReport | list[CheckReport]:
-    """Geometric-mean inequality for the polar form on interior tuples.
+def garding_check(cone: HyperCone, xs, tol: float) -> list[CheckReport]:
+    """Geometric-mean inequality for the polar form on a (T, d, n) stack
+    of tuples of interior points, one `CheckReport` per tuple.
 
     Arguments are normalized to p(x) = 1, so the claim becomes
     P(xs) >= 1 with equality exactly for pairwise proportional tuples
     (the gallery cones are pointed, so proportionality has no lineality
     caveat).  The verdict also audits that |gap| <= tol happens iff the
-    tuple is proportional within tolerance.  `xs` is one tuple of d
-    points, which gets one `CheckReport`, or a (T, d, n) stack of tuples,
-    which gets a list of T; one argument outside the interior anywhere in
-    the stack raises ValueError.
+    tuple is proportional within tolerance.  One argument outside the
+    interior anywhere in the stack raises ValueError.
     """
     p, d = cone.p, cone.d
     pts = np.asarray(xs, dtype=float)
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None]
     if pts.ndim != 3 or pts.shape[1] != d:
-        raise ValueError(f"need exactly {d} arguments per tuple, got shape {np.shape(xs)}")
+        raise ValueError(f"need a (T, {d}, n) stack of {d}-tuples, got shape {np.shape(xs)}")
     flat = pts.reshape(-1, pts.shape[2])
     # proportional tuples have maximally repeated roots, which inflate the
     # companion residual; interior needs lambda_min clear of that noise
@@ -492,11 +487,10 @@ def garding_check(
     unit = pts / np.linalg.norm(pts, axis=2)[:, :, None]
     # largest coordinate gap over all pairs of unit arguments
     prop_dists = np.abs(unit[:, :, None, :] - unit[:, None, :, :]).max(axis=(1, 2, 3))
-    reports = [
+    return [
         _garding_report(x, float(gap), float(polar), float(dist), tol)
         for x, gap, polar, dist in zip(pts, gaps, polarized, prop_dists)
     ]
-    return reports[0] if single else reports
 
 
 def _garding_report(pts, gap, polarized, prop_dist, tol) -> CheckReport:
@@ -597,10 +591,10 @@ def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
 
 
 def _candidate_membership(cone, u) -> Membership | None:
-    """`cones.contains` of a candidate eigenvector, or None when it is Out
-    or its restriction does not look real-rooted (InconclusiveError)."""
+    """`cones.contains` of a float candidate eigenvector, or None when it is
+    Out or its restriction does not look real-rooted (InconclusiveError)."""
     try:
-        verdict = contains(cone, u)
+        [verdict] = contains(cone, u[None, :])
     except InconclusiveError:
         return None
     return None if verdict is Membership.OUT else verdict
@@ -649,7 +643,7 @@ def min_face_fix_check(cone, A, z) -> CheckReport:
     alpha = float(zf @ az) / float(zf @ zf)
     if np.linalg.norm(az - alpha * zf) > MEMBERSHIP_TOL * max(1.0, abs(alpha)) * np.linalg.norm(zf):
         raise ValueError("z is not an eigenvector of A")
-    if contains(cone, zf) is Membership.OUT:
+    if contains(cone, zf[None, :])[0] is Membership.OUT:
         raise ValueError("z does not lie in the cone")
 
     if kind == "Orthant":
@@ -726,11 +720,10 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
     Up to WITNESS_BUDGET points are drawn and placed by eigenvalues at
     lambda_min 0.3 and 0.03.  A candidate is a point and image on the two
     sides of the WITNESS_MARGIN band by `_margin_sides`, the derivative
-    signs of x -+ m e.  Each candidate is re-verified before it is
-    returned: exact derivative signs at the rational snap, and a certified
-    spectrum of the snap and of its image when an exact map is available
-    (a fresh float spectrum of the image otherwise), both clear of the
-    margin.
+    signs of x -+ m e.  Floats only propose: each candidate is certified
+    by `certified_separation` at the exact dyadic value of the float row x
+    the search chose, and at its image, the exact map applied to that
+    value, or `as_vector(mf @ x)` for a float map.
     """
     rng = np.random.default_rng(seed)
     need = WITNESS_MARGIN
@@ -747,29 +740,17 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
             for label, mf, mexact in maps:
                 good = inside & (_margin_sides(derived, x @ mf.T, need) == -1)
                 for idx in np.nonzero(good)[0]:
-                    xe = as_vector(spectrum._dyadic(x[idx]))
-                    if membership_exact(derived, xe) is not Membership.IN:
-                        continue
-                    spec_x = spectrum.eigenvalues(derived, xe)
-                    if spec_x.lambda_min < need:
-                        continue
-                    if mexact is not None:
-                        img_exact = mexact.apply(xe)
-                        if membership_exact(derived, img_exact) is not Membership.OUT:
-                            continue
-                        lam_im = spectrum.eigenvalues(derived, img_exact).lambda_min
-                    else:
-                        img = mf @ np.asarray([float(v) for v in xe])
-                        lam_im = float(derived.lambda_min(img[None, :])[0][0])
-                    if lam_im > -need:
-                        continue
-                    return {
-                        "witness": xe,
-                        "direction": label,
-                        "lambda_min_x": spec_x.lambda_min,
-                        "lambda_min_image": lam_im,
-                        "samples": tried,
-                    }
+                    xe = as_vector(x[idx])
+                    img = as_vector(mf @ x[idx]) if mexact is None else mexact.apply(xe)
+                    lams = certified_separation(derived, xe, derived, img, need)
+                    if lams is not None:
+                        return {
+                            "witness": xe,
+                            "direction": label,
+                            "lambda_min_x": lams[0],
+                            "lambda_min_image": lams[1],
+                            "samples": tried,
+                        }
     return None
 
 

@@ -233,7 +233,7 @@ def cmd_garding(args) -> int:
     cone = _parse_cone(args.cone_id)
     rng = np.random.default_rng(args.seed)
     d, n = cone.d, cone.nvars
-    xs = cones.interior_points(cone, rng, args.samples * d).reshape(-1, d, n)
+    xs = cones.to_interior(cone, rng.standard_normal((args.samples * d, n))).reshape(-1, d, n)
     reps = autgroup.garding_check(cone, xs, tol=args.tol)
     worst_random = min(rep.details["gap"] for rep in reps)
     problems = [{"kind": "random", "i": i} for i, rep in enumerate(reps) if not rep.holds]

@@ -12,6 +12,13 @@ is itself the cone of D_e^k p along the same e (Renegar 2006), so it is a
 Membership is three-valued (In / Out / Boundary-ambiguous): every property
 suite downstream quantifies only over points with a tolerance margin,
 which is what keeps the checks deterministic instead of flaky.
+
+Float points or exact rationals: a float point is a row of a 2-D stack and
+takes a batched float route (`contains`, `lambda_min`), and a rational
+point takes an exact route (`membership_exact`).  The one exception is
+`contains_by_inequalities`, which also decides one point, float or
+rational, on its own.  A witness search proposes a float point and
+certifies that float's exact dyadic value (`certified_separation`).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .report import CheckReport, InconclusiveError, Membership, Verdict
 MEMBERSHIP_TOL = 1e-8
 # Points drawn by the witness searches before they report Inconclusive.
 WITNESS_BUDGET = 4096
-# lambda_min of the points drawn by `interior_points`.
+# lambda_min of the points placed by `to_interior`.
 INTERIOR_MARGIN = 0.25
 
 
@@ -181,11 +188,6 @@ def cone_view(cone) -> HyperCone:
     return cone
 
 
-def interior_points(cone, rng, count: int) -> np.ndarray:
-    """`count` Gaussian points moved into the interior by `to_interior`."""
-    return to_interior(cone, rng.standard_normal((count, cone.nvars)))
-
-
 def to_level(cone, pts: np.ndarray, level, lam: np.ndarray) -> np.ndarray:
     """Each row of `pts`, whose lambda_min is `lam`, shifted along e to
     lambda_min `level`: the eigenvalues of x - t e are those of x minus t."""
@@ -218,28 +220,17 @@ def row_norms(pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def contains(cone, x) -> Membership | list[Membership]:
-    """Eigenvalue-route membership with a band of MEMBERSHIP_TOL at the
-    boundary.
+def contains(cone, points) -> list[Membership]:
+    """Eigenvalue-route membership of each row of a 2-D float stack, with a
+    band of MEMBERSHIP_TOL at the boundary, from one batched spectrum.
 
-    The root residual widens the band: for a float point a repeated
-    boundary root smears the companion eigenvalues, and for a rational
-    point it is the certified enclosure half-width, so decisions require a
-    margin beyond both the tolerance and the residual.  Restrictions that
-    are (rational points) or look (float points) non-real-rooted raise
-    InconclusiveError.
-
-    `x` is one point, which gets one `Membership`, or a 2-D float array,
-    which gets a list with one `Membership` per row from one batched
-    spectrum; a row that looks non-real-rooted raises for the whole array.
+    The root residual widens the band: a repeated boundary root smears the
+    companion eigenvalues, so decisions require a margin beyond both the
+    tolerance and the residual.  A row whose restriction looks
+    non-real-rooted raises InconclusiveError for the whole stack.
+    Rational points take `membership_exact`.
     """
-    single = np.ndim(x) == 1
-    if single and is_exact_vector(x):
-        spec = spectrum.eigenvalues(cone, x)
-        eigs, residuals = np.array([spec.eigenvalues]), np.array([spec.residual])
-    else:
-        pts = np.asarray(x, dtype=float)
-        eigs, residuals = spectrum.batch_eigenvalues(cone, pts[None, :] if single else pts)
+    eigs, residuals = spectrum.batch_eigenvalues(cone, points)
     over = np.flatnonzero(residuals > 0.05 * (1.0 + np.abs(eigs[:, 0])))
     if len(over):
         row = int(over[0])
@@ -248,11 +239,10 @@ def contains(cone, x) -> Membership | list[Membership]:
             "not real-rooted within tolerance"
         )
     band = MEMBERSHIP_TOL + residuals
-    verdicts = [
+    return [
         Membership.IN if lmin > b else Membership.OUT if lmin < -b else Membership.BOUNDARY
         for lmin, b in zip(eigs[:, -1].tolist(), band.tolist())
     ]
-    return verdicts[0] if single else verdicts
 
 
 def membership_exact(cone, x) -> Membership:
@@ -287,9 +277,11 @@ def contains_by_inequalities(
     ||x||^(d-i): a point is Out at the first order below -tol * scale_i,
     and otherwise Boundary-ambiguous if any value sat inside the band.
 
-    `x` is one point, which gets one `Membership`, or a 2-D float array,
-    which gets a list with one `Membership` per row; each derivative is
-    evaluated once over the whole array.
+    `x` is a 2-D float array, which gets a list with one `Membership` per
+    row, each derivative evaluated once over the whole array, or one point,
+    float or rational, which gets one `Membership`.  This one-point form is
+    the only exception to the stacks-or-exact rule: the `perfbench`
+    float tier decides float points one at a time, CLI `member` rational ones.
     """
     if not 0 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 0..{cone.d - 1}")
@@ -329,15 +321,35 @@ def _sign_flags(target, pts: np.ndarray, tol: float):
 # ---------------------------------------------------------------------------
 
 
+def certified_separation(cone_in, x, cone_out, y, margin):
+    """Certify that the rational point x lies inside `cone_in` and the
+    rational point y outside `cone_out`, both with margin.
+
+    Exact derivative signs must put x in the interior of `cone_in` and y
+    outside the closed `cone_out`, and certified spectra must give
+    lambda_min(x) >= margin and lambda_min(y) <= -margin.  Returns the two
+    certified lambda_min values, or None when any step fails.
+    """
+    if membership_exact(cone_in, x) is not Membership.IN:
+        return None
+    if membership_exact(cone_out, y) is not Membership.OUT:
+        return None
+    lam_x = spectrum.eigenvalues(cone_in, x).lambda_min
+    lam_y = spectrum.eigenvalues(cone_out, y).lambda_min
+    if lam_x < margin or lam_y > -margin:
+        return None
+    return lam_x, lam_y
+
+
 def strict_containment_witness(cone: HyperCone, k: int, seed: int = 0) -> CheckReport:
     """Search for a point separating relaxation k from relaxation k-1.
 
     The witness x lies in the k-th relaxation and outside the (k-1)-th,
-    with two-sided eigenvalue margins of at least 10 * MEMBERSHIP_TOL,
-    re-verified both by fresh spectra and by exact derivative signs at a
-    rational snap of the point.  Failure to find one among WITNESS_BUDGET
-    sampled points is reported as float-tier Inconclusive, never as a
-    refutation.
+    with two-sided eigenvalue margins of at least 10 * MEMBERSHIP_TOL.
+    Floats only propose: a candidate row is certified at the exact dyadic
+    value of the float the search chose, by `certified_separation`.
+    Failure to find one among WITNESS_BUDGET sampled points is reported as
+    float-tier Inconclusive, never as a refutation.
     """
     if not 1 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 1..{cone.d - 1}")
@@ -366,25 +378,15 @@ def strict_containment_witness(cone: HyperCone, k: int, seed: int = 0) -> CheckR
             if gap[idx] < max(40 * tol, 1e-4):
                 break
             mid = (lam_in[[idx]] + lam_out[[idx]]) / 2.0
-            xf = to_level(cone, y[[idx]], 0.0, mid)[0]
-            x_exact = as_vector(spectrum._dyadic(xf))
-            if membership_exact(outer, x_exact) is not Membership.IN:
-                continue
-            if membership_exact(inner, x_exact) is not Membership.OUT:
-                continue
-            spec_in = spectrum.eigenvalues(inner, x_exact)
-            spec_out = spectrum.eigenvalues(outer, x_exact)
-            if spec_out.lambda_min >= margin_req and spec_in.lambda_min <= -margin_req:
+            x = as_vector(to_level(cone, y[[idx]], 0.0, mid)[0])
+            lams = certified_separation(outer, x, inner, x, margin_req)
+            if lams is not None:
                 return CheckReport(
                     verdict=Verdict.HOLDS,
-                    witness=x_exact,
+                    witness=x,
                     samples=tried,
                     tolerances={"tol": tol, "margin": margin_req},
-                    details={
-                        "k": k,
-                        "lambda_min_outer": spec_out.lambda_min,
-                        "lambda_min_inner": spec_in.lambda_min,
-                    },
+                    details={"k": k, "lambda_min_outer": lams[0], "lambda_min_inner": lams[1]},
                     tier="exact",
                 )
     return CheckReport(

@@ -204,21 +204,18 @@ def psd(n: int) -> HyperCone:
     )
 
 
-def psd_deriv_member(n: int, k: int, X) -> Membership | list[Membership]:
-    """Relaxation membership for a symmetric matrix via its eigenvalues.
+def psd_deriv_member(n: int, k: int, X) -> list[Membership]:
+    """Relaxation membership for each matrix of an (m, n, n) stack of
+    symmetric matrices via its eigenvalues.
 
     Works for any n: the matrix goes through a symmetric eigensolver and
     the eigenvalue vector through the derivative-sign description of the
     k-th orthant relaxation, with its default band `cones.MEMBERSHIP_TOL`.
     Values that sit in the band but on the nonnegative side count as In
     (closed membership); only sign-ambiguous values report
-    Boundary-ambiguous.  `X` is one (n, n) matrix, which gets one
-    `Membership`, or an (m, n, n) stack, which gets a list of m.
+    Boundary-ambiguous.  One asymmetric matrix rejects the stack.
     """
     mats = np.asarray(X, dtype=float)
-    single = mats.ndim == 2
-    if single:
-        mats = mats[None]
     if mats.ndim != 3 or mats.shape[1:] != (n, n):
         raise ValueError("matrix has wrong shape")
     mt = mats.transpose(0, 2, 1)
@@ -235,7 +232,7 @@ def psd_deriv_member(n: int, k: int, X) -> Membership | list[Membership]:
             closed &= q.eval_float(lam[band]) >= 0.0
         for i in np.asarray(band)[closed]:
             verdicts[i] = Membership.IN
-    return verdicts[0] if single else verdicts
+    return verdicts
 
 
 def soc(n: int) -> HyperCone:

@@ -4,7 +4,10 @@ Terms are stored as a dict from exponent tuples to `fractions.Fraction`
 coefficients, so every identity asserted downstream (derivative formulas,
 composition laws, scaling certificates) is an exact statement about
 coefficient maps.  Floating point shows up only in the cached term arrays
-used by the numeric samplers.
+used by the numeric samplers, and float evaluation takes stacks only:
+`eval_float` evaluates the rows of an (npts, nvars) array and
+`polar_form_float` the tuples of a (T, d, n) array, while a rational point
+takes `eval`.
 
 Exact evaluation runs in integers: denominators are cleared once and
 divided out at the end.  Identities between forms are decided by
@@ -74,7 +77,7 @@ class HomoPoly:
     operations return new polynomials.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_float_terms", "_int_terms", "_key")
+    __slots__ = ("nvars", "degree", "terms", "_float_terms", "_int_terms", "_lattice", "_key")
 
     def __init__(self, nvars: int, degree: int, terms):
         if nvars < 1:
@@ -99,6 +102,7 @@ class HomoPoly:
         self.terms = clean
         self._float_terms = None
         self._int_terms = None
+        self._lattice = None
         self._key = None
 
     # -- construction helpers ------------------------------------------------
@@ -278,14 +282,20 @@ class HomoPoly:
             ])
         return self._int_terms
 
+    def _lattice_values(self):
+        """The integer form of `_int_term_list` at every point of
+        `simplex_lattice(nvars, degree)`: the right-hand side of
+        `scaling_mismatch`, computed once per form."""
+        if self._lattice is None:
+            eye = [[int(i == j) for j in range(self.nvars)] for i in range(self.nvars)]
+            self._lattice = _eval_on_lattice(self, eye)
+        return self._lattice
+
     def eval_float(self, points) -> np.ndarray:
-        """Float evaluation at one point (1d) or a batch of points (2d)."""
+        """Float evaluation at each row of a (npts, nvars) stack."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.nvars:
-            raise ValueError("points have wrong dimension")
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise ValueError(f"need a (npts, {self.nvars}) stack of points, got shape {pts.shape}")
         out = np.zeros(len(pts))
         for exp, c in self._float_term_list():
             t = np.full(len(pts), c)
@@ -295,7 +305,7 @@ class HomoPoly:
                 elif a:
                     t = t * pts[:, j] ** a
             out += t
-        return out[0] if single else out
+        return out
 
     # -- serialization ----------------------------------------------------------------
 
@@ -404,7 +414,9 @@ def scaling_mismatch(p: HomoPoly, rows, kappa):
     product and partial sum of P (`_lattice_dtype`) fit in int64, the
     lattice, B' and both evaluations are int64 and B'x is one matmul;
     otherwise they are object arrays of Python ints.  Either way the products with
-    num(kappa) and den(kappa) * scale^d are taken in Python ints.  A
+    num(kappa) and den(kappa) * scale^d are taken in Python ints.  P(x)
+    depends on p alone and is computed once per form
+    (`HomoPoly._lattice_values`).  A
     mismatch returns the point x (a tuple of ints), kappa * p(Bx) and
     p(x), the last two as Fractions.
     """
@@ -414,25 +426,32 @@ def scaling_mismatch(p: HomoPoly, rows, kappa):
     kappa = as_fraction(kappa)
     scale = lcm(*(v.denominator for r in rows for v in r))
     bmat = [[v.numerator * (scale // v.denominator) for v in r] for r in rows]
-    den, terms = p._int_term_list()
+    den = p._int_term_list()[0]
     d = p.degree
     lattice = simplex_lattice(p.nvars, d)
-
-    def lattice_values(mat):
-        dtype = _lattice_dtype(terms, [d * max(abs(v) for v in r) for r in mat])
-        cols = (lattice.astype(dtype) @ np.array(mat, dtype=dtype).T).T
-        # a form with no variable in any term evaluates to one scalar
-        return np.broadcast_to(np.asarray(_eval_columns(terms, cols), dtype=object), len(lattice))
-
     # kappa * p(Bx) = kappa * P(B'x) / (den * scale^d) and p(x) = P(x) / den
     common = kappa.denominator * scale**d
-    lhs = kappa.numerator * lattice_values(bmat)
-    rhs = common * lattice_values([[int(i == j) for j in range(p.nvars)] for i in range(p.nvars)])
+    lhs = kappa.numerator * _eval_on_lattice(p, bmat)
+    rhs = common * p._lattice_values()
     differ = np.flatnonzero(lhs != rhs)
     if not len(differ):
         return None
     i = differ[0]
     return tuple(lattice[i].tolist()), Fraction(lhs[i], common * den), Fraction(rhs[i], common * den)
+
+
+def _eval_on_lattice(p: HomoPoly, mat):
+    """P(Mx) at every point x of `simplex_lattice(p.nvars, p.degree)`, as
+    an object array of Python ints: P is the integer form of
+    `p._int_term_list()` and M the square integer matrix `mat`, in the
+    dtype `_lattice_dtype` proves safe."""
+    _, terms = p._int_term_list()
+    d = p.degree
+    lattice = simplex_lattice(p.nvars, d)
+    dtype = _lattice_dtype(terms, [d * max(abs(v) for v in r) for r in mat])
+    cols = (lattice.astype(dtype) @ np.array(mat, dtype=dtype).T).T
+    # a form with no variable in any term evaluates to one scalar
+    return np.broadcast_to(np.asarray(_eval_columns(terms, cols), dtype=object), len(lattice))
 
 
 def derivatives_along(p: HomoPoly, e) -> tuple[HomoPoly, ...]:
@@ -474,23 +493,19 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> tuple[int, ...]:
     return _primitive(_trim(coeffs))
 
 
-def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
+def polar_form_float(p: HomoPoly, xs) -> np.ndarray:
     """Fully symmetric multilinear form P with P(x, ..., x) = p(x), in
-    floats; one batched evaluation per call.
+    floats, at each tuple of a (T, d, n) stack of d-tuples of points; one
+    batched evaluation per call, a length-T array back.
 
     Computed by the polarization identity
     P = (1/d!) * sum over nonempty S of (-1)^(d-|S|) p(sum of xs in S),
-    a dense 2^d - 1 term sum, hence the degree cap.  `xs` is one tuple of
-    d points, which gets a float, or a (T, d, n) stack of tuples, which
-    gets a length-T array.
+    a dense 2^d - 1 term sum, hence the degree cap.
     """
     d = p.degree
     pts = np.asarray(xs, dtype=float)
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None]
     if pts.ndim != 3 or pts.shape[1] != d:
-        raise ValueError(f"need exactly {d} arguments per tuple, got shape {np.shape(xs)}")
+        raise ValueError(f"need a (T, {d}, n) stack of {d}-tuples, got shape {np.shape(xs)}")
     if d > POLAR_DEGREE_CAP:
         raise ValueError(f"polarization sum needs 2^{d} evaluations; cap is {POLAR_DEGREE_CAP}")
     masks = np.arange(1, 1 << d)
@@ -500,8 +515,7 @@ def polar_form_float(p: HomoPoly, xs) -> float | np.ndarray:
     signs = np.where((d - sizes) % 2 == 0, 1.0, -1.0)
     values = p.eval_float(points.reshape(-1, pts.shape[2])).reshape(len(pts), -1)
     # one dot product per tuple, the same bits as `signs @ values` row by row
-    polar = (values[:, None, :] @ signs[:, None]).ravel() / factorial(d)
-    return float(polar[0]) if single else polar
+    return (values[:, None, :] @ signs[:, None]).ravel() / factorial(d)
 
 
 # ---------------------------------------------------------------------------

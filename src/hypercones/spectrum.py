@@ -10,10 +10,11 @@ refined by exact sign evaluations to at most 2 ulp (Collins & Akritas
 1976).  So its residual is a certified error bound, and an eigenvalue
 beyond the float range is reported as inconclusive, not rounded.
 
-Float points only ever go through one batched kernel: balanced
-companion-matrix eigenvalues plus two guarded Newton steps on the rows
-that came back real (`batch_eigenvalues`, `HyperCone.lambda_min`, and the
-float rows of `rank`).
+Float points come as the rows of a 2-D stack and only ever go through one
+batched kernel: balanced companion-matrix eigenvalues plus two guarded
+Newton steps on the rows that came back real (`batch_eigenvalues`,
+`HyperCone.lambda_min` and `rank`, one result per row).  A rational point
+takes the exact routes `eigenvalues` and `rank_exact`.
 """
 
 from __future__ import annotations
@@ -287,36 +288,17 @@ def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     return cone.d - _zero_multiplicity(f)
 
 
-def rank(cone, x) -> int | list[int | None]:
-    """Number of nonzero eigenvalues of x.
+def rank(cone, points) -> list[int | None]:
+    """Number of nonzero eigenvalues of each row of a 2-D float stack, from
+    one batched spectrum.
 
-    Rational points are classified exactly (`rank_exact`).  Float points
-    take one batched spectrum; a row cannot be classified when its root
-    residual exceeds RESIDUAL_GATE or an eigenvalue falls inside the
-    ambiguous band around DEFAULT_ZERO_TOL.  One float point gets an int
-    and raises InconclusiveError there; a 2-D float array gets a list with
-    one rank per row and None on each such row.
+    A row cannot be classified, and gets None, when its root residual
+    exceeds RESIDUAL_GATE or an eigenvalue falls inside the ambiguous band
+    around DEFAULT_ZERO_TOL.  Rational points take `rank_exact`.
     """
-    if np.ndim(x) == 1 and is_exact_vector(x):
-        return rank_exact(cone, x)
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    eigs, residuals = batch_eigenvalues(cone, pts[None, :] if single else pts)
+    eigs, residuals = batch_eigenvalues(cone, points)
     mag = np.abs(eigs)
     lo, hi = DEFAULT_ZERO_TOL / AMBIGUOUS_BAND, DEFAULT_ZERO_TOL * AMBIGUOUS_BAND
     unclear = (residuals > RESIDUAL_GATE) | ((lo < mag) & (mag < hi)).any(axis=1)
     ranks = eigs.shape[1] - (mag <= DEFAULT_ZERO_TOL).sum(axis=1)
-    out = [None if u else r for u, r in zip(unclear.tolist(), ranks.tolist())]
-    if not single:
-        return out
-    if residuals[0] > RESIDUAL_GATE:
-        raise InconclusiveError(f"root residual {residuals[0]} too large")
-    if out[0] is None:
-        lam = eigs[0][(lo < mag[0]) & (mag[0] < hi)][0]
-        raise InconclusiveError(f"eigenvalue {lam} inside the ambiguous zero band ({lo}, {hi})")
-    return out[0]
-
-
-def _dyadic(arr: np.ndarray) -> np.ndarray:
-    """Snap to the nearest multiples of 2^-16: short exact rationals."""
-    return np.round(arr * 65536.0) / 65536.0
+    return [None if u else r for u, r in zip(unclear.tolist(), ranks.tolist())]

@@ -10,7 +10,7 @@ import pytest
 from hypercones import autgroup, cones, exactlin, gallery, spectrum, suite
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone, membership_exact
-from hypercones.poly import HomoPoly, polar_form_float
+from hypercones.poly import HomoPoly, as_vector, polar_form_float
 from hypercones.report import Membership, Verdict
 
 
@@ -356,14 +356,14 @@ class TestLatticeCertificate:
 class TestGarding:
     def test_proportional_tuple_has_zero_gap(self):
         cone = gallery.orthant(3)
-        rep = autgroup.garding_check(cone, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+        [rep] = autgroup.garding_check(cone, [[(1, 1, 1), (2, 2, 2), (3, 3, 3)]], tol=1e-9)
         assert rep.holds
         assert abs(rep.details["gap"]) <= 1e-12
         assert rep.details["proportional"]
 
     def test_non_proportional_tuple_has_positive_gap(self):
         cone = gallery.orthant(3)
-        rep = autgroup.garding_check(cone, [(1, 1, 1), (1, 1, 1), (1, 1, 4)])
+        [rep] = autgroup.garding_check(cone, [[(1, 1, 1), (1, 1, 1), (1, 1, 4)]], tol=1e-9)
         assert rep.holds
         # normalized gap: polarized value 2 against geometric mean 4^(1/3)
         assert rep.details["gap"] == pytest.approx(2 / 4 ** (1 / 3) - 1, rel=1e-9)
@@ -371,12 +371,15 @@ class TestGarding:
     def test_boundary_argument_rejected(self):
         cone = gallery.orthant(3)
         with pytest.raises(ValueError):
-            autgroup.garding_check(cone, [(1, 1, 1), (1, 1, 0), (1, 1, 1)])
+            autgroup.garding_check(cone, [[(1, 1, 1), (1, 1, 0), (1, 1, 1)]], tol=1e-9)
 
     def test_wrong_arity_rejected(self):
         cone = gallery.orthant(3)
         with pytest.raises(ValueError):
-            autgroup.garding_check(cone, [(1, 1, 1)] * 2)
+            autgroup.garding_check(cone, [[(1, 1, 1)] * 2], tol=1e-9)
+        # one tuple is not a stack of tuples
+        with pytest.raises(ValueError, match="stack"):
+            autgroup.garding_check(cone, [(1, 1, 1)] * 3, tol=1e-9)
 
 
 def reference_garding_numbers(cone, xs):
@@ -404,16 +407,15 @@ class TestGardingStack:
         cone = gallery.parse_cone_id(cone_id)
         d, n = cone.d, cone.nvars
         rng = np.random.default_rng(27)
-        xs = cones.interior_points(cone, rng, 60 * d).reshape(60, d, n)
-        base = cones.interior_points(cone, rng, 20)
+        xs = cones.to_interior(cone, rng.standard_normal((60 * d, n))).reshape(60, d, n)
+        base = cones.to_interior(cone, rng.standard_normal((20, n)))
         scalars = rng.uniform(0.5, 3.0, size=(20, d))
         stack = np.concatenate([xs, scalars[:, :, None] * base[:, None, :]])
-        stacked = autgroup.garding_check(cone, stack)
+        stacked = autgroup.garding_check(cone, stack, tol=1e-9)
         assert len(stacked) == len(stack)
         assert any(rep.details["proportional"] for rep in stacked)
         for tup, rep in zip(stack, stacked):
-            one = autgroup.garding_check(cone, tup)
-            assert rep == one
+            assert [rep] == autgroup.garding_check(cone, tup[None], tol=1e-9)
             gap, dist = reference_garding_numbers(cone, tup)
             assert rep.details["gap"].hex() == gap.hex()
             assert rep.details["proportionality_distance"].hex() == dist.hex()
@@ -423,16 +425,17 @@ class TestGardingStack:
         good = [(1, 1, 1), (1, 2, 1), (1, 1, 3)]
         bad = [(1, 1, 1), (1, 1, 0), (1, 1, 1)]
         with pytest.raises(ValueError, match="strictly interior"):
-            autgroup.garding_check(cone, bad)
+            autgroup.garding_check(cone, [bad], tol=1e-9)
         with pytest.raises(ValueError, match="strictly interior"):
-            autgroup.garding_check(cone, [good, bad, good])
+            autgroup.garding_check(cone, [good, bad, good], tol=1e-9)
 
     def test_polar_form_stack(self):
         cone = gallery.psd(3)
-        xs = cones.interior_points(cone, np.random.default_rng(28), 30).reshape(10, 3, 6)
+        rng = np.random.default_rng(28)
+        xs = cones.to_interior(cone, rng.standard_normal((30, 6))).reshape(10, 3, 6)
         stacked = polar_form_float(cone.p, xs)
         assert [v.hex() for v in stacked.tolist()] == [
-            polar_form_float(cone.p, x).hex() for x in xs
+            polar_form_float(cone.p, x[None])[0].hex() for x in xs
         ]
 
 
@@ -447,8 +450,8 @@ def reference_garding_check(seed, roster):
         d = cone.d
         min_gap = float("inf")
         for i in range(1000):
-            xs = cones.interior_points(cone, rng, d)
-            rep = autgroup.garding_check(cone, xs, tol=1e-9)
+            xs = cones.to_interior(cone, rng.standard_normal((d, cone.nvars)))
+            [rep] = autgroup.garding_check(cone, xs[None], tol=1e-9)
             gap = rep.details["gap"]
             min_gap = min(min_gap, gap)
             if not rep.holds or gap < -1e-9:
@@ -457,10 +460,10 @@ def reference_garding_check(seed, roster):
                 break
         max_prop_gap = 0.0
         for i in range(100):
-            base = cones.interior_points(cone, rng, 1)[0]
+            base = cones.to_interior(cone, rng.standard_normal((1, cone.nvars)))[0]
             scalars = rng.uniform(0.5, 3.0, size=d)
             xs = scalars[:, None] * base[None, :]
-            rep = autgroup.garding_check(cone, xs, tol=1e-9)
+            [rep] = autgroup.garding_check(cone, xs[None], tol=1e-9)
             gap = abs(rep.details["gap"])
             max_prop_gap = max(max_prop_gap, gap)
             if not rep.holds or gap > 1e-9:
@@ -472,8 +475,8 @@ def reference_garding_check(seed, roster):
         attempts = 0
         while tested < 100 and attempts < 1000:
             attempts += 1
-            base = cones.interior_points(cone, rng, 1)[0]
-            other = cones.interior_points(cone, rng, 1)[0]
+            base = cones.to_interior(cone, rng.standard_normal((1, cone.nvars)))[0]
+            other = cones.to_interior(cone, rng.standard_normal((1, cone.nvars)))[0]
             scalars = rng.uniform(0.5, 3.0, size=d)
             xs = scalars[:, None] * base[None, :]
             xs[0] = 0.55 * xs[0] + 0.45 * other * np.linalg.norm(xs[0]) / max(
@@ -483,7 +486,7 @@ def reference_garding_check(seed, roster):
             if lam[0] <= 1e-6:
                 continue
             tested += 1
-            rep = autgroup.garding_check(cone, xs, tol=1e-9)
+            [rep] = autgroup.garding_check(cone, xs[None], tol=1e-9)
             gap = rep.details["gap"]
             min_nonprop_gap = min(min_nonprop_gap, gap)
             if not rep.holds or gap < 1e-6:
@@ -505,15 +508,11 @@ def reference_garding_check(seed, roster):
 def failing_where_large(check, threshold):
     """garding_check, with every tuple whose first coordinate exceeds
     `threshold` reported as failing: forces the early stops."""
-    def wrapped(cone, xs, tol=1e-9):
-        reports = check(cone, xs, tol)
-        single = not isinstance(reports, list)
-        tuples = np.asarray(xs, dtype=float).reshape(-1, cone.d, cone.nvars)
-        flipped = [
+    def wrapped(cone, xs, tol):
+        return [
             dataclasses.replace(rep, verdict=Verdict.FAILS) if tup[0, 0] > threshold else rep
-            for tup, rep in zip(tuples, [reports] if single else reports)
+            for tup, rep in zip(np.asarray(xs, dtype=float), check(cone, xs, tol))
         ]
-        return flipped[0] if single else flipped
     return wrapped
 
 
@@ -635,6 +634,9 @@ class TestClassifications:
         w = rep.details["membership_witness"]
         assert w is not None
         assert w["lambda_min_x"] >= 1e-6 and w["lambda_min_image"] <= -1e-6
+        amap = cand if w["direction"] == "A" else cand.inverse()
+        x = tuple(F(v) for v in w["x"])
+        assert_certified_witness(gallery.orthant(4).derivative_cone(1), w, x, amap.apply(x))
 
     def test_orthant_quadratic_regime_warns(self):
         cand = LinearMap.scaled_permutation([3] * 4, [0, 1, 2, 3])
@@ -663,18 +665,41 @@ class TestClassifications:
         assert not rep.details["classification_violation"]
 
     def test_psd_float_unequal_diagonal_fails_with_witness(self):
-        rep = autgroup.classify_psd_deriv(4, 1, np.diag([1.0, 2.0, 1.0, 1.0]), seed=8)
-        assert rep.fails and rep.details["prediction"] is False
-        w = rep.details["membership_witness"]
-        assert w is not None
-        margin = autgroup.WITNESS_MARGIN
-        assert w["lambda_min_x"] >= margin and w["lambda_min_image"] <= -margin
+        m = np.diag([1.0, 2.0, 1.0, 1.0])
+        mf = {label: f for label, f, _ in autgroup._map_pair(autgroup.lm_linear_map(m, 4))}
+        for seed in (8, 11, 12):
+            rep = autgroup.classify_psd_deriv(4, 1, m, seed=seed)
+            assert rep.fails and rep.details["prediction"] is False
+            w = rep.details["membership_witness"]
+            assert w is not None
+            margin = autgroup.WITNESS_MARGIN
+            assert w["lambda_min_x"] >= margin and w["lambda_min_image"] <= -margin
+            # the float map's image is certified at the exact value of mf @ x
+            x = tuple(F(v) for v in w["x"])
+            image = as_vector(mf[w["direction"]] @ np.array([float(v) for v in x]))
+            assert_certified_witness(gallery.psd(4).derivative_cone(1), w, x, image)
 
     def test_psd_unequal_diagonal_fails_with_witness(self):
         m = LinearMap(exactlin.diag([1, 1, 1, 2]))
         rep = autgroup.classify_psd_deriv(4, 1, m, seed=5)
         assert rep.fails
-        assert rep.details["membership_witness"] is not None
+        w = rep.details["membership_witness"]
+        assert w is not None
+        exact = autgroup.lm_linear_map(m, 4)
+        amap = exact if w["direction"] == "A" else exact.inverse()
+        x = tuple(F(v) for v in w["x"])
+        assert_certified_witness(gallery.psd(4).derivative_cone(1), w, x, amap.apply(x))
+
+
+def assert_certified_witness(derived, w, x, image):
+    """The witness is the exact value of a float, inside `derived` and its
+    image outside, with the reported lambda_min values read off certified
+    spectra at both."""
+    assert all(F(float(v)) == v for v in x)
+    assert membership_exact(derived, x) is Membership.IN
+    assert membership_exact(derived, image) is Membership.OUT
+    assert w["lambda_min_x"] == spectrum.eigenvalues(derived, x).lambda_min
+    assert w["lambda_min_image"] == spectrum.eigenvalues(derived, image).lambda_min
 
 
 class TestRankOnePreservation:

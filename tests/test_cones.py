@@ -20,29 +20,35 @@ except ImportError:
 
 class TestContains:
     def test_orthant_interior(self):
-        assert cones.contains(gallery.orthant(4), (1, 2, 3, 4)) is Membership.IN
+        assert cones.contains(gallery.orthant(4), np.array([[1.0, 2, 3, 4]])) == [Membership.IN]
 
     def test_orthant_outside(self):
-        assert cones.contains(gallery.orthant(4), (-1, 3, 3, 3)) is Membership.OUT
+        assert cones.contains(gallery.orthant(4), np.array([[-1.0, 3, 3, 3]])) == [Membership.OUT]
 
     def test_l1_boundary_is_ambiguous(self):
         # x3 = |x1| + |x2| exactly
-        assert cones.contains(gallery.l1_cone(), (1, 1, 2)) is Membership.BOUNDARY
+        assert cones.contains(gallery.l1_cone(), np.array([[1.0, 1, 2]])) == [Membership.BOUNDARY]
+        assert cones.membership_exact(gallery.l1_cone(), (1, 1, 2)) is Membership.BOUNDARY
 
     def test_float_points_accepted(self):
-        assert cones.contains(gallery.orthant(3), np.array([0.5, 1.5, 2.5])) is Membership.IN
+        cone = gallery.orthant(3)
+        assert cones.contains(cone, np.array([[0.5, 1.5, 2.5]])) == [Membership.IN]
+        # one point, float or rational, is not a stack
+        for one_point in (np.array([0.5, 1.5, 2.5]), (1, 2, 3)):
+            with pytest.raises(ValueError, match="stack"):
+                cones.contains(cone, one_point)
 
 
 class TestInterior:
     def test_direction_is_interior(self):
         cone = gallery.orthant(3)
-        assert cones.contains(cone, (1, 1, 1)) is Membership.IN
+        assert cones.membership_exact(cone, (1, 1, 1)) is Membership.IN
 
     def test_boundary_is_not(self):
-        assert cones.contains(gallery.orthant(3), (1, 1, 0)) is not Membership.IN
+        assert cones.membership_exact(gallery.orthant(3), (1, 1, 0)) is not Membership.IN
 
     def test_soc_interior(self):
-        assert cones.contains(gallery.soc(3), (2, 1, 0)) is Membership.IN
+        assert cones.membership_exact(gallery.soc(3), (2, 1, 0)) is Membership.IN
 
     def test_exact_interior_route(self):
         cone = gallery.orthant(3)
@@ -209,7 +215,7 @@ class TestBatchedEigenvalueRoute:
         # x0^2 + x1^2 restricts to (t - x0)^2 + x1^2: roots x0 +- i x1
         cone = HyperCone(HomoPoly(2, 2, {(2, 0): 1, (0, 2): 1}), (1, 0))
         with pytest.raises(InconclusiveError):
-            cones.contains(cone, np.array([0.0, 1.0]))
+            cones.contains(cone, np.array([[0.0, 1.0]]))
         rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InconclusiveError, match="row 1 "):
             cones.contains(cone, rows)
@@ -282,7 +288,7 @@ if given is not None:
             assert len(batched) == len(eig) == len(pts)
             for x, got, got_eig in zip(pts, batched, eig):
                 assert got is cones.contains_by_inequalities(base, k, x)
-                assert got_eig is cones.contains(target, x)
+                assert [got_eig] == cones.contains(target, x[None, :])
 
 
 class TestNesting:
@@ -331,6 +337,13 @@ class TestStrictContainment:
             dc_in = cone.derivative_cone(k - 1)
             assert cones.membership_exact(dc_out, x) is Membership.IN
             assert cones.membership_exact(dc_in, x) is Membership.OUT
+            # certified at the float the search chose, with the reported
+            # margins read off certified spectra there
+            assert all(F(float(v)) == v for v in x)
+            assert rep.details["lambda_min_outer"] == spectrum.eigenvalues(dc_out, x).lambda_min
+            assert rep.details["lambda_min_inner"] == spectrum.eigenvalues(dc_in, x).lambda_min
+            assert rep.details["lambda_min_outer"] >= 10 * cones.MEMBERSHIP_TOL
+            assert rep.details["lambda_min_inner"] <= -10 * cones.MEMBERSHIP_TOL
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -353,6 +366,22 @@ class TestStrictContainment:
         data = rep.to_json_dict()
         assert data["verdict"] == "Holds"
         assert "witness" in data
+
+
+class TestCertifiedSeparation:
+    def test_every_step_must_pass(self):
+        cone = gallery.orthant(3)
+        dc = cone.derivative_cone(1)
+        inside, outside = (1, 2, 3), (-1, 2, 3)
+        assert cones.certified_separation(cone, inside, cone, outside, 1) == (1.0, -1.0)
+        assert cones.certified_separation(cone, (2, 2, 3), cone, outside, F(3, 2)) is None
+        assert cones.certified_separation(cone, inside, cone, (-2, 2, 3), F(3, 2)) is None
+        assert cones.certified_separation(cone, (0, 2, 3), cone, outside, 0) is None
+        assert cones.certified_separation(cone, inside, cone, inside, 0) is None
+        # x and y may be judged against different cones: (-1, 2, 3) is in
+        # the first relaxation (e2 = 1, e1 = 4) and outside the orthant
+        lams = cones.certified_separation(dc, outside, cone, outside, F(1, 10))
+        assert lams == (spectrum.eigenvalues(dc, outside).lambda_min, -1.0)
 
 
 class TestConeValidation:

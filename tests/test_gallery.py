@@ -200,30 +200,29 @@ class TestPSD:
 
 class TestPSDDerivMember:
     def test_identity_in(self):
-        assert gallery.psd_deriv_member(4, 1, np.eye(4)) is Membership.IN
+        assert gallery.psd_deriv_member(4, 1, [np.eye(4)]) == [Membership.IN]
 
     def test_boundary_diag_in(self):
-        assert (
-            gallery.psd_deriv_member(4, 1, np.diag([-1.0, 3, 3, 3])) is Membership.IN
-        )
+        assert gallery.psd_deriv_member(4, 1, [np.diag([-1.0, 3, 3, 3])]) == [Membership.IN]
 
     def test_far_outside(self):
-        assert (
-            gallery.psd_deriv_member(4, 1, np.diag([-5.0, 1, 1, 1])) is Membership.OUT
-        )
+        assert gallery.psd_deriv_member(4, 1, [np.diag([-5.0, 1, 1, 1])]) == [Membership.OUT]
 
     def test_large_n_supported(self):
-        assert gallery.psd_deriv_member(6, 2, np.eye(6)) is Membership.IN
+        assert gallery.psd_deriv_member(6, 2, [np.eye(6)]) == [Membership.IN]
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            gallery.psd_deriv_member(3, 1, np.triu(np.ones((3, 3))))
+        with pytest.raises(ValueError, match="symmetric"):
+            gallery.psd_deriv_member(3, 1, [np.triu(np.ones((3, 3)))])
+        # a stack is the only shape it takes
+        with pytest.raises(ValueError, match="shape"):
+            gallery.psd_deriv_member(3, 1, np.eye(3))
 
     def test_band_recheck_counts_as_in(self):
         # e_3 = 0 sits in the band, e_2 and e_1 are positive: In
         lam = np.array([0.0, 0.0, 1.0, 1.0])
         assert cones.contains_by_inequalities(gallery.orthant(4), 1, lam) is Membership.BOUNDARY
-        assert gallery.psd_deriv_member(4, 1, np.diag(lam)) is Membership.IN
+        assert gallery.psd_deriv_member(4, 1, [np.diag(lam)]) == [Membership.IN]
 
     def test_stack_matches_one_matrix_calls(self):
         rng = np.random.default_rng(26)
@@ -238,7 +237,7 @@ class TestPSDDerivMember:
             stacked = gallery.psd_deriv_member(n, k, np.array(mats))
             assert len(stacked) == len(mats)
             for mat, got in zip(mats, stacked):
-                assert got is gallery.psd_deriv_member(n, k, mat)
+                assert [got] == gallery.psd_deriv_member(n, k, mat[None])
             assert set(stacked) == set(Membership)
 
     def test_stack_with_one_asymmetric_matrix_rejected(self):

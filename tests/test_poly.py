@@ -157,11 +157,24 @@ class TestEval:
     def test_eval_float_matches_exact(self):
         rng = np.random.default_rng(0)
         p = l1_cone().p
-        for _ in range(50):
-            x = rand_vec(rng, 3)
-            assert p.eval_float(np.array([float(v) for v in x])) == pytest.approx(
-                float(p.eval(x)), rel=1e-12, abs=1e-12
-            )
+        xs = [rand_vec(rng, 3) for _ in range(50)]
+        got = p.eval_float(np.array([[float(v) for v in x] for x in xs]))
+        assert got.shape == (50,)
+        for value, x in zip(got.tolist(), xs):
+            assert value == pytest.approx(float(p.eval(x)), rel=1e-12, abs=1e-12)
+
+    def test_eval_float_takes_stacks_only(self):
+        p = l1_cone().p
+        pts = np.random.default_rng(1).standard_normal((20, 3))
+        stacked = p.eval_float(pts)
+        # row i of a stack has the bits of the same row as a one-row stack
+        assert [v.hex() for v in stacked.tolist()] == [
+            p.eval_float(x[None, :])[0].hex() for x in pts
+        ]
+        assert p.eval_float(np.zeros((0, 3))).shape == (0,)
+        for bad in (pts[0], pts[:, :2], pts[None]):
+            with pytest.raises(ValueError, match="stack"):
+                p.eval_float(bad)
 
 
 class TestDirDeriv:
@@ -332,6 +345,20 @@ class TestScalingMismatch:
                 x, lhs, rhs = scaling_mismatch(lagrange, identity, 2)
                 assert x == tuple(a) and lhs == 2 * rhs != 0
 
+    def test_own_lattice_values_computed_once(self, monkeypatch):
+        # P(x) depends on p alone: one lattice evaluation per form, then one
+        # per call for kappa * P(B'x)
+        p = HomoPoly(3, 3, {(1, 1, 1): 1, (3, 0, 0): 2})
+        calls = []
+        real = poly._eval_on_lattice
+        monkeypatch.setattr(poly, "_eval_on_lattice", lambda q, mat: calls.append(mat) or real(q, mat))
+        swap = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+        first = scaling_mismatch(p, swap, 1)
+        assert first is not None and len(calls) == 2
+        assert scaling_mismatch(p, swap, 1) == first and len(calls) == 3
+        assert first == scaling_mismatch_oracle(p, swap, 1)
+        assert not p._lattice_values().flags.writeable
+
     def test_weighted_product_swap(self):
         p = HomoPoly(3, 4, {(2, 1, 1): 1})
         x, lhs, rhs = scaling_mismatch(p, [(0, 1, 0), (1, 0, 0), (0, 0, 1)], 1)
@@ -349,7 +376,8 @@ class TestScalingMismatchDtypeBoundary:
 
     @pytest.fixture
     def lhs_dtypes(self, monkeypatch):
-        # dtype chosen for kappa * P(B'x); the next call covers P(x)
+        # dtype chosen for each kappa * P(B'x), once `warm` has computed the
+        # form's own lattice values P(x), which every later call reuses
         seen = []
         real = poly._lattice_dtype
 
@@ -359,6 +387,15 @@ class TestScalingMismatchDtypeBoundary:
 
         monkeypatch.setattr(poly, "_lattice_dtype", spy)
         return seen
+
+    @staticmethod
+    def warm(p, seen):
+        """Compute P(x) of p and return its dtype, leaving `seen` empty."""
+        seen.clear()
+        p._lattice_values()
+        dtypes = list(seen)
+        seen.clear()
+        return dtypes
 
     @staticmethod
     def check(p, rows, kappa):
@@ -372,16 +409,17 @@ class TestScalingMismatchDtypeBoundary:
 
     def test_orthant4_power_of_two_scalings(self, lhs_dtypes):
         # B' = 2^k P: M_i = 4 * 2^k and the bound (4 * 2^k)^4 = 2^(4k + 8)
-        p = gallery.orthant(4).p
+        p = HomoPoly(4, 4, {(1, 1, 1, 1): 1})  # orthant:4, P(x) not yet computed
+        assert self.warm(p, lhs_dtypes) == [np.int64]
         perm = exactlin.permutation([2, 0, 3, 1])
         for k in range(10, 18):
             self.check(p, [[2**k * v for v in row] for row in perm], F(1, 2 ** (4 * k)))
-        lhs = lhs_dtypes[0::2]
-        assert lhs == [np.int64] * 8 + [object] * 8  # k <= 13: 2^60 < 2^63 <= 2^64
-        assert set(lhs_dtypes[1::2]) == {np.int64}
+        # two calls per k; k <= 13: 2^60 < 2^63 <= 2^64
+        assert lhs_dtypes == [np.int64] * 8 + [object] * 8
 
     def test_psd3_congruence_scalings(self, lhs_dtypes):
         p = gallery.psd(3).p
+        self.warm(p, lhs_dtypes)
         s = [[0, F(1, 2), 1], [F(-1, 2), 0, F(1, 3)], [-1, F(-1, 3), 0]]
         eye = exactlin.identity(3)
         minus = [[eye[i][j] - s[i][j] for j in range(3)] for i in range(3)]
@@ -391,7 +429,7 @@ class TestScalingMismatchDtypeBoundary:
         for k in range(0, 24, 2):
             # det(2^k Q X Q^T) = 2^(3k) det X
             self.check(p, [[2**k * v for v in row] for row in congruence], F(1, 2 ** (3 * k)))
-        assert {np.int64, object} <= set(lhs_dtypes[0::2])
+        assert {np.int64, object} <= set(lhs_dtypes)
 
     def test_values_next_to_the_int64_limit(self, lhs_dtypes):
         # B = c J sends every lattice point to (4c, 4c, 4c, 4c), so P(B'x)
@@ -512,21 +550,24 @@ class TestPolarForm:
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            polar_form_float(x1x2x3(), [(1.0, 1.0, 1.0)] * 2)
+            polar_form_float(x1x2x3(), [[(1.0, 1.0, 1.0)] * 2])
+        with pytest.raises(ValueError, match="stack"):
+            polar_form_float(x1x2x3(), [(1.0, 1.0, 1.0)] * 3)
 
     def test_degree_cap(self):
         n = 25
         p = HomoPoly(1, n, {(n,): 1})
         with pytest.raises(ValueError, match="cap"):
-            polar_form_float(p, [(1.0,)] * n)
+            polar_form_float(p, [[(1.0,)] * n])
 
     def test_float_variant_matches(self):
         rng = np.random.default_rng(10)
         p = l1_cone().p
-        xs = [rand_vec(rng, 3) for _ in range(4)]
-        exact = float(polar_form(p, xs))
-        approx = polar_form_float(p, [[float(v) for v in x] for x in xs])
-        assert approx == pytest.approx(exact, rel=1e-10, abs=1e-10)
+        tuples = [[rand_vec(rng, 3) for _ in range(4)] for _ in range(5)]
+        approx = polar_form_float(p, [[[float(v) for v in x] for x in xs] for xs in tuples])
+        assert approx.shape == (5,)
+        for value, xs in zip(approx.tolist(), tuples):
+            assert value == pytest.approx(float(polar_form(p, xs)), rel=1e-10, abs=1e-10)
 
 
 class TestCanonicalForm:

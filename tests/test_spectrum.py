@@ -141,7 +141,7 @@ class TestFloatKernel:
         )
         assert eigs.tolist() == [[3.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 0.0]]
         assert residuals.tolist() == [0.0, 0.0]
-        assert spectrum.rank(cone, np.array([1.0, 2.0, 3.0, 0.0])) == 3
+        assert spectrum.rank(cone, np.array([[1.0, 2.0, 3.0, 0.0]])) == [3]
 
     def test_distinct_integer_roots_recovered(self):
         pytest.importorskip("hypothesis")
@@ -201,19 +201,24 @@ class TestEigenvalues:
 class TestRankMult:
     def test_orthant_counts(self):
         cone = gallery.orthant(3)
-        assert spectrum.rank(cone, (1, 1, 0)) == 2
+        assert spectrum.rank_exact(cone, (1, 1, 0)) == 2
         assert spectrum.eigenvalues(cone, (1, 1, 0)).mult == 1
+        assert spectrum.rank(cone, np.array([[1.0, 1.0, 0.0]])) == [2]
 
     def test_psd_rank_one(self):
         cone = gallery.psd(3)
         u = (F(1), F(-2), F(3))
         vec = gallery.svec(tuple(tuple(a * b for b in u) for a in u))
-        assert spectrum.rank(cone, vec) == 1
+        assert spectrum.rank_exact(cone, vec) == 1
+        assert spectrum.rank(cone, np.array([[float(v) for v in vec]])) == [1]
 
-    def test_ambiguous_band_raises(self):
+    def test_ambiguous_band_is_unclassified(self):
         cone = gallery.orthant(3)
-        with pytest.raises(InconclusiveError):
-            spectrum.rank(cone, np.array([1.0, 1.0, 2e-7]))
+        assert spectrum.rank(cone, np.array([[1.0, 1.0, 2e-7]])) == [None]
+        # a float stack is the only shape rank takes
+        for one_point in (np.array([1.0, 1.0, 2e-7]), (1, 1, 0)):
+            with pytest.raises(ValueError, match="stack"):
+                spectrum.rank(cone, one_point)
 
     def test_stacked_rank_matches_one_row_calls(self):
         cone = gallery.orthant(3)
@@ -228,16 +233,11 @@ class TestRankMult:
         assert spectrum.batch_eigenvalues(cone, pts[:1])[1][0] > spectrum.RESIDUAL_GATE
         ranks = spectrum.rank(cone, pts)
         assert ranks[:4] == [None, None, 2, 1] and ranks[4:] == [3] * 12
-        for x, r in zip(pts, ranks):
-            if r is None:
-                with pytest.raises(InconclusiveError):
-                    spectrum.rank(cone, x)
-            else:
-                assert spectrum.rank(cone, x) == r
+        assert ranks == [spectrum.rank(cone, x[None, :])[0] for x in pts]
 
     def test_exact_rank_ignores_band(self):
         cone = gallery.orthant(3)
-        assert spectrum.rank(cone, (1, 1, F(1, 5_000_000))) == 3
+        assert spectrum.rank_exact(cone, (1, 1, F(1, 5_000_000))) == 3
 
     def test_sturm_verified_rank(self):
         cone = gallery.psd(4)
