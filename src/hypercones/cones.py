@@ -17,7 +17,8 @@ Float points or exact rationals: a float point is a row of a 2-D stack and
 takes a batched float route (`contains`, `lambda_min`), and a rational
 point takes an exact route (`membership_exact`).  The one exception is
 `contains_by_inequalities`, which also decides one point, float or
-rational, on its own.  A witness search proposes a float point and
+rational, on its own; a float point runs in Python floats with the bits
+of its stack row.  A witness search proposes a float point and
 certifies that float's exact dyadic value (`certified_separation`).
 """
 
@@ -281,7 +282,10 @@ def contains_by_inequalities(
     row, each derivative evaluated once over the whole array, or one point,
     float or rational, which gets one `Membership`.  This one-point form is
     the only exception to the stacks-or-exact rule: the `perfbench`
-    float tier decides float points one at a time, CLI `member` rational ones.
+    float tier decides float points one at a time, CLI `member` rational
+    ones.  A float point runs in Python floats: its derivative values and
+    bands have the bits of its row in a stack, since both routes read one
+    sparse float term table and form every power by one rule.
     """
     if not 0 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 0..{cone.d - 1}")
@@ -290,30 +294,59 @@ def contains_by_inequalities(
         verdict = membership_exact(target, x)
         return Membership.IN if verdict is Membership.BOUNDARY else verdict
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    out, boundary = _sign_flags(target, pts[None, :] if single else pts, tol)
-    verdicts = [
+    if pts.ndim == 1:
+        return _point_verdict(target, pts, tol)
+    out, boundary = _sign_flags(target, pts, tol)
+    return [
         Membership.OUT if o else Membership.BOUNDARY if b else Membership.IN
         for o, b in zip(out.tolist(), boundary.tolist())
     ]
-    return verdicts[0] if single else verdicts
+
+
+def _norm_powers(norm, d: int) -> list:
+    """[norm, norm^2, ..., norm^d], a float or an array alike, by the power
+    rule of `HomoPoly`'s float evaluators: one multiplication per step."""
+    powers = [norm]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * norm)
+    return powers
 
 
 def _sign_flags(target, pts: np.ndarray, tol: float):
     """The float derivative-sign route of `contains_by_inequalities` on the
     rows of a 2-D array, as boolean arrays `(out, boundary)`: a row is Out
     where `out`, else Boundary-ambiguous where `boundary`, else In."""
-    norms = np.maximum(row_norms(pts), 1e-300)
+    d = target.d
+    powers = _norm_powers(np.maximum(row_norms(pts), 1e-300), d)
     out = np.zeros(len(pts), dtype=bool)
     boundary = np.zeros(len(pts), dtype=bool)
-    for i, (q, coeff) in enumerate(zip(target.derivs[: target.d], target.deriv_scales)):
+    for i, (q, coeff) in enumerate(zip(target.derivs[:d], target.deriv_scales)):
         if out.all():
             break
-        band = tol * (coeff * norms ** (target.d - i))
+        band = tol * (coeff * powers[d - i - 1])
         v = q.eval_float(pts)
         out |= v < -band
         boundary |= v <= band
     return out, boundary
+
+
+def _point_verdict(target, x: np.ndarray, tol: float) -> Membership:
+    """`_sign_flags` for one 1-D float point, in Python floats: the norm
+    from `row_norms`, the same bands and values bit for bit, and the same
+    rule, returning at the first Out."""
+    if len(x) != target.nvars:
+        raise ValueError(f"need a point of {target.nvars} coordinates, got {len(x)}")
+    d = target.d
+    powers = _norm_powers(max(float(row_norms(x[None, :])[0]), 1e-300), d)
+    xs = x.tolist()
+    boundary = False
+    for i, (q, coeff) in enumerate(zip(target.derivs[:d], target.deriv_scales)):
+        band = tol * (coeff * powers[d - i - 1])
+        v = q._eval_float_point(xs)
+        if v < -band:
+            return Membership.OUT
+        boundary = boundary or v <= band
+    return Membership.BOUNDARY if boundary else Membership.IN
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 Terms are stored as a dict from exponent tuples to `fractions.Fraction`
 coefficients, so every identity asserted downstream (derivative formulas,
 composition laws, scaling certificates) is an exact statement about
-coefficient maps.  Floating point shows up only in the cached term arrays
-used by the numeric samplers, and float evaluation takes stacks only:
+coefficient maps.  Floating point shows up only in one cached sparse
+float term table per form, a list of (coefficient, ((j, a), ...)) pairs
+with the nonzero exponents of each term.  Float evaluation takes stacks:
 `eval_float` evaluates the rows of an (npts, nvars) array and
 `polar_form_float` the tuples of a (T, d, n) array, while a rational point
-takes `eval`.
+takes `eval`.  The one exception is the one-point evaluator of the
+derivative-sign membership route, which runs in Python floats.  It reads
+the same table and forms x_j^a by the same power rule (x_j times itself,
+a - 1 multiplications), so its value has the bits of the stack row.
 
 Exact evaluation runs in integers: denominators are cleared once and
 divided out at the end.  Identities between forms are decided by
@@ -266,8 +270,13 @@ class HomoPoly:
         return Fraction(_eval_columns(terms, cols), den * scale**self.degree)
 
     def _float_term_list(self):
+        """[(c, ((j, a), ...)), ...]: each float coefficient with the
+        nonzero exponents of its term, read by both float evaluators."""
         if self._float_terms is None:
-            self._float_terms = [(exp, float(c)) for exp, c in self.sorted_terms()]
+            self._float_terms = [
+                (float(c), tuple((j, a) for j, a in enumerate(exp) if a))
+                for exp, c in self.sorted_terms()
+            ]
         return self._float_terms
 
     def _int_term_list(self):
@@ -296,14 +305,30 @@ class HomoPoly:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise ValueError(f"need a (npts, {self.nvars}) stack of points, got shape {pts.shape}")
+        cols = list(pts.T)
         out = np.zeros(len(pts))
-        for exp, c in self._float_term_list():
+        for c, factors in self._float_term_list():
             t = np.full(len(pts), c)
-            for j, a in enumerate(exp):
-                if a == 1:
-                    t = t * pts[:, j]
-                elif a:
-                    t = t * pts[:, j] ** a
+            for j, a in factors:
+                xa = xj = cols[j]
+                for _ in range(1, a):
+                    xa = xa * xj
+                t = t * xa
+            out += t
+        return out
+
+    def _eval_float_point(self, x: list[float]) -> float:
+        """`eval_float` at one point given as a list of Python floats: the
+        same terms in the same order by the same power rule, so the value
+        has the bits of the matching row of `eval_float`."""
+        out = 0.0
+        for c, factors in self._float_term_list():
+            t = c
+            for j, a in factors:
+                xa = xj = x[j]
+                for _ in range(1, a):
+                    xa = xa * xj
+                t = t * xa
             out += t
         return out
 

@@ -1,6 +1,8 @@
 """Membership routes, derivative relaxations, nesting witnesses."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,71 @@ class TestBatchedInequalityRoute:
 ROUTE_PAIRS = [(cone_id, k) for cone_id, orders in suite.ROUTE_CONFIGS for k in orders]
 WAVES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
+
+def float_tier_pairs():
+    """The cones and orders of the benchmark's float tier, read from
+    perfbench/workloads.py as it stands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    [configs] = [
+        ast.literal_eval(stmt.value) for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets) == "FLOAT_CONFIGS"
+    ]
+    return [(cone_id, k) for cone_id, orders in configs for k in orders]
+
+
+EVAL_PAIRS = sorted(set(ROUTE_PAIRS) | set(float_tier_pairs()))
+
+
+def tower(pair):
+    """The forms the derivative-sign route evaluates for one (cone, order)."""
+    cone_id, k = pair
+    target = gallery.parse_cone_id(cone_id).derivative_cone(k)
+    return target.derivs[: target.d]
+
+
+class TestOnePointFloatRoute:
+    @pytest.mark.parametrize("pair", EVAL_PAIRS, ids=lambda p: f"{p[0]}^({p[1]})")
+    def test_point_values_match_stack_rows(self, pair):
+        forms = tower(pair)
+        rng = np.random.default_rng(list(map(ord, pair[0])) + [pair[1]])
+        y = rng.standard_normal((32, forms[0].nvars))
+        pts = np.vstack([y * s for s in np.geomspace(1e-3, 1e3, 7)])
+        for q in forms:
+            assert [v.hex() for v in q.eval_float(pts).tolist()] == [
+                q._eval_float_point(x.tolist()).hex() for x in pts
+            ]
+
+    def test_pairs_reach_exponents_three_and_four(self):
+        # powers above squares are where one rule for both evaluators matters
+        exponents = {
+            a for pair in EVAL_PAIRS for q in tower(pair)
+            for _, factors in q._float_term_list() for _, a in factors
+        }
+        assert {3, 4} <= exponents
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_one_point_of_wrong_length_rejected(self, length):
+        with pytest.raises(ValueError, match="6 coordinates"):
+            cones.contains_by_inequalities(gallery.psd(3), 1, np.ones(length))
+
+    def test_one_point_route_never_calls_eval_float(self, monkeypatch):
+        base = gallery.psd(4)
+        target = base.derivative_cone(1)
+        y = np.random.default_rng(31).standard_normal((8, base.nvars))
+        lam, _ = target.lambda_min(y)
+        pts = np.vstack([y] + [cones.to_level(target, y, m, lam) for m in (0.5, 0.0, -0.5)])
+        want = cones.contains_by_inequalities(base, 1, pts)
+        assert set(want) == set(Membership)
+
+        def refuse(self, points):
+            raise RuntimeError("stacked evaluator called")
+
+        monkeypatch.setattr(HomoPoly, "eval_float", refuse)
+        assert [cones.contains_by_inequalities(base, 1, x) for x in pts] == want
+        with pytest.raises(RuntimeError, match="stacked evaluator called"):
+            cones.contains_by_inequalities(base, 1, pts)
+
+
 if given is not None:
 
     class TestBatchedRouteProperty:
@@ -289,6 +356,11 @@ if given is not None:
             for x, got, got_eig in zip(pts, batched, eig):
                 assert got is cones.contains_by_inequalities(base, k, x)
                 assert [got_eig] == cones.contains(target, x[None, :])
+            # each order's value at a point has the bits of its stack row
+            for q in target.derivs[: target.d]:
+                assert [v.hex() for v in q.eval_float(pts).tolist()] == [
+                    q._eval_float_point(x.tolist()).hex() for x in pts
+                ]
 
 
 class TestNesting:
