@@ -36,6 +36,7 @@ from .cones import (
     certified_separation,
     contains,
     membership_exact,
+    to_interior,
     to_level,
 )
 from .gallery import smat_float, svec_float, svec_product
@@ -301,7 +302,7 @@ def _sampled_preservation(
     a_float: np.ndarray,
     samples: int,
     seed: int,
-    tol: float = MEMBERSHIP_TOL,
+    tol: float,
 ) -> CheckReport:
     """Float tier: does the map preserve sampled membership both ways?
 
@@ -459,6 +460,26 @@ def check_deriv_automorphism(
 # ---------------------------------------------------------------------------
 
 
+def garding_families(cone: HyperCone, rng, samples: int):
+    """The random and the proportional family of Garding tuples, drawn
+    from `rng` in that order, as two (T, d, n) stacks.
+
+    The random family is `samples` tuples of d independent interior
+    points.  The proportional family is max(samples // 10, 1) tuples, each
+    drawn as one interior point and then its d multipliers uniform(0.5, 3).
+    Every drawn point is moved to lambda_min = INTERIOR_MARGIN first.
+    """
+    d, n = cone.d, cone.nvars
+    randoms = to_interior(cone, rng.standard_normal((samples * d, n))).reshape(-1, d, n)
+    draws = [
+        (rng.standard_normal((1, n)), rng.uniform(0.5, 3.0, size=d))
+        for _ in range(max(samples // 10, 1))
+    ]
+    bases = to_interior(cone, np.concatenate([b for b, _ in draws]))
+    scalars = np.array([s for _, s in draws])
+    return randoms, scalars[:, :, None] * bases[:, None, :]
+
+
 def garding_check(cone: HyperCone, xs, tol: float) -> list[CheckReport]:
     """Geometric-mean inequality for the polar form on a (T, d, n) stack
     of tuples of interior points, one `CheckReport` per tuple.
@@ -528,7 +549,7 @@ def _garding_report(pts, gap, polarized, prop_dist, tol) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
+def perron_eigenvector(cone, A: LinearMap, seed: int) -> CheckReport:
     """Find an eigenvector of A inside the cone at the spectral radius.
 
     Precondition, not checked here: A is a certified automorphism of the
@@ -536,7 +557,7 @@ def perron_eigenvector(cone, A, seed: int = 0) -> CheckReport:
     such an eigenvector exists.  The check returns it (Holds) or reports
     Inconclusive on numerical eigenspace ambiguity; it never refutes.
     """
-    af = A.to_float() if isinstance(A, LinearMap) else np.asarray(A, dtype=float)
+    af = A.to_float()
     w, vecs = np.linalg.eig(af)
     rho = float(np.abs(w).max())
     order = np.argsort(-np.abs(w))
@@ -626,7 +647,7 @@ def _cesaro_vector(cone, af, rho, seed):
     return None
 
 
-def min_face_fix_check(cone, A, z) -> CheckReport:
+def min_face_fix_check(cone, A: LinearMap, z) -> CheckReport:
     """Does A fix the minimal face of its eigenvector z?
 
     Only gallery cones with explicit face descriptors are supported:
@@ -637,7 +658,7 @@ def min_face_fix_check(cone, A, z) -> CheckReport:
     kind = cone.gallery.kind if cone.gallery else None
     if kind not in ("Orthant", "PSD"):
         raise ValueError("unsupported gallery type for face descriptors")
-    af = A.to_float() if isinstance(A, LinearMap) else np.asarray(A, dtype=float)
+    af = A.to_float()
     zf = np.asarray([float(v) for v in z], dtype=float)
     az = af @ zf
     alpha = float(zf @ az) / float(zf @ zf)
@@ -713,7 +734,7 @@ def _range_projector(mat: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def membership_violation_witness(derived: HyperCone, maps, seed: int = 0):
+def membership_violation_witness(derived: HyperCone, maps, seed: int):
     """Hunt for x in the relaxation whose image under some map leaves it.
 
     `maps` is a list of (label, float matrix, exact LinearMap or None).
@@ -811,7 +832,7 @@ def _classify_relaxation(
     return replace(rep, regime_warnings=warnings + rep.regime_warnings, details=details)
 
 
-def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int = 0) -> CheckReport:
+def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int) -> CheckReport:
     """Predict and confirm membership of A in the relaxed coordinate cone's
     automorphism group.
 
@@ -867,7 +888,7 @@ def lm_linear_map(M, n: int):
     return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])
 
 
-def classify_psd_deriv(n: int, k: int, M, seed: int = 0) -> CheckReport:
+def classify_psd_deriv(n: int, k: int, M, seed: int) -> CheckReport:
     """Predict and confirm the conjugation map of M on the relaxed matrix cone.
 
     The candidate is X -> M X M^T in svec coordinates.  In the regime
@@ -939,7 +960,9 @@ def lie_probe(
                 details={"t": float(t), "reason": "exponential overflow"},
                 tier="float",
             )
-        rep = _sampled_preservation(target, flow, samples=samples, seed=seed + i)
+        rep = _sampled_preservation(
+            target, flow, samples=samples, seed=seed + i, tol=MEMBERSHIP_TOL
+        )
         total += rep.samples
         if not rep.holds:
             witness = None if rep.witness is None else (float(t),) + tuple(rep.witness)

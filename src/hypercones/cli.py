@@ -231,19 +231,13 @@ def cmd_garding(args) -> int:
 
     _require_samples(args)
     cone = _parse_cone(args.cone_id)
-    rng = np.random.default_rng(args.seed)
-    d, n = cone.d, cone.nvars
-    xs = cones.to_interior(cone, rng.standard_normal((args.samples * d, n))).reshape(-1, d, n)
-    reps = autgroup.garding_check(cone, xs, tol=args.tol)
+    randoms, proportionals = autgroup.garding_families(
+        cone, np.random.default_rng(args.seed), args.samples
+    )
+    reps = autgroup.garding_check(cone, randoms, tol=args.tol)
     worst_random = min(rep.details["gap"] for rep in reps)
     problems = [{"kind": "random", "i": i} for i, rep in enumerate(reps) if not rep.holds]
-    draws = [
-        (rng.standard_normal((1, n)), rng.uniform(0.5, 3.0, size=d))
-        for _ in range(max(args.samples // 10, 1))
-    ]
-    bases = cones.to_interior(cone, np.concatenate([b for b, _ in draws]))
-    scalars = np.array([s for _, s in draws])
-    reps = autgroup.garding_check(cone, scalars[:, :, None] * bases[:, None, :], tol=args.tol)
+    reps = autgroup.garding_check(cone, proportionals, tol=args.tol)
     worst_prop = max([0.0, *(abs(rep.details["gap"]) for rep in reps)])
     problems += [{"kind": "proportional", "i": i} for i, rep in enumerate(reps) if not rep.holds]
     _emit(

@@ -24,7 +24,7 @@ certifies that float's exact dyadic value (`certified_separation`).
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -331,13 +331,13 @@ def _sign_flags(target, pts: np.ndarray, tol: float):
 
 
 def _point_verdict(target, x: np.ndarray, tol: float) -> Membership:
-    """`_sign_flags` for one 1-D float point, in Python floats: the norm
-    from `row_norms`, the same bands and values bit for bit, and the same
-    rule, returning at the first Out."""
+    """`_sign_flags` for one 1-D float point, in Python floats: a norm with
+    the bits of its `row_norms` row, the same bands and values bit for bit,
+    and the same rule, returning at the first Out."""
     if len(x) != target.nvars:
         raise ValueError(f"need a point of {target.nvars} coordinates, got {len(x)}")
     d = target.d
-    powers = _norm_powers(max(float(row_norms(x[None, :])[0]), 1e-300), d)
+    powers = _norm_powers(max(sqrt(x @ x), 1e-300), d)
     xs = x.tolist()
     boundary = False
     for i, (q, coeff) in enumerate(zip(target.derivs[:d], target.deriv_scales)):
@@ -374,7 +374,7 @@ def certified_separation(cone_in, x, cone_out, y, margin):
     return lam_x, lam_y
 
 
-def strict_containment_witness(cone: HyperCone, k: int, seed: int = 0) -> CheckReport:
+def strict_containment_witness(cone: HyperCone, k: int, seed: int) -> CheckReport:
     """Search for a point separating relaxation k from relaxation k-1.
 
     The witness x lies in the k-th relaxation and outside the (k-1)-th,

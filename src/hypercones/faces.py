@@ -30,7 +30,6 @@ class GeneratedFaceModel:
 
     cone: HyperCone  # a root cone or one of its relaxations
     generators: tuple
-    label: str = ""
 
     def __post_init__(self):
         gens = []
@@ -42,8 +41,6 @@ class GeneratedFaceModel:
                 raise ValueError(f"generator {g} lies outside the cone")
             gens.append(g)
         self.generators = tuple(gens)
-        if not self.label:
-            self.label = self.cone.label + "|generators"
 
 
 @dataclass
@@ -73,7 +70,7 @@ def _sum_vectors(vectors):
     return tuple(out)
 
 
-def build_chain(model: GeneratedFaceModel, start_index: int = 0, seed=None) -> FaceChain:
+def build_chain(model: GeneratedFaceModel, start_index: int, seed) -> FaceChain:
     """Greedy chain: add generators that raise the rank by exactly one.
 
     Starts from a single rank-1 generator and keeps extending until the

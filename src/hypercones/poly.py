@@ -59,7 +59,12 @@ def as_vector(values) -> tuple[Fraction, ...]:
 
 
 def is_exact_vector(values) -> bool:
-    """True when every entry is an int or Fraction (floats count as inexact)."""
+    """True when every entry is an int or Fraction (floats count as inexact).
+
+    A numpy array of any dtype but object holds no such entries.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return False
     return all(isinstance(v, _RATIONAL_TYPES) for v in values)
 
 

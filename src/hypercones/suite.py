@@ -4,12 +4,14 @@ Each check is deterministic under its seed, returns pass / fail /
 inconclusive, and embeds enough payload (witnesses, margins, counts) that
 a failure can be re-verified without rerunning the suite.  Checks that
 share expensive candidate streams communicate through a per-run context
-cache so the audit check never recomputes classifications.
+cache so the audit check never recomputes classifications.  Sampled
+families are drawn and judged as whole stacks: the Garding check takes its
+random and proportional tuples from `autgroup.garding_families`, as
+`hypercone garding` does, and replays no draws.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -315,31 +317,24 @@ def check_stabilizer_equivalence_audit(seed: int, ctx: dict) -> SuiteCheck:
 GARDING_ROSTER = ("orthant:3", "orthant:4", "psd:3", "soc:3", "l1")
 
 
-def _speculate(rng, draw, count: int) -> list:
-    """The next `count` candidates of `rng`, drawn from a copy of it."""
-    twin = copy.deepcopy(rng)
-    return [draw(twin) for _ in range(count)]
-
-
-def _replay(rng, draw, used: int) -> None:
-    """Consume from `rng` exactly the draws of its first `used` candidates."""
-    for _ in range(used):
-        draw(rng)
-
-
-def _first(flags):
-    """Index of the first true flag, or None."""
-    return next((i for i, flag in enumerate(flags) if flag), None)
+def _first_failure(problems, cone_id, kind, reps, gaps, failing) -> None:
+    """Record the family's first failing tuple, if any, as a problem."""
+    bad = next((i for i, flag in enumerate(failing) if flag), None)
+    if bad is not None:
+        problems.append({"cone": cone_id, "kind": kind, "i": bad,
+                         "gap": gaps[bad], "verdict": reps[bad].verdict.value})
 
 
 def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
     """Nonnegative gap on random interior tuples; equality iff proportional.
 
-    Each family checks its tuples as one stack.  The generator is shared
-    by the whole roster, so a family draws its candidates from a copy and
-    then replays on the generator exactly the draws a tuple-by-tuple loop
-    consumes: up to the first problem, and for the perturbed family up to
-    its 100th accepted tuple.
+    Per roster cone, `autgroup.garding_families` draws 1000 random and 100
+    proportional tuples, and the same generator then draws 1000 perturbed
+    candidates in three blocks (bases, others, scalars): a proportional
+    tuple whose head is pulled toward another interior point.  The first
+    100 candidates whose head has lambda_min > 1e-6 are kept.  Each family
+    is one stack and one `garding_check` call, its statistic covers the
+    whole stack, and a problem names the family's first failing tuple.
     """
     rng = np.random.default_rng([seed, 61])
     problems = []
@@ -347,46 +342,23 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
     for cone_id in GARDING_ROSTER:
         cone = gallery.parse_cone_id(cone_id)
         d, n = cone.d, cone.nvars
+        randoms, proportionals = autgroup.garding_families(cone, rng, 1000)
+        bases = cones.to_interior(cone, rng.standard_normal((1000, n)))
+        others = cones.to_interior(cone, rng.standard_normal((1000, n)))
+        scalars = rng.uniform(0.5, 3.0, size=(1000, d))
 
-        def draw_random(g):
-            return g.standard_normal((d, n))
-
-        raws = _speculate(rng, draw_random, 1000)
-        xs = cones.to_interior(cone, np.concatenate(raws)).reshape(-1, d, n)
-        reps = autgroup.garding_check(cone, xs, tol=1e-9)
+        reps = autgroup.garding_check(cone, randoms, tol=1e-9)
         gaps = [rep.details["gap"] for rep in reps]
-        bad = _first(not rep.holds or gap < -1e-9 for rep, gap in zip(reps, gaps))
-        used = len(reps) if bad is None else bad + 1
-        _replay(rng, draw_random, used)
-        min_gap = min([float("inf"), *gaps[:used]])
-        if bad is not None:
-            problems.append({"cone": cone_id, "kind": "random", "i": bad,
-                             "gap": gaps[bad], "verdict": reps[bad].verdict.value})
+        _first_failure(problems, cone_id, "random", reps, gaps,
+                       [not rep.holds for rep in reps])
+        min_gap = min(gaps)
 
-        def draw_proportional(g):
-            return g.standard_normal((1, n)), g.uniform(0.5, 3.0, size=d)
-
-        cands = _speculate(rng, draw_proportional, 100)
-        bases = cones.to_interior(cone, np.concatenate([b for b, _ in cands]))
-        scalars = np.array([s for _, s in cands])
-        reps = autgroup.garding_check(cone, scalars[:, :, None] * bases[:, None, :], tol=1e-9)
+        reps = autgroup.garding_check(cone, proportionals, tol=1e-9)
         gaps = [abs(rep.details["gap"]) for rep in reps]
-        bad = _first(not rep.holds or gap > 1e-9 for rep, gap in zip(reps, gaps))
-        used = len(reps) if bad is None else bad + 1
-        _replay(rng, draw_proportional, used)
-        max_prop_gap = max([0.0, *gaps[:used]])
-        if bad is not None:
-            problems.append({"cone": cone_id, "kind": "proportional", "i": bad,
-                             "gap": gaps[bad], "verdict": reps[bad].verdict.value})
+        _first_failure(problems, cone_id, "proportional", reps, gaps,
+                       [not rep.holds or gap > 1e-9 for rep, gap in zip(reps, gaps)])
+        max_prop_gap = max([0.0, *gaps])
 
-        def draw_perturbed(g):
-            return (g.standard_normal((1, n)), g.standard_normal((1, n)),
-                    g.uniform(0.5, 3.0, size=d))
-
-        cands = _speculate(rng, draw_perturbed, 1000)
-        bases = cones.to_interior(cone, np.concatenate([b for b, _, _ in cands]))
-        others = cones.to_interior(cone, np.concatenate([o for _, o, _ in cands]))
-        scalars = np.array([s for _, _, s in cands])
         xs = scalars[:, :, None] * bases[:, None, :]
         heads = xs[:, 0]
         xs[:, 0] = 0.55 * heads + 0.45 * others * cones.row_norms(heads)[:, None] / (
@@ -398,22 +370,15 @@ def check_garding_inequality(seed: int, ctx: dict) -> SuiteCheck:
         gaps = [rep.details["gap"] for rep in reps]
         # the audit of `garding_check` already fails a non-proportional
         # tuple whose gap is within 10 * tol of equality
-        bad = _first(not rep.holds for rep in reps)
-        tested = len(reps) if bad is None else bad + 1
-        stopped = bad is not None or tested == 100
-        _replay(rng, draw_perturbed, accepted[tested - 1] + 1 if stopped else len(cands))
-        min_nonprop_gap = min([float("inf"), *gaps[:tested]])
-        if bad is not None:
+        _first_failure(problems, cone_id, "perturbed", reps, gaps,
+                       [not rep.holds for rep in reps])
+        if len(reps) < 100:
             problems.append({"cone": cone_id, "kind": "perturbed",
-                             "i": bad, "gap": gaps[bad],
-                             "verdict": reps[bad].verdict.value})
-        if tested < 100:
-            problems.append({"cone": cone_id, "kind": "perturbed",
-                             "reason": f"only {tested} tuples evaluated"})
+                             "reason": f"only {len(reps)} tuples evaluated"})
         stats[cone_id] = {
             "min_random_gap": min_gap,
             "max_proportional_gap": max_prop_gap,
-            "min_perturbed_gap": min_nonprop_gap,
+            "min_perturbed_gap": min([float("inf"), *gaps]),
         }
     return SuiteCheck(
         "garding-inequality", _status(problems), seed,
@@ -875,7 +840,7 @@ def check_names():
     return [name for name, _ in ALL_CHECKS]
 
 
-def select_checks(name_filter: str | None = None):
+def select_checks(name_filter: str | None):
     """(name, check) pairs whose name contains the filter; ValueError if none."""
     selected = [
         (name, fn) for name, fn in ALL_CHECKS

@@ -14,6 +14,7 @@ from hypercones.poly import (
     as_vector,
     derivatives_along,
     factor_chains,
+    is_exact_vector,
     is_real_rooted,
     polar_form_float,
     real_root_count_with_mult,
@@ -624,6 +625,20 @@ class TestUniPolyExact:
         f = (-1, 1)  # root at 1; interval (lo, hi]
         assert sturm_count_distinct(f, 0, 1) == 1
         assert sturm_count_distinct(f, 1, 2) == 0
+
+
+@pytest.mark.parametrize("values, exact", [
+    ((1, F(1, 2), 3), True),
+    ([1, 2.0], False),
+    (np.array([1, 2], dtype=object), True),
+    (np.array([1, F(1, 3)], dtype=object), True),
+    (np.array([1.0, 2.0], dtype=object), False),
+    # numpy int and float entries were never `int` or `Fraction`
+    (np.array([1, 2]), False),
+    (np.array([1.0, 2.0]), False),
+])
+def test_is_exact_vector(values, exact):
+    assert is_exact_vector(values) is exact
 
 
 def test_derivative_tower_lengths():
