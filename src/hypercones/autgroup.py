@@ -1,4 +1,4 @@
-"""Certify or refute linear maps as cone automorphisms.
+"""Certify or refute linear maps as cone automorphisms, and classify them.
 
 Two verification tiers.  The exact tier applies to rational maps: the
 scaling constant kappa = p(e)/p(Ae) is computed exactly and the identity
@@ -14,7 +14,9 @@ preservation with margins.  Since the eigenvalues of x - t e are those of
 x minus t, lambda_min(x) >= m and <= -m are memberships of x -+ m e, which
 the float tier decides by derivative signs (Renegar 2006), without roots.
 Eigenvalues only place the sampled points and re-verify every refutation
-and membership-violation witness before it is reported.
+and membership-violation witness before it is reported.  The relaxation
+classifiers take exact maps only, so their normal forms are exact too;
+float maps keep the float tier of `check_automorphism` and `lie_probe`.
 """
 
 from __future__ import annotations
@@ -60,13 +62,8 @@ STABILIZER_TOL = 1e-10
 # WAVE_MARGINS, join the float-tier cloud.
 WAVE_POINTS = 256
 WAVE_MARGINS = (0.5, 0.1, 0.01)
-# Terms of the Cesaro average behind the fallback Perron vector.
-CESARO_ITERATIONS = 256
 # Eigenvalues below this fraction of the largest span no face direction.
 RANGE_REL_TOL = 1e-6
-# Relative distance of M^T M from mu I under which a float M counts as
-# scaled orthogonal.
-ORTHOGONALITY_TOL = 1e-8
 
 
 class LinearMap:
@@ -549,16 +546,16 @@ def _garding_report(pts, gap, polarized, prop_dist, tol) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def perron_eigenvector(cone, A: LinearMap, seed: int) -> CheckReport:
+def perron_eigenvector(cone, A: LinearMap) -> CheckReport:
     """Find an eigenvector of A inside the cone at the spectral radius.
 
     Precondition, not checked here: A is a certified automorphism of the
-    cone (`check_automorphism` Holds), so it keeps the cone invariant and
-    such an eigenvector exists.  The check returns it (Holds) or reports
-    Inconclusive on numerical eigenspace ambiguity; it never refutes.
+    cone (`check_automorphism` Holds), so some eigenvector at the spectral
+    radius lies in the cone (Vandergraft 1968).  The real ones that
+    `np.linalg.eig` gives there are tried with both signs; with none in the
+    cone the check reports Inconclusive, and it never refutes.
     """
-    af = A.to_float()
-    w, vecs = np.linalg.eig(af)
+    w, vecs = np.linalg.eig(A.to_float())
     rho = float(np.abs(w).max())
     order = np.argsort(-np.abs(w))
     for idx in order:
@@ -572,8 +569,11 @@ def perron_eigenvector(cone, A: LinearMap, seed: int) -> CheckReport:
             continue
         for s in (1.0, -1.0):
             u = s * v / nrm
-            verdict = _candidate_membership(cone, u)
-            if verdict is not None:
+            try:
+                [verdict] = contains(cone, u[None, :])
+            except InconclusiveError:  # the restriction does not look real-rooted
+                continue
+            if verdict is not Membership.OUT:
                 return CheckReport(
                     verdict=Verdict.HOLDS,
                     witness=tuple(float(x) for x in u),
@@ -585,21 +585,6 @@ def perron_eigenvector(cone, A: LinearMap, seed: int) -> CheckReport:
                     },
                     tier="float",
                 )
-    u = _cesaro_vector(cone, af, rho, seed)
-    verdict = None if u is None else _candidate_membership(cone, u)
-    if verdict is not None:
-        return CheckReport(
-            verdict=Verdict.HOLDS,
-            witness=tuple(float(x) for x in u),
-            tolerances={"tol": MEMBERSHIP_TOL},
-            details={
-                "spectral_radius": rho,
-                "eigenvalue": rho,
-                "membership": verdict.value,
-                "method": "cesaro-average",
-            },
-            tier="float",
-        )
     return CheckReport(
         verdict=Verdict.INCONCLUSIVE,
         tolerances={"tol": MEMBERSHIP_TOL},
@@ -609,42 +594,6 @@ def perron_eigenvector(cone, A: LinearMap, seed: int) -> CheckReport:
         },
         tier="float",
     )
-
-
-def _candidate_membership(cone, u) -> Membership | None:
-    """`cones.contains` of a float candidate eigenvector, or None when it is
-    Out or its restriction does not look real-rooted (InconclusiveError)."""
-    try:
-        [verdict] = contains(cone, u[None, :])
-    except InconclusiveError:
-        return None
-    return None if verdict is Membership.OUT else verdict
-
-
-def _cesaro_vector(cone, af, rho, seed):
-    if rho <= 0:
-        return None
-    rng = np.random.default_rng(seed)
-    for attempt in range(3):
-        if attempt == 0:
-            z = cone.e_float.copy()
-        else:
-            y = rng.standard_normal((1, cone.nvars))
-            z = to_level(cone, y, 0.5, cone.lambda_min(y)[0])[0]
-        acc = np.zeros_like(z)
-        cur = z / max(np.linalg.norm(z), 1e-300)
-        for _ in range(CESARO_ITERATIONS):
-            acc += cur
-            cur = af @ cur / rho
-            nrm = np.linalg.norm(cur)
-            if not np.isfinite(nrm) or nrm > 1e12:
-                break
-        nrm = np.linalg.norm(acc)
-        if np.isfinite(nrm) and nrm > 1e-9:
-            u = acc / nrm
-            if np.linalg.norm(af @ u - rho * u) <= 1e-6 * max(1.0, rho):
-                return u
-    return None
 
 
 def min_face_fix_check(cone, A: LinearMap, z) -> CheckReport:
@@ -734,18 +683,18 @@ def _range_projector(mat: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def membership_violation_witness(derived: HyperCone, maps, seed: int):
-    """Hunt for x in the relaxation whose image under some map leaves it.
+def membership_violation_witness(derived: HyperCone, A: LinearMap, seed: int):
+    """Hunt for x in the relaxation whose image under A or A^-1 leaves it.
 
-    `maps` is a list of (label, float matrix, exact LinearMap or None).
     Up to WITNESS_BUDGET points are drawn and placed by eigenvalues at
     lambda_min 0.3 and 0.03.  A candidate is a point and image on the two
     sides of the WITNESS_MARGIN band by `_margin_sides`, the derivative
     signs of x -+ m e.  Floats only propose: each candidate is certified
     by `certified_separation` at the exact dyadic value of the float row x
     the search chose, and at its image, the exact map applied to that
-    value, or `as_vector(mf @ x)` for a float map.
+    value.
     """
+    maps = (("A", A), ("A_inv", A.inverse()))
     rng = np.random.default_rng(seed)
     need = WITNESS_MARGIN
     tried = 0
@@ -758,12 +707,11 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int):
         for m in (0.3, 0.03):
             x = to_level(derived, y, m, lam)
             inside = _margin_sides(derived, x, need) == 1
-            for label, mf, mexact in maps:
-                good = inside & (_margin_sides(derived, x @ mf.T, need) == -1)
+            for label, mapping in maps:
+                good = inside & (_margin_sides(derived, x @ mapping.to_float().T, need) == -1)
                 for idx in np.nonzero(good)[0]:
                     xe = as_vector(x[idx])
-                    img = as_vector(mf @ x[idx]) if mexact is None else mexact.apply(xe)
-                    lams = certified_separation(derived, xe, derived, img, need)
+                    lams = certified_separation(derived, xe, derived, mapping.apply(xe), need)
                     if lams is not None:
                         return {
                             "witness": xe,
@@ -775,7 +723,9 @@ def membership_violation_witness(derived: HyperCone, maps, seed: int):
     return None
 
 
-def _check_classification_order(n: int, k: int) -> None:
+def _check_classification_args(n: int, k: int, A) -> None:
+    if not isinstance(A, LinearMap):
+        raise TypeError("classification takes an exact LinearMap")
     if n < 4:
         raise ValueError("classification needs n >= 4")
     if not 1 <= k <= n - 1:
@@ -785,7 +735,7 @@ def _check_classification_order(n: int, k: int) -> None:
 def _classify_relaxation(
     cone: HyperCone,
     k: int,
-    A,
+    A: LinearMap,
     prediction: bool,
     details: dict,
     seed: int,
@@ -816,9 +766,7 @@ def _classify_relaxation(
         and predicted != rep.holds
     )
     if rep.verdict is Verdict.FAILS or predicted is False:
-        found = membership_violation_witness(
-            cone.derivative_cone(k), _map_pair(A), seed=seed + 17
-        )
+        found = membership_violation_witness(cone.derivative_cone(k), A, seed=seed + 17)
         if found is None:
             details["membership_witness"] = None
             warnings.append("membership-violation witness search exhausted its budget")
@@ -839,11 +787,12 @@ def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int) -> CheckRepo
     In the regime n >= 4, 1 <= k <= n-3 the group is exactly the positive
     multiples of permutation matrices, so the prediction from A's normal
     form must match the certified verdict (see `_classify_relaxation`).
+    A must be an exact `LinearMap`; anything else raises TypeError.
     """
     from .gallery import orthant
 
-    _check_classification_order(n, k)
-    parts = scaled_permutation_parts(A) if isinstance(A, LinearMap) else None
+    _check_classification_args(n, k, A)
+    parts = scaled_permutation_parts(A)
     normal_form = None
     if parts:
         normal_form = {"scalings": [str(c) for c in parts[0]], "permutation": list(parts[1])}
@@ -853,16 +802,6 @@ def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int) -> CheckRepo
         details={"normal_form": normal_form},
         seed=seed,
     )
-
-
-def _map_pair(A):
-    if isinstance(A, LinearMap):
-        return [
-            ("A", A.to_float(), A),
-            ("A_inv", A.inverse().to_float(), A.inverse()),
-        ]
-    af = np.asarray(A, dtype=float)
-    return [("A", af, None), ("A_inv", np.linalg.inv(af), None)]
 
 
 def lm_linear_map(M, n: int):
@@ -888,20 +827,21 @@ def lm_linear_map(M, n: int):
     return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])
 
 
-def classify_psd_deriv(n: int, k: int, M, seed: int) -> CheckReport:
+def classify_psd_deriv(n: int, k: int, M: LinearMap, seed: int) -> CheckReport:
     """Predict and confirm the conjugation map of M on the relaxed matrix cone.
 
     The candidate is X -> M X M^T in svec coordinates.  In the regime
     n >= 4, 1 <= k <= n-3, it is an automorphism of the relaxation exactly
     when M^T M is a positive multiple of the identity, and predicted
     failures must be confirmed by a membership-violation witness (see
-    `_classify_relaxation`).
+    `_classify_relaxation`).  M must be an exact `LinearMap`, so the
+    prediction is exact too; anything else raises TypeError.
     """
     from .gallery import psd
 
     if n > 4:
         raise ValueError("symbolic matrix-cone route is capped at n = 4")
-    _check_classification_order(n, k)
+    _check_classification_args(n, k, M)
     return _classify_relaxation(
         psd(n), k, lm_linear_map(M, n),
         prediction=_is_scaled_orthogonal(M),
@@ -910,19 +850,12 @@ def classify_psd_deriv(n: int, k: int, M, seed: int) -> CheckReport:
     )
 
 
-def _is_scaled_orthogonal(M) -> bool:
-    """Is M^T M a positive multiple mu I?  Exactly for a LinearMap, else
-    within ORTHOGONALITY_TOL relative to max(mu, 1)."""
-    exact = isinstance(M, LinearMap)
-    m = np.array(M.rows, dtype=object) if exact else np.asarray(M, dtype=float)
+def _is_scaled_orthogonal(M: LinearMap) -> bool:
+    """Is M^T M exactly a positive multiple mu I?"""
+    m = np.array(M.rows, dtype=object)
     mtm = m.T @ m
     mu = np.trace(mtm) / len(mtm)
-    if mu <= 0:
-        return False
-    gap = mtm - mu * np.eye(len(mtm), dtype=m.dtype)
-    if exact:
-        return not gap.any()
-    return bool(np.linalg.norm(gap) <= ORTHOGONALITY_TOL * max(mu, 1.0))
+    return mu > 0 and not (mtm - mu * np.eye(len(mtm), dtype=object)).any()
 
 
 # ---------------------------------------------------------------------------

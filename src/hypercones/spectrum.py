@@ -288,17 +288,24 @@ def rank_exact(cone, x, sturm_verify: bool = False) -> int:
     return cone.d - _zero_multiplicity(f)
 
 
+def zero_rule(eigs: np.ndarray):
+    """(ranks, ambiguous) of each row of a float eigenvalue stack: counts of
+    |eigenvalue| > DEFAULT_ZERO_TOL, and whether one lies in the band."""
+    mag = np.abs(eigs)
+    lo, hi = DEFAULT_ZERO_TOL / AMBIGUOUS_BAND, DEFAULT_ZERO_TOL * AMBIGUOUS_BAND
+    ambiguous = ((lo < mag) & (mag < hi)).any(axis=1)
+    return eigs.shape[1] - (mag <= DEFAULT_ZERO_TOL).sum(axis=1), ambiguous
+
+
 def rank(cone, points) -> list[int | None]:
     """Number of nonzero eigenvalues of each row of a 2-D float stack, from
     one batched spectrum.
 
     A row cannot be classified, and gets None, when its root residual
-    exceeds RESIDUAL_GATE or an eigenvalue falls inside the ambiguous band
-    around DEFAULT_ZERO_TOL.  Rational points take `rank_exact`.
+    exceeds RESIDUAL_GATE or `zero_rule` finds it ambiguous.  Rational
+    points take `rank_exact`.
     """
     eigs, residuals = batch_eigenvalues(cone, points)
-    mag = np.abs(eigs)
-    lo, hi = DEFAULT_ZERO_TOL / AMBIGUOUS_BAND, DEFAULT_ZERO_TOL * AMBIGUOUS_BAND
-    unclear = (residuals > RESIDUAL_GATE) | ((lo < mag) & (mag < hi)).any(axis=1)
-    ranks = eigs.shape[1] - (mag <= DEFAULT_ZERO_TOL).sum(axis=1)
+    ranks, ambiguous = zero_rule(eigs)
+    unclear = (residuals > RESIDUAL_GATE) | ambiguous
     return [None if u else r for u, r in zip(unclear.tolist(), ranks.tolist())]

@@ -536,7 +536,7 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
         if not cert.holds:
             problems.append({"cone": "orthant:4", "i": i, "stage": "certify"})
             continue
-        pf = autgroup.perron_eigenvector(o4, cand, seed=seed + i)
+        pf = autgroup.perron_eigenvector(o4, cand)
         if not pf.holds:
             problems.append({"cone": "orthant:4", "i": i, "stage": "eigenvector",
                              "verdict": pf.verdict.value})
@@ -556,7 +556,7 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
         if not cert.holds:
             problems.append({"cone": "psd:3", "i": i, "stage": "certify"})
             continue
-        pf = autgroup.perron_eigenvector(p3, cand, seed=seed + 100 + i)
+        pf = autgroup.perron_eigenvector(p3, cand)
         if not pf.holds:
             problems.append({"cone": "psd:3", "i": i, "stage": "eigenvector",
                              "verdict": pf.verdict.value})
@@ -796,10 +796,11 @@ def check_spectral_agreement(seed: int, ctx: dict) -> SuiteCheck:
         pts = rng.standard_normal((200, 3))
         boundary = cones.to_level(cone, pts, 0.0, cone.lambda_min(pts)[0])
         xs = np.vstack([pts, boundary])
-        sv = np.linalg.svd(gallery.pencil_matrix(mats, xs), compute_uv=False)
-        matrix_ranks = (sv > 1e-6 * np.maximum(sv.max(axis=1), 1e-300)[:, None]).sum(axis=1)
-        for x, matrix_rank, hyp_rank in zip(xs, matrix_ranks.tolist(), spectrum.rank(cone, xs)):
-            if hyp_rank is None:
+        # A_0 = I and e = (1, 0, 0): the pencil's eigenvalues are the hyperbolic ones
+        ranks, unclear = spectrum.zero_rule(np.linalg.eigvalsh(gallery.pencil_matrix(mats, xs)))
+        pairs = zip(xs, ranks.tolist(), unclear.tolist(), spectrum.rank(cone, xs))
+        for x, matrix_rank, ambiguous, hyp_rank in pairs:
+            if ambiguous or hyp_rank is None:
                 pair_ambiguous += 1
                 continue
             pair_checked += 1

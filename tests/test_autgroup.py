@@ -10,7 +10,7 @@ import pytest
 from hypercones import autgroup, cones, exactlin, gallery, spectrum, suite
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone, membership_exact
-from hypercones.poly import HomoPoly, as_vector, polar_form_float
+from hypercones.poly import HomoPoly, polar_form_float
 from hypercones.report import Membership, Verdict
 
 
@@ -566,22 +566,20 @@ class TestPerronAndMinimalFace:
     def test_transposition_eigenvector(self):
         cone = gallery.orthant(3)
         cand = LinearMap(exactlin.permutation([1, 0, 2]))
-        rep = autgroup.perron_eigenvector(cone, cand, seed=0)
+        rep = autgroup.perron_eigenvector(cone, cand)
         assert rep.holds
         w = np.array(rep.witness)
         assert rep.details["eigenvalue"] == pytest.approx(1.0)
         assert w.min() > -1e-9
 
     def test_scaling_returns_any_direction(self):
-        rep = autgroup.perron_eigenvector(
-            gallery.orthant(3), LinearMap(exactlin.diag([2, 2, 2])), seed=0
-        )
+        rep = autgroup.perron_eigenvector(gallery.orthant(3), LinearMap(exactlin.diag([2, 2, 2])))
         assert rep.holds
 
     def test_rotation_conjugation_fixes_identity_direction(self):
         q = LinearMap([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
         lq = autgroup.lm_linear_map(q, 3)
-        rep = autgroup.perron_eigenvector(gallery.psd(3), lq, seed=0)
+        rep = autgroup.perron_eigenvector(gallery.psd(3), lq)
         assert rep.holds
 
     def test_min_face_support_preserved(self):
@@ -617,31 +615,20 @@ class TestPerronAndMinimalFace:
         with pytest.raises(ValueError, match="does not lie in the cone"):
             autgroup.min_face_fix_check(gallery.psd(3), LinearMap(exactlin.identity(6)), z)
 
-    def test_cesaro_fallback(self, monkeypatch):
-        # eig hands back a basis with no vector in the cone, so the
-        # Cesaro average of e has to find the fixed direction
-        basis = np.array([[1.0, -2.0], [-2.0, 1.0]]) / np.sqrt(5.0)
-        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.ones(2), basis))
-        rep = autgroup.perron_eigenvector(
-            gallery.orthant(2), LinearMap(exactlin.identity(2)), seed=0
-        )
-        assert rep.holds and rep.details["method"] == "cesaro-average"
-        assert np.allclose(rep.witness, np.ones(2) / np.sqrt(2.0))
-
-    def test_non_real_rooted_cesaro_vector_is_inconclusive(self, monkeypatch):
+    def test_non_real_rooted_candidate_is_inconclusive(self, monkeypatch):
         # along (1, 0) the restriction of x0^2 + x1^2 at (0, 1) is t^2 + 1,
-        # roots +-i: the Cesaro vector must be rejected, not accepted inside
-        # a band its own residual widens
+        # roots +-i: the candidate eigenvector must be rejected, not accepted
+        # inside a band its own residual widens
         cone = HyperCone(HomoPoly(2, 2, {(2, 0): 1, (0, 2): 1}), (1, 0))
-        monkeypatch.setattr(autgroup, "_cesaro_vector", lambda *args: np.array([0.0, 1.0]))
-        rep = autgroup.perron_eigenvector(cone, LinearMap(exactlin.diag([1, 2])), seed=0)
+        candidate = np.array([[0.0], [1.0]])
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array([2.0]), candidate))
+        rep = autgroup.perron_eigenvector(cone, LinearMap(exactlin.diag([1, 2])))
         assert rep.verdict is Verdict.INCONCLUSIVE
 
     def test_rotation_without_real_eigenvector_is_inconclusive(self):
-        # the quarter turn has eigenvalues +-i: every Cesaro average cancels
-        rep = autgroup.perron_eigenvector(
-            gallery.orthant(2), LinearMap([[0, -1], [1, 0]]), seed=0
-        )
+        # the quarter turn has eigenvalues +-i: the eig loop finds no real
+        # eigenvector at the spectral radius
+        rep = autgroup.perron_eigenvector(gallery.orthant(2), LinearMap([[0, -1], [1, 0]]))
         assert rep.verdict is Verdict.INCONCLUSIVE
 
     def test_unsupported_gallery_rejected(self):
@@ -689,31 +676,18 @@ class TestClassifications:
         rep = autgroup.classify_psd_deriv(4, 1, m, seed=4)
         assert rep.holds and rep.details["prediction"] is True
 
-    def test_psd_float_orthogonal_holds(self):
+    def test_float_maps_rejected(self):
         q, _ = np.linalg.qr(np.random.default_rng(30).standard_normal((4, 4)))
-        rep = autgroup.classify_psd_deriv(4, 1, q, seed=7)
-        assert rep.holds and rep.details["prediction"] is True
-        assert not rep.details["classification_violation"]
+        with pytest.raises(TypeError):
+            autgroup.classify_orthant_deriv(4, 1, q, seed=7)
+        with pytest.raises(TypeError):
+            autgroup.classify_psd_deriv(4, 1, q, seed=7)
 
-    def test_psd_float_unequal_diagonal_fails_with_witness(self):
-        m = np.diag([1.0, 2.0, 1.0, 1.0])
-        mf = {label: f for label, f, _ in autgroup._map_pair(autgroup.lm_linear_map(m, 4))}
-        for seed in (8, 11, 12):
-            rep = autgroup.classify_psd_deriv(4, 1, m, seed=seed)
-            assert rep.fails and rep.details["prediction"] is False
-            w = rep.details["membership_witness"]
-            assert w is not None
-            margin = autgroup.WITNESS_MARGIN
-            assert w["lambda_min_x"] >= margin and w["lambda_min_image"] <= -margin
-            # the float map's image is certified at the exact value of mf @ x
-            x = tuple(F(v) for v in w["x"])
-            image = as_vector(mf[w["direction"]] @ np.array([float(v) for v in x]))
-            assert_certified_witness(gallery.psd(4).derivative_cone(1), w, x, image)
-
-    def test_psd_unequal_diagonal_fails_with_witness(self):
+    @pytest.mark.parametrize("seed", [5, 8, 11, 12])
+    def test_psd_unequal_diagonal_fails_with_witness(self, seed):
         m = LinearMap(exactlin.diag([1, 1, 1, 2]))
-        rep = autgroup.classify_psd_deriv(4, 1, m, seed=5)
-        assert rep.fails
+        rep = autgroup.classify_psd_deriv(4, 1, m, seed=seed)
+        assert rep.fails and rep.details["prediction"] is False
         w = rep.details["membership_witness"]
         assert w is not None
         exact = autgroup.lm_linear_map(m, 4)

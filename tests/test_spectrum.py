@@ -220,6 +220,12 @@ class TestRankMult:
             with pytest.raises(ValueError, match="stack"):
                 spectrum.rank(cone, one_point)
 
+    def test_zero_rule_of_an_eigenvalue_stack(self):
+        eigs = np.array([[6.7, 1.6e-6, -3.86], [1.0, 2e-7, 0.0], [1.0, 1e-8, -1.0]])
+        ranks, ambiguous = spectrum.zero_rule(eigs)
+        assert ranks.tolist() == [3, 2, 2]
+        assert ambiguous.tolist() == [False, True, False]
+
     def test_stacked_rank_matches_one_row_calls(self):
         cone = gallery.orthant(3)
         rng = np.random.default_rng(17)
