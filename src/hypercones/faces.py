@@ -96,7 +96,6 @@ def build_chain(model: GeneratedFaceModel, start_index: int, seed) -> FaceChain:
     total = gens[start_index]
     ranks = [0, 1]
     sums = [total]
-    spectra = [spectrum.eigenvalues(model.cone, total)]
     used = {start_index}
     current = 1
     while current < d:
@@ -112,7 +111,6 @@ def build_chain(model: GeneratedFaceModel, start_index: int, seed) -> FaceChain:
                 current = r
                 ranks.append(r)
                 sums.append(total)
-                spectra.append(spectrum.eigenvalues(model.cone, total))
                 used.add(i)
                 extended = True
                 break
@@ -121,7 +119,9 @@ def build_chain(model: GeneratedFaceModel, start_index: int, seed) -> FaceChain:
                 f"no generator raises the rank beyond {current} "
                 f"(model has {len(gens)} generators, degree is {d})"
             )
-    return FaceChain(picks=picks, partial_sums=sums, ranks=ranks, spectra=spectra)
+    return FaceChain(
+        picks=picks, partial_sums=sums, ranks=ranks, spectra=spectrum.spectra(model.cone, sums)
+    )
 
 
 def rog_check(model: GeneratedFaceModel) -> CheckReport:

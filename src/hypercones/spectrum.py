@@ -1,20 +1,26 @@
 """Eigenvalues of points along a direction: root extraction and rank.
 
-A `Spectrum` is a certificate, and only rational points get one.  The
-line restriction arrives as one primitive integer polynomial
+A `Spectrum` is a certificate, and only rational points get one.
+`spectra` takes a list of rational points and is the one exact core;
+`eigenvalues` is its one-point form and `real_roots` its one-polynomial
+form.  Each line restriction arrives as one primitive integer polynomial
 (`HyperCone.restrict`); its zero coefficients at the low end give the
-eigenvalue 0 with its exact multiplicity and are sliced off, one integer
-Sturm chain per square-free factor refutes or certifies real-rootedness, and
-every root is isolated (the float kernel only proposes split points) and
-refined by exact sign evaluations to at most 2 ulp (Collins & Akritas
-1976).  So its residual is a certified error bound, and an eigenvalue
-beyond the float range is reported as inconclusive, not rounded.
+eigenvalue 0 with its exact multiplicity and are sliced off, and the rest
+is split into square-free factors, each with its integer Sturm chain.  The
+float kernel only proposes split points: one call per factor degree seeds
+every factor of the list.  When the factor's signs at the d + 1 cuts
+alternate strictly, each interval holds one simple root; otherwise the
+Sturm counts refute or certify real-rootedness and isolate the roots.
+Every root is then refined by exact sign evaluations to at most 2 ulp
+(Collins & Akritas 1976).  So its residual is a certified error bound, and
+an eigenvalue beyond the float range is reported as inconclusive, not
+rounded.
 
 Float points come as the rows of a 2-D stack and only ever go through one
 batched kernel: balanced companion-matrix eigenvalues plus two guarded
 Newton steps on the rows that came back real (`batch_eigenvalues`,
 `HyperCone.lambda_min` and `rank`, one result per row).  A rational point
-takes the exact routes `eigenvalues` and `rank_exact`.
+takes the exact routes `spectra` (or `eigenvalues`) and `rank_exact`.
 """
 
 from __future__ import annotations
@@ -156,17 +162,26 @@ def _refine(f, a: int, b: int, guess):
     return _enclosure(a, b)
 
 
-def _float_seeds(f) -> list[int]:
-    """Ordinals of the finite float-kernel roots of the integer polynomial f,
-    ascending.  They only propose split points, so coefficients beyond the
-    float range give no seeds and an overflowing Newton step stays silent."""
-    try:
-        coeffs = np.array([[c / f[-1] for c in f]])
-    except OverflowError:
-        return []
-    with np.errstate(over="ignore", invalid="ignore"):
-        roots = _float_roots(coeffs)[0][0]
-    return [_ordinal(float(v)) for v in roots[::-1] if isfinite(v)]
+def _float_seeds(fs) -> list[list[int]]:
+    """Ordinals of the finite float-kernel roots of each integer polynomial
+    in fs, ascending, from one `_float_roots` call per degree.  They only
+    propose split points, so a polynomial whose coefficients lie beyond the
+    float range gets no seeds and an overflowing Newton step stays silent."""
+    seeds = [[] for _ in fs]
+    groups = {}
+    for i, f in enumerate(fs):
+        try:
+            row = [c / f[-1] for c in f]
+        except OverflowError:
+            continue
+        groups.setdefault(len(f), []).append((i, row))
+    for group in groups.values():
+        index, rows = zip(*group)
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = _float_roots(np.array(rows))[0]
+        for i, r in zip(index, roots.tolist()):
+            seeds[i] = [_ordinal(v) for v in reversed(r) if isfinite(v)]
+    return seeds
 
 
 def _inside_float_range(chain) -> bool:
@@ -182,21 +197,29 @@ def _inside_float_range(chain) -> bool:
     return inside == len(f) - 1
 
 
-def _root_enclosures(chain):
+def _root_enclosures(chain, seeds):
     """(midpoint, half-width) of each root of the square-free chain[0].
 
-    Split points between the float roots isolate the roots; an interval
-    the chain counts twice is bisected, and roots closer than 2 ulp share
+    Split points between the float seeds cut the line.  When the signs of
+    f at the d + 1 cuts (+-inf included) are nonzero and strictly
+    alternate, each of the d intervals holds exactly one root and no Sturm
+    count is made.  Otherwise the chain counts the roots at every cut, an
+    interval counted twice is bisected, and roots closer than 2 ulp share
     one interval.  Fewer real roots than the degree is a refutation; a
     root beyond the float range is inconclusive.
     """
     f = chain[0]
-    seeds = _float_seeds(f)
+    d = len(f) - 1
     splits = {(s + t) // 2 for s, t in zip(seeds, seeds[1:]) if s < t}
     cuts = [_ordinal(-inf), *sorted(splits), _ordinal(inf)]
-    variations = {c: sign_variations(chain, _from_ordinal(c)) for c in cuts}
-    if variations[cuts[0]] - variations[cuts[-1]] < len(f) - 1:
-        raise InconclusiveError(NOT_REAL_ROOTED)
+    signs = [sign_at(f, _from_ordinal(c)) for c in cuts] if len(cuts) == d + 1 else []
+    if signs and all(s * t == -1 for s, t in zip(signs, signs[1:])):
+        # roots in (c, +inf], as the chain's variation counts would give them
+        variations = {c: d - i for i, c in enumerate(cuts)}
+    else:
+        variations = {c: sign_variations(chain, _from_ordinal(c)) for c in cuts}
+        if variations[cuts[0]] - variations[cuts[-1]] < d:
+            raise InconclusiveError(NOT_REAL_ROOTED)
     if not _inside_float_range(chain):
         raise InconclusiveError(OUTSIDE_FLOAT_RANGE)
     out = []
@@ -221,9 +244,32 @@ def _zero_multiplicity(f) -> int:
     return next(i for i, c in enumerate(f) if c)
 
 
+def _certified_roots(fs):
+    """(descending roots, residual) of each ascending integer polynomial in
+    fs: the one exact root path.  The square-free factors of all of them
+    are seeded together by `_float_seeds`, then isolated one by one."""
+    factors = []
+    for f in fs:
+        if not f:
+            raise ValueError("zero polynomial has no well-defined roots")
+        factors.append(factor_chains(f[_zero_multiplicity(f):]))
+    seeds = iter(_float_seeds([chain[0] for fc in factors for chain, _ in fc]))
+    out = []
+    for f, fc in zip(fs, factors):
+        roots = [0.0] * _zero_multiplicity(f)
+        residual = 0.0
+        for chain, mult in fc:
+            for root, half_width in _root_enclosures(chain, next(seeds)):
+                roots.extend([root] * mult)
+                residual = max(residual, half_width)
+        roots.sort(reverse=True)
+        out.append((tuple(roots), residual))
+    return out
+
+
 def real_roots(f):
     """Certified real roots of an ascending integer polynomial f:
-    (descending, residual).
+    (descending, residual).  The one-polynomial form of `spectra`.
 
     Zero coefficients at the low end give exact 0.0 roots and are sliced
     off; every other root is isolated in its square-free factor and
@@ -231,34 +277,33 @@ def real_roots(f):
     the largest half-width, of its float.  A non-real root, or a root
     beyond the float range, raises InconclusiveError.
     """
-    if not f:
-        raise ValueError("zero polynomial has no well-defined roots")
-    m = _zero_multiplicity(f)
-    roots = [0.0] * m
-    residual = 0.0
-    for chain, mult in factor_chains(f[m:]):
-        for root, half_width in _root_enclosures(chain):
-            roots.extend([root] * mult)
-            residual = max(residual, half_width)
-    roots.sort(reverse=True)
-    return tuple(roots), residual
+    return _certified_roots([f])[0]
 
 
-def eigenvalues(cone, x) -> Spectrum:
-    """Certified spectrum of a rational point: `real_roots` of the
-    restriction of the cone polynomial.
+def spectra(cone, xs) -> list[Spectrum]:
+    """Certified spectra of a list of rational points: `real_roots` of the
+    restriction of the cone polynomial at each, with one float-kernel
+    call per factor degree proposing the split points of every root.
 
-    The multiplicity of 0 is read exactly off the restriction's
+    The multiplicity of 0 is read exactly off each restriction's
     coefficients.  A restriction that is not real-rooted, or an eigenvalue
     beyond the float range, raises InconclusiveError; a float point raises
     TypeError (float points take `batch_eigenvalues`).
     """
-    if not is_exact_vector(x):
-        raise TypeError("eigenvalues needs a rational point; use batch_eigenvalues")
-    f = cone.restrict(x)
-    roots, residual = real_roots(f)
-    mult = _zero_multiplicity(f)
-    return Spectrum(roots, float(residual), len(roots) - mult, mult)
+    if not all(is_exact_vector(x) for x in xs):
+        raise TypeError("spectra need rational points; use batch_eigenvalues")
+    fs = [cone.restrict(x) for x in xs]
+    out = []
+    for f, (roots, residual) in zip(fs, _certified_roots(fs)):
+        mult = _zero_multiplicity(f)
+        out.append(Spectrum(roots, float(residual), len(roots) - mult, mult))
+    return out
+
+
+def eigenvalues(cone, x) -> Spectrum:
+    """Certified spectrum of one rational point: the one-point form of
+    `spectra`, with the same errors."""
+    return spectra(cone, [x])[0]
 
 
 def batch_eigenvalues(cone, points: np.ndarray):

@@ -1,6 +1,6 @@
 """Property tests for the exact spectrum path: integer line restriction,
-exact membership, exact rank and multiplicity, certified root enclosures
-and Sturm counts.
+exact membership, exact rank and multiplicity, certified root enclosures,
+the interlacing of relaxation spectra and Sturm counts.
 
 Needs hypothesis, a test-only dependency; the module is skipped without
 it.  The sympy oracle tests are skipped when sympy is missing.
@@ -61,6 +61,36 @@ def test_exact_spectrum_rank_is_certified(case):
     assert spec.rank + spec.mult == cone.d == len(spec.eigenvalues)
     assert spec.rank == spectrum.rank_exact(cone, x, sturm_verify=True)
     assert spec.eigenvalues.count(0.0) >= spec.mult
+
+
+INTERLACING_BASES = {
+    "orthant:5": lambda: gallery.orthant(5),
+    "psd:3": lambda: gallery.psd(3),
+    "psd:4": lambda: gallery.psd(4),
+    "soc:3": lambda: gallery.soc(3),
+    "l1": gallery.l1_cone,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(INTERLACING_BASES)), st.data())
+def test_relaxation_spectra_interlace(name, data):
+    """d/dt q(te - x) is the restriction of D_e q, so by Rolle's theorem the
+    eigenvalues of x for the relaxation of order k + 1 interlace those for
+    order k (Renegar, Hyperbolic programs, and their derivative
+    relaxations, 2006), within the two certified residuals."""
+    base = INTERLACING_BASES[name]()
+    point = st.lists(rational, min_size=base.nvars, max_size=base.nvars).map(tuple)
+    xs = data.draw(st.lists(point, min_size=1, max_size=4))
+    orders = [spectrum.spectra(base.derivative_cone(k), xs) for k in range(base.d)]
+    for outer, inner in zip(orders, orders[1:]):
+        for big, small in zip(outer, inner):
+            slack = F(big.residual) + F(small.residual)
+            lam = [F(v) for v in big.eigenvalues]
+            mu = [F(v) for v in small.eigenvalues]
+            assert len(mu) == len(lam) - 1
+            for i, m in enumerate(mu):
+                assert lam[i + 1] - slack <= m <= lam[i] + slack
 
 
 MEMBERSHIP_BASES = {

@@ -109,6 +109,100 @@ class TestBeyondFloatRange:
         assert spec.residual <= 2 * np.spacing(1e300)
 
 
+def assert_encloses_sympy_roots(f, roots, residual):
+    """Each certified root lies within the residual of its sympy root."""
+    sympy = pytest.importorskip("sympy")
+    exact = sympy.Poly(list(reversed(f)), sympy.Symbol("t")).real_roots()
+    assert len(exact) == len(roots) == len(f) - 1
+    slack = sympy.Rational(1, 10**40)
+    for got, want in zip(roots, reversed(exact)):
+        err = abs(sympy.Rational(F(got).numerator, F(got).denominator) - want)
+        assert err.evalf(60) <= sympy.Float(residual, 60) + slack
+
+
+class TestSpectra:
+    def test_empty_list(self):
+        assert spectrum.spectra(gallery.orthant(3), []) == []
+
+    def test_each_spectrum_equals_its_one_point_call(self):
+        rng = np.random.default_rng(18)
+        eps = F(1, 2**40)
+        for cone in (gallery.orthant(4), gallery.psd(3), gallery.soc(3), gallery.l1_cone()):
+            xs = [tuple(F(int(v), 8) for v in rng.integers(-24, 25, size=cone.nvars))
+                  for _ in range(30)]
+            xs += [cone.e, (0,) * cone.nvars, (1,) + (0,) * (cone.nvars - 1)]
+            if cone.nvars == 4:
+                xs += [(1, 1 + eps, 1 + 2 * eps, 3), (1, 1, 2, 3)]
+            assert spectrum.spectra(cone, xs) == [spectrum.eigenvalues(cone, x) for x in xs]
+
+    def test_float_row_is_rejected(self):
+        with pytest.raises(TypeError, match="rational point"):
+            spectrum.spectra(gallery.orthant(3), [(1, 2, 3), (1.0, 2.0, 3.0)])
+
+    def test_row_beyond_float_range_is_inconclusive(self):
+        # its seeds overflow and are dropped; the certified check still decides
+        with pytest.raises(InconclusiveError) as info:
+            spectrum.spectra(gallery.orthant(3), [(1, 2, 3), (10**400, 1, 2)])
+        assert str(info.value) == spectrum.OUTSIDE_FLOAT_RANGE
+
+    def test_complex_roots_refuted(self):
+        with pytest.raises(InconclusiveError) as info:
+            spectrum.real_roots((1, 0, 1))
+        assert str(info.value) == spectrum.NOT_REAL_ROOTED
+
+
+class TestIsolationBranches:
+    """Sign alternation at the seed cuts certifies simple roots; everything
+    else takes the Sturm counts."""
+
+    @pytest.fixture
+    def interior_counts(self, monkeypatch):
+        cuts = []
+        count = spectrum.sign_variations
+
+        def recording(chain, t):
+            if abs(t) < spectrum.FLOAT_MAX:
+                cuts.append(t)
+            return count(chain, t)
+
+        monkeypatch.setattr(spectrum, "sign_variations", recording)
+        return cuts
+
+    def test_separated_roots_take_no_sturm_count(self, interior_counts):
+        cone = gallery.orthant(4)
+        # (1, 1, 2, 3): Yun's split leaves two factors with separated roots
+        for x in [(1, 2, 3, 4), (-3, F(1, 2), 7, 2), (1, 1, 2, 3)]:
+            spec = spectrum.eigenvalues(cone, x)
+            assert interior_counts == []
+            assert_encloses_sympy_roots(cone.restrict(x), spec.eigenvalues, spec.residual)
+
+    @pytest.mark.parametrize("x", [
+        (1, 1 + F(1, 2**40), 1 + F(1, 2**39), 3),
+        (1, 1, 1 + F(1, 2**40), 1 + F(1, 2**40)),  # its repeated factor is clustered
+    ])
+    def test_clustered_roots_take_sturm_counts(self, interior_counts, x):
+        cone = gallery.orthant(4)
+        spec = spectrum.eigenvalues(cone, x)
+        assert interior_counts
+        assert_encloses_sympy_roots(cone.restrict(x), spec.eigenvalues, spec.residual)
+
+    @pytest.mark.parametrize("proposal", [
+        # the cut between the first two seeds falls exactly on the root 2,
+        # with f < 0 at the cuts on both sides of it
+        [3.0 - 2**-51, 2.0 + 2**-51, 2.0 - 2**-52],
+        # both cuts fall between the roots 1 and 2
+        [1.7, 1.6, 1.4],
+    ])
+    def test_misleading_seeds_do_not_move_the_roots(self, monkeypatch, proposal):
+        # seeds only propose cuts: a zero sign or a missed sign change at a
+        # cut must send the factor to the Sturm counts
+        f = (-6, 11, -6, 1)  # (t - 1)(t - 2)(t - 3)
+        monkeypatch.setattr(spectrum, "_float_roots", lambda coeffs: (
+            np.array([proposal] * len(coeffs)), np.zeros(len(coeffs))))
+        roots, residual = spectrum.real_roots(f)
+        assert_encloses_sympy_roots(f, roots, residual)
+
+
 class TestFloatKernel:
     def test_single_point_matches_batch_row(self):
         # rows are independent: a one-row batch and the same row of a
@@ -178,12 +272,9 @@ class TestEigenvalues:
         cone = gallery.orthant(5)
         rng = np.random.default_rng(11)
         pts = np.round(rng.standard_normal((10_000, 5)) * 2**16) / 2**16
-        worst = 0.0
-        for row in pts:
-            spec = spectrum.eigenvalues(cone, [F(v) for v in row])
-            want = np.sort(row)[::-1]
-            worst = max(worst, float(np.abs(np.array(spec.eigenvalues) - want).max()))
-        assert worst < 1e-10
+        specs = spectrum.spectra(cone, [[F(v) for v in row] for row in pts])
+        got = np.array([spec.eigenvalues for spec in specs])
+        assert np.abs(got - np.sort(pts, axis=1)[:, ::-1]).max() < 1e-10
 
     def test_invariant_rank_plus_mult(self):
         cone = gallery.psd(3)
