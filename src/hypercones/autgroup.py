@@ -14,9 +14,11 @@ preservation with margins.  Since the eigenvalues of x - t e are those of
 x minus t, lambda_min(x) >= m and <= -m are memberships of x -+ m e, which
 the float tier decides by derivative signs (Renegar 2006), without roots.
 Eigenvalues only place the sampled points and re-verify every refutation
-and membership-violation witness before it is reported.  The relaxation
-classifiers take exact maps only, so their normal forms are exact too;
-float maps keep the float tier of `check_automorphism` and `lie_probe`.
+and membership-violation witness before it is reported.  Maps are exact:
+every check takes a `LinearMap` and raises TypeError on anything else, so
+the classifiers' normal forms are exact too.  Float matrices reach only
+the sampled tier, as the dyadic value of a map (`LinearMap.to_float`) and
+as the flows of `lie_probe`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-import scipy.linalg
 
 from . import exactlin
 from .cones import (
@@ -46,7 +47,6 @@ from .poly import (
     as_fraction,
     as_vector,
     clear_denominators,
-    is_exact_vector,
     polar_form_float,
     scaling_mismatch,
 )
@@ -56,8 +56,6 @@ from .report import CheckReport, InconclusiveError, Membership, Verdict
 DECISIVE_MARGIN = 1e-4
 # Two-sided lambda_min margin a membership-violation witness must clear.
 WITNESS_MARGIN = 1e-6
-# Relative residual of A e - alpha e under which a float map fixes the ray.
-STABILIZER_TOL = 1e-10
 # Sampled points whose copies at lambda_min = +-m, for each m in
 # WAVE_MARGINS, join the float-tier cloud.
 WAVE_POINTS = 256
@@ -98,6 +96,24 @@ class LinearMap:
                 tuple(scalings[i] * v for v in row) for i, row in enumerate(base)
             )
         )
+
+    @classmethod
+    def cayley(cls, skew) -> "LinearMap":
+        """Q = (I - S)(I + S)^-1 for a rational skew-symmetric S (Cayley 1846).
+
+        I + S is invertible because S has only imaginary eigenvalues, and Q
+        is rational and orthogonal with det 1.  Rational orthogonal maps
+        are dense in SO(n).  A non-skew S raises ValueError.
+        """
+        s = exactlin.as_matrix(skew)
+        n = len(s)
+        if any(len(row) != n for row in s) or any(
+            s[i][j] != -s[j][i] for i in range(n) for j in range(i, n)
+        ):
+            raise ValueError("Cayley transform needs a skew-symmetric matrix")
+        plus = cls([[(i == j) + v for j, v in enumerate(row)] for i, row in enumerate(s)])
+        minus = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(s)]
+        return cls(exactlin.matmul(minus, plus.inverse().rows))
 
     def _integer_form(self):
         """(nums, den) with rows == nums / den entrywise."""
@@ -163,10 +179,17 @@ def scaled_permutation_parts(A: LinearMap):
     return tuple(scalings), tuple(perm)
 
 
+def _require_exact(A, what: str) -> None:
+    if not isinstance(A, LinearMap):
+        raise TypeError(f"{what} takes an exact LinearMap")
+
+
 @dataclass(frozen=True)
 class StabilizerResult:
+    """Whether A e = alpha e with alpha > 0, and the exact alpha if so."""
+
     fixed: bool
-    alpha: object = None  # Fraction on the exact tier, float otherwise
+    alpha: Fraction | None = None
 
     def to_json_dict(self):
         return {
@@ -175,25 +198,20 @@ class StabilizerResult:
         }
 
 
-def stabilizer_check(A, e) -> StabilizerResult:
-    """Does A map the ray through e to itself (A e = alpha e, alpha > 0)?"""
-    if isinstance(A, LinearMap):
-        e = as_vector(e)
-        ae = A.apply(e)
-        pivot = next((i for i, v in enumerate(e) if v), None)
-        if pivot is None:
-            raise ValueError("direction must be nonzero")
-        alpha = ae[pivot] / e[pivot]
-        if alpha > 0 and all(av == alpha * ev for av, ev in zip(ae, e)):
-            return StabilizerResult(True, alpha)
-        return StabilizerResult(False, None)
-    af = np.asarray(A, dtype=float)
-    ef = np.asarray([float(v) for v in e])
-    ae = af @ ef
-    alpha = float(ef @ ae) / float(ef @ ef)
-    resid = float(np.linalg.norm(ae - alpha * ef))
-    scale = max(1.0, float(np.linalg.norm(af, ord=2))) * float(np.linalg.norm(ef))
-    if alpha > 0 and resid <= STABILIZER_TOL * scale:
+def stabilizer_check(A: LinearMap, e) -> StabilizerResult:
+    """Does A map the ray through e to itself (A e = alpha e, alpha > 0)?
+
+    Decided exactly on the rational e; a map that is not a `LinearMap`
+    raises TypeError.
+    """
+    _require_exact(A, "stabilizer check")
+    e = as_vector(e)
+    ae = A.apply(e)
+    pivot = next((i for i, v in enumerate(e) if v), None)
+    if pivot is None:
+        raise ValueError("direction must be nonzero")
+    alpha = ae[pivot] / e[pivot]
+    if alpha > 0 and all(av == alpha * ev for av, ev in zip(ae, e)):
         return StabilizerResult(True, alpha)
     return StabilizerResult(False, None)
 
@@ -205,93 +223,88 @@ def stabilizer_check(A, e) -> StabilizerResult:
 
 def check_automorphism(
     cone,
-    A,
+    A: LinearMap,
     samples: int = 800,
     seed: int = 0,
     tol: float = MEMBERSHIP_TOL,
 ) -> CheckReport:
     """Certify or refute A as an automorphism of the cone.
 
-    Rational maps first get the exact route: kappa = p(e)/p(Ae) and a
-    comparison of kappa * p(Ax) with p(x) in exact integers at every point
-    of the simplex lattice, which is unisolvent for forms of degree d
-    (see `poly.scaling_mismatch`).  Agreement everywhere plus an interior
+    The exact route comes first: kappa = p(e)/p(Ae) and a comparison of
+    kappa * p(Ax) with p(x) in exact integers at every point of the
+    simplex lattice, which is unisolvent for forms of degree d (see
+    `poly.scaling_mismatch`).  Agreement everywhere plus an interior
     image of the direction is an unconditional certificate.  A mismatch
     at lattice point x refutes, with x as the witness, when the polynomial
     is flagged minimal; otherwise the verdict falls back to sampled
-    membership preservation (also used directly for float maps).
+    membership preservation of the map's float value.  A map that is not
+    a `LinearMap` raises TypeError: a float matrix has no exact tier.
     """
-    if isinstance(A, LinearMap):
-        if A.n != cone.nvars:
-            raise ValueError("map dimension does not match the cone")
-        if not A.invertible:
-            raise ValueError("map must be invertible")
-        ae = A.apply(cone.e)
-        p_ae = cone.p.eval(ae)
-        if p_ae <= 0:
-            return CheckReport(
-                verdict=Verdict.FAILS,
-                witness=ae,
-                tolerances={"tol": tol},
-                details={
-                    "reason": "image of the direction is not interior",
-                    "p_at_Ae": str(p_ae),
-                },
-                tier="exact",
-            )
-        kappa = cone.pe / p_ae
-        mismatch = scaling_mismatch(cone.p, A.rows, kappa)
-        if mismatch is None:
-            if membership_exact(cone, ae) is Membership.IN:
-                details = {"conditional_on_minimality": False}
-                if not cone.minimality_assumed:
-                    details["note"] = (
-                        "certificate is unconditional: scaling identity plus "
-                        "interior direction image suffices"
-                    )
-                return CheckReport(
-                    verdict=Verdict.HOLDS,
-                    kappa=kappa,
-                    tolerances={"tol": 0.0},
-                    details=details,
-                    tier="exact",
+    _require_exact(A, "automorphism check")
+    if A.n != cone.nvars:
+        raise ValueError("map dimension does not match the cone")
+    if not A.invertible:
+        raise ValueError("map must be invertible")
+    ae = A.apply(cone.e)
+    p_ae = cone.p.eval(ae)
+    if p_ae <= 0:
+        return CheckReport(
+            verdict=Verdict.FAILS,
+            witness=ae,
+            tolerances={"tol": tol},
+            details={
+                "reason": "image of the direction is not interior",
+                "p_at_Ae": str(p_ae),
+            },
+            tier="exact",
+        )
+    kappa = cone.pe / p_ae
+    mismatch = scaling_mismatch(cone.p, A.rows, kappa)
+    if mismatch is None:
+        if membership_exact(cone, ae) is Membership.IN:
+            details = {"conditional_on_minimality": False}
+            if not cone.minimality_assumed:
+                details["note"] = (
+                    "certificate is unconditional: scaling identity plus "
+                    "interior direction image suffices"
                 )
             return CheckReport(
-                verdict=Verdict.FAILS,
-                witness=ae,
+                verdict=Verdict.HOLDS,
                 kappa=kappa,
                 tolerances={"tol": 0.0},
-                details={"reason": "image of the direction is not interior"},
+                details=details,
                 tier="exact",
             )
-        x, lhs, rhs = mismatch
-        if cone.minimality_assumed:
-            return CheckReport(
-                verdict=Verdict.FAILS,
-                witness=x,
-                kappa=kappa,
-                tolerances={"tol": 0.0},
-                details={
-                    "reason": "scaling identity fails",
-                    "point": list(x),
-                    "kappa_p_of_Ax": str(lhs),
-                    "p_of_x": str(rhs),
-                    "conditional_on_minimality": True,
-                },
-                tier="exact",
-            )
-        rep = _sampled_preservation(cone, A.to_float(), samples=samples, seed=seed, tol=tol)
-        rep.regime_warnings.append(
-            "polynomial not flagged minimal; coefficient mismatch alone cannot "
-            "refute, verdict comes from sampled membership preservation"
+        return CheckReport(
+            verdict=Verdict.FAILS,
+            witness=ae,
+            kappa=kappa,
+            tolerances={"tol": 0.0},
+            details={"reason": "image of the direction is not interior"},
+            tier="exact",
         )
-        return rep
-    af = np.asarray(A, dtype=float)
-    if af.shape != (cone.nvars, cone.nvars):
-        raise ValueError("map dimension does not match the cone")
-    if not np.isfinite(af).all() or abs(np.linalg.det(af)) < 1e-300:
-        raise ValueError("map must be invertible")
-    return _sampled_preservation(cone, af, samples=samples, seed=seed, tol=tol)
+    x, lhs, rhs = mismatch
+    if cone.minimality_assumed:
+        return CheckReport(
+            verdict=Verdict.FAILS,
+            witness=x,
+            kappa=kappa,
+            tolerances={"tol": 0.0},
+            details={
+                "reason": "scaling identity fails",
+                "point": list(x),
+                "kappa_p_of_Ax": str(lhs),
+                "p_of_x": str(rhs),
+                "conditional_on_minimality": True,
+            },
+            tier="exact",
+        )
+    rep = _sampled_preservation(cone, A.to_float(), samples=samples, seed=seed, tol=tol)
+    rep.regime_warnings.append(
+        "polynomial not flagged minimal; coefficient mismatch alone cannot "
+        "refute, verdict comes from sampled membership preservation"
+    )
+    return rep
 
 
 def _sampled_preservation(
@@ -378,7 +391,7 @@ def _margin_sides(cone: HyperCone, pts: np.ndarray, m: float) -> np.ndarray:
 def check_deriv_automorphism(
     cone: HyperCone,
     k: int,
-    A,
+    A: LinearMap,
     samples: int = 800,
     seed: int = 0,
     tol: float = MEMBERSHIP_TOL,
@@ -390,7 +403,9 @@ def check_deriv_automorphism(
     (base automorphism AND direction fixed) <=> derived automorphism; a
     decisive mismatch raises the equivalence_violation flag.  Outside the
     regime only the forward implication is audited and a warning explains
-    which hypothesis is missing.
+    which hypothesis is missing.  All three verdicts (base, stabilizer,
+    relaxation) take the exact `LinearMap` A; anything else raises
+    TypeError through `check_automorphism`.
     """
     if not 1 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 1..{cone.d - 1}")
@@ -724,8 +739,7 @@ def membership_violation_witness(derived: HyperCone, A: LinearMap, seed: int):
 
 
 def _check_classification_args(n: int, k: int, A) -> None:
-    if not isinstance(A, LinearMap):
-        raise TypeError("classification takes an exact LinearMap")
+    _require_exact(A, "classification")
     if n < 4:
         raise ValueError("classification needs n >= 4")
     if not 1 <= k <= n - 1:
@@ -804,26 +818,19 @@ def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int) -> CheckRepo
     )
 
 
-def lm_linear_map(M, n: int):
+def lm_linear_map(M: LinearMap, n: int) -> LinearMap:
     """The action X -> M X M^T on svec coordinates: `svec_product(M, M)`.
 
-    Returns a LinearMap when M is rational, else a float matrix.  A
-    rational M = N / den is multiplied out in Python ints, and the image
-    is svec_product(N, N) / den^2.
+    M = N / den is multiplied out in Python ints, and the image is the
+    `LinearMap` svec_product(N, N) / den^2.  A map that is not a
+    `LinearMap` raises TypeError.
     """
-    exact = isinstance(M, LinearMap) or (
-        not isinstance(M, np.ndarray) and is_exact_vector([v for row in M for v in row])
-    )
-    if exact:
-        nums, den = (M if isinstance(M, LinearMap) else LinearMap(M))._integer_form()
-        m = np.array(nums, dtype=object)
-    else:
-        m = np.asarray(M, dtype=float)
-    if m.shape != (n, n):
+    _require_exact(M, "conjugation")
+    if M.n != n:
         raise ValueError("conjugating matrix has wrong shape")
+    nums, den = M._integer_form()
+    m = np.array(nums, dtype=object)
     image = svec_product(m, m)
-    if not exact:
-        return image
     return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])
 
 
@@ -876,8 +883,11 @@ def lie_probe(
     Purely float-tier (generators are generally irrational): sampled
     membership preservation in both directions at every grid point, with
     each refutation carrying the failing (t, x) after re-verification.
-    Overflow in the exponential reports Inconclusive.
+    Overflow in the exponential reports Inconclusive.  scipy is imported
+    here, its only use, so importing the package does not load it.
     """
+    import scipy.linalg
+
     target = cone.derivative_cone(k)
     lf = np.asarray(L, dtype=float)
     if lf.shape != (target.nvars, target.nvars):

@@ -159,40 +159,34 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
                     {"family": "scaled-permutation", "n": n, "k": k, "i": i,
                      "verdict": rep.verdict.value}
                 )
-    count = 0
-    while count < 100:
-        for n, k in ORTHANT_REGIMES:
-            if count >= 100:
-                break
-            scalings = [
-                Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
-                for _ in range(n)
-            ]
-            if len(set(scalings)) == 1:
-                scalings[0] += 1
-            perm = [int(v) for v in rng.permutation(n)]
-            cand = LinearMap.scaled_permutation(scalings, perm)
-            rep = autgroup.classify_orthant_deriv(
-                n, k, cand, seed=seed + 1000 + count
-            )
-            _audit(audit, rep)
-            margin = _witness_margin(rep)
-            if rep.fails and rep.tier == "exact" and margin is not None:
-                min_witness_margin = min(min_witness_margin, margin)
-                if margin >= autgroup.WITNESS_MARGIN:
-                    refuted += 1
-                else:
-                    problems.append(
-                        {"family": "nonconstant-diagonal", "n": n, "k": k,
-                         "count": count, "margin": margin}
-                    )
+    for count in range(100):
+        n, k = ORTHANT_REGIMES[count % len(ORTHANT_REGIMES)]
+        scalings = [
+            Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+            for _ in range(n)
+        ]
+        if len(set(scalings)) == 1:
+            scalings[0] += 1
+        perm = [int(v) for v in rng.permutation(n)]
+        cand = LinearMap.scaled_permutation(scalings, perm)
+        rep = autgroup.classify_orthant_deriv(n, k, cand, seed=seed + 1000 + count)
+        _audit(audit, rep)
+        margin = _witness_margin(rep)
+        if rep.fails and rep.tier == "exact" and margin is not None:
+            min_witness_margin = min(min_witness_margin, margin)
+            if margin >= autgroup.WITNESS_MARGIN:
+                refuted += 1
             else:
                 problems.append(
                     {"family": "nonconstant-diagonal", "n": n, "k": k,
-                     "count": count, "verdict": rep.verdict.value,
-                     "witness_found": margin is not None}
+                     "count": count, "margin": margin}
                 )
-            count += 1
+        else:
+            problems.append(
+                {"family": "nonconstant-diagonal", "n": n, "k": k,
+                 "count": count, "verdict": rep.verdict.value,
+                 "witness_found": margin is not None}
+            )
     result = {
         "problems": problems,
         "holds": holds,
@@ -226,7 +220,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
     n, k = 4, 1
     problems = []
     audit = {"candidates": 0, "violations": 0}
-    signed_perm_ok = float_orth_ok = refuted_ok = 0
+    signed_perm_ok = cayley_ok = refuted_ok = 0
     for i in range(20):
         perm = [int(v) for v in rng.permutation(n)]
         signs = [int(s) for s in rng.choice([-1, 1], size=n)]
@@ -238,18 +232,21 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         else:
             problems.append({"family": "signed-permutation", "i": i,
                              "verdict": rep.verdict.value})
-    cone = gallery.psd(n)
     for i in range(20):
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        lq = autgroup.lm_linear_map(q, n)
-        rep = autgroup.check_deriv_automorphism(
-            cone, k, lq, samples=1000, seed=seed + 100 + i, tol=1e-8
-        )
+        skew = [[Fraction(0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                skew[a][b] = Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 4)))
+                skew[b][a] = -skew[a][b]
+        cand = LinearMap.cayley(skew)
+        if rng.integers(2):  # the det -1 component of O(n)
+            cand = LinearMap([[-v for v in cand.rows[0]], *cand.rows[1:]])
+        rep = autgroup.classify_psd_deriv(n, k, cand, seed=seed + 100 + i)
         _audit(audit, rep)
-        if rep.holds and rep.tier == "float":
-            float_orth_ok += 1
+        if rep.holds and rep.tier == "exact" and rep.kappa == 1:
+            cayley_ok += 1
         else:
-            problems.append({"family": "float-orthogonal", "i": i,
+            problems.append({"family": "cayley-orthogonal", "i": i,
                              "verdict": rep.verdict.value})
     count = 0
     min_witness_margin = float("inf")
@@ -275,7 +272,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
     result = {
         "problems": problems,
         "signed_permutations": signed_perm_ok,
-        "float_orthogonal": float_orth_ok,
+        "cayley_orthogonal": cayley_ok,
         "refuted": refuted_ok,
         "min_witness_margin": min_witness_margin,
         "audit": audit,
@@ -285,7 +282,8 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
 
 
 def check_psd_aut_classification(seed: int, ctx: dict) -> SuiteCheck:
-    """Conjugation maps on the relaxed matrix cone: orthogonal vs spread."""
+    """Conjugation maps on the relaxed matrix cone: signed permutations and
+    rational Cayley orthogonals certify exactly, spread maps refute."""
     r = _psd_classification(seed, ctx)
     details = {k: v for k, v in r.items() if k != "audit"}
     return SuiteCheck(
@@ -395,27 +393,20 @@ def check_face_chains(seed: int, ctx: dict) -> SuiteCheck:
     """Greedy chains reach full rank one step at a time, repeatably."""
     problems = []
     details = {}
-    o6 = gallery.orthant(6)
-    model = faces.GeneratedFaceModel(o6, gallery.extreme_rays(o6))
-    chain = faces.build_chain(model, 0, seed=seed)
-    chain_again = faces.build_chain(model, 0, seed=seed)
-    if chain.ranks != list(range(7)):
-        problems.append({"cone": "orthant:6", "ranks": chain.ranks})
-    if chain.picks != chain_again.picks:
-        problems.append({"cone": "orthant:6", "reason": "not deterministic"})
-    details["orthant:6"] = {"ranks": chain.ranks, "picks": chain.picks}
-
+    o6, p4 = gallery.orthant(6), gallery.psd(4)
     rng = np.random.default_rng([seed, 71])
-    p4 = gallery.psd(4)
-    gens = gallery.psd_rank1_generators(4, rng)
-    model4 = faces.GeneratedFaceModel(p4, gens)
-    chain4 = faces.build_chain(model4, 0, seed=seed)
-    chain4_again = faces.build_chain(model4, 0, seed=seed)
-    if chain4.ranks != list(range(5)):
-        problems.append({"cone": "psd:4", "ranks": chain4.ranks})
-    if chain4.picks != chain4_again.picks:
-        problems.append({"cone": "psd:4", "reason": "not deterministic"})
-    details["psd:4"] = {"ranks": chain4.ranks, "picks": chain4.picks}
+    models = (
+        ("orthant:6", faces.GeneratedFaceModel(o6, gallery.extreme_rays(o6))),
+        ("psd:4", faces.GeneratedFaceModel(p4, gallery.psd_rank1_generators(4, rng))),
+    )
+    for label, model in models:
+        chain = faces.build_chain(model, 0, seed=seed)
+        chain_again = faces.build_chain(model, 0, seed=seed)
+        if chain.ranks != list(range(model.cone.d + 1)):
+            problems.append({"cone": label, "ranks": chain.ranks})
+        if chain.picks != chain_again.picks:
+            problems.append({"cone": label, "reason": "not deterministic"})
+        details[label] = {"ranks": chain.ranks, "picks": chain.picks}
     return SuiteCheck(
         "face-chains", _status(problems), seed, {**details, "problems": problems}
     )
@@ -525,46 +516,37 @@ def check_strict_nesting(seed: int, ctx: dict) -> SuiteCheck:
 def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
     """Certified automorphisms own an eigenvector in the cone fixing its face."""
     rng = np.random.default_rng([seed, 101])
-    problems = []
-    o4 = gallery.orthant(4)
-    for i in range(50):
-        scalings = [Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
-                    for _ in range(4)]
-        perm = [int(v) for v in rng.permutation(4)]
-        cand = LinearMap.scaled_permutation(scalings, perm)
-        cert = autgroup.check_automorphism(o4, cand)
-        if not cert.holds:
-            problems.append({"cone": "orthant:4", "i": i, "stage": "certify"})
-            continue
-        pf = autgroup.perron_eigenvector(o4, cand)
-        if not pf.holds:
-            problems.append({"cone": "orthant:4", "i": i, "stage": "eigenvector",
-                             "verdict": pf.verdict.value})
-            continue
-        mf = autgroup.min_face_fix_check(o4, cand, pf.witness)
-        if not mf.holds:
-            problems.append({"cone": "orthant:4", "i": i, "stage": "minimal-face",
-                             "details": mf.details})
-    p3 = gallery.psd(3)
-    for i in range(50):
+    orthant_maps = [
+        LinearMap.scaled_permutation(
+            [Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4))) for _ in range(4)],
+            [int(v) for v in rng.permutation(4)],
+        )
+        for _ in range(50)
+    ]
+    psd_maps = []
+    for _ in range(50):
         perm = [int(v) for v in rng.permutation(3)]
         signs = [int(s) for s in rng.choice([-1, 1], size=3)]
         alpha = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
         lq = autgroup.lm_linear_map(LinearMap.scaled_permutation(signs, perm), 3)
-        cand = LinearMap([[alpha * v for v in row] for row in lq.rows])
-        cert = autgroup.check_automorphism(p3, cand)
-        if not cert.holds:
-            problems.append({"cone": "psd:3", "i": i, "stage": "certify"})
-            continue
-        pf = autgroup.perron_eigenvector(p3, cand)
-        if not pf.holds:
-            problems.append({"cone": "psd:3", "i": i, "stage": "eigenvector",
-                             "verdict": pf.verdict.value})
-            continue
-        mf = autgroup.min_face_fix_check(p3, cand, pf.witness)
-        if not mf.holds:
-            problems.append({"cone": "psd:3", "i": i, "stage": "minimal-face",
-                             "details": mf.details})
+        psd_maps.append(LinearMap([[alpha * v for v in row] for row in lq.rows]))
+    problems = []
+    runs = (("orthant:4", gallery.orthant(4), orthant_maps),
+            ("psd:3", gallery.psd(3), psd_maps))
+    for label, cone, maps in runs:
+        for i, cand in enumerate(maps):
+            if not autgroup.check_automorphism(cone, cand).holds:
+                problems.append({"cone": label, "i": i, "stage": "certify"})
+                continue
+            pf = autgroup.perron_eigenvector(cone, cand)
+            if not pf.holds:
+                problems.append({"cone": label, "i": i, "stage": "eigenvector",
+                                 "verdict": pf.verdict.value})
+                continue
+            mf = autgroup.min_face_fix_check(cone, cand, pf.witness)
+            if not mf.holds:
+                problems.append({"cone": label, "i": i, "stage": "minimal-face",
+                                 "details": mf.details})
     return SuiteCheck(
         "perron-minimal-face", _status(problems), seed,
         {"automorphisms_checked": 100, "problems": problems},

@@ -55,12 +55,13 @@ def test_criterion_03_orthant_classification():
 
 
 def test_criterion_04_psd_classification():
-    """n = 4, k = 1: 20 rational signed permutations certify exactly; 20
-    float orthogonal conjugations pass sampled preservation at 1e-8; 20
-    spread-singular-value candidates are refuted with witnesses; < 120 s."""
+    """n = 4, k = 1: 20 rational signed permutations and 20 rational
+    Cayley orthogonal conjugations, of both determinants, certify on the
+    exact tier with kappa = 1; 20 spread-singular-value candidates are
+    refuted with witnesses; < 120 s."""
     check = _run("psd-aut-classification", 120.0)
     assert check.details["signed_permutations"] == 20
-    assert check.details["float_orthogonal"] == 20
+    assert check.details["cayley_orthogonal"] == 20
     assert check.details["refuted"] == 20
     assert check.details["min_witness_margin"] >= 1e-6
 

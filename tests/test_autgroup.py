@@ -41,10 +41,7 @@ def cayley_orthogonal(rng, n):
         for j in range(i + 1, n):
             s[i][j] = F(int(rng.integers(-2, 3)), int(rng.integers(1, 4)))
             s[j][i] = -s[i][j]
-    eye = exactlin.identity(n)
-    minus = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
-    plus = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
-    return exactlin.matmul(minus, exactlin.inverse(plus))
+    return LinearMap.cayley(s)
 
 
 def dense_integer_map(rng, n):
@@ -82,6 +79,40 @@ class TestLinearMap:
         again = LinearMap.from_json_rows([[str(v) for v in row] for row in m.rows])
         assert again.rows == m.rows
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cayley_is_exactly_orthogonal_with_det_one(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            q = cayley_orthogonal(rng, n)
+            assert all(type(v) is F for row in q.rows for v in row)
+            assert exactlin.matmul(exactlin.transpose(q.rows), q.rows) == exactlin.identity(n)
+            assert q.det == 1
+
+    @pytest.mark.parametrize("s", [
+        [[0, 1], [1, 0]],  # symmetric
+        [[1, 0], [0, -1]],  # nonzero diagonal
+        [[0, 1, 0], [-1, 0, 0]],  # not square
+    ])
+    def test_cayley_rejects_non_skew(self, s):
+        with pytest.raises(ValueError, match="skew"):
+            LinearMap.cayley(s)
+
+
+# A float matrix has no exact tier: every map argument is a LinearMap.
+FLOAT_MAP_CALLS = {
+    "check_automorphism": lambda a: autgroup.check_automorphism(gallery.orthant(4), a),
+    "check_deriv_automorphism": lambda a: autgroup.check_deriv_automorphism(
+        gallery.orthant(4), 1, a),
+    "stabilizer_check": lambda a: autgroup.stabilizer_check(a, (1, 1, 1, 1)),
+    "lm_linear_map": lambda a: autgroup.lm_linear_map(a, 4),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_MAP_CALLS)
+def test_float_map_rejected(name):
+    with pytest.raises(TypeError, match="LinearMap"):
+        FLOAT_MAP_CALLS[name](np.eye(4))
+
 
 class TestStabilizer:
     def test_scaling_fixes_everything(self):
@@ -97,11 +128,10 @@ class TestStabilizer:
             LinearMap(exactlin.diag([1, 2, 1])), (1, 1, 1)
         ).fixed
 
-    def test_float_tier(self):
-        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
-        lq = autgroup.lm_linear_map(q, 3)
-        e = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # svec of the identity
-        assert autgroup.stabilizer_check(lq, e).fixed
+    def test_cayley_conjugation_fixes_identity_exactly(self):
+        lq = autgroup.lm_linear_map(cayley_orthogonal(np.random.default_rng(0), 3), 3)
+        res = autgroup.stabilizer_check(lq, gallery.svec(exactlin.identity(3)))
+        assert res.fixed and res.alpha == 1 and type(res.alpha) is F
 
 
 class TestCheckAutomorphism:
@@ -127,7 +157,7 @@ class TestCheckAutomorphism:
 
     def test_conjugation_of_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="wrong shape"):
-            autgroup.lm_linear_map(exactlin.identity(3), 4)
+            autgroup.lm_linear_map(LinearMap(exactlin.identity(3)), 4)
 
     def test_direction_image_outside_refuted(self):
         rep = autgroup.check_automorphism(
@@ -161,17 +191,19 @@ class TestCheckAutomorphism:
     def test_float_orthogonal_on_psd(self):
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        rep = autgroup.check_automorphism(
-            gallery.psd(3), autgroup.lm_linear_map(q, 3), samples=600, seed=3
+        rep = autgroup._sampled_preservation(
+            gallery.psd(3), gallery.svec_product(q, q), samples=600, seed=3,
+            tol=cones.MEMBERSHIP_TOL,
         )
         assert rep.holds and rep.tier == "float"
 
     def test_float_non_automorphism_refuted_with_witness(self):
-        rep = autgroup.check_automorphism(
+        rep = autgroup._sampled_preservation(
             gallery.orthant(3),
             np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             samples=600,
             seed=4,
+            tol=cones.MEMBERSHIP_TOL,
         )
         assert rep.fails
         assert rep.witness is not None
@@ -189,8 +221,9 @@ class TestCheckAutomorphism:
     def test_one_sided_evidence_is_inconclusive(self):
         # A shrinks the whole cloud into the margin band, so no row and
         # image is decisive under A; A^-1 alone must not carry a Holds
-        rep = autgroup.check_automorphism(
-            gallery.orthant(3), 1e-9 * np.eye(3), samples=600, seed=0
+        rep = autgroup._sampled_preservation(
+            gallery.orthant(3), 1e-9 * np.eye(3), samples=600, seed=0,
+            tol=cones.MEMBERSHIP_TOL,
         )
         assert rep.verdict == Verdict.INCONCLUSIVE
         assert rep.samples > 0
@@ -208,8 +241,9 @@ class TestCheckAutomorphism:
         monkeypatch.setattr(spectrum, "batch_eigenvalues", counted)
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        rep = autgroup.check_automorphism(
-            gallery.psd(3), autgroup.lm_linear_map(q, 3), samples=600, seed=3
+        rep = autgroup._sampled_preservation(
+            gallery.psd(3), gallery.svec_product(q, q), samples=600, seed=3,
+            tol=cones.MEMBERSHIP_TOL,
         )
         assert rep.holds and rep.tier == "float"
         assert calls == [autgroup.WAVE_POINTS]
@@ -337,7 +371,7 @@ class TestLatticeCertificate:
                     signs = [int(v) for v in rng.choice([-1, 1], size=n)]
                     perm = [int(v) for v in rng.permutation(n)]
                     signed = exactlin.matmul(exactlin.diag(signs), exactlin.permutation(perm))
-                    yield cone, autgroup.lm_linear_map(signed, n)
+                    yield cone, autgroup.lm_linear_map(LinearMap(signed), n)
                     yield cone, autgroup.lm_linear_map(cayley_orthogonal(rng, n), n)
                     if n == 3:
                         yield cone, autgroup.lm_linear_map(dense_integer_map(rng, n), n)

@@ -72,6 +72,21 @@ class TestEig:
         assert proc.stderr == b""
         assert proc.returncode == 0
 
+    def test_import_and_eig_leave_scipy_unloaded(self):
+        # scipy serves only `autgroup.lie_probe`, which imports it on call
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        script = (
+            "import sys, hypercones, hypercones.cli, hypercones.suite\n"
+            "code = hypercones.cli.main(['eig', 'psd:3', '1,0,0,1,0,0'])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert code == 0 and not loaded, (code, loaded)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_unknown_cone_exits_2(self, capsys):
         code, _, _ = run(capsys, "eig", "mystery:3", "1,2,3")
         assert code == 2

@@ -12,7 +12,8 @@ import pytest
 
 import numpy as np
 
-from hypercones import cones, exactlin, gallery, spectrum
+from hypercones import cones, gallery, spectrum
+from hypercones.autgroup import LinearMap
 from hypercones.poly import real_root_count_with_mult, restrict_line
 from hypercones.report import InconclusiveError, Membership
 
@@ -152,10 +153,7 @@ def psd_boundary_point(draw):
         for j in range(i + 1, n):
             skew[i][j] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
             skew[j][i] = -skew[i][j]
-    eye = exactlin.identity(n)
-    minus = [[eye[i][j] - skew[i][j] for j in range(n)] for i in range(n)]
-    plus = [[eye[i][j] + skew[i][j] for j in range(n)] for i in range(n)]
-    q = np.array(exactlin.matmul(minus, exactlin.inverse(plus)), dtype=object)
+    q = np.array(LinearMap.cayley(skew).rows, dtype=object)
     lam = draw(st.lists(nonnegative, min_size=n, max_size=n))
     lam[draw(st.integers(0, n - 1))] = F(0)
     diag = np.array(lam + [F(0)] * (gallery.svec_dim(n) - n), dtype=object)

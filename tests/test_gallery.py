@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from hypercones import autgroup, cones, exactlin, gallery, spectrum
+from hypercones import cones, exactlin, gallery, spectrum
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone
 from hypercones.poly import HomoPoly
@@ -159,9 +159,6 @@ class TestSvecProduct:
             approx = gallery.svec_product(a.astype(float), b.astype(float))
             assert approx.dtype == float
             assert np.allclose(approx, exact.astype(float), rtol=0, atol=1e-12)
-            congruence = autgroup.lm_linear_map(a.astype(float), n)
-            exact_rows = np.array(autgroup.lm_linear_map(a.tolist(), n).rows, dtype=float)
-            assert np.allclose(congruence, exact_rows, rtol=0, atol=1e-12)
 
 
 class TestPSD:

@@ -422,11 +422,7 @@ class TestScalingMismatchDtypeBoundary:
         p = gallery.psd(3).p
         self.warm(p, lhs_dtypes)
         s = [[0, F(1, 2), 1], [F(-1, 2), 0, F(1, 3)], [-1, F(-1, 3), 0]]
-        eye = exactlin.identity(3)
-        minus = [[eye[i][j] - s[i][j] for j in range(3)] for i in range(3)]
-        plus = [[eye[i][j] + s[i][j] for j in range(3)] for i in range(3)]
-        q = exactlin.matmul(minus, exactlin.inverse(plus))
-        congruence = autgroup.lm_linear_map(q, 3).rows
+        congruence = autgroup.lm_linear_map(LinearMap.cayley(s), 3).rows
         for k in range(0, 24, 2):
             # det(2^k Q X Q^T) = 2^(3k) det X
             self.check(p, [[2**k * v for v in row] for row in congruence], F(1, 2 ** (3 * k)))
