@@ -18,7 +18,9 @@ and membership-violation witness before it is reported.  Maps are exact:
 every check takes a `LinearMap` and raises TypeError on anything else, so
 the classifiers' normal forms are exact too.  Float matrices reach only
 the sampled tier, as the dyadic value of a map (`LinearMap.to_float`) and
-as the flows of `lie_probe`.
+as the flows of `lie_probe`, which no suite check or CLI command calls:
+the suite probes a flow exp(tW) at its rational points `LinearMap.cayley`
+of -uW, on the exact tier.
 """
 
 from __future__ import annotations
@@ -98,20 +100,20 @@ class LinearMap:
         )
 
     @classmethod
-    def cayley(cls, skew) -> "LinearMap":
-        """Q = (I - S)(I + S)^-1 for a rational skew-symmetric S (Cayley 1846).
+    def cayley(cls, s) -> "LinearMap":
+        """Q = (I - S)(I + S)^-1 for a rational S, I + S invertible (Cayley 1846).
 
-        I + S is invertible because S has only imaginary eigenvalues, and Q
-        is rational and orthogonal with det 1.  Rational orthogonal maps
-        are dense in SO(n).  A non-skew S raises ValueError.
+        For skew S, I + S is always invertible, since S has only imaginary
+        eigenvalues, and Q is orthogonal with det 1; rational orthogonal
+        maps are dense in SO(n).  For S = -uW with |u| < 1 and W's
+        eigenvalues in {-1, 0, 1}, Q = exp(tW) with t = 2 artanh(u), or
+        t = 2 arctan(u) when W is skew: the rational points of the flow.
+        A non-square S or a singular I + S raises ValueError.
         """
-        s = exactlin.as_matrix(skew)
-        n = len(s)
-        if any(len(row) != n for row in s) or any(
-            s[i][j] != -s[j][i] for i in range(n) for j in range(i, n)
-        ):
-            raise ValueError("Cayley transform needs a skew-symmetric matrix")
+        s = exactlin.as_matrix(s)
         plus = cls([[(i == j) + v for j, v in enumerate(row)] for i, row in enumerate(s)])
+        if not plus.invertible:
+            raise ValueError("Cayley transform needs I + S invertible")
         minus = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(s)]
         return cls(exactlin.matmul(minus, plus.inverse().rows))
 
@@ -322,6 +324,8 @@ def _sampled_preservation(
     derivative signs of x -+ m e, without roots; eigenvalues only place
     the cloud and re-verify a flip before it is reported.  Each direction
     needs a quarter of the cloud decisive, or the check is Inconclusive.
+    Only `check_automorphism`'s fallback for a polynomial not flagged
+    minimal and `lie_probe` reach it; no suite check does.
     """
     a_inv = np.linalg.inv(a_float)
     rng = np.random.default_rng(seed)
@@ -880,11 +884,14 @@ def lie_probe(
 ) -> CheckReport:
     """Test a generator candidate: is exp(tL) an automorphism for each t?
 
-    Purely float-tier (generators are generally irrational): sampled
-    membership preservation in both directions at every grid point, with
-    each refutation carrying the failing (t, x) after re-verification.
-    Overflow in the exponential reports Inconclusive.  scipy is imported
-    here, its only use, so importing the package does not load it.
+    Purely float-tier, for generators with no rational flow points:
+    sampled membership preservation in both directions at every grid
+    point, with each refutation carrying the failing (t, x) after
+    re-verification.  Overflow in the exponential reports Inconclusive.
+    No library code calls it (lyapunov-flows certifies the rational Cayley
+    points of its flows instead); it stays because the benchmark's tracer
+    names it.  scipy is imported here, its only use, so importing the
+    package does not load it.
     """
     import scipy.linalg
 

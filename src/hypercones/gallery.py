@@ -12,8 +12,8 @@ holds that order once.  `svec_product(A, B)` is the svec matrix of
 X -> A X B^T, with entry ((i, j), (k, l)) = A_ik B_jl + A_il B_jk, or
 A_ik B_jk on a diagonal column k = l: the symmetric Kronecker product
 without its sqrt(2) scaling.  `svec_product(M, M)` is the congruence
-X -> M X M^T, and `svec_product(W, I) + svec_product(I, W)` is the flow
-generator X -> W X + X W^T.
+X -> M X M^T, behind the conjugation maps of the classifications and the
+rational flow points exp(tW) X exp(tW)^T of lyapunov-flows.
 """
 
 from __future__ import annotations

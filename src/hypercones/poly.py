@@ -205,18 +205,6 @@ class HomoPoly:
                     out[e2] = out.get(e2, Fraction(0)) + c * a * ei
         return HomoPoly(self.nvars, max(self.degree - 1, 0), out)
 
-    def dir_deriv(self, e, k: int = 1) -> "HomoPoly":
-        """k-th directional derivative along e, by k single sparse passes."""
-        if not 0 <= k <= self.degree:
-            raise ValueError(f"derivative order {k} outside 0..{self.degree}")
-        e = as_vector(e)
-        if len(e) != self.nvars:
-            raise ValueError("direction has wrong dimension")
-        q = self
-        for _ in range(k):
-            q = q._dir_step(e)
-        return q
-
     # -- composition -------------------------------------------------------------
 
     def compose(self, rows) -> "HomoPoly":
@@ -487,6 +475,8 @@ def _eval_on_lattice(p: HomoPoly, mat):
 def derivatives_along(p: HomoPoly, e) -> tuple[HomoPoly, ...]:
     """The full tower [p, D_e p, ..., D_e^d p] by repeated single passes."""
     e = as_vector(e)
+    if len(e) != p.nvars:
+        raise ValueError("direction has wrong dimension")
     out = [p]
     for _ in range(p.degree):
         out.append(out[-1]._dir_step(e))

@@ -125,10 +125,11 @@ def test_criterion_10_perron_minimal_face():
 
 
 def test_criterion_11_lyapunov_flows():
-    """For the relaxed 4x4 matrix cone, the 1 + 6 = 7 generators pass the
-    flow probe on t in {+-0.1, +-1} and 6 complements are refuted; for the
-    relaxed 4-coordinate cone the identity flow passes and 3 traceless
-    diagonal flows are refuted; < 60 s."""
+    """For the relaxed 4x4 matrix cone, the 1 + 6 = 7 generators W pass at
+    the rational flow points Cayley(-uW), u in {+-1/20, +-1/2}, and 6
+    complements are refuted; for the relaxed 4-coordinate cone the identity
+    flow passes and 3 traceless diagonal flows are refuted; every verdict
+    is exact; < 60 s."""
     check = _run("lyapunov-flows", 60.0)
     assert check.details["psd_passing_generators"] == 7
     assert check.details["psd_refuted_complements"] == 6

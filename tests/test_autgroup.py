@@ -1,6 +1,7 @@
 """Automorphism certificates, classifications, flows, invariant faces."""
 
 import dataclasses
+import sys
 from fractions import Fraction as F
 from math import factorial, prod
 
@@ -88,14 +89,33 @@ class TestLinearMap:
             assert exactlin.matmul(exactlin.transpose(q.rows), q.rows) == exactlin.identity(n)
             assert q.det == 1
 
-    @pytest.mark.parametrize("s", [
-        [[0, 1], [1, 0]],  # symmetric
-        [[1, 0], [0, -1]],  # nonzero diagonal
-        [[0, 1, 0], [-1, 0, 0]],  # not square
+    @pytest.mark.parametrize("s, message", [
+        ([[0, 1], [1, 0]], "invertible"),  # I + S = [[1, 1], [1, 1]]
+        ([[1, 0], [0, -1]], "invertible"),  # I + S = diag(2, 0)
+        ([[0, 1, 0], [-1, 0, 0]], "square"),
     ])
-    def test_cayley_rejects_non_skew(self, s):
-        with pytest.raises(ValueError, match="skew"):
+    def test_cayley_rejects_singular_or_non_square(self, s, message):
+        with pytest.raises(ValueError, match=message):
             LinearMap.cayley(s)
+
+    @pytest.mark.parametrize("u", [F(-1, 2), F(-1, 20), F(1, 20), F(1, 2), F(3, 7)])
+    def test_cayley_of_traceless_diagonal_flow_is_exact(self, u):
+        w = exactlin.diag([1, -1, 0, 0])
+        q = LinearMap.cayley([[-u * v for v in row] for row in w])
+        assert q.rows == exactlin.diag([(1 + u) / (1 - u), (1 - u) / (1 + u), 1, 1])
+
+    @pytest.mark.parametrize("w, angle", [
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], np.arctanh),  # E01 + E10
+        ([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], np.arctan),  # skew
+    ])
+    def test_cayley_lies_on_the_exponential_flow(self, w, angle):
+        # Cayley(-u W) = exp(t W) with t = 2 artanh(u), or 2 arctan(u) for skew W
+        import scipy.linalg
+
+        for u in (F(-1, 2), F(-1, 20), F(1, 20), F(1, 2)):
+            q = LinearMap.cayley([[-u * v for v in row] for row in w])
+            flow = scipy.linalg.expm(2 * angle(float(u)) * np.array(w, dtype=float))
+            assert np.allclose(q.to_float(), flow, rtol=0, atol=1e-12)
 
 
 # A float matrix has no exact tier: every map argument is a LinearMap.
@@ -792,3 +812,21 @@ class TestLieProbe:
             gallery.orthant(4), 1, np.eye(4) * 500.0, (4.0,), samples=50, seed=11
         )
         assert rep.verdict is Verdict.INCONCLUSIVE
+
+
+def test_lyapunov_flows_decided_without_float_tier(monkeypatch):
+    """Every flow element is certified or refuted on the exact lattice tier:
+    with the sampled tier, `lie_probe` and scipy all unavailable, the check
+    still passes with the full generator counts."""
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("float tier reached")
+
+    monkeypatch.setattr(autgroup, "_sampled_preservation", unavailable)
+    monkeypatch.setattr(autgroup, "lie_probe", unavailable)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    check = suite.check_lyapunov_flows(0, {})
+    assert check.status == suite.PASS, check.details["problems"]
+    d = check.details
+    assert (d["psd_passing_generators"], d["psd_refuted_complements"],
+            d["orthant_passing"], d["orthant_refuted_diagonals"]) == (7, 6, 1, 3)

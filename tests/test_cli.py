@@ -73,11 +73,14 @@ class TestEig:
         assert proc.returncode == 0
 
     def test_import_and_eig_leave_scipy_unloaded(self):
-        # scipy serves only `autgroup.lie_probe`, which imports it on call
+        # scipy serves only `autgroup.lie_probe`, which imports it on call and
+        # which no suite check calls
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         script = (
             "import sys, hypercones, hypercones.cli, hypercones.suite\n"
             "code = hypercones.cli.main(['eig', 'psd:3', '1,0,0,1,0,0'])\n"
+            "flows = hypercones.suite.run_suite(0, name_filter='lyapunov')\n"
+            "assert [c.status for c in flows.checks] == ['pass'], flows.checks\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert code == 0 and not loaded, (code, loaded)\n"
         )

@@ -25,7 +25,7 @@ MODULES = sorted((ROOT / "src" / "hypercones").glob("*.py"))
 CALLERS = [m for m in MODULES if m.name != "__init__.py"]
 CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-DEFAULTED_PARAMETER_CAP = 23
+DEFAULTED_PARAMETER_CAP = 22
 
 
 def parse(path: Path) -> ast.Module:

@@ -1,6 +1,7 @@
 """Property tests for the exact spectrum path: integer line restriction,
 exact membership, exact rank and multiplicity, certified root enclosures,
-the interlacing of relaxation spectra and Sturm counts.
+the interlacing of relaxation spectra, Sturm counts and the derivative
+tower every restriction reads.
 
 Needs hypothesis, a test-only dependency; the module is skipped without
 it.  The sympy oracle tests are skipped when sympy is missing.
@@ -14,7 +15,7 @@ import numpy as np
 
 from hypercones import cones, gallery, spectrum
 from hypercones.autgroup import LinearMap
-from hypercones.poly import real_root_count_with_mult, restrict_line
+from hypercones.poly import derivatives_along, real_root_count_with_mult, restrict_line
 from hypercones.report import InconclusiveError, Membership
 
 from test_poly import evaluate, int_form, restrict_line_naive, sturm_count_distinct
@@ -229,3 +230,29 @@ def test_sturm_counts_match_sympy(q, lo, width):
     if evaluate(q, lo) and evaluate(q, hi):
         # sympy counts on [lo, hi], the chain on (lo, hi]: equal off the roots
         assert sturm_count_distinct(q, lo, hi) == poly.count_roots(lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BASES)), st.data())
+def test_derivative_tower_matches_sympy(name, data):
+    """Entry k of the tower along e is d^k/dt^k p(x + t e) at t = 0."""
+    sympy = pytest.importorskip("sympy")
+    p = BASES[name]().p
+    e = data.draw(st.lists(rational, min_size=p.nvars, max_size=p.nvars))
+    xs = sympy.symbols(f"x0:{p.nvars}")
+    t = sympy.Symbol("t")
+
+    def as_sympy(q, point):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**a for v, a in zip(point, exp)))
+            for exp, c in q.terms.items()
+        )
+
+    along = as_sympy(p, [x + t * sympy.Rational(v.numerator, v.denominator)
+                         for x, v in zip(xs, e)])
+    tower = derivatives_along(p, e)
+    assert len(tower) == p.degree + 1
+    for k, q in enumerate(tower):
+        want = sympy.diff(along, t, k).subs(t, 0)
+        assert sympy.expand(want - as_sympy(q, xs)) == 0

@@ -180,35 +180,34 @@ class TestEval:
 
 class TestDirDeriv:
     def test_first_derivative_is_elementary_symmetric(self):
-        got = x1x2x3().dir_deriv((1, 1, 1), 1)
-        assert got == elementary_symmetric(3, 2)
+        assert derivatives_along(x1x2x3(), (1, 1, 1))[1] == elementary_symmetric(3, 2)
 
     def test_l1_first_derivative(self):
         cone = l1_cone()
         x1, x2, x3 = vars3()
-        assert cone.p.dir_deriv(cone.e, 1) == 4 * (x3 * (x3 * x3 - x1 * x1 - x2 * x2))
+        assert derivatives_along(cone.p, cone.e)[1] == 4 * (x3 * (x3 * x3 - x1 * x1 - x2 * x2))
 
     def test_l1_second_derivative(self):
         cone = l1_cone()
         x1, x2, x3 = vars3()
-        assert cone.p.dir_deriv(cone.e, 2) == 4 * (3 * (x3 * x3) - x1 * x1 - x2 * x2)
+        assert derivatives_along(cone.p, cone.e)[2] == 4 * (3 * (x3 * x3) - x1 * x1 - x2 * x2)
 
     def test_order_zero_is_identity(self):
         p = x1x2x3()
-        assert p.dir_deriv((1, 2, 3), 0) == p
+        assert derivatives_along(p, (1, 2, 3))[0] == p
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            x1x2x3().dir_deriv((1, 1, 1), 4)
+    def test_wrong_dimension_direction(self):
+        with pytest.raises(ValueError, match="dimension"):
+            derivatives_along(x1x2x3(), (1, 1))
 
     def test_iterated_steps_compose(self):
+        # the tower of tower[j] is tower[j:]
         rng = np.random.default_rng(1)
         p = l1_cone().p
         e = rand_vec(rng, 3)
-        for j in range(0, 3):
-            for k in range(0, 4 - j):
-                lhs = p.dir_deriv(e, j).dir_deriv(e, k)
-                assert lhs == p.dir_deriv(e, j + k)
+        tower = derivatives_along(p, e)
+        for j in range(len(tower)):
+            assert derivatives_along(tower[j], e) == tower[j:]
 
 
 class TestCompose:
@@ -540,8 +539,8 @@ class TestPolarForm:
         d = p.degree
         for _ in range(10):
             e, x = rand_vec(rng, 3), rand_vec(rng, 3)
-            for k in range(d + 1):
-                lhs = p.dir_deriv(e, k).eval(x)
+            for k, q in enumerate(derivatives_along(p, e)):
+                lhs = q.eval(x)
                 rhs = polar_form(p, [e] * k + [x] * (d - k))
                 assert lhs == F(factorial(d), factorial(d - k)) * rhs
 
