@@ -1,26 +1,24 @@
 """Certify or refute linear maps as cone automorphisms, and classify them.
 
-Two verification tiers.  The exact tier applies to rational maps: the
-scaling constant kappa = p(e)/p(Ae) is computed exactly and the identity
+Every verdict on a map is exact, or Inconclusive.  Maps are exact: every
+check takes a `LinearMap` and raises TypeError on anything else, so the
+classifiers' normal forms are exact too.  The scaling constant
+kappa = p(e)/p(Ae) is computed exactly and the identity
 kappa * (p o A) = p is checked by exact evaluation on the simplex lattice
 {x in Z>=0^n : |x| = d}.  That lattice is unisolvent for forms of degree
 d, so agreement at every point proves the identity without expanding
 p o A; together with the image of the direction being interior it is a
 proof of automorphism (no minimality needed for that direction).  The
 first point where the sides differ is a witness anyone can re-check with
-two evaluations.  It refutes only when the polynomial is flagged minimal;
-otherwise the check drops to the float tier: sampled membership
-preservation with margins.  Since the eigenvalues of x - t e are those of
-x minus t, lambda_min(x) >= m and <= -m are memberships of x -+ m e, which
-the float tier decides by derivative signs (Renegar 2006), without roots.
-Eigenvalues only place the sampled points and re-verify every refutation
-and membership-violation witness before it is reported.  Maps are exact:
-every check takes a `LinearMap` and raises TypeError on anything else, so
-the classifiers' normal forms are exact too.  Float matrices reach only
-the sampled tier, as the dyadic value of a map (`LinearMap.to_float`) and
-as the flows of `lie_probe`, which no suite check or CLI command calls:
-the suite probes a flow exp(tW) at its rational points `LinearMap.cayley`
-of -uW, on the exact tier.
+two evaluations.  It refutes only when the polynomial is flagged minimal.
+Otherwise only a membership violation refutes: a point on a ray from e
+that A or A^-1 moves out of the cone, proposed by floats and certified by
+exact derivative signs and certified spectra (`cones.ray_witness`).
+Without one the verdict is Inconclusive.  The classifiers confirm every
+refutation with such a witness too.  Float matrices reach only the flows
+of `lie_probe`, which no suite check or CLI command calls, through the
+sampled membership test `_sampled_preservation`: the suite probes a flow
+exp(tW) at its rational points `LinearMap.cayley` of -uW, exactly.
 """
 
 from __future__ import annotations
@@ -34,15 +32,13 @@ import numpy as np
 from . import exactlin
 from .cones import (
     MEMBERSHIP_TOL,
-    WITNESS_BUDGET,
     HyperCone,
     _sign_flags,
     boundary_cloud,
-    certified_separation,
     contains,
     membership_exact,
+    ray_witness,
     to_interior,
-    to_level,
 )
 from .gallery import smat_float, svec_float, svec_product
 from .poly import (
@@ -54,12 +50,12 @@ from .poly import (
 )
 from .report import CheckReport, InconclusiveError, Membership, Verdict
 
-# |lambda_min| below this is treated as indecisive when sampling membership.
-DECISIVE_MARGIN = 1e-4
 # Two-sided lambda_min margin a membership-violation witness must clear.
 WITNESS_MARGIN = 1e-6
-# Sampled points whose copies at lambda_min = +-m, for each m in
-# WAVE_MARGINS, join the float-tier cloud.
+# `lie_probe`'s sampled test: |lambda_min| below DECISIVE_MARGIN is
+# indecisive, and WAVE_POINTS sampled points have copies at lambda_min =
+# +-m, for each m in WAVE_MARGINS, in its cloud.
+DECISIVE_MARGIN = 1e-4
 WAVE_POINTS = 256
 WAVE_MARGINS = (0.5, 0.1, 0.01)
 # Eigenvalues below this fraction of the largest span no face direction.
@@ -72,7 +68,7 @@ class LinearMap:
     `rows` is the tuple of Fraction rows.  Two views are cached on first
     use: the integer form, numerators over one common denominator, on
     which `apply`, `det` and `inverse` run in Python ints, and a float
-    matrix for the sampled tier.
+    matrix for the float routes.
     """
 
     __slots__ = ("n", "rows", "_det", "_float", "_inv", "_int")
@@ -223,14 +219,8 @@ def stabilizer_check(A: LinearMap, e) -> StabilizerResult:
 # ---------------------------------------------------------------------------
 
 
-def check_automorphism(
-    cone,
-    A: LinearMap,
-    samples: int = 800,
-    seed: int = 0,
-    tol: float = MEMBERSHIP_TOL,
-) -> CheckReport:
-    """Certify or refute A as an automorphism of the cone.
+def check_automorphism(cone, A: LinearMap) -> CheckReport:
+    """Certify or refute A as an automorphism of the cone, exactly.
 
     The exact route comes first: kappa = p(e)/p(Ae) and a comparison of
     kappa * p(Ax) with p(x) in exact integers at every point of the
@@ -238,9 +228,12 @@ def check_automorphism(
     `poly.scaling_mismatch`).  Agreement everywhere plus an interior
     image of the direction is an unconditional certificate.  A mismatch
     at lattice point x refutes, with x as the witness, when the polynomial
-    is flagged minimal; otherwise the verdict falls back to sampled
-    membership preservation of the map's float value.  A map that is not
-    a `LinearMap` raises TypeError: a float matrix has no exact tier.
+    is flagged minimal.  Otherwise a mismatch alone cannot refute, and the
+    map fails only on a certified membership violation: Ae not interior,
+    or a point on a ray from e that A or A^-1 moves out of the cone
+    (`cones.ray_witness`).  Without one the verdict is Inconclusive.  A
+    map that is not a `LinearMap` raises TypeError: a float matrix has no
+    exact tier.
     """
     _require_exact(A, "automorphism check")
     if A.n != cone.nvars:
@@ -253,7 +246,7 @@ def check_automorphism(
         return CheckReport(
             verdict=Verdict.FAILS,
             witness=ae,
-            tolerances={"tol": tol},
+            tolerances={"tol": 0.0},
             details={
                 "reason": "image of the direction is not interior",
                 "p_at_Ae": str(p_ae),
@@ -262,31 +255,8 @@ def check_automorphism(
         )
     kappa = cone.pe / p_ae
     mismatch = scaling_mismatch(cone.p, A.rows, kappa)
-    if mismatch is None:
-        if membership_exact(cone, ae) is Membership.IN:
-            details = {"conditional_on_minimality": False}
-            if not cone.minimality_assumed:
-                details["note"] = (
-                    "certificate is unconditional: scaling identity plus "
-                    "interior direction image suffices"
-                )
-            return CheckReport(
-                verdict=Verdict.HOLDS,
-                kappa=kappa,
-                tolerances={"tol": 0.0},
-                details=details,
-                tier="exact",
-            )
-        return CheckReport(
-            verdict=Verdict.FAILS,
-            witness=ae,
-            kappa=kappa,
-            tolerances={"tol": 0.0},
-            details={"reason": "image of the direction is not interior"},
-            tier="exact",
-        )
-    x, lhs, rhs = mismatch
-    if cone.minimality_assumed:
+    if mismatch is not None and cone.minimality_assumed:
+        x, lhs, rhs = mismatch
         return CheckReport(
             verdict=Verdict.FAILS,
             witness=x,
@@ -301,90 +271,43 @@ def check_automorphism(
             },
             tier="exact",
         )
-    rep = _sampled_preservation(cone, A.to_float(), samples=samples, seed=seed, tol=tol)
-    rep.regime_warnings.append(
-        "polynomial not flagged minimal; coefficient mismatch alone cannot "
-        "refute, verdict comes from sampled membership preservation"
-    )
-    return rep
-
-
-def _sampled_preservation(
-    cone: HyperCone,
-    a_float: np.ndarray,
-    samples: int,
-    seed: int,
-    tol: float,
-) -> CheckReport:
-    """Float tier: does the map preserve sampled membership both ways?
-
-    A `boundary_cloud` row and its image under A (or A^-1) are decisive
-    when both clear the margin m = max(10 tol, DECISIVE_MARGIN) on one
-    side, lambda_min >= m or <= -m.  `_margin_sides` decides that by
-    derivative signs of x -+ m e, without roots; eigenvalues only place
-    the cloud and re-verify a flip before it is reported.  Each direction
-    needs a quarter of the cloud decisive, or the check is Inconclusive.
-    Only `check_automorphism`'s fallback for a polynomial not flagged
-    minimal and `lie_probe` reach it; no suite check does.
-    """
-    a_inv = np.linalg.inv(a_float)
-    rng = np.random.default_rng(seed)
-    pts = boundary_cloud(cone, rng, samples, WAVE_POINTS, WAVE_MARGINS)
-    margin = max(10 * tol, DECISIVE_MARGIN)
-    sides_x = _margin_sides(cone, pts, margin)
-    checked = []
-    for label, mat in (("A", a_float), ("A_inv", a_inv)):
-        sides_img = _margin_sides(cone, pts @ mat.T, margin)
-        decisive = (sides_x != 0) & (sides_img != 0)
-        checked.append(int(decisive.sum()))
-        flip = decisive & (sides_x != sides_img)
-        for idx in np.nonzero(flip)[0]:
-            x = pts[idx]
-            lam_pt, lam_im = cone.lambda_min(np.array([x, mat @ x]))[0].tolist()
-            if min(abs(lam_pt), abs(lam_im)) >= margin and (lam_pt > 0) != (lam_im > 0):
-                return CheckReport(
-                    verdict=Verdict.FAILS,
-                    witness=tuple(float(v) for v in x),
-                    samples=sum(checked),
-                    tolerances={"tol": tol, "margin": margin},
-                    details={
-                        "direction": label,
-                        "lambda_min_x": lam_pt,
-                        "lambda_min_image": lam_im,
-                    },
-                    tier="float",
-                )
-    if min(checked) < max(1, len(pts) // 4):
+    if membership_exact(cone, ae) is not Membership.IN:
         return CheckReport(
-            verdict=Verdict.INCONCLUSIVE,
-            samples=sum(checked),
-            tolerances={"tol": tol, "margin": margin},
-            details={"reason": "too few decisive samples"},
-            tier="float",
+            verdict=Verdict.FAILS,
+            witness=ae,
+            kappa=kappa,
+            tolerances={"tol": 0.0},
+            details={"reason": "image of the direction is not interior"},
+            tier="exact",
         )
-    return CheckReport(
-        verdict=Verdict.HOLDS,
-        samples=sum(checked),
-        tolerances={"tol": tol, "margin": margin},
-        details={"note": "sampled membership preserved in both directions"},
-        tier="float",
-    )
-
-
-def _margin_sides(cone: HyperCone, pts: np.ndarray, m: float) -> np.ndarray:
-    """Side of the band |lambda_min| < m of each row x of `pts`, root-free.
-
-    The eigenvalues of x - t e are those of x minus t, so lambda_min(x) > m
-    exactly when x - m e is interior, and lambda_min(x) < -m when x + m e
-    is outside the cone.  Both are derivative-sign memberships (Renegar
-    2006), one evaluation pass per order over the two shifted stacks.
-    Returns an int8 array: +1 where x - m e is In, -1 where x + m e is
-    Out, 0 elsewhere.
-    """
-    shift = m * cone.e_float
-    out, boundary = _sign_flags(cone, np.vstack([pts - shift, pts + shift]), MEMBERSHIP_TOL)
-    n = len(pts)
-    return np.where(~(out[:n] | boundary[:n]), 1, np.where(out[n:], -1, 0)).astype(np.int8)
+    if mismatch is None:
+        details = {"conditional_on_minimality": False}
+        if not cone.minimality_assumed:
+            details["note"] = (
+                "certificate is unconditional: scaling identity plus "
+                "interior direction image suffices"
+            )
+        return CheckReport(
+            verdict=Verdict.HOLDS,
+            kappa=kappa,
+            tolerances={"tol": 0.0},
+            details=details,
+            tier="exact",
+        )
+    found = ray_witness(cone, cone, A, WITNESS_MARGIN)
+    tolerances = {"tol": 0.0, "margin": WITNESS_MARGIN}
+    if found is None:
+        reason = (
+            "polynomial not flagged minimal, so the scaling mismatch cannot refute, "
+            f"and no membership violation certifies on the {cone.nvars ** 2} rays "
+            "-e_i and e_i - e_j from e"
+        )
+        return CheckReport(verdict=Verdict.INCONCLUSIVE, kappa=kappa, tolerances=tolerances,
+                           details={"reason": reason}, tier="float")
+    details = {**found, "reason": "membership violation on a ray from e",
+               "conditional_on_minimality": False}
+    return CheckReport(verdict=Verdict.FAILS, witness=found["x"], kappa=kappa,
+                       tolerances=tolerances, details=details, tier="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +315,7 @@ def _margin_sides(cone: HyperCone, pts: np.ndarray, m: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_deriv_automorphism(
-    cone: HyperCone,
-    k: int,
-    A: LinearMap,
-    samples: int = 800,
-    seed: int = 0,
-    tol: float = MEMBERSHIP_TOL,
-) -> CheckReport:
+def check_deriv_automorphism(cone: HyperCone, k: int, A: LinearMap) -> CheckReport:
     """Automorphism check on the k-th relaxation plus the equivalence audit.
 
     In the two-sided regime (rank-one-generated cone with minimal
@@ -414,9 +330,9 @@ def check_deriv_automorphism(
     if not 1 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 1..{cone.d - 1}")
     dc = cone.derivative_cone(k)
-    base_rep = check_automorphism(cone, A, samples=samples, seed=seed, tol=tol)
+    base_rep = check_automorphism(cone, A)
     stab = stabilizer_check(A, cone.e)
-    deriv_rep = check_automorphism(dc, A, samples=samples, seed=seed + 1, tol=tol)
+    deriv_rep = check_automorphism(dc, A)
 
     warnings = list(deriv_rep.regime_warnings)
     in_regime = (
@@ -463,12 +379,7 @@ def check_deriv_automorphism(
             "equivalence_violation": violation,
         }
     )
-    return replace(
-        deriv_rep,
-        samples=deriv_rep.samples + base_rep.samples,
-        regime_warnings=warnings,
-        details=details,
-    )
+    return replace(deriv_rep, regime_warnings=warnings, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -702,44 +613,12 @@ def _range_projector(mat: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def membership_violation_witness(derived: HyperCone, A: LinearMap, seed: int):
-    """Hunt for x in the relaxation whose image under A or A^-1 leaves it.
-
-    Up to WITNESS_BUDGET points are drawn and placed by eigenvalues at
-    lambda_min 0.3 and 0.03.  A candidate is a point and image on the two
-    sides of the WITNESS_MARGIN band by `_margin_sides`, the derivative
-    signs of x -+ m e.  Floats only propose: each candidate is certified
-    by `certified_separation` at the exact dyadic value of the float row x
-    the search chose, and at its image, the exact map applied to that
-    value.
-    """
-    maps = (("A", A), ("A_inv", A.inverse()))
-    rng = np.random.default_rng(seed)
-    need = WITNESS_MARGIN
-    tried = 0
-    batch = 256
-    while tried < WITNESS_BUDGET:
-        nb = min(batch, WITNESS_BUDGET - tried)
-        tried += nb
-        y = rng.standard_normal((nb, derived.nvars))
-        lam, _ = derived.lambda_min(y)
-        for m in (0.3, 0.03):
-            x = to_level(derived, y, m, lam)
-            inside = _margin_sides(derived, x, need) == 1
-            for label, mapping in maps:
-                good = inside & (_margin_sides(derived, x @ mapping.to_float().T, need) == -1)
-                for idx in np.nonzero(good)[0]:
-                    xe = as_vector(x[idx])
-                    lams = certified_separation(derived, xe, derived, mapping.apply(xe), need)
-                    if lams is not None:
-                        return {
-                            "witness": xe,
-                            "direction": label,
-                            "lambda_min_x": lams[0],
-                            "lambda_min_image": lams[1],
-                            "samples": tried,
-                        }
-    return None
+def membership_violation_witness(derived: HyperCone, A: LinearMap):
+    """A point x of the relaxation whose image under A or A^-1 leaves it,
+    certified with two-sided margin WITNESS_MARGIN on a ray from e by
+    `cones.ray_witness`, whose result it returns; None when no ray gives
+    one."""
+    return ray_witness(derived, derived, A, WITNESS_MARGIN)
 
 
 def _check_classification_args(n: int, k: int, A) -> None:
@@ -756,7 +635,6 @@ def _classify_relaxation(
     A: LinearMap,
     prediction: bool,
     details: dict,
-    seed: int,
 ) -> CheckReport:
     """Certify A on the k-th relaxation of `cone` and hold it to a prediction.
 
@@ -770,7 +648,7 @@ def _classify_relaxation(
     `details` are the caller's own keys, merged into the report's details.
     """
     warnings = []
-    rep = check_deriv_automorphism(cone, k, A, seed=seed)
+    rep = check_deriv_automorphism(cone, k, A)
     predicted = prediction if rep.details["equivalence_regime"] else None
     if predicted is None:
         warnings.append(
@@ -784,21 +662,14 @@ def _classify_relaxation(
         and predicted != rep.holds
     )
     if rep.verdict is Verdict.FAILS or predicted is False:
-        found = membership_violation_witness(cone.derivative_cone(k), A, seed=seed + 17)
+        found = membership_violation_witness(cone.derivative_cone(k), A)
+        details["membership_witness"] = found
         if found is None:
-            details["membership_witness"] = None
-            warnings.append("membership-violation witness search exhausted its budget")
-        else:
-            details["membership_witness"] = {
-                "x": [str(v) for v in found["witness"]],
-                "direction": found["direction"],
-                "lambda_min_x": found["lambda_min_x"],
-                "lambda_min_image": found["lambda_min_image"],
-            }
+            warnings.append("no certified membership-violation witness on the rays from e")
     return replace(rep, regime_warnings=warnings + rep.regime_warnings, details=details)
 
 
-def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int) -> CheckReport:
+def classify_orthant_deriv(n: int, k: int, A: LinearMap) -> CheckReport:
     """Predict and confirm membership of A in the relaxed coordinate cone's
     automorphism group.
 
@@ -818,7 +689,6 @@ def classify_orthant_deriv(n: int, k: int, A: LinearMap, seed: int) -> CheckRepo
         orthant(n), k, A,
         prediction=parts is not None and len(set(parts[0])) == 1,
         details={"normal_form": normal_form},
-        seed=seed,
     )
 
 
@@ -838,7 +708,7 @@ def lm_linear_map(M: LinearMap, n: int) -> LinearMap:
     return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])
 
 
-def classify_psd_deriv(n: int, k: int, M: LinearMap, seed: int) -> CheckReport:
+def classify_psd_deriv(n: int, k: int, M: LinearMap) -> CheckReport:
     """Predict and confirm the conjugation map of M on the relaxed matrix cone.
 
     The candidate is X -> M X M^T in svec coordinates.  In the regime
@@ -857,7 +727,6 @@ def classify_psd_deriv(n: int, k: int, M: LinearMap, seed: int) -> CheckReport:
         psd(n), k, lm_linear_map(M, n),
         prediction=_is_scaled_orthogonal(M),
         details={},
-        seed=seed,
     )
 
 
@@ -925,3 +794,80 @@ def lie_probe(
         details={"t_grid": [float(t) for t in t_grid]},
         tier="float",
     )
+
+
+def _sampled_preservation(
+    cone: HyperCone,
+    a_float: np.ndarray,
+    samples: int,
+    seed: int,
+    tol: float,
+) -> CheckReport:
+    """Float tier: does the map preserve sampled membership both ways?
+
+    A `boundary_cloud` row and its image under A (or A^-1) are decisive
+    when both clear the margin m = max(10 tol, DECISIVE_MARGIN) on one
+    side, lambda_min >= m or <= -m.  `_margin_sides` decides that by
+    derivative signs of x -+ m e, without roots; eigenvalues only place
+    the cloud and re-verify a flip before it is reported.  Each direction
+    needs a quarter of the cloud decisive, or the check is Inconclusive.
+    Only `lie_probe` reaches it, and it leaves with `lie_probe`.
+    """
+    a_inv = np.linalg.inv(a_float)
+    rng = np.random.default_rng(seed)
+    pts = boundary_cloud(cone, rng, samples, WAVE_POINTS, WAVE_MARGINS)
+    margin = max(10 * tol, DECISIVE_MARGIN)
+    sides_x = _margin_sides(cone, pts, margin)
+    checked = []
+    for label, mat in (("A", a_float), ("A_inv", a_inv)):
+        sides_img = _margin_sides(cone, pts @ mat.T, margin)
+        decisive = (sides_x != 0) & (sides_img != 0)
+        checked.append(int(decisive.sum()))
+        flip = decisive & (sides_x != sides_img)
+        for idx in np.nonzero(flip)[0]:
+            x = pts[idx]
+            lam_pt, lam_im = cone.lambda_min(np.array([x, mat @ x]))[0].tolist()
+            if min(abs(lam_pt), abs(lam_im)) >= margin and (lam_pt > 0) != (lam_im > 0):
+                return CheckReport(
+                    verdict=Verdict.FAILS,
+                    witness=tuple(float(v) for v in x),
+                    samples=sum(checked),
+                    tolerances={"tol": tol, "margin": margin},
+                    details={
+                        "direction": label,
+                        "lambda_min_x": lam_pt,
+                        "lambda_min_image": lam_im,
+                    },
+                    tier="float",
+                )
+    if min(checked) < max(1, len(pts) // 4):
+        return CheckReport(
+            verdict=Verdict.INCONCLUSIVE,
+            samples=sum(checked),
+            tolerances={"tol": tol, "margin": margin},
+            details={"reason": "too few decisive samples"},
+            tier="float",
+        )
+    return CheckReport(
+        verdict=Verdict.HOLDS,
+        samples=sum(checked),
+        tolerances={"tol": tol, "margin": margin},
+        details={"note": "sampled membership preserved in both directions"},
+        tier="float",
+    )
+
+
+def _margin_sides(cone: HyperCone, pts: np.ndarray, m: float) -> np.ndarray:
+    """Side of the band |lambda_min| < m of each row x of `pts`, root-free.
+
+    The eigenvalues of x - t e are those of x minus t, so lambda_min(x) > m
+    exactly when x - m e is interior, and lambda_min(x) < -m when x + m e
+    is outside the cone.  Both are derivative-sign memberships (Renegar
+    2006), one evaluation pass per order over the two shifted stacks.
+    Returns an int8 array: +1 where x - m e is In, -1 where x + m e is
+    Out, 0 elsewhere.
+    """
+    shift = m * cone.e_float
+    out, boundary = _sign_flags(cone, np.vstack([pts - shift, pts + shift]), MEMBERSHIP_TOL)
+    n = len(pts)
+    return np.where(~(out[:n] | boundary[:n]), 1, np.where(out[n:], -1, 0)).astype(np.int8)

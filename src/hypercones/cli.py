@@ -169,13 +169,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _require_samples(args) -> None:
-    if args.samples < 1:
-        raise ParseFailure(f"--samples must be at least 1, got {args.samples}")
-
-
 def cmd_autcheck(args) -> int:
-    _require_samples(args)
     cone = _parse_cone(args.cone_id)
     mapping = _load_matrix(args.matrix_file)
     if mapping.n != cone.nvars:
@@ -189,13 +183,9 @@ def cmd_autcheck(args) -> int:
             raise ParseFailure("--k is for base cone ids; the id already has k")
         if not 1 <= args.k <= cone.d - 1:
             raise ParseFailure(f"relaxation order {args.k} outside 1..{cone.d - 1}")
-        report = autgroup.check_deriv_automorphism(
-            cone, args.k, mapping, samples=args.samples, seed=args.seed, tol=args.tol
-        )
+        report = autgroup.check_deriv_automorphism(cone, args.k, mapping)
     else:
-        report = autgroup.check_automorphism(
-            cone, mapping, samples=args.samples, seed=args.seed, tol=args.tol
-        )
+        report = autgroup.check_automorphism(cone, mapping)
     for warning in report.regime_warnings:
         _diag(f"warning: {warning}")
     _emit(report.to_json_dict(), args.json)
@@ -229,7 +219,8 @@ def cmd_rogcheck(args) -> int:
 def cmd_garding(args) -> int:
     import numpy as np
 
-    _require_samples(args)
+    if args.samples < 1:
+        raise ParseFailure(f"--samples must be at least 1, got {args.samples}")
     cone = _parse_cone(args.cone_id)
     randoms, proportionals = autgroup.garding_families(
         cone, np.random.default_rng(args.seed), args.samples
@@ -296,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="compact single-line JSON (default is indented)",
         )
 
-    def tol(p):
-        p.add_argument("--tol", type=_positive_float, default=cones.MEMBERSHIP_TOL)
-
     def seed(p):
         p.add_argument("--seed", type=int, default=_default_seed())
 
@@ -325,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_file", help="JSON rows of rationals as strings")
     p.add_argument("--k", type=int, default=None,
                    help="check the k-th derivative relaxation instead")
-    p.add_argument("--samples", type=int, default=800)
-    tol(p)
-    seed(p)
     common(p)
     p.set_defaults(fn=cmd_autcheck)
 
@@ -348,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("garding", help="sampled polarized-mean inequality check")
     p.add_argument("cone_id")
     p.add_argument("--samples", type=int, default=100)
-    tol(p)
+    p.add_argument("--tol", type=_positive_float, default=cones.MEMBERSHIP_TOL)
     seed(p)
     common(p)
     p.set_defaults(fn=cmd_garding)

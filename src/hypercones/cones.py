@@ -18,8 +18,9 @@ takes a batched float route (`contains`, `lambda_min`), and a rational
 point takes an exact route (`membership_exact`).  The one exception is
 `contains_by_inequalities`, which also decides one point, float or
 rational, on its own; a float point runs in Python floats with the bits
-of its stack row.  A witness search proposes a float point and
-certifies that float's exact dyadic value (`certified_separation`).
+of its stack row.  A witness lies on a ray e + t v from e
+(`ray_witness`): floats propose t between the exit times of two cones,
+and `certified_separation` decides the rational point at that t.
 """
 
 from __future__ import annotations
@@ -31,17 +32,15 @@ import numpy as np
 from . import spectrum
 from .poly import (
     HomoPoly,
+    as_fraction,
     as_vector,
     is_exact_vector,
     restrict_line,
 )
 from .report import CheckReport, InconclusiveError, Membership, Verdict
 
-# Boundary band of the membership routes, and the default `tol` of the
-# sampled automorphism checks in autgroup.
+# Boundary band of the membership routes.
 MEMBERSHIP_TOL = 1e-8
-# Points drawn by the witness searches before they report Inconclusive.
-WITNESS_BUDGET = 4096
 # lambda_min of the points placed by `to_interior`.
 INTERIOR_MARGIN = 0.25
 
@@ -374,15 +373,75 @@ def certified_separation(cone_in, x, cone_out, y, margin):
     return lam_x, lam_y
 
 
-def strict_containment_witness(cone: HyperCone, k: int, seed: int) -> CheckReport:
-    """Search for a point separating relaxation k from relaxation k-1.
+def ray_witness(source: HyperCone, target: HyperCone, A, margin):
+    """A certified point on a ray from e that one cone holds and the other
+    does not, across the exact map A (None for the identity), or None.
 
-    The witness x lies in the k-th relaxation and outside the (k-1)-th,
-    with two-sided eigenvalue margins of at least 10 * MEMBERSHIP_TOL.
-    Floats only propose: a candidate row is certified at the exact dyadic
-    value of the float the search chose, by `certified_separation`.
-    Failure to find one among WITNESS_BUDGET sampled points is reported as
-    float-tier Inconclusive, never as a refutation.
+    On x(t) = e + t v the eigenvalues along e are 1 + t lambda_i(v), so
+    x(t) leaves `source` at t = -1/lambda_min(v).  For Ae interior, Ae is a
+    hyperbolic direction of the same cone (Garding 1959), so y(t) = A x(t)
+    leaves `target` at -1/mu_min, mu the roots in s of p(s Ae - Av).  A t
+    between the two exits puts x(t) inside `source` and y(t) outside
+    `target` (direction "A"), or y(t) inside `target` and x(t) = A^-1 y(t)
+    outside `source` ("A_inv").  The rays are the n^2 directions -e_i and
+    e_i - e_j, in order of the float gap between the exits; t is the exact
+    value of the float midpoint, or of twice the one finite exit.  Floats
+    only propose: `certified_separation` decides at `margin`.  Returns
+    the inside point "x", its "image", "lambda_min_x", "lambda_min_image",
+    "direction", "ray" and "t".
+    """
+    n = source.nvars
+    rays = [tuple(-int(j == i) for j in range(n)) for i in range(n)]
+    rays += [tuple(int(j == i) - int(j == m) for j in range(n))
+             for i in range(n) for m in range(n) if m != i]
+    vs = np.array(rays, dtype=float)
+    ae, ws = source.e, vs
+    if A is not None:
+        ae = A.apply(source.e)
+        if membership_exact(target, ae) is not Membership.IN:
+            return None
+        ws = vs @ A.to_float().T
+    lam = source.lambda_min(vs)[0]
+    # p(s Ae - Av) at s = 0..d, interpolated to its ascending coefficients
+    s = np.arange(target.d + 1.0)
+    a = np.array([float(v) for v in ae])
+    values = target.p.eval_float((s[:, None, None] * a - ws[None]).reshape(-1, n))
+    coeffs = np.linalg.solve(np.vander(s, increasing=True), values.reshape(len(s), -1)).T
+    mu = spectrum._float_roots(coeffs)[0][:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_x = np.where(lam < 0, -1.0 / lam, np.inf)
+        tau_y = np.where(mu < 0, -1.0 / mu, np.inf)
+        gaps = np.nan_to_num(np.abs(tau_x - tau_y), nan=0.0)
+    for i in np.argsort(-gaps, kind="stable"):
+        if not gaps[i] > 0:
+            break
+        tx, ty = float(tau_x[i]), float(tau_y[i])
+        t = (tx + ty) / 2 if max(tx, ty) < np.inf else 2 * min(tx, ty)
+        if t == np.inf:
+            continue
+        t = as_fraction(t)
+        x = tuple(ei + t * vi for ei, vi in zip(source.e, rays[i]))
+        y = x if A is None else A.apply(x)
+        if tx > ty:
+            inside, image, direction = x, y, "A"
+            lams = certified_separation(source, x, target, y, margin)
+        else:
+            inside, image, direction = y, x, "A_inv"
+            lams = certified_separation(target, y, source, x, margin)
+        if lams is not None:
+            return {"x": inside, "image": image, "lambda_min_x": lams[0],
+                    "lambda_min_image": lams[1], "direction": direction,
+                    "ray": rays[i], "t": t}
+    return None
+
+
+def strict_containment_witness(cone: HyperCone, k: int) -> CheckReport:
+    """A point in relaxation k and outside relaxation k-1, on a ray from e.
+
+    Each ray leaves relaxation k - 1 first, so `ray_witness` certifies a t
+    between the two exits, with two-sided eigenvalue margins of at least
+    10 * MEMBERSHIP_TOL.  No witness on the n^2 rays is float-tier
+    Inconclusive, never a refutation.
     """
     if not 1 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 1..{cone.d - 1}")
@@ -391,41 +450,14 @@ def strict_containment_witness(cone: HyperCone, k: int, seed: int) -> CheckRepor
             "strict-nesting search expects a rank-one-generated cone with "
             "an assumed-minimal polynomial"
         )
-    inner = cone.derivative_cone(k - 1)
-    outer = cone.derivative_cone(k)
-    rng = np.random.default_rng(seed)
-    tol = MEMBERSHIP_TOL
-    margin_req = 10 * tol
-    tried = 0
-    batch = 256
-    while tried < WITNESS_BUDGET:
-        n = min(batch, WITNESS_BUDGET - tried)
-        tried += n
-        y = rng.standard_normal((n, cone.nvars))
-        lam_in, res_in = inner.lambda_min(y)
-        lam_out, res_out = outer.lambda_min(y)
-        ok = (res_in < spectrum.RESIDUAL_GATE) & (res_out < spectrum.RESIDUAL_GATE)
-        gap = np.where(ok, lam_out - lam_in, -np.inf)
-        order = np.argsort(gap)[::-1]
-        for idx in order[:8]:
-            if gap[idx] < max(40 * tol, 1e-4):
-                break
-            mid = (lam_in[[idx]] + lam_out[[idx]]) / 2.0
-            x = as_vector(to_level(cone, y[[idx]], 0.0, mid)[0])
-            lams = certified_separation(outer, x, inner, x, margin_req)
-            if lams is not None:
-                return CheckReport(
-                    verdict=Verdict.HOLDS,
-                    witness=x,
-                    samples=tried,
-                    tolerances={"tol": tol, "margin": margin_req},
-                    details={"k": k, "lambda_min_outer": lams[0], "lambda_min_inner": lams[1]},
-                    tier="exact",
-                )
-    return CheckReport(
-        verdict=Verdict.INCONCLUSIVE,
-        samples=tried,
-        tolerances={"tol": tol, "margin": margin_req},
-        details={"k": k, "reason": "budget exhausted without a certified witness"},
-        tier="float",
-    )
+    margin = 10 * MEMBERSHIP_TOL
+    tolerances = {"tol": MEMBERSHIP_TOL, "margin": margin}
+    found = ray_witness(cone.derivative_cone(k - 1), cone.derivative_cone(k), None, margin)
+    if found is None:
+        reason = f"no witness certifies on the {cone.nvars ** 2} rays -e_i and e_i - e_j from e"
+        return CheckReport(verdict=Verdict.INCONCLUSIVE, tolerances=tolerances,
+                           details={"k": k, "reason": reason}, tier="float")
+    details = {"k": k, "lambda_min_outer": found["lambda_min_x"],
+               "lambda_min_inner": found["lambda_min_image"], "ray": found["ray"], "t": found["t"]}
+    return CheckReport(verdict=Verdict.HOLDS, witness=found["x"], tolerances=tolerances,
+                       details=details, tier="exact")

@@ -419,8 +419,9 @@ def _lattice_dtype(terms, col_bounds):
 def scaling_mismatch(p: HomoPoly, rows, kappa):
     """First lattice point x with kappa * p(Bx) != p(x), or None.
 
-    Row i of `rows` gives the image of x_i, as in `compose`.  Both sides
-    are forms of degree d, so agreement on `simplex_lattice(n, d)` proves
+    `rows` are the rows of the matrix B of x -> Bx: (Bx)_i is the linear
+    form sum_j rows[i][j] x_j, which p(Bx) puts in place of x_i.  Both
+    sides are forms of degree d, so agreement on `simplex_lattice(n, d)` proves
     kappa * (p o B) = p without expanding p o B.  The denominators of B
     are cleared once, B' = scale * B, and the comparison
     num(kappa) * P(B'x) == den(kappa) * scale^d * P(x) runs in integers,

@@ -149,7 +149,7 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
             alpha = Fraction(int(rng.integers(1, 8)), int(rng.integers(1, 8)))
             perm = [int(v) for v in rng.permutation(n)]
             cand = LinearMap.scaled_permutation([alpha] * n, perm)
-            rep = autgroup.classify_orthant_deriv(n, k, cand, seed=seed + i)
+            rep = autgroup.classify_orthant_deriv(n, k, cand)
             _audit(audit, rep)
             expected_kappa = Fraction(1) / alpha ** (n - k)
             if rep.holds and rep.tier == "exact" and rep.kappa == expected_kappa:
@@ -169,7 +169,7 @@ def _orthant_classification(seed: int, ctx: dict) -> dict:
             scalings[0] += 1
         perm = [int(v) for v in rng.permutation(n)]
         cand = LinearMap.scaled_permutation(scalings, perm)
-        rep = autgroup.classify_orthant_deriv(n, k, cand, seed=seed + 1000 + count)
+        rep = autgroup.classify_orthant_deriv(n, k, cand)
         _audit(audit, rep)
         margin = _witness_margin(rep)
         if rep.fails and rep.tier == "exact" and margin is not None:
@@ -219,7 +219,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         perm = [int(v) for v in rng.permutation(n)]
         signs = [int(s) for s in rng.choice([-1, 1], size=n)]
         cand = LinearMap.scaled_permutation(signs, perm)
-        rep = autgroup.classify_psd_deriv(n, k, cand, seed=seed + i)
+        rep = autgroup.classify_psd_deriv(n, k, cand)
         _audit(audit, rep)
         if rep.holds and rep.tier == "exact" and rep.kappa == 1:
             signed_perm_ok += 1
@@ -235,7 +235,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         cand = LinearMap.cayley(skew)
         if rng.integers(2):  # the det -1 component of O(n)
             cand = LinearMap([[-v for v in cand.rows[0]], *cand.rows[1:]])
-        rep = autgroup.classify_psd_deriv(n, k, cand, seed=seed + 100 + i)
+        rep = autgroup.classify_psd_deriv(n, k, cand)
         _audit(audit, rep)
         if rep.holds and rep.tier == "exact" and rep.kappa == 1:
             cayley_ok += 1
@@ -252,7 +252,7 @@ def _psd_classification(seed: int, ctx: dict) -> dict:
         sv = np.linalg.svd(m.to_float(), compute_uv=False)
         if sv.max() / sv.min() < 1.5:
             continue
-        rep = autgroup.classify_psd_deriv(n, k, m, seed=seed + 200 + count)
+        rep = autgroup.classify_psd_deriv(n, k, m)
         _audit(audit, rep)
         margin = _witness_margin(rep)
         if rep.fails and margin is not None:
@@ -483,7 +483,7 @@ def check_strict_nesting(seed: int, ctx: dict) -> SuiteCheck:
     for n in range(3, 7):
         cone = gallery.orthant(n)
         for k in range(1, n):
-            rep = cones.strict_containment_witness(cone, k, seed=seed + n * 10 + k)
+            rep = cones.strict_containment_witness(cone, k)
             if rep.holds:
                 found += 1
             else:
@@ -491,7 +491,7 @@ def check_strict_nesting(seed: int, ctx: dict) -> SuiteCheck:
                                  "verdict": rep.verdict.value})
     p4 = gallery.psd(4)
     for k in range(1, 4):
-        rep = cones.strict_containment_witness(p4, k, seed=seed + 900 + k)
+        rep = cones.strict_containment_witness(p4, k)
         if rep.holds:
             found += 1
         else:

@@ -228,15 +228,15 @@ class TestCheckAutomorphism:
         assert rep.fails
         assert rep.witness is not None
 
-    def test_no_samples_is_inconclusive(self):
-        # diag(2,1,1) does not preserve this quadratic cone; with nothing
-        # sampled the float tier has no evidence either way
-        rep = autgroup.check_automorphism(
-            gallery.l1_cone().derivative_cone(1), LinearMap(exactlin.diag([2, 1, 1])),
-            samples=0,
-        )
-        assert rep.verdict == Verdict.INCONCLUSIVE
-        assert rep.samples == 0
+    def test_non_minimal_mismatch_refuted_on_a_ray(self):
+        # diag(2,1,1) does not preserve this quadratic cone; its polynomial
+        # is not flagged minimal, so a certified ray witness refutes
+        cone = gallery.l1_cone().derivative_cone(1)
+        amap = LinearMap(exactlin.diag([2, 1, 1]))
+        rep = autgroup.check_automorphism(cone, amap)
+        assert rep.fails and rep.tier == "exact"
+        assert not rep.details["conditional_on_minimality"]
+        assert_ray_witness(cone, amap, rep.details, rep.witness)
 
     def test_one_sided_evidence_is_inconclusive(self):
         # A shrinks the whole cloud into the margin band, so no row and
@@ -355,8 +355,13 @@ class TestDerivAutomorphism:
         )
         base = autgroup.check_automorphism(cone, cand)
         assert base.fails
-        rep = autgroup.check_deriv_automorphism(cone, 1, cand, samples=600, seed=5)
-        assert rep.holds and rep.tier == "float"
+        # the relaxation's polynomial keeps a redundant factor, so it is not
+        # flagged minimal: the lattice mismatch cannot refute, no ray gives a
+        # witness, and nothing certifies a Holds
+        rep = autgroup.check_deriv_automorphism(cone, 1, cand)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert "not flagged minimal" in rep.details["reason"]
+        assert "rays" in rep.details["reason"]
         assert rep.regime_warnings
         assert not rep.details["equivalence_violation"]
 
@@ -695,70 +700,110 @@ class TestPerronAndMinimalFace:
 class TestClassifications:
     def test_orthant_scaled_permutation_holds(self):
         cand = LinearMap.scaled_permutation([7] * 4, [1, 2, 3, 0])
-        rep = autgroup.classify_orthant_deriv(4, 1, cand, seed=0)
+        rep = autgroup.classify_orthant_deriv(4, 1, cand)
         assert rep.holds and rep.details["prediction"] is True
         assert not rep.details["classification_violation"]
 
     def test_orthant_unequal_diagonal_fails_with_witness(self):
         cand = LinearMap(exactlin.diag([1, 1, 1, 2]))
-        rep = autgroup.classify_orthant_deriv(4, 1, cand, seed=1)
+        rep = autgroup.classify_orthant_deriv(4, 1, cand)
         assert rep.fails and rep.details["prediction"] is False
         w = rep.details["membership_witness"]
         assert w is not None
         assert w["lambda_min_x"] >= 1e-6 and w["lambda_min_image"] <= -1e-6
-        amap = cand if w["direction"] == "A" else cand.inverse()
-        x = tuple(F(v) for v in w["x"])
-        assert_certified_witness(gallery.orthant(4).derivative_cone(1), w, x, amap.apply(x))
+        assert_ray_witness(gallery.orthant(4).derivative_cone(1), cand, w)
 
     def test_orthant_quadratic_regime_warns(self):
         cand = LinearMap.scaled_permutation([3] * 4, [0, 1, 2, 3])
-        rep = autgroup.classify_orthant_deriv(4, 2, cand, seed=2)
+        rep = autgroup.classify_orthant_deriv(4, 2, cand)
         assert rep.holds
         assert rep.regime_warnings
 
     def test_orthant_small_n_rejected(self):
         with pytest.raises(ValueError):
-            autgroup.classify_orthant_deriv(3, 1, LinearMap(exactlin.identity(3)), seed=0)
+            autgroup.classify_orthant_deriv(3, 1, LinearMap(exactlin.identity(3)))
 
     def test_psd_signed_permutation_holds(self):
         m = LinearMap([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-        rep = autgroup.classify_psd_deriv(4, 1, m, seed=3)
+        rep = autgroup.classify_psd_deriv(4, 1, m)
         assert rep.holds and rep.kappa == 1
 
     def test_psd_scaled_orthogonal_holds(self):
         m = LinearMap(exactlin.diag([3, 3, 3, 3]))
-        rep = autgroup.classify_psd_deriv(4, 1, m, seed=4)
+        rep = autgroup.classify_psd_deriv(4, 1, m)
         assert rep.holds and rep.details["prediction"] is True
 
     def test_float_maps_rejected(self):
         q, _ = np.linalg.qr(np.random.default_rng(30).standard_normal((4, 4)))
         with pytest.raises(TypeError):
-            autgroup.classify_orthant_deriv(4, 1, q, seed=7)
+            autgroup.classify_orthant_deriv(4, 1, q)
         with pytest.raises(TypeError):
-            autgroup.classify_psd_deriv(4, 1, q, seed=7)
+            autgroup.classify_psd_deriv(4, 1, q)
 
     @pytest.mark.parametrize("seed", [5, 8, 11, 12])
     def test_psd_unequal_diagonal_fails_with_witness(self, seed):
-        m = LinearMap(exactlin.diag([1, 1, 1, 2]))
-        rep = autgroup.classify_psd_deriv(4, 1, m, seed=seed)
+        # the witness search takes no seed; the seed draws the diagonal
+        rng = np.random.default_rng(seed)
+        diag = [1, 1, 1, 1]
+        while len(set(diag)) == 1:
+            diag = [F(int(rng.integers(1, 5)), int(rng.integers(1, 4))) for _ in range(4)]
+        m = LinearMap(exactlin.diag(diag))
+        rep = autgroup.classify_psd_deriv(4, 1, m)
         assert rep.fails and rep.details["prediction"] is False
         w = rep.details["membership_witness"]
         assert w is not None
-        exact = autgroup.lm_linear_map(m, 4)
-        amap = exact if w["direction"] == "A" else exact.inverse()
-        x = tuple(F(v) for v in w["x"])
-        assert_certified_witness(gallery.psd(4).derivative_cone(1), w, x, amap.apply(x))
+        assert_ray_witness(gallery.psd(4).derivative_cone(1), autgroup.lm_linear_map(m, 4), w)
 
 
-def assert_certified_witness(derived, w, x, image):
-    """The witness is the exact value of a float, inside `derived` and its
-    image outside, with the reported lambda_min values read off certified
-    spectra at both."""
-    assert all(F(float(v)) == v for v in x)
+def assert_ray_witness(derived, amap, w, witness=None):
+    """The witness is e + t * ray or its image under `amap`, inside
+    `derived` while its image under `amap` (direction A) or its inverse
+    (A_inv) is outside, with the reported lambda_min values read off
+    certified spectra at both."""
+    x = tuple(F(v) for v in w["x"])
+    image = tuple(F(v) for v in w["image"])
+    assert witness is None or tuple(witness) == x
+    on_ray = tuple(e + F(w["t"]) * r for e, r in zip(derived.e, w["ray"]))
+    if w["direction"] == "A":
+        assert (x, image) == (on_ray, amap.apply(on_ray))
+    else:
+        assert (x, image) == (amap.apply(on_ray), on_ray)
     assert membership_exact(derived, x) is Membership.IN
     assert membership_exact(derived, image) is Membership.OUT
     assert w["lambda_min_x"] == spectrum.eigenvalues(derived, x).lambda_min
     assert w["lambda_min_image"] == spectrum.eigenvalues(derived, image).lambda_min
+    assert w["lambda_min_x"] >= autgroup.WITNESS_MARGIN
+    assert w["lambda_min_image"] <= -autgroup.WITNESS_MARGIN
+
+
+# The Lorentz boost of `test_l1_hyperbolic_rotation` with its (0, 0) entry
+# scaled by 1 + eps: not an automorphism of l1^(1) for eps != 0.
+def near_boost(eps):
+    return LinearMap([[F(5, 4) * (1 + eps), 0, F(3, 4)], [0, 1, 0], [F(3, 4), 0, F(5, 4)]])
+
+
+class TestNearAutomorphism:
+    """Maps close to an automorphism of a cone not flagged minimal are
+    refuted exactly by a ray witness, or left Inconclusive, never Held."""
+
+    def test_near_boost_refuted_exactly(self):
+        cone = gallery.l1_cone().derivative_cone(1)
+        amap = near_boost(F(1, 1000))
+        rep = autgroup.check_automorphism(cone, amap)
+        assert rep.fails and rep.tier == "exact"
+        assert_ray_witness(cone, amap, rep.details, rep.witness)
+
+    def test_nearer_boost_never_holds(self):
+        cone = gallery.l1_cone().derivative_cone(1)
+        rep = autgroup.check_automorphism(cone, near_boost(F(1, 10**7)))
+        assert not rep.holds
+        assert rep.fails == (rep.tier == "exact")
+
+    def test_deriv_check_refutes_near_boost(self):
+        rep = autgroup.check_deriv_automorphism(gallery.l1_cone(), 1, near_boost(F(1, 1000)))
+        assert rep.fails and rep.tier == "exact"
+        assert rep.details["base_verdict"] == "FailsWithWitness"
+        assert not rep.details["equivalence_violation"]
 
 
 class TestRankOnePreservation:

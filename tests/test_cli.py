@@ -174,6 +174,18 @@ class TestAutcheck:
         code, _, _ = run(capsys, "autcheck", "orthant:3", "/nonexistent.json")
         assert code == 2
 
+    def test_near_boost_fails_exactly(self, capsys, tmp_path):
+        # a Lorentz boost of l1^(1) with its (0, 0) entry scaled by
+        # 1 + 1/1000: the relaxation is not flagged minimal, and a certified
+        # ray witness refutes the map
+        path = tmp_path / "near-boost.json"
+        path.write_text(json.dumps(
+            [["1001/800", "0", "3/4"], ["0", "1", "0"], ["3/4", "0", "5/4"]]
+        ))
+        code, data, _ = run_json(capsys, "autcheck", "l1:k=1", str(path))
+        assert code == 1 and data["verdict"] == "FailsWithWitness"
+        assert data["tier"] == "exact"
+
 
 class TestChainAndRog:
     def test_chain_orthant(self, capsys):
@@ -313,26 +325,20 @@ class TestExitContract:
         ("eig", "orthant:3", "1,2,0", "--tol", "1e-3"),
         ("member", "orthant:3", "1,2,3", "--tol", "1e-3"),
         ("rogcheck", "l1", "--tol", "1e3"),
+        ("autcheck", "l1:k=1", "m.json", "--samples", "800"),
+        ("autcheck", "l1:k=1", "m.json", "--tol", "1e-8"),
+        ("autcheck", "l1:k=1", "m.json", "--seed", "0"),
     ])
     def test_flags_a_command_does_not_read_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and "unrecognized arguments" in err
 
-    def test_nonpositive_samples_exit_2(self, capsys, tmp_path):
-        path = self.write_matrix(tmp_path, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-        for argv in (
-            ("garding", "soc:3", "--samples", "0"),
-            ("autcheck", "l1:k=1", path, "--samples", "0"),
-            ("autcheck", "orthant:3", path, "--samples", "-5"),
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and not out and "--samples" in err
+    def test_nonpositive_samples_exit_2(self, capsys):
+        code, out, err = run(capsys, "garding", "soc:3", "--samples", "0")
+        assert code == 2 and not out and "--samples" in err
 
-    def test_tol_not_finite_and_positive_exits_2(self, capsys, tmp_path):
-        path = self.write_matrix(tmp_path, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    def test_tol_not_finite_and_positive_exits_2(self, capsys):
         for argv in (
-            ("autcheck", "l1:k=1", path, "--tol", "nan"),
-            ("autcheck", "orthant:3", path, "--tol", "0"),
             ("garding", "soc:3", "--samples", "5", "--tol", "-1"),
             ("garding", "soc:3", "--samples", "5", "--tol", "nan"),
             ("garding", "soc:3", "--samples", "5", "--tol", "inf"),

@@ -419,16 +419,17 @@ class TestStrictContainment:
     def test_orthant_witnesses(self):
         cone = gallery.orthant(4)
         for k in (1, 2, 3):
-            rep = cones.strict_containment_witness(cone, k, seed=5)
+            rep = cones.strict_containment_witness(cone, k)
             assert rep.holds
             x = rep.witness
             dc_out = cone.derivative_cone(k)
             dc_in = cone.derivative_cone(k - 1)
             assert cones.membership_exact(dc_out, x) is Membership.IN
             assert cones.membership_exact(dc_in, x) is Membership.OUT
-            # certified at the float the search chose, with the reported
-            # margins read off certified spectra there
-            assert all(F(float(v)) == v for v in x)
+            # certified at e + t * ray, with the reported margins read off
+            # certified spectra there
+            t, ray = rep.details["t"], rep.details["ray"]
+            assert x == tuple(e + t * r for e, r in zip(cone.e, ray))
             assert rep.details["lambda_min_outer"] == spectrum.eigenvalues(dc_out, x).lambda_min
             assert rep.details["lambda_min_inner"] == spectrum.eigenvalues(dc_in, x).lambda_min
             assert rep.details["lambda_min_outer"] >= 10 * cones.MEMBERSHIP_TOL
@@ -436,22 +437,42 @@ class TestStrictContainment:
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            cones.strict_containment_witness(gallery.orthant(4), 0, seed=0)
+            cones.strict_containment_witness(gallery.orthant(4), 0)
 
     def test_needs_rank_one_generated_flag(self):
         with pytest.raises(ValueError):
-            cones.strict_containment_witness(gallery.l1_cone(), 1, seed=0)
+            cones.strict_containment_witness(gallery.l1_cone(), 1)
 
     def test_exhausted_budget_is_float_tier(self, monkeypatch):
-        # no exact step decided it: nothing was sampled
-        monkeypatch.setattr(cones, "WITNESS_BUDGET", 0)
-        rep = cones.strict_containment_witness(gallery.orthant(4), 1, seed=0)
+        # no exact step decided it: no ray's candidate certified
+        monkeypatch.setattr(cones, "certified_separation", lambda *args: None)
+        rep = cones.strict_containment_witness(gallery.orthant(4), 1)
         assert rep.verdict is Verdict.INCONCLUSIVE
+        assert "16 rays" in rep.details["reason"]
         assert rep.samples == 0
         assert rep.tier == "float"
 
+    @pytest.mark.parametrize("cone_id, k", [("orthant:4", 1), ("orthant:5", 3), ("psd:4", 2)])
+    def test_t_outside_the_exit_times_fails_certification(self, cone_id, k):
+        # the witness t lies between the exit times -1/lambda_min(ray) of
+        # relaxations k-1 and k; moved past both, or before both, the ray
+        # point is outside both relaxations, or inside both, and the same
+        # certification step rejects it
+        cone = gallery.parse_cone_id(cone_id)
+        inner, outer = cone.derivative_cone(k - 1), cone.derivative_cone(k)
+        rep = cones.strict_containment_witness(cone, k)
+        t, ray = rep.details["t"], rep.details["ray"]
+        exits = [-1 / c.lambda_min(np.array([ray], dtype=float))[0][0] for c in (inner, outer)]
+        assert exits[0] < t < exits[1]
+        margin = rep.tolerances["margin"]
+        for moved in (2 * F(exits[1]), F(exits[0]) / 2):
+            x = tuple(e + moved * r for e, r in zip(cone.e, ray))
+            assert cones.certified_separation(outer, x, inner, x, margin) is None
+        x = tuple(e + t * r for e, r in zip(cone.e, ray))
+        assert cones.certified_separation(outer, x, inner, x, margin) is not None
+
     def test_report_payload(self):
-        rep = cones.strict_containment_witness(gallery.orthant(4), 1, seed=6)
+        rep = cones.strict_containment_witness(gallery.orthant(4), 1)
         data = rep.to_json_dict()
         assert data["verdict"] == "Holds"
         assert "witness" in data
