@@ -18,14 +18,15 @@ takes a batched float route (`contains`, `lambda_min`), and a rational
 point takes an exact route (`membership_exact`).  The one exception is
 `contains_by_inequalities`, which also decides one point, float or
 rational, on its own; a float point runs in Python floats with the bits
-of its stack row.  A witness lies on a ray e + t v from e
-(`ray_witness`): floats propose t between the exit times of two cones,
-and `certified_separation` decides the rational point at that t.
+of its stack row, by each form's term table compiled once to Python.  A
+witness lies on a ray e + t v from e (`ray_witness`): floats propose t
+between the exit times of two cones, and `certified_separation` decides
+the rational point at that t.
 """
 
 from __future__ import annotations
 
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 
 import numpy as np
 
@@ -85,6 +86,7 @@ class HyperCone:
         self.k = 0
         self._derivs = None
         self._deriv_scales = None
+        self._point_route = None
         self._deriv_cones = {}
         # read-only: gallery cones are memoised and shared by every caller
         self._e_float = np.array([float(v) for v in e])
@@ -106,6 +108,14 @@ class HyperCone:
         if self._deriv_scales is None:
             self._deriv_scales = tuple(float(q.max_abs_coeff()) for q in self.derivs)
         return self._deriv_scales
+
+    @property
+    def point_route(self) -> tuple:
+        """(compiled D_e^i p, its scale, index d - i - 1 of its norm power), i < d."""
+        if self._point_route is None:
+            self._point_route = tuple((q._eval_float_point, s, self.d - i - 1) for i, (q, s)
+                                      in enumerate(zip(self.derivs[: self.d], self.deriv_scales)))
+        return self._point_route
 
     @property
     def nvars(self) -> int:
@@ -211,8 +221,12 @@ def boundary_cloud(cone, rng, count: int, waves: int, margins) -> np.ndarray:
 
 
 def row_norms(pts: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, with the bits of np.linalg.norm(row)."""
-    return np.sqrt((pts[:, None, :] @ pts[:, :, None]).ravel())
+    """Euclidean norm of each row, with the bits of np.linalg.norm(row);
+    ValueError names the first row with a non-finite coordinate or norm."""
+    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None]).ravel())
+    if len(bad := np.flatnonzero(~np.isfinite(norms))):
+        raise ValueError(f"row {bad[0]} has a non-finite coordinate or norm")
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +242,12 @@ def contains(cone, points) -> list[Membership]:
     companion eigenvalues, so decisions require a margin beyond both the
     tolerance and the residual.  A row whose restriction looks
     non-real-rooted raises InconclusiveError for the whole stack.
-    Rational points take `membership_exact`.
+    Rational points take `membership_exact`.  A row with a non-finite
+    coordinate or norm raises ValueError.
     """
-    eigs, residuals = spectrum.batch_eigenvalues(cone, points)
+    if (pts := np.asarray(points, dtype=float)).ndim == 2:
+        row_norms(pts)
+    eigs, residuals = spectrum.batch_eigenvalues(cone, pts)
     over = np.flatnonzero(residuals > 0.05 * (1.0 + np.abs(eigs[:, 0])))
     if len(over):
         row = int(over[0])
@@ -283,8 +300,9 @@ def contains_by_inequalities(
     the only exception to the stacks-or-exact rule: the `perfbench`
     float tier decides float points one at a time, CLI `member` rational
     ones.  A float point runs in Python floats: its derivative values and
-    bands have the bits of its row in a stack, since both routes read one
-    sparse float term table and form every power by one rule.
+    bands have the bits of its row in a stack, since each form's float
+    term table is compiled once, same terms in the same order and every
+    power by one rule.  A non-finite coordinate or norm raises ValueError.
     """
     if not 0 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 0..{cone.d - 1}")
@@ -331,17 +349,19 @@ def _sign_flags(target, pts: np.ndarray, tol: float):
 
 def _point_verdict(target, x: np.ndarray, tol: float) -> Membership:
     """`_sign_flags` for one 1-D float point, in Python floats: a norm with
-    the bits of its `row_norms` row, the same bands and values bit for bit,
-    and the same rule, returning at the first Out."""
+    the bits of its `row_norms` row, the same bands and values bit for bit
+    (`target.point_route`), and the same rule, returning at the first Out."""
     if len(x) != target.nvars:
         raise ValueError(f"need a point of {target.nvars} coordinates, got {len(x)}")
-    d = target.d
-    powers = _norm_powers(max(sqrt(x @ x), 1e-300), d)
+    norm = sqrt(x @ x)
+    if not isfinite(norm):
+        raise ValueError(f"point {x.tolist()} has a non-finite coordinate or norm")
+    powers = _norm_powers(max(norm, 1e-300), target.d)
     xs = x.tolist()
     boundary = False
-    for i, (q, coeff) in enumerate(zip(target.derivs[:d], target.deriv_scales)):
-        band = tol * (coeff * powers[d - i - 1])
-        v = q._eval_float_point(xs)
+    for f, coeff, m in target.point_route:
+        band = tol * (coeff * powers[m])
+        v = f(xs)
         if v < -band:
             return Membership.OUT
         boundary = boundary or v <= band

@@ -9,8 +9,9 @@ with the nonzero exponents of each term.  Float evaluation takes stacks:
 `eval_float` evaluates the rows of an (npts, nvars) array and
 `polar_form_float` the tuples of a (T, d, n) array, while a rational point
 takes `eval`.  The one exception is the one-point evaluator of the
-derivative-sign membership route, which runs in Python floats.  It reads
-the same table and forms x_j^a by the same power rule (x_j times itself,
+derivative-sign membership route, which runs in Python floats.  The table
+is compiled once per form to straight-line Python with the same terms in
+the same order and x_j^a formed by the same power rule (x_j times itself,
 a - 1 multiplications), so its value has the bits of the stack row.
 
 Exact evaluation runs in integers: denominators are cleared once and
@@ -86,7 +87,8 @@ class HomoPoly:
     operations return new polynomials.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "_float_terms", "_int_terms", "_lattice", "_key")
+    __slots__ = ("nvars", "degree", "terms", "_float_terms", "_float_point", "_int_terms",
+                 "_lattice", "_key")
 
     def __init__(self, nvars: int, degree: int, terms):
         if nvars < 1:
@@ -110,6 +112,7 @@ class HomoPoly:
         self.degree = degree
         self.terms = clean
         self._float_terms = None
+        self._float_point = None
         self._int_terms = None
         self._lattice = None
         self._key = None
@@ -310,20 +313,23 @@ class HomoPoly:
             out += t
         return out
 
-    def _eval_float_point(self, x: list[float]) -> float:
-        """`eval_float` at one point given as a list of Python floats: the
-        same terms in the same order by the same power rule, so the value
-        has the bits of the matching row of `eval_float`."""
-        out = 0.0
-        for c, factors in self._float_term_list():
-            t = c
-            for j, a in factors:
-                xa = xj = x[j]
-                for _ in range(1, a):
-                    xa = xa * xj
-                t = t * xa
-            out += t
-        return out
+    @property
+    def _eval_float_point(self):
+        """`eval_float` at one point, as a function of a list of Python
+        floats compiled once per form: `out += c * (x0 * x0) * x1` per term,
+        the terms, order and power rule of `eval_float`, so the bits of its
+        row.  The source holds only `repr(float(c))` of Fraction
+        coefficients, names unpacked from x, `*` and `+=`."""
+        if self._float_point is None:
+            names = [f"x{j}" for j in range(self.nvars)]
+            lines = [f"def f(x):\n    {', '.join(names)}, = x\n    out = 0.0"]
+            for c, factors in self._float_term_list():
+                powers = ["(" + " * ".join([names[j]] * a) + ")" for j, a in factors]
+                lines.append("    out += " + " * ".join([repr(c)] + powers))
+            scope = {}
+            exec("\n".join(lines + ["    return out"]), scope)
+            self._float_point = scope["f"]
+        return self._float_point
 
     # -- serialization ----------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Membership routes, derivative relaxations, nesting witnesses."""
 
 import ast
+import importlib.util
 import math
+import sys
 from fractions import Fraction as F
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -268,18 +271,46 @@ ROUTE_PAIRS = [(cone_id, k) for cone_id, orders in suite.ROUTE_CONFIGS for k in 
 WAVES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
 def float_tier_pairs():
     """The cones and orders of the benchmark's float tier, read from
     perfbench/workloads.py as it stands."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     [configs] = [
-        ast.literal_eval(stmt.value) for stmt in ast.parse(path.read_text()).body
+        ast.literal_eval(stmt.value) for stmt in ast.parse(WORKLOADS.read_text()).body
         if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets) == "FLOAT_CONFIGS"
     ]
     return [(cone_id, k) for cone_id, orders in configs for k in orders]
 
 
 EVAL_PAIRS = sorted(set(ROUTE_PAIRS) | set(float_tier_pairs()))
+
+
+@cache
+def load_workloads():
+    """perfbench/workloads.py as it stands, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def float_tier_mismatches(seed: int, index: int) -> tuple[int, list]:
+    """(points, mismatches) of pass `index` of the benchmark's float tier
+    at `seed`: a mismatch is a point whose one-point verdict is not the
+    verdict of its row when its cloud is decided as one stack."""
+    workloads = load_workloads()
+    tol = workloads.MEMBER_TOL
+    count, mismatches = 0, []
+    for cloud in workloads.FloatTierWorkload(seed).inputs(index):
+        stacked = cones.contains_by_inequalities(cloud.base, cloud.k, cloud.points, tol)
+        for i, (x, want) in enumerate(zip(cloud.points, stacked)):
+            if cones.contains_by_inequalities(cloud.base, cloud.k, x, tol) is not want:
+                mismatches.append((cloud.view.label, i))
+        count += len(stacked)
+    return count, mismatches
 
 
 def tower(pair):
@@ -329,6 +360,31 @@ class TestOnePointFloatRoute:
     def test_one_point_of_wrong_length_rejected(self, length):
         with pytest.raises(ValueError, match="6 coordinates"):
             cones.contains_by_inequalities(gallery.psd(3), 1, np.ones(length))
+
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 1.0, 1.0], [-math.inf, 1.0, 1.0], [1.0, math.inf, 1.0], [1e200, 1.0, 1.0],
+    ], ids=str)
+    def test_non_finite_point_rejected_by_both_routes(self, bad):
+        # every comparison with nan is false: such a point once came back In
+        cone = gallery.orthant(3)
+        rows = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], bad])
+        routes = (lambda pts: cones.contains_by_inequalities(cone, 0, pts),
+                  lambda pts: cones.contains(cone, pts))
+        # a norm that overflows also sets numpy's overflow flag
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"point \[.*\] has a non-finite"):
+                cones.contains_by_inequalities(cone, 0, np.array(bad))
+            for route in routes:
+                with pytest.raises(ValueError, match="row 0 has a non-finite"):
+                    route(np.array([bad]))
+                with pytest.raises(ValueError, match="row 2 has a non-finite"):
+                    route(rows)
+        assert cones.contains_by_inequalities(cone, 0, rows[:2]) == [Membership.IN] * 2
+
+    def test_float_tier_points_match_their_stack_rows(self):
+        # every point of the benchmark's first float-tier pass at seed 0; CI
+        # runs seeds 0-3, passes 0-1
+        assert float_tier_mismatches(0, 0) == (20_480, [])
 
     def test_one_point_route_never_calls_eval_float(self, monkeypatch):
         base = gallery.psd(4)

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: examples and cross-check oracles."""
 
+import ast
 import itertools
 import json
 import warnings
@@ -176,6 +177,77 @@ class TestEval:
         for bad in (pts[0], pts[:, :2], pts[None]):
             with pytest.raises(ValueError, match="stack"):
                 p.eval_float(bad)
+
+
+EXTREME_COEFFS = (F("5e-324"), F(10) ** 300, F(-1, 3), F(3, 2**1074))
+
+
+class TestCompiledPointEvaluator:
+    """`HomoPoly._eval_float_point`: the float term table as one compiled
+    straight-line function per form."""
+
+    @staticmethod
+    def compiled_source(monkeypatch, p: HomoPoly) -> str:
+        """The source `_eval_float_point` compiles for a fresh form."""
+        sources = []
+
+        def spy(source, scope):
+            sources.append(source)
+            exec(source, scope)
+
+        monkeypatch.setattr(poly, "exec", spy, raising=False)
+        p._eval_float_point
+        [source] = sources
+        return source
+
+    def test_form_without_terms_is_zero(self):
+        value = HomoPoly(3, 2, {})._eval_float_point([1.0, -2.0, 3.0])
+        assert value.hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("coeff", EXTREME_COEFFS, ids=lambda c: repr(float(c)))
+    def test_extreme_coefficients_match_stack_bits(self, coeff):
+        # each term carries the coefficient; the points reach underflow,
+        # overflow to +-inf and inf - inf
+        p = HomoPoly(3, 4, {
+            (4, 0, 0): coeff, (1, 3, 0): -coeff, (0, 2, 2): coeff * 7, (1, 1, 2): F(1, 5),
+        })
+        rng = np.random.default_rng(11)
+        pts = np.vstack([rng.standard_normal((16, 3)) * s for s in (1e-90, 1.0, 1e80)] + [
+            [1e80, 0.0, 0.0], [1.0, 1e110, 0.0], [2e2, 1.0, 1.0], [1.0, 1e3, 1e-3]
+        ])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want = [v.hex() for v in p.eval_float(pts).tolist()]
+        assert [p._eval_float_point(x.tolist()).hex() for x in pts] == want
+        assert {"inf", "-inf", "nan"} <= set(want)
+
+    def test_compiled_once_per_form(self, monkeypatch):
+        p = l1_cone().derivs[1]
+        f = p._eval_float_point
+        monkeypatch.setattr(poly, "exec", None, raising=False)  # any recompile fails
+        assert p._eval_float_point is f
+        assert f([0.5, -1.0, 2.0]) == p._eval_float_point([0.5, -1.0, 2.0])
+
+    @pytest.mark.parametrize("coeffs", [EXTREME_COEFFS, (1, 2, F(-7, 2), F(1, 10))])
+    def test_source_holds_only_floats_names_products_and_sums(self, monkeypatch, coeffs):
+        terms = dict(zip([(3, 0, 0, 0), (1, 2, 0, 0), (0, 1, 1, 1), (0, 0, 0, 3)], coeffs))
+        source = self.compiled_source(monkeypatch, HomoPoly(4, 3, terms))
+        structure = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign,
+                     ast.Tuple, ast.Return, ast.Load, ast.Store, ast.Mult, ast.Add, ast.USub)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is float
+            elif isinstance(node, ast.UnaryOp):  # the sign of a literal
+                assert isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant)
+            elif isinstance(node, ast.BinOp):
+                assert isinstance(node.op, ast.Mult)
+            elif isinstance(node, ast.AugAssign):
+                assert isinstance(node.op, ast.Add) and node.target.id == "out"
+            elif isinstance(node, ast.Subscript):
+                assert node.value.id == "x" and type(node.slice.value) is int
+            elif isinstance(node, ast.Name):
+                assert node.id == "out" or node.id == "x" or node.id[1:].isdigit()
+            else:
+                assert isinstance(node, structure), ast.dump(node)
 
 
 class TestDirDeriv:
