@@ -19,13 +19,15 @@ refutation with such a witness too.  Float matrices reach only the flows
 of `lie_probe`, which no suite check or CLI command calls, through the
 sampled membership test `_sampled_preservation`: the suite probes a flow
 exp(tW) at its rational points `LinearMap.cayley` of -uW, exactly.
+`perron_face` reads the minimal face of a monomial map's Perron vector off
+its cycles and certifies on its columns that the map fixes it, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -35,12 +37,11 @@ from .cones import (
     HyperCone,
     _sign_flags,
     boundary_cloud,
-    contains,
     membership_exact,
     ray_witness,
     to_interior,
 )
-from .gallery import smat_float, svec_float, svec_product
+from .gallery import _svec_pairs, svec_product
 from .poly import (
     as_fraction,
     as_vector,
@@ -48,7 +49,7 @@ from .poly import (
     polar_form_float,
     scaling_mismatch,
 )
-from .report import CheckReport, InconclusiveError, Membership, Verdict
+from .report import CheckReport, Membership, Verdict
 
 # Two-sided lambda_min margin a membership-violation witness must clear.
 WITNESS_MARGIN = 1e-6
@@ -58,8 +59,6 @@ WITNESS_MARGIN = 1e-6
 DECISIVE_MARGIN = 1e-4
 WAVE_POINTS = 256
 WAVE_MARGINS = (0.5, 0.1, 0.01)
-# Eigenvalues below this fraction of the largest span no face direction.
-RANGE_REL_TOL = 1e-6
 
 
 class LinearMap:
@@ -163,12 +162,13 @@ class LinearMap:
 
 
 def scaled_permutation_parts(A: LinearMap):
-    """Decompose A as Diag(c) P with positive c, or return None."""
+    """Decompose a monomial A as Diag(c) P, row i's one nonzero c_i in
+    column perm[i], as (c, perm); None when A is not monomial."""
     perm = []
     scalings = []
     for row in A.rows:
         nz = [j for j, v in enumerate(row) if v]
-        if len(nz) != 1 or row[nz[0]] <= 0:
+        if len(nz) != 1:
             return None
         perm.append(nz[0])
         scalings.append(row[nz[0]])
@@ -472,140 +472,65 @@ def _garding_report(pts, gap, polarized, prop_dist, tol) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Invariant eigenvectors and minimal faces
+# Perron faces of monomial maps
 # ---------------------------------------------------------------------------
 
 
-def perron_eigenvector(cone, A: LinearMap) -> CheckReport:
-    """Find an eigenvector of A inside the cone at the spectral radius.
+def perron_face(cone, A: LinearMap) -> CheckReport:
+    """Does the monomial A fix the minimal face of its Perron vector?  Exact.
 
-    Precondition, not checked here: A is a certified automorphism of the
-    cone (`check_automorphism` Holds), so some eigenvector at the spectral
-    radius lies in the cone (Vandergraft 1968).  The real ones that
-    `np.linalg.eig` gives there are tried with both signs; with none in the
-    cone the check reports Inconclusive, and it never refutes.
-    """
-    w, vecs = np.linalg.eig(A.to_float())
-    rho = float(np.abs(w).max())
-    order = np.argsort(-np.abs(w))
-    for idx in order:
-        if abs(w[idx]) < rho * (1 - 1e-9) - MEMBERSHIP_TOL:
-            break
-        if abs(w[idx].imag) > 1e-8 * max(rho, 1.0):
-            continue
-        v = vecs[:, idx].real
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            continue
-        for s in (1.0, -1.0):
-            u = s * v / nrm
-            try:
-                [verdict] = contains(cone, u[None, :])
-            except InconclusiveError:  # the restriction does not look real-rooted
-                continue
-            if verdict is not Membership.OUT:
-                return CheckReport(
-                    verdict=Verdict.HOLDS,
-                    witness=tuple(float(x) for x in u),
-                    tolerances={"tol": MEMBERSHIP_TOL},
-                    details={
-                        "spectral_radius": rho,
-                        "eigenvalue": float(w[idx].real),
-                        "membership": verdict.value,
-                    },
-                    tier="float",
-                )
-    return CheckReport(
-        verdict=Verdict.INCONCLUSIVE,
-        tolerances={"tol": MEMBERSHIP_TOL},
-        details={
-            "spectral_radius": rho,
-            "reason": "numerical eigenspace ambiguity",
-        },
-        tier="float",
-    )
-
-
-def min_face_fix_check(cone, A: LinearMap, z) -> CheckReport:
-    """Does A fix the minimal face of its eigenvector z?
-
-    Only gallery cones with explicit face descriptors are supported:
-    coordinate support for the orthant, column space for the matrix cone.
-    Besides comparing the descriptor of Az with that of z, the face's
-    generators are pushed through A and must land inside the face.
+    A map keeping a cone fixes the minimal face of an eigenvector in it at
+    its spectral radius rho (Vandergraft 1968).  A cycle c of a monomial A
+    (one nonzero entry per row and column), of length L_c and entry product
+    pi_c, has the L_c-th roots of pi_c as eigenvalues, so cycles are ranked
+    exactly by rho_c^L = |pi_c|^(L/L_c), L the lcm of the lengths.  For the
+    dominant cycle with pi_c > 0 holding the smallest coordinate i0 (on psd,
+    a cycle on the diagonal svec coordinates), sum_j rho^-j A^j e_i0, j < L_c,
+    is such an eigenvector and a positive combination of cone points: its
+    face is the cycle's support on the orthant, and on psd the matrices with
+    range in the span of the cycle's unit vectors.  Holds when each face
+    coordinate's column lands in the face, else Fails with the first
+    (column, image coordinate) that leaves.  A must keep the cone
+    (`check_automorphism` Holds); a non-monomial map, another cone, or no
+    dominant cycle of positive product raises ValueError.
     """
     kind = cone.gallery.kind if cone.gallery else None
     if kind not in ("Orthant", "PSD"):
-        raise ValueError("unsupported gallery type for face descriptors")
-    af = A.to_float()
-    zf = np.asarray([float(v) for v in z], dtype=float)
-    az = af @ zf
-    alpha = float(zf @ az) / float(zf @ zf)
-    if np.linalg.norm(az - alpha * zf) > MEMBERSHIP_TOL * max(1.0, abs(alpha)) * np.linalg.norm(zf):
-        raise ValueError("z is not an eigenvector of A")
-    if contains(cone, zf[None, :])[0] is Membership.OUT:
-        raise ValueError("z does not lie in the cone")
-
-    if kind == "Orthant":
-        cutoff = 1e-6 * float(np.abs(zf).max())
-        supp = np.abs(zf) > cutoff
-        supp_img = np.abs(az) > cutoff * max(abs(alpha), 1e-12)
-        descriptor_ok = bool(np.array_equal(supp, supp_img))
-        face_ok = True
-        for i in np.nonzero(supp)[0]:
-            img = af[:, i]
-            if np.any(np.abs(img[~supp]) > 1e-8 * max(np.linalg.norm(img), 1e-300)):
-                face_ok = False
-                break
-        details = {
-            "support": [int(i) for i in np.nonzero(supp)[0]],
-            "descriptor_fixed": descriptor_ok,
-            "face_image_inside": face_ok,
-        }
-    else:
-        n = cone.gallery.params["n"]
-        zm = smat_float(zf, n)
-        am = smat_float(az, n)
-        proj_z, basis = _range_projector(zm)
-        proj_a, _ = _range_projector(am)
-        descriptor_ok = bool(np.linalg.norm(proj_a - proj_z) <= 1e-6 * max(1.0, np.linalg.norm(proj_z)))
-        face_ok = True
-        for u in basis.T:
-            gen = svec_float(np.outer(u, u))
-            img = smat_float(af @ gen, n)
-            off = img - proj_z @ img @ proj_z
-            if np.linalg.norm(off) > 1e-6 * max(1.0, np.linalg.norm(img)):
-                face_ok = False
-                break
-        details = {
-            "range_dimension": int(basis.shape[1]),
-            "descriptor_fixed": descriptor_ok,
-            "face_image_inside": face_ok,
-        }
-
-    if descriptor_ok and face_ok:
-        return CheckReport(
-            verdict=Verdict.HOLDS,
-            witness=tuple(float(v) for v in zf),
-            tolerances={"tol": MEMBERSHIP_TOL},
-            details=details,
-            tier="float",
-        )
+        raise ValueError("exact Perron faces need an orthant or psd gallery cone")
+    parts = scaled_permutation_parts(A)
+    if parts is None or A.n != cone.nvars:
+        raise ValueError("exact Perron faces need a monomial map of the cone's dimension")
+    scalings, perm = parts
+    cycles = []
+    for i in range(A.n):
+        if all(i not in c for c, _ in cycles):
+            cycle = [i]
+            while perm[cycle[-1]] != i:
+                cycle.append(perm[cycle[-1]])
+            cycles.append((cycle, prod(scalings[j] for j in cycle)))
+    common = lcm(*(len(c) for c, _ in cycles))
+    powers = [abs(pi) ** (common // len(c)) for c, pi in cycles]
+    top = max(powers)
+    n = cone.gallery.params["n"] if kind == "PSD" else A.n
+    chosen = next((c for (c, pi), power in zip(cycles, powers)
+                   if pi > 0 and max(c) < n and power == top), None)
+    if chosen is None:
+        raise ValueError("no dominant cycle of positive product through a unit of the cone")
+    rows, cols = _svec_pairs(n) if kind == "PSD" else (range(n), range(n))
+    face = [t for t in range(A.n) if rows[t] in chosen and cols[t] in chosen]
+    image = {j: i for i, j in enumerate(perm)}
+    leaving = next(((j, image[j]) for j in face if image[j] not in face), None)
     return CheckReport(
-        verdict=Verdict.FAILS,
-        witness=tuple(float(v) for v in zf),
-        tolerances={"tol": MEMBERSHIP_TOL},
-        details=details,
-        tier="float",
+        verdict=Verdict.HOLDS if leaving is None else Verdict.FAILS,
+        witness=leaving,
+        details={
+            "cycles": [[c, pi, power] for (c, pi), power in zip(cycles, powers)],
+            "lcm": common,
+            "cycle": chosen,
+            "support" if kind == "Orthant" else "range": sorted(chosen),
+            "face": face,
+        },
     )
-
-
-def _range_projector(mat: np.ndarray):
-    vals, vecs = np.linalg.eigh(mat)
-    cutoff = RANGE_REL_TOL * max(float(np.abs(vals).max()), 1e-300)
-    keep = np.abs(vals) > cutoff
-    basis = vecs[:, keep]
-    return basis @ basis.T, basis
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +607,9 @@ def classify_orthant_deriv(n: int, k: int, A: LinearMap) -> CheckReport:
 
     _check_classification_args(n, k, A)
     parts = scaled_permutation_parts(A)
-    normal_form = None
-    if parts:
-        normal_form = {"scalings": [str(c) for c in parts[0]], "permutation": list(parts[1])}
+    if parts and min(parts[0]) < 0:
+        parts = None
+    normal_form = parts and {"scalings": [str(c) for c in parts[0]], "permutation": list(parts[1])}
     return _classify_relaxation(
         orthant(n), k, A,
         prediction=parts is not None and len(set(parts[0])) == 1,

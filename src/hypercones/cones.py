@@ -92,6 +92,15 @@ class HyperCone:
         self._e_float = np.array([float(v) for v in e])
         self._e_float.flags.writeable = False
 
+    def __getstate__(self):
+        # the point route holds compiled `exec`-defined functions, which
+        # pickle cannot name: it is built again on first use
+        return {**self.__dict__, "_point_route": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._e_float.flags.writeable = False
+
     # -- cached derivative tower -------------------------------------------------
 
     @property

@@ -88,13 +88,6 @@ def svec(matrix) -> tuple[Fraction, ...]:
     return tuple(mat[_svec_pairs(len(mat))])
 
 
-def smat_float(vec: np.ndarray, n: int) -> np.ndarray:
-    rows, cols = _svec_pairs(n)
-    out = np.empty((n, n))
-    out[rows, cols] = out[cols, rows] = np.asarray(vec, dtype=float)
-    return out
-
-
 def svec_float(mat: np.ndarray) -> np.ndarray:
     """svec of one (n, n) matrix, or of each matrix of an (m, n, n) stack."""
     mat = np.asarray(mat, dtype=float)

@@ -117,6 +117,12 @@ class HomoPoly:
         self._lattice = None
         self._key = None
 
+    def __getstate__(self):
+        # the compiled one-point evaluator is an `exec`-defined function,
+        # which pickle cannot name: it is compiled again on first use
+        state = {name: getattr(self, name) for name in self.__slots__}
+        return None, {**state, "_float_point": None}
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod

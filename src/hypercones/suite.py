@@ -508,7 +508,8 @@ def check_strict_nesting(seed: int, ctx: dict) -> SuiteCheck:
 
 
 def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
-    """Certified automorphisms own an eigenvector in the cone fixing its face."""
+    """Certified automorphisms fix the minimal face of an eigenvector in the
+    cone at their spectral radius, read off their cycles exactly."""
     rng = np.random.default_rng([seed, 101])
     orthant_maps = [
         LinearMap.scaled_permutation(
@@ -532,15 +533,15 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
             if not autgroup.check_automorphism(cone, cand).holds:
                 problems.append({"cone": label, "i": i, "stage": "certify"})
                 continue
-            pf = autgroup.perron_eigenvector(cone, cand)
-            if not pf.holds:
+            try:
+                rep = autgroup.perron_face(cone, cand)
+            except ValueError as exc:
                 problems.append({"cone": label, "i": i, "stage": "eigenvector",
-                                 "verdict": pf.verdict.value})
+                                 "reason": str(exc)})
                 continue
-            mf = autgroup.min_face_fix_check(cone, cand, pf.witness)
-            if not mf.holds:
+            if not rep.holds:
                 problems.append({"cone": label, "i": i, "stage": "minimal-face",
-                                 "details": mf.details})
+                                 "report": rep.to_json_dict()})
     return SuiteCheck(
         "perron-minimal-face", _status(problems), seed,
         {"automorphisms_checked": 100, "problems": problems},

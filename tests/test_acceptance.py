@@ -118,8 +118,9 @@ def test_criterion_09_strict_nesting():
 
 def test_criterion_10_perron_minimal_face():
     """50 certified automorphisms of each of the 4-coordinate and 3x3
-    matrix cones own a spectral-radius eigenvector in the cone whose face
-    descriptor they fix; < 30 s."""
+    matrix cones fix the minimal face of a spectral-radius eigenvector in
+    the cone; each face is read off the map's cycles and certified exactly;
+    < 30 s."""
     check = _run("perron-minimal-face", 30.0)
     assert check.details["automorphisms_checked"] == 100
 

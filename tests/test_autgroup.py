@@ -73,7 +73,11 @@ class TestLinearMap:
 
     def test_parts_reject_general_maps(self):
         assert autgroup.scaled_permutation_parts(LinearMap([[1, 1], [0, 1]])) is None
-        assert autgroup.scaled_permutation_parts(LinearMap([[-1, 0], [0, 1]])) is None
+        assert autgroup.scaled_permutation_parts(LinearMap([[1, 0], [1, 0]])) is None
+
+    def test_parts_keep_signed_scalings(self):
+        parts = autgroup.scaled_permutation_parts(LinearMap([[0, -1], [F(1, 2), 0]]))
+        assert parts == ((F(-1), F(1, 2)), (1, 0))
 
     def test_json_rows_roundtrip(self):
         m = LinearMap([[F(1, 3), 0], [2, F(-5, 7)]])
@@ -623,78 +627,114 @@ def test_close_perturbed_gap_passes_the_suite(monkeypatch):
 
 class TestPerronAndMinimalFace:
     def test_transposition_eigenvector(self):
-        cone = gallery.orthant(3)
+        # the 2-cycle and the fixed point both have modulus 1: the tie goes
+        # to the cycle holding coordinate 0
         cand = LinearMap(exactlin.permutation([1, 0, 2]))
-        rep = autgroup.perron_eigenvector(cone, cand)
-        assert rep.holds
-        w = np.array(rep.witness)
-        assert rep.details["eigenvalue"] == pytest.approx(1.0)
-        assert w.min() > -1e-9
+        rep = autgroup.perron_face(gallery.orthant(3), cand)
+        assert rep.holds and rep.tier == "exact"
+        assert rep.details["cycles"] == [[[0, 1], 1, 1], [[2], 1, 1]]
+        assert rep.details["cycle"] == [0, 1]
+        assert rep.details["support"] == rep.details["face"] == [0, 1]
 
     def test_scaling_returns_any_direction(self):
-        rep = autgroup.perron_eigenvector(gallery.orthant(3), LinearMap(exactlin.diag([2, 2, 2])))
+        # every axis is an eigenvector at rho = 2; the first one is taken
+        rep = autgroup.perron_face(gallery.orthant(3), LinearMap(exactlin.diag([2, 2, 2])))
         assert rep.holds
+        assert rep.details["face"] == [0]
 
-    def test_rotation_conjugation_fixes_identity_direction(self):
-        q = LinearMap([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
-        lq = autgroup.lm_linear_map(q, 3)
-        rep = autgroup.perron_eigenvector(gallery.psd(3), lq)
+    @pytest.mark.parametrize("a_num, face", [
+        (14142135623730950488, [0, 1]),
+        (14142135623730950489, [2]),
+    ])
+    def test_dominance_decided_exactly_next_to_sqrt2(self, a_num, face):
+        # the 2-cycle has rho = sqrt 2 and the fixed point rho = a, with a
+        # on either side of sqrt 2 but float(a) == sqrt 2: only 2 against
+        # a^2, exactly, tells them apart
+        a = F(a_num, 10**19)
+        assert float(a) == 2**0.5
+        cand = LinearMap.scaled_permutation([1, 2, a], [1, 0, 2])
+        rep = autgroup.perron_face(gallery.orthant(3), cand)
         assert rep.holds
+        assert rep.details["face"] == face
 
     def test_min_face_support_preserved(self):
-        cone = gallery.orthant(3)
-        cand = LinearMap(exactlin.permutation([1, 0, 2]))
-        rep = autgroup.min_face_fix_check(cone, cand, (1, 1, 0))
+        cand = LinearMap.scaled_permutation([3, F(1, 3), 1, 2], [1, 0, 3, 2])
+        rep = autgroup.perron_face(gallery.orthant(4), cand)
         assert rep.holds
-        assert rep.details["support"] == [0, 1]
+        # rho^2 of each 2-cycle: 3 * 1/3 = 1 against 1 * 2 = 2
+        assert rep.details["cycles"] == [[[0, 1], 1, 1], [[2, 3], 2, 2]]
+        assert rep.details["support"] == [2, 3]
 
     def test_min_face_range_preserved_on_matrix_cone(self):
         q = LinearMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        lq = autgroup.lm_linear_map(q, 3)
-        u = (F(1), F(1), F(0))
-        z = gallery.svec(tuple(tuple(a * b for b in u) for a in u))
-        rep = autgroup.min_face_fix_check(gallery.psd(3), lq, z)
+        rep = autgroup.perron_face(gallery.psd(3), autgroup.lm_linear_map(q, 3))
         assert rep.holds
+        # matrices with range in span(e0, e1): svec (0, 0), (1, 1), (0, 1)
+        assert rep.details["range"] == [0, 1]
+        assert rep.details["face"] == [0, 1, 3]
 
-    def test_non_eigenvector_rejected(self):
-        cone = gallery.orthant(3)
-        with pytest.raises(ValueError):
-            autgroup.min_face_fix_check(
-                cone, LinearMap(exactlin.permutation([1, 0, 2])), (1, 0, 0)
-            )
+    def test_tied_off_diagonal_cycles_never_chosen(self):
+        # 2 * congruence by a signed permutation: every svec cycle has
+        # rho = 2, the off-diagonal ones through entries of either sign
+        m = LinearMap.scaled_permutation([-1, 1, -1], [2, 1, 0])
+        lq = autgroup.lm_linear_map(m, 3)
+        cand = LinearMap([[2 * v for v in row] for row in lq.rows])
+        assert autgroup.check_automorphism(gallery.psd(3), cand).holds
+        rep = autgroup.perron_face(gallery.psd(3), cand)
+        assert rep.holds
+        assert rep.details["cycle"] == [0, 2] and rep.details["face"] == [0, 2, 4]
+        assert [power for _, _, power in rep.details["cycles"]] == [4] * 4
+        # an off-diagonal coordinate alone at the top is no Perron face
+        with pytest.raises(ValueError, match="dominant cycle"):
+            autgroup.perron_face(gallery.psd(3), LinearMap(exactlin.diag([1, 1, 1, 2, 1, 1])))
 
-    def test_point_outside_the_cone_rejected(self):
-        # lambda_min of -1e-5 and -5e-5: inside the old 1e-4 band, but Out
-        # by `cones.contains`
-        with pytest.raises(ValueError, match="does not lie in the cone"):
-            autgroup.min_face_fix_check(
-                gallery.orthant(3), LinearMap(exactlin.identity(3)), (1.0, 1.0, -1e-5)
-            )
-        z = gallery.svec_float(np.diag([1.0, 1.0, -5e-5]))
-        with pytest.raises(ValueError, match="does not lie in the cone"):
-            autgroup.min_face_fix_check(gallery.psd(3), LinearMap(exactlin.identity(6)), z)
+    def test_face_leaving_column_fails(self):
+        # swaps svec (0, 0) with (1, 1) but (0, 1) with (0, 2): the face of
+        # span(e0, e1) is not kept, and column 3 is the first to leave
+        cand = LinearMap(exactlin.permutation([1, 0, 2, 4, 3, 5]))
+        rep = autgroup.perron_face(gallery.psd(3), cand)
+        assert rep.fails
+        assert rep.witness == (3, 4)
 
-    def test_non_real_rooted_candidate_is_inconclusive(self, monkeypatch):
-        # along (1, 0) the restriction of x0^2 + x1^2 at (0, 1) is t^2 + 1,
-        # roots +-i: the candidate eigenvector must be rejected, not accepted
-        # inside a band its own residual widens
-        cone = HyperCone(HomoPoly(2, 2, {(2, 0): 1, (0, 2): 1}), (1, 0))
-        candidate = np.array([[0.0], [1.0]])
-        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.array([2.0]), candidate))
-        rep = autgroup.perron_eigenvector(cone, LinearMap(exactlin.diag([1, 2])))
-        assert rep.verdict is Verdict.INCONCLUSIVE
+    def test_rotation_conjugation_is_not_monomial(self):
+        q = LinearMap([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]])
+        lq = autgroup.lm_linear_map(q, 3)
+        assert autgroup.check_automorphism(gallery.psd(3), lq).holds
+        with pytest.raises(ValueError, match="monomial"):
+            autgroup.perron_face(gallery.psd(3), lq)
 
-    def test_rotation_without_real_eigenvector_is_inconclusive(self):
-        # the quarter turn has eigenvalues +-i: the eig loop finds no real
-        # eigenvector at the spectral radius
-        rep = autgroup.perron_eigenvector(gallery.orthant(2), LinearMap([[0, -1], [1, 0]]))
-        assert rep.verdict is Verdict.INCONCLUSIVE
+    def test_rotation_without_positive_cycle_rejected(self):
+        # the quarter turn is one 2-cycle of product -1: eigenvalues +-i
+        with pytest.raises(ValueError, match="dominant cycle of positive product"):
+            autgroup.perron_face(gallery.orthant(2), LinearMap([[0, -1], [1, 0]]))
 
     def test_unsupported_gallery_rejected(self):
-        with pytest.raises(ValueError):
-            autgroup.min_face_fix_check(
-                gallery.soc(3), LinearMap(exactlin.identity(3)), (1, 0, 0)
-            )
+        with pytest.raises(ValueError, match="orthant or psd"):
+            autgroup.perron_face(gallery.soc(3), LinearMap(exactlin.identity(3)))
+
+
+def test_perron_faces_decided_without_float_eigensolvers(monkeypatch):
+    """Every Perron face of the suite check is read off the map's cycles:
+    with the float eigensolvers unavailable, the check still passes and
+    all 100 reports are exact Holds."""
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("float eigensolver reached")
+
+    monkeypatch.setattr(np.linalg, "eig", unavailable)
+    monkeypatch.setattr(np.linalg, "eigh", unavailable)
+    reports = []
+    face = autgroup.perron_face
+
+    def recorded(cone, A):
+        reports.append(face(cone, A))
+        return reports[-1]
+
+    monkeypatch.setattr(autgroup, "perron_face", recorded)
+    check = suite.check_perron_minimal_face(0, {})
+    assert check.status == suite.PASS, check.details["problems"]
+    assert len(reports) == 100
+    assert all(rep.holds and rep.tier == "exact" for rep in reports)
 
 
 class TestClassifications:
@@ -712,6 +752,16 @@ class TestClassifications:
         assert w is not None
         assert w["lambda_min_x"] >= 1e-6 and w["lambda_min_image"] <= -1e-6
         assert_ray_witness(gallery.orthant(4).derivative_cone(1), cand, w)
+
+    def test_orthant_negative_scalings_have_no_normal_form(self):
+        # equal scalings, but negative: not a positive multiple of a
+        # permutation, so neither a normal form nor a positive prediction
+        cand = LinearMap.scaled_permutation([-2] * 4, [1, 2, 3, 0])
+        rep = autgroup.classify_orthant_deriv(4, 1, cand)
+        assert rep.fails
+        assert rep.details["normal_form"] is None
+        assert rep.details["prediction"] is False
+        assert not rep.details["classification_violation"]
 
     def test_orthant_quadratic_regime_warns(self):
         cand = LinearMap.scaled_permutation([3] * 4, [0, 1, 2, 3])

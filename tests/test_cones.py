@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import math
+import pickle
 import sys
 from fractions import Fraction as F
 from functools import cache
@@ -385,6 +386,25 @@ class TestOnePointFloatRoute:
         # every point of the benchmark's first float-tier pass at seed 0; CI
         # runs seeds 0-3, passes 0-1
         assert float_tier_mismatches(0, 0) == (20_480, [])
+
+    @pytest.mark.parametrize("cone_id, k", [("orthant:4", 0), ("psd:3", 1)])
+    def test_cone_pickles_after_one_point_verdicts(self, cone_id, k):
+        # the compiled one-point evaluators are `exec`-defined functions,
+        # which pickle cannot name: they stay out of the pickled state and
+        # are compiled again on first use
+        base = gallery.parse_cone_id(cone_id)
+        pts = np.random.default_rng(47).standard_normal((16, base.nvars))
+        want = [cones.contains_by_inequalities(base, k, x) for x in pts]
+        form = base.derivs[1]
+        assert form._float_point is not None
+        again = pickle.loads(pickle.dumps(base))
+        assert [cones.contains_by_inequalities(again, k, x) for x in pts] == want
+        target = again.derivative_cone(k)
+        for q in target.derivs[: target.d] + (pickle.loads(pickle.dumps(form)),):
+            assert [q._eval_float_point(x.tolist()).hex() for x in pts] == [
+                v.hex() for v in q.eval_float(pts).tolist()
+            ]
+        assert not again.e_float.flags.writeable
 
     def test_one_point_route_never_calls_eval_float(self, monkeypatch):
         base = gallery.psd(4)

@@ -158,10 +158,12 @@ class TestCompositionalConverse:
         cone = gallery.orthant(4)
         cand = LinearMap.scaled_permutation([2, 2, 2, 2], [1, 2, 3, 0])
         assert autgroup.check_automorphism(cone, cand).holds
-        pf = autgroup.perron_eigenvector(cone, cand)
+        pf = autgroup.perron_face(cone, cand)
         assert pf.holds
-        # eigenvector proportional to the all-ones direction: minimal face is
-        # the whole cone and the map passes every relaxation check
+        # one 4-cycle: the Perron vector is the all-ones direction, its
+        # minimal face is the whole cone and the map passes every
+        # relaxation check
+        assert pf.details["face"] == [0, 1, 2, 3]
         for k in (1, 2):
             rep = autgroup.check_deriv_automorphism(cone, k, cand)
             assert rep.holds
@@ -173,6 +175,8 @@ class TestCompositionalConverse:
         cone = gallery.orthant(4)
         cand = LinearMap(exactlin.permutation([1, 0, 2, 3]))  # swaps the first two axes
         assert autgroup.check_automorphism(cone, cand).holds
-        z = (F(1), F(1), F(0), F(0))
-        mf = autgroup.min_face_fix_check(cone, cand, z)
+        mf = autgroup.perron_face(cone, cand)
         assert mf.holds
+        # the Perron vector (1, 1, 0, 0) lies on the boundary: its face is
+        # the span of the swapped axes
+        assert mf.details["support"] == [0, 1]
