@@ -15,10 +15,8 @@ Otherwise only a membership violation refutes: a point on a ray from e
 that A or A^-1 moves out of the cone, proposed by floats and certified by
 exact derivative signs and certified spectra (`cones.ray_witness`).
 Without one the verdict is Inconclusive.  The classifiers confirm every
-refutation with such a witness too.  Float matrices reach only the flows
-of `lie_probe`, which no suite check or CLI command calls, through the
-sampled membership test `_sampled_preservation`: the suite probes a flow
-exp(tW) at its rational points `LinearMap.cayley` of -uW, exactly.
+refutation with such a witness too.  `lie_probe` certifies a flow exp(tW)
+at its rational points, the Cayley transforms of -uW.
 `perron_face` reads the minimal face of a monomial map's Perron vector off
 its cycles and certifies on its columns that the map fixes it, exactly.
 """
@@ -32,15 +30,7 @@ from math import lcm, prod
 import numpy as np
 
 from . import exactlin
-from .cones import (
-    MEMBERSHIP_TOL,
-    HyperCone,
-    _sign_flags,
-    boundary_cloud,
-    membership_exact,
-    ray_witness,
-    to_interior,
-)
+from .cones import HyperCone, membership_exact, ray_witness, to_interior
 from .gallery import _svec_pairs, svec_product
 from .poly import (
     as_fraction,
@@ -53,12 +43,6 @@ from .report import CheckReport, Membership, Verdict
 
 # Two-sided lambda_min margin a membership-violation witness must clear.
 WITNESS_MARGIN = 1e-6
-# `lie_probe`'s sampled test: |lambda_min| below DECISIVE_MARGIN is
-# indecisive, and WAVE_POINTS sampled points have copies at lambda_min =
-# +-m, for each m in WAVE_MARGINS, in its cloud.
-DECISIVE_MARGIN = 1e-4
-WAVE_POINTS = 256
-WAVE_MARGINS = (0.5, 0.1, 0.01)
 
 
 class LinearMap:
@@ -668,131 +652,33 @@ def _is_scaled_orthogonal(M: LinearMap) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lie_probe(
-    cone,
-    k: int,
-    L,
-    t_grid,
-    samples: int,
-    seed: int,
-) -> CheckReport:
-    """Test a generator candidate: is exp(tL) an automorphism for each t?
+# The parameters u of the Cayley points `lie_probe` checks on each flow.
+FLOW_PARAMS = (Fraction(-1, 2), Fraction(-1, 20), Fraction(1, 20), Fraction(1, 2))
 
-    Purely float-tier, for generators with no rational flow points:
-    sampled membership preservation in both directions at every grid
-    point, with each refutation carrying the failing (t, x) after
-    re-verification.  Overflow in the exponential reports Inconclusive.
-    No library code calls it (lyapunov-flows certifies the rational Cayley
-    points of its flows instead); it stays because the benchmark's tracer
-    names it.  scipy is imported here, its only use, so importing the
-    package does not load it.
+
+def lie_probe(cone, k: int, W: LinearMap) -> CheckReport:
+    """Is the flow exp(tW) an automorphism of the k-th relaxation?  Exact.
+
+    W is an exact generator with W^3 = W or W^3 = -W, whose eigenvalues
+    are then in {-1, 0, 1} or {-i, 0, i}, so that the Cayley points
+    Q_u = `LinearMap.cayley(-u W)` are the flow at t = 2 artanh(u), or
+    2 arctan(u).  On a psd gallery cone W acts by congruence X -> Q X Q^T
+    (`lm_linear_map`), on any other cone on the coordinates.  Q_u goes
+    through `check_automorphism` on the relaxation for each u in
+    FLOW_PARAMS until one is not an exact Holds; that deciding report
+    comes back with u added to its details.  Any other W raises
+    ValueError, and a W that is not a `LinearMap` TypeError.
     """
-    import scipy.linalg
-
+    _require_exact(W, "flow probe")
+    w = np.array(W.rows, dtype=object)
+    cube = w @ w @ w
+    if not ((cube == w).all() or (cube == -w).all()):
+        raise ValueError("Cayley points lie on the flow only when W^3 = W or W^3 = -W")
     target = cone.derivative_cone(k)
-    lf = np.asarray(L, dtype=float)
-    if lf.shape != (target.nvars, target.nvars):
-        raise ValueError("generator has wrong dimension")
-    total = 0
-    for i, t in enumerate(t_grid):
-        with np.errstate(over="ignore", invalid="ignore"):
-            flow = scipy.linalg.expm(float(t) * lf)
-        if not np.isfinite(flow).all():
-            return CheckReport(
-                verdict=Verdict.INCONCLUSIVE,
-                tolerances={"tol": MEMBERSHIP_TOL},
-                details={"t": float(t), "reason": "exponential overflow"},
-                tier="float",
-            )
-        rep = _sampled_preservation(
-            target, flow, samples=samples, seed=seed + i, tol=MEMBERSHIP_TOL
-        )
-        total += rep.samples
-        if not rep.holds:
-            witness = None if rep.witness is None else (float(t),) + tuple(rep.witness)
-            return replace(rep, witness=witness, samples=total,
-                           details={**rep.details, "t": float(t)})
-    return CheckReport(
-        verdict=Verdict.HOLDS,
-        samples=total,
-        tolerances={"tol": MEMBERSHIP_TOL},
-        details={"t_grid": [float(t) for t in t_grid]},
-        tier="float",
-    )
-
-
-def _sampled_preservation(
-    cone: HyperCone,
-    a_float: np.ndarray,
-    samples: int,
-    seed: int,
-    tol: float,
-) -> CheckReport:
-    """Float tier: does the map preserve sampled membership both ways?
-
-    A `boundary_cloud` row and its image under A (or A^-1) are decisive
-    when both clear the margin m = max(10 tol, DECISIVE_MARGIN) on one
-    side, lambda_min >= m or <= -m.  `_margin_sides` decides that by
-    derivative signs of x -+ m e, without roots; eigenvalues only place
-    the cloud and re-verify a flip before it is reported.  Each direction
-    needs a quarter of the cloud decisive, or the check is Inconclusive.
-    Only `lie_probe` reaches it, and it leaves with `lie_probe`.
-    """
-    a_inv = np.linalg.inv(a_float)
-    rng = np.random.default_rng(seed)
-    pts = boundary_cloud(cone, rng, samples, WAVE_POINTS, WAVE_MARGINS)
-    margin = max(10 * tol, DECISIVE_MARGIN)
-    sides_x = _margin_sides(cone, pts, margin)
-    checked = []
-    for label, mat in (("A", a_float), ("A_inv", a_inv)):
-        sides_img = _margin_sides(cone, pts @ mat.T, margin)
-        decisive = (sides_x != 0) & (sides_img != 0)
-        checked.append(int(decisive.sum()))
-        flip = decisive & (sides_x != sides_img)
-        for idx in np.nonzero(flip)[0]:
-            x = pts[idx]
-            lam_pt, lam_im = cone.lambda_min(np.array([x, mat @ x]))[0].tolist()
-            if min(abs(lam_pt), abs(lam_im)) >= margin and (lam_pt > 0) != (lam_im > 0):
-                return CheckReport(
-                    verdict=Verdict.FAILS,
-                    witness=tuple(float(v) for v in x),
-                    samples=sum(checked),
-                    tolerances={"tol": tol, "margin": margin},
-                    details={
-                        "direction": label,
-                        "lambda_min_x": lam_pt,
-                        "lambda_min_image": lam_im,
-                    },
-                    tier="float",
-                )
-    if min(checked) < max(1, len(pts) // 4):
-        return CheckReport(
-            verdict=Verdict.INCONCLUSIVE,
-            samples=sum(checked),
-            tolerances={"tol": tol, "margin": margin},
-            details={"reason": "too few decisive samples"},
-            tier="float",
-        )
-    return CheckReport(
-        verdict=Verdict.HOLDS,
-        samples=sum(checked),
-        tolerances={"tol": tol, "margin": margin},
-        details={"note": "sampled membership preserved in both directions"},
-        tier="float",
-    )
-
-
-def _margin_sides(cone: HyperCone, pts: np.ndarray, m: float) -> np.ndarray:
-    """Side of the band |lambda_min| < m of each row x of `pts`, root-free.
-
-    The eigenvalues of x - t e are those of x minus t, so lambda_min(x) > m
-    exactly when x - m e is interior, and lambda_min(x) < -m when x + m e
-    is outside the cone.  Both are derivative-sign memberships (Renegar
-    2006), one evaluation pass per order over the two shifted stacks.
-    Returns an int8 array: +1 where x - m e is In, -1 where x + m e is
-    Out, 0 elsewhere.
-    """
-    shift = m * cone.e_float
-    out, boundary = _sign_flags(cone, np.vstack([pts - shift, pts + shift]), MEMBERSHIP_TOL)
-    n = len(pts)
-    return np.where(~(out[:n] | boundary[:n]), 1, np.where(out[n:], -1, 0)).astype(np.int8)
+    psd_n = cone.gallery.params["n"] if cone.gallery and cone.gallery.kind == "PSD" else None
+    for u in FLOW_PARAMS:
+        q = LinearMap.cayley([[-u * v for v in row] for row in W.rows])
+        rep = check_automorphism(target, q if psd_n is None else lm_linear_map(q, psd_n))
+        if rep.tier != "exact" or not rep.holds:
+            break
+    return replace(rep, details={**rep.details, "u": str(u)})

@@ -138,7 +138,7 @@ class HyperCone:
         """Exact restriction q(t) = p(t e - x) of a rational point, as the
         primitive ascending integer tuple of `restrict_line`: a positive
         multiple of q with d + 1 entries, since p(e) > 0."""
-        return restrict_line(self.p, self.e, x, derivs=self.derivs)
+        return restrict_line(self.derivs, x)
 
     def restriction_coeffs_float(self, points: np.ndarray) -> np.ndarray:
         """(npts, d+1) ascending coefficient rows of the restriction.

@@ -496,12 +496,12 @@ def derivatives_along(p: HomoPoly, e) -> tuple[HomoPoly, ...]:
     return tuple(out)
 
 
-def restrict_line(p: HomoPoly, e, x, derivs=None) -> tuple[int, ...]:
-    """The primitive integer polynomial of q(t) = p(t*e - x), ascending.
+def restrict_line(derivs, x) -> tuple[int, ...]:
+    """The primitive integer polynomial of q(t) = p(t*e - x), ascending,
+    from the tower `derivatives_along(p, e)` = [p, D_e p, ..., D_e^d p].
 
     Uses the closed form c_j = (-1)^(d-j) (D_e^j p)(x) / j!, which follows
-    from homogeneity; the leading coefficient is always p(e).  Pass a
-    precomputed derivative tower to amortize repeated restrictions.  The
+    from homogeneity; the leading coefficient is always p(e).  The
     denominators of x are cleared once (x = X / scale) and each tower entry
     D^j p = N_j / den_j is evaluated in integers; with L the lcm of the
     den_j, L * d! * scale^d * c_j is the integer
@@ -509,11 +509,9 @@ def restrict_line(p: HomoPoly, e, x, derivs=None) -> tuple[int, ...]:
     that tuple divided by its content, so it is a positive multiple of q,
     with trailing zeros trimmed (the zero polynomial is ()).
     """
-    if len(x) != p.nvars:
+    if len(x) != derivs[0].nvars:
         raise ValueError("point has wrong dimension")
-    d = p.degree
-    if derivs is None:
-        derivs = derivatives_along(p, e)
+    d = derivs[0].degree
     cols, scale = clear_denominators(x)
     tower = [q._int_term_list() for q in derivs]
     common = lcm(*(den for den, _ in tower))

@@ -552,11 +552,6 @@ def check_perron_minimal_face(seed: int, ctx: dict) -> SuiteCheck:
 # 11: exponential flows and the automorphism-group dimension
 # ---------------------------------------------------------------------------
 
-# Rational points u of each flow: Cayley(-uW) = exp(tW), t = 2 artanh(u),
-# or 2 arctan(u) for skew W.
-FLOW_PARAMS = (Fraction(-1, 2), Fraction(-1, 20), Fraction(1, 20), Fraction(1, 2))
-
-
 def check_lyapunov_flows(seed: int, ctx: dict) -> SuiteCheck:
     """Generator counts behind the automorphism-group dimensions.
 
@@ -564,52 +559,41 @@ def check_lyapunov_flows(seed: int, ctx: dict) -> SuiteCheck:
     conjugation flows X -> exp(tW) X exp(tW)^T are automorphisms
     (dimension (n^2-n+2)/2 = 7), and 6 symmetric traceless complements
     are refuted.  For the relaxed coordinate cone only the identity flow
-    passes among diagonal directions (dimension 1).  Each generator W is
-    probed at the rational flow points `LinearMap.cayley(-u W)` for u in
-    FLOW_PARAMS, each certified by `check_automorphism` on the exact tier
-    until one is refuted, so every verdict carries kappa or a lattice
-    witness and none depends on the seed.
+    passes among diagonal directions (dimension 1).  `autgroup.lie_probe`
+    certifies each generator W at its rational flow points on the exact
+    tier, so every verdict carries kappa or a lattice witness and none
+    depends on the seed.
     """
     def unit(*entries):
         w = [[0] * 4 for _ in range(4)]
         for i, j, v in entries:
             w[i][j] = v
-        return w
+        return LinearMap(w)
 
-    relaxations = {
-        "psd:4(1)": (gallery.psd(4).derivative_cone(1),
-                     lambda q: autgroup.lm_linear_map(q, 4)),
-        "orthant:4(1)": (gallery.orthant(4).derivative_cone(1), lambda q: q),
-    }
+    psd4, orthant4 = gallery.psd(4), gallery.orthant(4)
+    identity = LinearMap(exactlin.identity(4))
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     traceless = [(f"traceless-diag({i})", unit((i, i, 1), (i + 1, i + 1, -1)))
                  for i in range(3)]
-    rows = [("psd_passing_generators", "psd:4(1)", "identity-scaling",
-             exactlin.identity(4), Verdict.HOLDS)]
-    rows += [("psd_passing_generators", "psd:4(1)", f"skew({i},{j})",
+    rows = [("psd_passing_generators", psd4, "identity-scaling", identity, Verdict.HOLDS)]
+    rows += [("psd_passing_generators", psd4, f"skew({i},{j})",
               unit((i, j, 1), (j, i, -1)), Verdict.HOLDS) for i, j in pairs]
-    rows += [("psd_refuted_complements", "psd:4(1)", name, w, Verdict.FAILS)
+    rows += [("psd_refuted_complements", psd4, name, w, Verdict.FAILS)
              for name, w in traceless]
-    rows += [("psd_refuted_complements", "psd:4(1)", f"symmetric({i},{j})",
+    rows += [("psd_refuted_complements", psd4, f"symmetric({i},{j})",
               unit((i, j, 1), (j, i, 1)), Verdict.FAILS)
              for i, j in ((0, 1), (0, 2), (1, 2))]
-    rows += [("orthant_passing", "orthant:4(1)", "identity",
-              exactlin.identity(4), Verdict.HOLDS)]
-    rows += [("orthant_refuted_diagonals", "orthant:4(1)", name, w, Verdict.FAILS)
+    rows += [("orthant_passing", orthant4, "identity", identity, Verdict.HOLDS)]
+    rows += [("orthant_refuted_diagonals", orthant4, name, w, Verdict.FAILS)
              for name, w in traceless]
     counts = {key: 0 for key, *_ in rows}
     problems = []
-    for key, label, name, w, expected in rows:
-        cone, act = relaxations[label]
-        for u in FLOW_PARAMS:
-            flow = act(LinearMap.cayley([[-u * v for v in row] for row in w]))
-            rep = autgroup.check_automorphism(cone, flow)
-            if rep.tier != "exact" or not rep.holds:
-                break
+    for key, cone, name, w, expected in rows:
+        rep = autgroup.lie_probe(cone, 1, w)
         if rep.tier == "exact" and rep.verdict is expected:
             counts[key] += 1
         else:
-            problems.append({"cone": label, "flow": name, "u": str(u),
+            problems.append({"cone": f"{cone.label}(1)", "flow": name, "u": rep.details["u"],
                              "verdict": rep.verdict.value, "tier": rep.tier})
     details = {**counts, "psd_expected_dimension": 7, "orthant_expected_dimension": 1,
                "problems": problems}

@@ -108,17 +108,20 @@ class TestLinearMap:
         q = LinearMap.cayley([[-u * v for v in row] for row in w])
         assert q.rows == exactlin.diag([(1 + u) / (1 - u), (1 - u) / (1 + u), 1, 1])
 
-    @pytest.mark.parametrize("w, angle", [
-        ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], np.arctanh),  # E01 + E10
-        ([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], np.arctan),  # skew
+    @pytest.mark.parametrize("w, t_of, odd, even, sign", [
+        pytest.param([[0, 1, 0], [1, 0, 0], [0, 0, 0]], np.arctanh, np.sinh, np.cosh, 1,
+                     id="w0-arctanh"),  # E01 + E10
+        pytest.param([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], np.arctan, np.sin, np.cos, -1,
+                     id="w1-arctan"),  # skew
     ])
-    def test_cayley_lies_on_the_exponential_flow(self, w, angle):
-        # Cayley(-u W) = exp(t W) with t = 2 artanh(u), or 2 arctan(u) for skew W
-        import scipy.linalg
-
-        for u in (F(-1, 2), F(-1, 20), F(1, 20), F(1, 2)):
+    def test_cayley_lies_on_the_exponential_flow(self, w, t_of, odd, even, sign):
+        # Cayley(-u W) = exp(t W) with t = 2 artanh(u), or 2 arctan(u) for skew W;
+        # W^3 = sign W sums the series to I + odd(t) W + sign (even(t) - 1) W^2
+        wf = np.array(w, dtype=float)
+        for u in autgroup.FLOW_PARAMS:
             q = LinearMap.cayley([[-u * v for v in row] for row in w])
-            flow = scipy.linalg.expm(2 * angle(float(u)) * np.array(w, dtype=float))
+            t = 2 * t_of(float(u))
+            flow = np.eye(3) + odd(t) * wf + sign * (even(t) - 1) * wf @ wf
             assert np.allclose(q.to_float(), flow, rtol=0, atol=1e-12)
 
 
@@ -129,6 +132,7 @@ FLOAT_MAP_CALLS = {
         gallery.orthant(4), 1, a),
     "stabilizer_check": lambda a: autgroup.stabilizer_check(a, (1, 1, 1, 1)),
     "lm_linear_map": lambda a: autgroup.lm_linear_map(a, 4),
+    "lie_probe": lambda a: autgroup.lie_probe(gallery.orthant(4), 1, a),
 }
 
 
@@ -212,26 +216,6 @@ class TestCheckAutomorphism:
             assert autgroup.check_automorphism(cone, prod).holds
             assert autgroup.check_automorphism(cone, certified[a].inverse()).holds
 
-    def test_float_orthogonal_on_psd(self):
-        rng = np.random.default_rng(2)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        rep = autgroup._sampled_preservation(
-            gallery.psd(3), gallery.svec_product(q, q), samples=600, seed=3,
-            tol=cones.MEMBERSHIP_TOL,
-        )
-        assert rep.holds and rep.tier == "float"
-
-    def test_float_non_automorphism_refuted_with_witness(self):
-        rep = autgroup._sampled_preservation(
-            gallery.orthant(3),
-            np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            samples=600,
-            seed=4,
-            tol=cones.MEMBERSHIP_TOL,
-        )
-        assert rep.fails
-        assert rep.witness is not None
-
     def test_non_minimal_mismatch_refuted_on_a_ray(self):
         # diag(2,1,1) does not preserve this quadratic cone; its polynomial
         # is not flagged minimal, so a certified ray witness refutes
@@ -241,78 +225,6 @@ class TestCheckAutomorphism:
         assert rep.fails and rep.tier == "exact"
         assert not rep.details["conditional_on_minimality"]
         assert_ray_witness(cone, amap, rep.details, rep.witness)
-
-    def test_one_sided_evidence_is_inconclusive(self):
-        # A shrinks the whole cloud into the margin band, so no row and
-        # image is decisive under A; A^-1 alone must not carry a Holds
-        rep = autgroup._sampled_preservation(
-            gallery.orthant(3), 1e-9 * np.eye(3), samples=600, seed=0,
-            tol=cones.MEMBERSHIP_TOL,
-        )
-        assert rep.verdict == Verdict.INCONCLUSIVE
-        assert rep.samples > 0
-
-    def test_float_tier_places_by_eigenvalues_once(self, monkeypatch):
-        # decisions are derivative signs; the one batched spectrum of a
-        # float check that Holds is the `boundary_cloud` placement
-        calls = []
-        batch = spectrum.batch_eigenvalues
-
-        def counted(cone, points):
-            calls.append(len(points))
-            return batch(cone, points)
-
-        monkeypatch.setattr(spectrum, "batch_eigenvalues", counted)
-        rng = np.random.default_rng(2)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        rep = autgroup._sampled_preservation(
-            gallery.psd(3), gallery.svec_product(q, q), samples=600, seed=3,
-            tol=cones.MEMBERSHIP_TOL,
-        )
-        assert rep.holds and rep.tier == "float"
-        assert calls == [autgroup.WAVE_POINTS]
-
-
-MARGIN_SIDE_CONES = [
-    ("psd:4", 0), ("psd:4", 1), ("orthant:6", 0), ("orthant:6", 2),
-]
-
-
-class TestMarginSides:
-    """`_margin_sides` against lambda_min: +1 means lambda_min > m, -1 means
-    lambda_min < -m, and 0 is the only answer allowed inside the band."""
-
-    @staticmethod
-    def cloud(cone_id, k, waves, seed=0):
-        cone = gallery.parse_cone_id(cone_id).derivative_cone(k)
-        rng = np.random.default_rng(seed)
-        pts = cones.boundary_cloud(cone, rng, 800, 256, waves)
-        return cone, pts, cone.lambda_min(pts)[0]
-
-    @pytest.mark.parametrize("cone_id,k", MARGIN_SIDE_CONES)
-    @pytest.mark.parametrize("m", [1e-4, 1e-6])
-    def test_never_contradicts_lambda_min(self, cone_id, k, m):
-        # waves on both sides of the margin and on it
-        cone, pts, lam = self.cloud(cone_id, k, autgroup.WAVE_MARGINS + (1e-3, 1e-5, m))
-        sides = autgroup._margin_sides(cone, pts, m)
-        assert np.all(lam[sides == 1] >= m - 1e-9)
-        assert np.all(lam[sides == -1] <= -m + 1e-9)
-        assert (sides != 0).mean() > 0.5
-
-    @pytest.mark.parametrize("cone_id,k", MARGIN_SIDE_CONES)
-    @pytest.mark.parametrize("m", [1e-4, 1e-6])
-    def test_agrees_off_the_margin(self, cone_id, k, m):
-        cone, pts, lam = self.cloud(cone_id, k, (m,))
-        sides = autgroup._margin_sides(cone, pts, m)
-        clear = np.abs(np.abs(lam) - m) > 1e-6
-        want = np.where(lam > m, 1, np.where(lam < -m, -1, 0))
-        assert clear.sum() >= 800
-        assert np.array_equal(sides[clear], want[clear])
-
-    def test_empty_stack(self):
-        cone = gallery.psd(3)
-        sides = autgroup._margin_sides(cone, np.zeros((0, cone.nvars)), 1e-4)
-        assert sides.shape == (0,)
 
 
 class TestDerivAutomorphism:
@@ -875,53 +787,49 @@ class TestRankOnePreservation:
 
 class TestLieProbe:
     def test_identity_flow_scales(self):
-        rep = autgroup.lie_probe(
-            gallery.orthant(4), 1, np.eye(4), (-1.0, -0.1, 0.1, 1.0),
-            samples=300, seed=8,
-        )
-        assert rep.holds
+        rep = autgroup.lie_probe(gallery.orthant(4), 1, LinearMap(exactlin.identity(4)))
+        assert rep.holds and rep.tier == "exact"
+        assert rep.details["u"] == str(autgroup.FLOW_PARAMS[-1])
 
     def test_single_coordinate_flow_refuted(self):
-        gen = np.diag([1.0, 0.0, 0.0, 0.0])
-        rep = autgroup.lie_probe(
-            gallery.orthant(4), 1, gen, (-1.0, -0.1, 0.1, 1.0),
-            samples=300, seed=9,
-        )
-        assert rep.fails
-        assert rep.witness[0] in (-1.0, -0.1, 0.1, 1.0)
+        # Cayley(diag(1, 0, 0, 0) / 2) = diag(1/3, 1, 1, 1), at u = -1/2
+        cone = gallery.orthant(4).derivative_cone(1)
+        rep = autgroup.lie_probe(gallery.orthant(4), 1, LinearMap(exactlin.diag([1, 0, 0, 0])))
+        assert rep.fails and rep.tier == "exact"
+        assert rep.details["u"] == "-1/2"
+        x = rep.witness
+        assert sum(x) == cone.d and min(x) >= 0
+        flow = LinearMap(exactlin.diag([F(1, 3), 1, 1, 1]))
+        assert rep.kappa * exact_value(cone.p, flow.apply(x)) != exact_value(cone.p, x)
 
     def test_skew_conjugation_flow_preserves_matrix_relaxation(self):
-        w = np.zeros((4, 4))
-        w[0, 2], w[2, 0] = 1.0, -1.0
-        gen = gallery.svec_product(w, np.eye(4)) + gallery.svec_product(np.eye(4), w)
-        # the flow is conjugation by a rotation; verified numerically
-        flow = __import__("scipy.linalg", fromlist=["expm"]).expm(0.7 * w)
-        assert np.allclose(flow @ flow.T, np.eye(4), atol=1e-12)
-        rep = autgroup.lie_probe(
-            gallery.psd(4), 1, gen, (-1.0, 1.0), samples=300, seed=10
-        )
-        assert rep.holds
+        w = [[0] * 4 for _ in range(4)]
+        w[0][2], w[2][0] = 1, -1
+        rep = autgroup.lie_probe(gallery.psd(4), 1, LinearMap(w))
+        assert rep.holds and rep.tier == "exact"
 
-    def test_overflow_is_inconclusive(self):
-        rep = autgroup.lie_probe(
-            gallery.orthant(4), 1, np.eye(4) * 500.0, (4.0,), samples=50, seed=11
-        )
-        assert rep.verdict is Verdict.INCONCLUSIVE
+    def test_generator_off_its_cayley_points_rejected(self):
+        # diag(2, 0, 0, 0) cubes to diag(8, 0, 0, 0), neither W nor -W
+        with pytest.raises(ValueError, match="W\\^3"):
+            autgroup.lie_probe(gallery.orthant(4), 1, LinearMap(exactlin.diag([2, 0, 0, 0])))
 
 
 def test_lyapunov_flows_decided_without_float_tier(monkeypatch):
     """Every flow element is certified or refuted on the exact lattice tier:
-    with the sampled tier, `lie_probe` and scipy all unavailable, the check
-    still passes with the full generator counts."""
+    with scipy unavailable the check passes with the full generator counts,
+    and every automorphism report on the way is exact."""
+    reports = []
+    certify = autgroup.check_automorphism
 
-    def unavailable(*args, **kwargs):
-        raise AssertionError("float tier reached")
+    def recorded(cone, A):
+        reports.append(certify(cone, A))
+        return reports[-1]
 
-    monkeypatch.setattr(autgroup, "_sampled_preservation", unavailable)
-    monkeypatch.setattr(autgroup, "lie_probe", unavailable)
+    monkeypatch.setattr(autgroup, "check_automorphism", recorded)
     monkeypatch.setitem(sys.modules, "scipy", None)
     check = suite.check_lyapunov_flows(0, {})
     assert check.status == suite.PASS, check.details["problems"]
+    assert reports and all(rep.tier == "exact" for rep in reports)
     d = check.details
     assert (d["psd_passing_generators"], d["psd_refuted_complements"],
             d["orthant_passing"], d["orthant_refuted_diagonals"]) == (7, 6, 1, 3)

@@ -73,8 +73,8 @@ class TestEig:
         assert proc.returncode == 0
 
     def test_import_and_eig_leave_scipy_unloaded(self):
-        # scipy serves only `autgroup.lie_probe`, which imports it on call and
-        # which no suite check calls
+        # the library does not depend on scipy: no import, command or flow
+        # check may load it
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         script = (
             "import sys, hypercones, hypercones.cli, hypercones.suite\n"

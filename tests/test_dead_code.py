@@ -7,7 +7,8 @@ under `perfbench/`, whose tracer names its targets in strings.  A
 definition that only tests call belongs in the tests.  The same holds for
 class members: a method or property must be read as an attribute outside
 its own definition, and a classmethod or staticmethod as `Class.name`.
-And no library module may import a name it never uses.
+And no library module may import a name it never uses, or scipy, which
+the library does not depend on.
 
 A ratchet keeps configuration from growing back: the defaulted parameters
 of the library (positional and keyword-only defaults) may not exceed
@@ -25,7 +26,7 @@ MODULES = sorted((ROOT / "src" / "hypercones").glob("*.py"))
 CALLERS = [m for m in MODULES if m.name != "__init__.py"]
 CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-DEFAULTED_PARAMETER_CAP = 16
+DEFAULTED_PARAMETER_CAP = 15
 
 
 def parse(path: Path) -> ast.Module:
@@ -120,6 +121,17 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+def imported_packages(path: Path) -> set[str]:
+    """Top-level packages a module imports anywhere, function bodies too."""
+    out = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
 def defaulted_parameters() -> int:
     """Parameters with a default value, over every function and lambda."""
     count = 0
@@ -142,6 +154,10 @@ def test_every_class_member_is_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_library_never_imports_scipy():
+    assert [path.name for path in MODULES if "scipy" in imported_packages(path)] == []
 
 
 def test_defaulted_parameters_do_not_grow():

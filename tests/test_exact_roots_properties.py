@@ -51,7 +51,7 @@ def cone_and_point(draw):
 def test_integer_restriction_matches_naive_expansion(case):
     cone, x = case
     want = int_form(restrict_line_naive(cone.p, cone.e, x))
-    assert restrict_line(cone.p, cone.e, x) == want
+    assert restrict_line(derivatives_along(cone.p, cone.e), x) == want
     assert cone.restrict(x) == want
 
 

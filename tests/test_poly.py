@@ -129,7 +129,7 @@ def restrict_line_warned(p: HomoPoly, e, x) -> tuple[int, ...]:
     """restrict_line, asserting that it warns exactly when p(e) = 0."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        q = restrict_line(p, e, x)
+        q = restrict_line(derivatives_along(p, e), x)
     assert [str(w.message) for w in caught] == (
         ["restriction has zero leading coefficient: p(e) = 0"] if p.eval(e) == 0 else []
     )
@@ -533,16 +533,16 @@ class TestScalingMismatchDtypeBoundary:
 class TestRestrictLine:
     def test_product_form_factorization(self):
         p = x1x2x3()
-        q = restrict_line(p, (1, 1, 1), (F(2), F(5), F(-7)))
+        q = restrict_line(derivatives_along(p, (1, 1, 1)), (F(2), F(5), F(-7)))
         assert q == (70, -39, 0, 1)  # (t-2)(t-5)(t+7)
 
     def test_restriction_at_origin(self):
-        q = restrict_line(x1x2x3(), (1, 1, 1), (0, 0, 0))
+        q = restrict_line(derivatives_along(x1x2x3(), (1, 1, 1)), (0, 0, 0))
         assert q == (0, 0, 0, 1)
 
     def test_lorentz_restriction(self):
         p = HomoPoly(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
-        q = restrict_line(p, (1, 0, 0), (0, 1, 0))
+        q = restrict_line(derivatives_along(p, (1, 0, 0)), (0, 1, 0))
         assert q == (-1, 0, 1)
 
     def test_leading_coefficient_is_value_at_direction(self):
@@ -550,7 +550,7 @@ class TestRestrictLine:
         p = l1_cone().p
         e = (F(1, 2), F(-1, 4), F(3))
         x = rand_vec(rng, 3)
-        q = restrict_line(p, e, x)
+        q = restrict_line(derivatives_along(p, e), x)
         # the positive factor is the one that takes p(e) to q's lead
         positive_factor(q, restrict_line_naive(p, e, x))
         assert restrict_line_naive(p, e, x)[-1] == p.eval(e)
