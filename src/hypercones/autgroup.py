@@ -96,7 +96,7 @@ class LinearMap:
         minus = [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(s)]
         return cls(exactlin.matmul(minus, plus.inverse().rows))
 
-    def _integer_form(self):
+    def integer_form(self):
         """(nums, den) with rows == nums / den entrywise."""
         if self._int is None:
             den = lcm(*(v.denominator for row in self.rows for v in row))
@@ -107,7 +107,7 @@ class LinearMap:
     @property
     def det(self) -> Fraction:
         if self._det is None:
-            nums, den = self._integer_form()
+            nums, den = self.integer_form()
             self._det = Fraction(exactlin.int_det(nums), den**self.n)
         return self._det
 
@@ -118,13 +118,13 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         # (nums / den)^-1 = den * adj / d
         if self._inv is None:
-            nums, den = self._integer_form()
+            nums, den = self.integer_form()
             adj, d = exactlin.int_inverse(nums)
             self._inv = LinearMap([[Fraction(v * den, d) for v in row] for row in adj])
         return self._inv
 
     def apply(self, v):
-        nums, den = self._integer_form()
+        nums, den = self.integer_form()
         ints, scale = clear_denominators(v)
         if len(ints) != self.n:
             raise ValueError("dimension mismatch")
@@ -209,15 +209,15 @@ def check_automorphism(cone, A: LinearMap) -> CheckReport:
     The exact route comes first: kappa = p(e)/p(Ae) and a comparison of
     kappa * p(Ax) with p(x) in exact integers at every point of the
     simplex lattice, which is unisolvent for forms of degree d (see
-    `poly.scaling_mismatch`).  Agreement everywhere plus an interior
-    image of the direction is an unconditional certificate.  A mismatch
-    at lattice point x refutes, with x as the witness, when the polynomial
-    is flagged minimal.  Otherwise a mismatch alone cannot refute, and the
-    map fails only on a certified membership violation: Ae not interior,
-    or a point on a ray from e that A or A^-1 moves out of the cone
-    (`cones.ray_witness`).  Without one the verdict is Inconclusive.  A
-    map that is not a `LinearMap` raises TypeError: a float matrix has no
-    exact tier.
+    `poly.scaling_mismatch`, which reads A's cached integer form).
+    Agreement everywhere plus an interior image of the direction is an
+    unconditional certificate.  A mismatch at lattice point x refutes,
+    with x as the witness, when the polynomial is flagged minimal.
+    Otherwise a mismatch alone cannot refute, and the map fails only on a
+    certified membership violation: Ae not interior, or a point on a ray
+    from e that A or A^-1 moves out of the cone (`cones.ray_witness`).
+    Without one the verdict is Inconclusive.  A map that is not a
+    `LinearMap` raises TypeError: a float matrix has no exact tier.
     """
     _require_exact(A, "automorphism check")
     if A.n != cone.nvars:
@@ -238,7 +238,7 @@ def check_automorphism(cone, A: LinearMap) -> CheckReport:
             tier="exact",
         )
     kappa = cone.pe / p_ae
-    mismatch = scaling_mismatch(cone.p, A.rows, kappa)
+    mismatch = scaling_mismatch(cone.p, A, kappa)
     if mismatch is not None and cone.minimality_assumed:
         x, lhs, rhs = mismatch
         return CheckReport(
@@ -611,7 +611,7 @@ def lm_linear_map(M: LinearMap, n: int) -> LinearMap:
     _require_exact(M, "conjugation")
     if M.n != n:
         raise ValueError("conjugating matrix has wrong shape")
-    nums, den = M._integer_form()
+    nums, den = M.integer_form()
     m = np.array(nums, dtype=object)
     image = svec_product(m, m)
     return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])

@@ -36,6 +36,7 @@ from .poly import (
     as_fraction,
     as_vector,
     is_exact_vector,
+    is_real_rooted,
     restrict_line,
 )
 from .report import CheckReport, InconclusiveError, Membership, Verdict
@@ -277,13 +278,20 @@ def membership_exact(cone, x) -> Membership:
     IN means interior (all derivative values strictly positive), OUT means
     outside the closed cone, BOUNDARY means on the boundary exactly.  The
     signs are read off the one integer restriction r = `cone.restrict(x)`:
-    sign(D_e^j p(x)) = (-1)^(d-j) sign(r_j) for j < d.
+    sign(D_e^j p(x)) = (-1)^(d-j) sign(r_j) for j < d.  Renegar's sign
+    rule agrees with the definition (every root of r real and
+    nonnegative) exactly when r is real-rooted, by Descartes' rule of
+    signs, so a restriction that is not real-rooted raises
+    InconclusiveError, as `spectrum.eigenvalues` does there.
     """
     if not is_exact_vector(x):
         raise TypeError("membership_exact needs a rational point")
     d = cone.d
+    r = cone.restrict(x)
+    if not is_real_rooted(r):
+        raise InconclusiveError(spectrum.NOT_REAL_ROOTED)
     # positive multiples of D_e^j p(x), j < d
-    values = [c if (d - j) % 2 == 0 else -c for j, c in enumerate(cone.restrict(x)[:d])]
+    values = [c if (d - j) % 2 == 0 else -c for j, c in enumerate(r[:d])]
     if any(v < 0 for v in values):
         return Membership.OUT
     return Membership.BOUNDARY if 0 in values else Membership.IN
@@ -312,6 +320,11 @@ def contains_by_inequalities(
     bands have the bits of its row in a stack, since each form's float
     term table is compiled once, same terms in the same order and every
     power by one rule.  A non-finite coordinate or norm raises ValueError.
+
+    Only the rational route checks that the point's restriction is
+    real-rooted (`membership_exact`); the float sign routes stay
+    unchecked, since a stack cannot pay one Sturm count per row, so on a
+    cone whose polynomial is not hyperbolic at the point they may say In.
     """
     if not 0 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 0..{cone.d - 1}")

@@ -1,10 +1,12 @@
 """Exact rational matrix helpers: products, determinant, inverse, rank.
 
-Determinant, rank and inverse come from one fraction-free elimination
-(Bareiss, Math. Comp. 1968, in Gauss-Jordan form) on integer rows: each
-row's denominators are cleared once and every step divides exactly by
-the previous pivot, so no gcd is taken until the result is built.
-`LinearMap` calls the integer entry points `int_det` and `int_inverse`.
+Determinant, rank and inverse come from fraction-free elimination
+(Bareiss, Math. Comp. 1968) on integer rows: each row's denominators are
+cleared once and every step divides exactly by the previous pivot, so no
+gcd is taken until the result is built.  The determinant needs only the
+forward pass, which shrinks the matrix by a row and a column per pivot;
+rank and inverse take the Gauss-Jordan form.  `LinearMap` calls the
+integer entry points `int_det` and `int_inverse`.
 """
 
 from __future__ import annotations
@@ -99,9 +101,27 @@ def _eliminate(rows, width: int):
 
 
 def int_det(nums) -> int:
-    """Determinant of a square integer matrix."""
-    rk, pivot, _ = _eliminate(nums, len(nums))
-    return pivot if rk == len(nums) else 0
+    """Determinant of a square integer matrix by forward-only fraction-free
+    elimination (Bareiss 1968).
+
+    A step with pivot p replaces each entry below and right of it by
+    (p * a_ij - a_ik * a_kj) / previous pivot, an exact division
+    (Sylvester's identity), and drops the pivot's row and column; a row
+    swap flips the sign.  The last pivot is then the determinant up to
+    that sign, and a column with no pivot makes it 0.
+    """
+    rows, sign, prev = [list(r) for r in nums], 1, 1
+    while rows:
+        piv = next((i for i, r in enumerate(rows) if r[0]), None)
+        if piv is None:
+            return 0
+        if piv:
+            rows[0], rows[piv], sign = rows[piv], rows[0], -sign
+        top = rows[0]
+        p = top[0]
+        rows = [[(p * v - r[0] * w) // prev for v, w in zip(r[1:], top[1:])] for r in rows[1:]]
+        prev = p
+    return sign * prev
 
 
 def int_inverse(nums):

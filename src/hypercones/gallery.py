@@ -28,8 +28,9 @@ import numpy as np
 
 from . import exactlin
 from .cones import HyperCone, contains_by_inequalities
-from .poly import HomoPoly, as_fraction, as_vector
-from .report import Membership
+from .poly import HomoPoly, as_fraction, as_vector, is_real_rooted, simplex_lattice
+from .report import InconclusiveError, Membership
+from .spectrum import NOT_REAL_ROOTED
 
 
 @dataclass(frozen=True)
@@ -429,7 +430,11 @@ def cone_from_descriptor(data) -> HyperCone:
     """Cone from its descriptor JSON: {"label", "polynomial", "e", "k"?}.
 
     The optional flag keys record documented assumptions about the
-    polynomial, never verified claims; they default to off.
+    polynomial, never verified claims; they default to off.  The
+    restrictions at the points of `simplex_lattice(nvars, degree)` are
+    screened: the first that is not real-rooted shows that p is not
+    hyperbolic along e and raises InconclusiveError, as any point outside
+    the hyperbolic regime does.  Passing the screen proves nothing.
     """
     p = HomoPoly.from_json_dict(data["polynomial"])
     cone = HyperCone(
@@ -439,6 +444,11 @@ def cone_from_descriptor(data) -> HyperCone:
         minimality_assumed=bool(data.get("minimality_assumed", False)),
         rog_flag=bool(data.get("rog_flag", False)),
     )
+    for x in simplex_lattice(p.nvars, p.degree).tolist():
+        if not is_real_rooted(cone.restrict(x)):
+            raise InconclusiveError(
+                f"polynomial is not hyperbolic along e: at lattice point {tuple(x)} the "
+                + NOT_REAL_ROOTED)
     if data.get("k"):
         return cone.derivative_cone(int(data["k"]))
     return cone

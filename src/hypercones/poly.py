@@ -408,6 +408,9 @@ def clear_denominators(values):
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Lattice bounds below this keep every float64 product and partial sum
+# of `_lattice_columns` an exact integer.
+_FLOAT_EXACT = 2**53
 
 
 def _lattice_dtype(terms, col_bounds):
@@ -428,35 +431,31 @@ def _lattice_dtype(terms, col_bounds):
     return object
 
 
-def scaling_mismatch(p: HomoPoly, rows, kappa):
+def scaling_mismatch(p: HomoPoly, B, kappa):
     """First lattice point x with kappa * p(Bx) != p(x), or None.
 
-    `rows` are the rows of the matrix B of x -> Bx: (Bx)_i is the linear
-    form sum_j rows[i][j] x_j, which p(Bx) puts in place of x_i.  Both
-    sides are forms of degree d, so agreement on `simplex_lattice(n, d)` proves
-    kappa * (p o B) = p without expanding p o B.  The denominators of B
-    are cleared once, B' = scale * B, and the comparison
+    B is the matrix of x -> Bx: a `LinearMap`, whose cached integer form
+    (B', scale) with B = B' / scale is read as it is, or its rows, whose
+    denominators are cleared once here.  (Bx)_i is the linear form
+    sum_j B_ij x_j, which p(Bx) puts in place of x_i.  Both sides are
+    forms of degree d, so agreement on `simplex_lattice(n, d)` proves
+    kappa * (p o B) = p without expanding p o B.  The comparison
     num(kappa) * P(B'x) == den(kappa) * scale^d * P(x) runs in integers,
-    a whole lattice column at a time.
-
-    Dtype rule: on the lattice (x >= 0, |x| = d) each column obeys
-    |(B'x)_i| <= M_i = d * max_j |B'_ij|, and |x_i| <= d.  When every M_i
-    and the bound sum_t |c_t| * prod_i max(M_i, 1)^a_i on every partial
-    product and partial sum of P (`_lattice_dtype`) fit in int64, the
-    lattice, B' and both evaluations are int64 and B'x is one matmul;
-    otherwise they are object arrays of Python ints.  Either way the products with
-    num(kappa) and den(kappa) * scale^d are taken in Python ints.  P(x)
-    depends on p alone and is computed once per form
-    (`HomoPoly._lattice_values`).  A
-    mismatch returns the point x (a tuple of ints), kappa * p(Bx) and
-    p(x), the last two as Fractions.
+    a whole lattice column at a time (`_eval_on_lattice`).  P(x) depends
+    on p alone and is computed once per form (`HomoPoly._lattice_values`);
+    the products with num(kappa) and den(kappa) * scale^d are taken in
+    Python ints.  A mismatch returns the point x (a tuple of ints),
+    kappa * p(Bx) and p(x), the last two as Fractions.
     """
-    rows = tuple(as_vector(r) for r in rows)
-    if len(rows) != p.nvars or any(len(r) != p.nvars for r in rows):
+    if hasattr(B, "integer_form"):
+        bmat, scale = B.integer_form()
+    else:
+        rows = tuple(as_vector(r) for r in B)
+        scale = lcm(*(v.denominator for r in rows for v in r))
+        bmat = [[v.numerator * (scale // v.denominator) for v in r] for r in rows]
+    if len(bmat) != p.nvars or any(len(r) != p.nvars for r in bmat):
         raise ValueError("scaling identity needs a square map on the variables of p")
     kappa = as_fraction(kappa)
-    scale = lcm(*(v.denominator for r in rows for v in r))
-    bmat = [[v.numerator * (scale // v.denominator) for v in r] for r in rows]
     den = p._int_term_list()[0]
     d = p.degree
     lattice = simplex_lattice(p.nvars, d)
@@ -471,16 +470,41 @@ def scaling_mismatch(p: HomoPoly, rows, kappa):
     return tuple(lattice[i].tolist()), Fraction(lhs[i], common * den), Fraction(rhs[i], common * den)
 
 
+def _lattice_columns(lattice, mat, bounds, dtype):
+    """The columns of B'x at every row x of `lattice`, in `dtype`, for the
+    square integer matrix B' = `mat` whose row i is bounded on the lattice
+    by bounds[i] = M_i >= |(B'x)_i|.
+
+    When every M_i is below 2^53, B'x is one float64 matmul: on the
+    lattice (x >= 0, |x| = d, M_i = d * max_j |B'_ij|) every product
+    B'_ij x_j and every partial sum of row i is an integer of magnitude at
+    most M_i, so each is exact whatever order BLAS sums in.  Otherwise
+    the matmul runs in `dtype` (int64 or Python-int objects), which numpy
+    does without BLAS.
+    """
+    if max(bounds, default=0) < _FLOAT_EXACT:
+        cols = (lattice @ np.array(mat, dtype=float).T).T.astype(np.int64)
+        return cols if dtype is np.int64 else cols.astype(object)
+    return (lattice.astype(dtype) @ np.array(mat, dtype=dtype).T).T
+
+
 def _eval_on_lattice(p: HomoPoly, mat):
     """P(Mx) at every point x of `simplex_lattice(p.nvars, p.degree)`, as
     an object array of Python ints: P is the integer form of
-    `p._int_term_list()` and M the square integer matrix `mat`, in the
-    dtype `_lattice_dtype` proves safe."""
+    `p._int_term_list()` and M the square integer matrix `mat`.
+
+    Dtype rule: on the lattice each column obeys |(Mx)_i| <= M_i =
+    d * max_j |M_ij|.  When every M_i and the bound
+    sum_t |c_t| * prod_i max(M_i, 1)^a_i on every partial product and
+    partial sum of P (`_lattice_dtype`) fit in int64, the columns and the
+    evaluation are int64; otherwise they are object arrays of Python ints.
+    The columns themselves come from `_lattice_columns`.
+    """
     _, terms = p._int_term_list()
     d = p.degree
     lattice = simplex_lattice(p.nvars, d)
-    dtype = _lattice_dtype(terms, [d * max(abs(v) for v in r) for r in mat])
-    cols = (lattice.astype(dtype) @ np.array(mat, dtype=dtype).T).T
+    bounds = [d * max(abs(v) for v in r) for r in mat]
+    cols = _lattice_columns(lattice, mat, bounds, _lattice_dtype(terms, bounds))
     # a form with no variable in any term evaluates to one scalar
     return np.broadcast_to(np.asarray(_eval_columns(terms, cols), dtype=object), len(lattice))
 
@@ -651,10 +675,18 @@ def sign_at(f, t) -> int:
         s = 1 if f[-1] > 0 else -1
         return s if t > 0 or len(f) % 2 else -s
     num, den = t.as_integer_ratio()
-    acc, power = f[-1], 1  # den^deg * f(num / den), by Horner
-    for c in reversed(f[:-1]):
-        power *= den
-        acc = acc * num + c * power
+    acc = f[-1]  # den^deg * f(num / den), by Horner
+    k = den.bit_length() - 1
+    if den == 1 << k:  # a float's denominator: powers of den are shifts
+        shift = 0
+        for c in reversed(f[:-1]):
+            shift += k
+            acc = acc * num + (c << shift)
+    else:
+        power = 1
+        for c in reversed(f[:-1]):
+            power *= den
+            acc = acc * num + c * power
     return (acc > 0) - (acc < 0)
 
 
@@ -684,7 +716,13 @@ def real_root_count_with_mult(f) -> int:
 
 
 def is_real_rooted(f) -> bool:
-    """True when all roots of f are real (counted with multiplicity)."""
+    """True when all roots of f are real (counted with multiplicity).
+
+    f's own Sturm chain counts its distinct real roots and ends in
+    g = gcd(f, f'), so f is real-rooted exactly when that count is the
+    degree of its square-free part f / g: no Yun split is needed.
+    """
     if not f:
         raise ValueError("zero polynomial")
-    return real_root_count_with_mult(f) == len(f) - 1
+    chain = _sturm_chain(f)
+    return sign_variations(chain, -inf) - sign_variations(chain, inf) == len(f) - len(chain[-1])

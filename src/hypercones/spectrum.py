@@ -5,16 +5,20 @@ A `Spectrum` is a certificate, and only rational points get one.
 `eigenvalues` is its one-point form and `real_roots` its one-polynomial
 form.  Each line restriction arrives as one primitive integer polynomial
 (`HyperCone.restrict`); its zero coefficients at the low end give the
-eigenvalue 0 with its exact multiplicity and are sliced off, and the rest
-is split into square-free factors, each with its integer Sturm chain.  The
-float kernel only proposes split points: one call per factor degree seeds
-every factor of the list.  When the factor's signs at the d + 1 cuts
-alternate strictly, each interval holds one simple root; otherwise the
-Sturm counts refute or certify real-rootedness and isolate the roots.
-Every root is then refined by exact sign evaluations to at most 2 ulp
-(Collins & Akritas 1976).  So its residual is a certified error bound, and
-an eigenvalue beyond the float range is reported as inconclusive, not
-rounded.
+eigenvalue 0 with its exact multiplicity and are sliced off.  The float
+kernel only proposes split points: unpolished companion eigenvalues, one
+`eigvals` call per degree for every tail of the list.  When a tail's signs
+at the d + 1 cuts between its seeds alternate strictly, each interval
+holds one simple root, so the tail is real-rooted and square-free and no
+Sturm chain is built.  Only a tail that does not alternate is split into
+square-free factors, which try alternation first; the Sturm counts of the
+rest refute or certify real-rootedness and isolate the roots.  Every root
+is then refined by exact sign evaluations to its one-ulp float cell
+(a, b] (Collins & Akritas 1976).  The eigenvalue is b, the least float
+>= the root, so it is exact when the root is a float and never depends on
+the seeds; the residual is one ulp, b - a, or 0 when every root is exact,
+a certified error bound.  An eigenvalue beyond the float range is
+reported as inconclusive, not rounded.
 
 Float points come as the rows of a 2-D stack and only ever go through one
 batched kernel: balanced companion-matrix eigenvalues plus two guarded
@@ -65,9 +69,11 @@ OUTSIDE_FLOAT_RANGE = f"an eigenvalue lies outside the float range [-{FLOAT_MAX}
 class Spectrum:
     """Certified spectrum of a rational point.
 
-    `eigenvalues` are sorted descending, each within `residual` of a true
-    eigenvalue; `mult` is the exact multiplicity of 0 and `rank` the number
-    of nonzero eigenvalues.
+    `eigenvalues` are sorted descending, each the least float >= its true
+    eigenvalue, so equal to it when it is a float; `residual` bounds the
+    error: one ulp of the widest cell, or 0 when every eigenvalue is exact.
+    `mult` is the exact multiplicity of 0 and `rank` the number of nonzero
+    eigenvalues.
     """
 
     eigenvalues: tuple[float, ...]
@@ -96,6 +102,17 @@ def _horner_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    """Column-form companion matrices of ascending coefficient rows of
+    degree >= 1 with nonzero leading entries."""
+    n, d = coeffs.shape[0], coeffs.shape[1] - 1
+    comp = np.zeros((n, d, d))
+    idx = np.arange(d - 1)
+    comp[:, idx + 1, idx] = 1.0
+    comp[:, :, d - 1] = -coeffs[:, :d] / coeffs[:, d:]
+    return comp
+
+
 def _float_roots(coeffs: np.ndarray):
     """Roots of each ascending coefficient row of degree >= 1.
 
@@ -104,12 +121,8 @@ def _float_roots(coeffs: np.ndarray):
     imaginary parts stay within RESIDUAL_TOL get two Newton steps, each
     kept only where it does not increase |f|.
     """
-    n, d = coeffs.shape[0], coeffs.shape[1] - 1
-    comp = np.zeros((n, d, d))
-    idx = np.arange(d - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, :, d - 1] = -coeffs[:, :d] / coeffs[:, d:]
-    vals = np.linalg.eigvals(comp)
+    d = coeffs.shape[1] - 1
+    vals = np.linalg.eigvals(_companion(coeffs))
     residuals = np.abs(vals.imag).max(axis=1)
     lam = vals.real.copy()
     polish = residuals <= RESIDUAL_TOL
@@ -137,21 +150,35 @@ def _from_ordinal(n: int) -> float:
     return copysign(struct.unpack("<d", struct.pack("<q", abs(n)))[0], n)
 
 
-def _enclosure(lo: int, hi: int):
-    """Midpoint and half-width of the float interval (lo, hi] in ordinals."""
-    a, b, m = _from_ordinal(lo), _from_ordinal(hi), _from_ordinal((lo + hi + 1) // 2)
-    return m, max(m - a, b - m)
+_NEG_INF, _POS_INF = _ordinal(-inf), _ordinal(inf)
 
 
-def _refine(f, a: int, b: int, guess):
-    """Shrink (a, b] (ordinals) around the one root of f in it to 2 ulp.
-    Probes gallop away from the guess (the float seed's ordinal), so a good
-    guess costs two or three sign evaluations; others bisect."""
-    sb = sign_at(f, _from_ordinal(b))
+def _cell(a: int, b: int):
+    """(b, b - a) as floats for a one-ulp float interval (a, b] (ordinals):
+    the least float >= a root inside it, and the bound on its error.  A
+    cell that ends at +-inf holds a root beyond the float range."""
+    if a == _NEG_INF or b == _POS_INF:
+        raise InconclusiveError(OUTSIDE_FLOAT_RANGE)
+    hi = _from_ordinal(b)
+    return hi, hi - _from_ordinal(a)
+
+
+def _refine(f, a: int, b: int, sb: int, guess: int):
+    """(eigenvalue, error bound) of the one root of f in the float interval
+    (a, b] (ordinals), where sb is the sign of f at b.
+
+    The bracket shrinks by exact sign evaluations to the root's one-ulp
+    cell (a', b'], probing the middle once it is 2 ulp wide, so the result
+    is b', the least float >= the root, with bound b' - a'; a root that is
+    itself a float is hit by a probe, or is b, and comes back exact with
+    bound 0.  Either way it depends on the root alone.  Probes gallop away
+    from the guess (a float seed's ordinal), so a close guess saves sign
+    evaluations; a guess outside the bracket bisects.
+    """
     if sb == 0:
         return _from_ordinal(b), 0.0
     t, step = guess, 1
-    while b - a > 2:
+    while b - a > 1:
         if not a < t < b:
             t, step = (a + b) // 2, 0
         s = sign_at(f, _from_ordinal(t))
@@ -159,17 +186,21 @@ def _refine(f, a: int, b: int, guess):
             return _from_ordinal(t), 0.0
         a, b, t = (a, t, t - step) if s == sb else (t, b, t + step)
         step *= 2
-    return _enclosure(a, b)
+    return _cell(a, b)
 
 
 def _float_seeds(fs) -> list[list[int]]:
-    """Ordinals of the finite float-kernel roots of each integer polynomial
-    in fs, ascending, from one `_float_roots` call per degree.  They only
-    propose split points, so a polynomial whose coefficients lie beyond the
-    float range gets no seeds and an overflowing Newton step stays silent."""
+    """Ordinals of the finite real parts of the companion eigenvalues of
+    each integer polynomial in fs, ascending; a constant gets none.  One
+    unpolished `eigvals` call per degree seeds every polynomial of that
+    degree.  Seeds only propose cuts and first probes, and no certified
+    root depends on them, so a polynomial whose coefficients lie beyond the
+    float range gets no seeds and an overflow inside LAPACK stays silent."""
     seeds = [[] for _ in fs]
     groups = {}
     for i, f in enumerate(fs):
+        if len(f) < 2:
+            continue
         try:
             row = [c / f[-1] for c in f]
         except OverflowError:
@@ -178,50 +209,52 @@ def _float_seeds(fs) -> list[list[int]]:
     for group in groups.values():
         index, rows = zip(*group)
         with np.errstate(over="ignore", invalid="ignore"):
-            roots = _float_roots(np.array(rows))[0]
-        for i, r in zip(index, roots.tolist()):
-            seeds[i] = [_ordinal(v) for v in reversed(r) if isfinite(v)]
+            vals = np.sort(np.linalg.eigvals(_companion(np.array(rows))).real, axis=1)
+        for i, r in zip(index, vals.tolist()):
+            seeds[i] = [_ordinal(v) for v in r if isfinite(v)]
     return seeds
 
 
-def _inside_float_range(chain) -> bool:
-    """Do all roots of the square-free, real-rooted chain[0] lie in
-    [-FLOAT_MAX, FLOAT_MAX]?  The Cauchy bound 1 + max|c_i / c_d| settles
-    most polynomials in integers; the rest take two Sturm counts."""
-    f = chain[0]
-    lead = abs(f[-1])
-    if max(abs(c) for c in f[:-1]) + lead <= int(FLOAT_MAX) * lead:
-        return True
-    inside = sign_variations(chain, -FLOAT_MAX) - sign_variations(chain, FLOAT_MAX)
-    inside += sign_at(f, -FLOAT_MAX) == 0  # (lo, hi] counts leave out -FLOAT_MAX
-    return inside == len(f) - 1
+def _cuts(seeds) -> list[int]:
+    """-inf, one split point between each two distinct neighbouring seeds,
+    and +inf, as ascending ordinals."""
+    splits = {(s + t) // 2 for s, t in zip(seeds, seeds[1:]) if s < t}
+    return [_NEG_INF, *sorted(splits), _POS_INF]
 
 
-def _root_enclosures(chain, seeds):
-    """(midpoint, half-width) of each root of the square-free chain[0].
+def _alternation(f, seeds):
+    """(cuts, signs) when the signs of f at the d + 1 cuts between its
+    seeds are nonzero and alternate strictly, else None.  Each of the d
+    intervals then holds exactly one simple root, so f is real-rooted and
+    square-free, and no Sturm chain is needed."""
+    cuts = _cuts(seeds)
+    if len(cuts) != len(f):
+        return None
+    signs = [sign_at(f, _from_ordinal(c)) for c in cuts]
+    if all(s * t == -1 for s, t in zip(signs, signs[1:])):
+        return cuts, signs
+    return None
 
-    Split points between the float seeds cut the line.  When the signs of
-    f at the d + 1 cuts (+-inf included) are nonzero and strictly
-    alternate, each of the d intervals holds exactly one root and no Sturm
-    count is made.  Otherwise the chain counts the roots at every cut, an
-    interval counted twice is bisected, and roots closer than 2 ulp share
-    one interval.  Fewer real roots than the degree is a refutation; a
-    root beyond the float range is inconclusive.
+
+def _alternating_cells(f, seeds, cuts, signs):
+    """The cell of the one root in each interval of an alternation; the
+    sign at each right cut is already known.  Interval i holds seed i."""
+    guesses = seeds or [_NEG_INF]  # degree 1 alternates even without a seed
+    return [_refine(f, a, b, sb, g) for a, b, sb, g in zip(cuts, cuts[1:], signs[1:], guesses)]
+
+
+def _sturm_cells(chain, seeds):
+    """The cells of the roots of the square-free chain[0] from Sturm counts.
+
+    The chain counts the roots at every cut between the seeds, an interval
+    counted twice is bisected, and roots closer than one ulp share one
+    cell.  Fewer real roots than the degree is a refutation.
     """
     f = chain[0]
-    d = len(f) - 1
-    splits = {(s + t) // 2 for s, t in zip(seeds, seeds[1:]) if s < t}
-    cuts = [_ordinal(-inf), *sorted(splits), _ordinal(inf)]
-    signs = [sign_at(f, _from_ordinal(c)) for c in cuts] if len(cuts) == d + 1 else []
-    if signs and all(s * t == -1 for s, t in zip(signs, signs[1:])):
-        # roots in (c, +inf], as the chain's variation counts would give them
-        variations = {c: d - i for i, c in enumerate(cuts)}
-    else:
-        variations = {c: sign_variations(chain, _from_ordinal(c)) for c in cuts}
-        if variations[cuts[0]] - variations[cuts[-1]] < d:
-            raise InconclusiveError(NOT_REAL_ROOTED)
-    if not _inside_float_range(chain):
-        raise InconclusiveError(OUTSIDE_FLOAT_RANGE)
+    cuts = _cuts(seeds)
+    variations = {c: sign_variations(chain, _from_ordinal(c)) for c in cuts}
+    if variations[cuts[0]] - variations[cuts[-1]] < len(f) - 1:
+        raise InconclusiveError(NOT_REAL_ROOTED)
     out = []
     work = list(zip(cuts, cuts[1:]))
     while work:
@@ -229,14 +262,23 @@ def _root_enclosures(chain, seeds):
         count = variations[a] - variations[b]
         if count == 1:
             guess = next((s for s in seeds if a < s < b), a)
-            out.append(_refine(f, a, b, guess))
-        elif count > 1 and b - a <= 2:
-            out.extend([_enclosure(a, b)] * count)
+            out.append(_refine(f, a, b, sign_at(f, _from_ordinal(b)), guess))
+        elif count > 1 and b - a <= 1:
+            out.extend([_cell(a, b)] * count)
         elif count > 1:
             mid = (a + b) // 2
             variations[mid] = sign_variations(chain, _from_ordinal(mid))
             work += [(a, mid), (mid, b)]
     return out
+
+
+def _factor_cells(chain, seeds):
+    """Cells of a square-free factor: alternation at its seed cuts first,
+    Sturm counts only when it does not alternate."""
+    alternation = _alternation(chain[0], seeds)
+    if alternation is None:
+        return _sturm_cells(chain, seeds)
+    return _alternating_cells(chain[0], seeds, *alternation)
 
 
 def _zero_multiplicity(f) -> int:
@@ -246,22 +288,39 @@ def _zero_multiplicity(f) -> int:
 
 def _certified_roots(fs):
     """(descending roots, residual) of each ascending integer polynomial in
-    fs: the one exact root path.  The square-free factors of all of them
-    are seeded together by `_float_seeds`, then isolated one by one."""
-    factors = []
-    for f in fs:
-        if not f:
-            raise ValueError("zero polynomial has no well-defined roots")
-        factors.append(factor_chains(f[_zero_multiplicity(f):]))
-    seeds = iter(_float_seeds([chain[0] for fc in factors for chain, _ in fc]))
+    fs: the one exact root path.  Errors are raised in the order of fs.
+
+    Each tail (f with its zero roots sliced off) is seeded once, all tails
+    of a degree in one `_float_seeds` call, and one that alternates at its
+    seed cuts is certified with no Sturm chain.  Only a tail that does not
+    alternate takes `factor_chains`: a square-free one keeps its seeds for
+    the Sturm counts, and the Yun factors of the others get one seeding
+    call for all of them and try alternation first.
+    """
+    if not all(fs):
+        raise ValueError("zero polynomial has no well-defined roots")
+    tails = [f[_zero_multiplicity(f):] for f in fs]
+    seeds = _float_seeds(tails)
+    alternations = [_alternation(t, s) for t, s in zip(tails, seeds)]
+    split = {i: factor_chains(t) for i, (t, alt) in enumerate(zip(tails, alternations))
+             if alt is None}
+    squarefree = {i for i, fc in split.items() if [mult for _, mult in fc] == [1]}
+    yun_seeds = iter(_float_seeds([chain[0] for i, fc in split.items() if i not in squarefree
+                                   for chain, _ in fc]))
     out = []
-    for f, fc in zip(fs, factors):
-        roots = [0.0] * _zero_multiplicity(f)
+    for i, f in enumerate(fs):
+        if alternations[i] is not None:
+            parts = [(_alternating_cells(tails[i], seeds[i], *alternations[i]), 1)]
+        elif i in squarefree:
+            parts = [(_sturm_cells(split[i][0][0], seeds[i]), 1)]
+        else:
+            parts = [(_factor_cells(chain, next(yun_seeds)), mult) for chain, mult in split[i]]
+        roots = [0.0] * (len(f) - len(tails[i]))
         residual = 0.0
-        for chain, mult in fc:
-            for root, half_width in _root_enclosures(chain, next(seeds)):
+        for cells, mult in parts:
+            for root, error in cells:
                 roots.extend([root] * mult)
-                residual = max(residual, half_width)
+                residual = max(residual, error)
         roots.sort(reverse=True)
         out.append((tuple(roots), residual))
     return out
@@ -272,18 +331,19 @@ def real_roots(f):
     (descending, residual).  The one-polynomial form of `spectra`.
 
     Zero coefficients at the low end give exact 0.0 roots and are sliced
-    off; every other root is isolated in its square-free factor and
-    repeated by its exact multiplicity.  Each root lies within `residual`,
-    the largest half-width, of its float.  A non-real root, or a root
-    beyond the float range, raises InconclusiveError.
+    off; every other root is isolated, in the tail itself when it
+    alternates or else in its square-free factor, and repeated by its
+    exact multiplicity.  Each float is the least float >= its root, which
+    lies within `residual`, the widest cell, of it.  A non-real root, or a
+    root beyond the float range, raises InconclusiveError.
     """
     return _certified_roots([f])[0]
 
 
 def spectra(cone, xs) -> list[Spectrum]:
     """Certified spectra of a list of rational points: `real_roots` of the
-    restriction of the cone polynomial at each, with one float-kernel
-    call per factor degree proposing the split points of every root.
+    restriction of the cone polynomial at each, with one `eigvals` call
+    per degree proposing the split points of every root.
 
     The multiplicity of 0 is read exactly off each restriction's
     coefficients.  A restriction that is not real-rooted, or an eigenvalue

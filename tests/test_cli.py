@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from hypercones import cli
-from test_gallery import descriptor
+from test_gallery import descriptor, not_hyperbolic_descriptor
 
 
 def run(capsys, *argv):
@@ -215,6 +215,14 @@ class TestDescriptorFileCones:
         assert code == 0 and data["verdict"] == "In"
         code, data, _ = run_json(capsys, "member", f"file:{path}", "0,1,0")
         assert code == 1 and data["verdict"] == "Out"
+
+
+    def test_member_on_a_cone_not_hyperbolic_along_e_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps(not_hyperbolic_descriptor()))
+        for point in ("3,1,0", "2,1,0", "0,1,0"):
+            code, out, err = run(capsys, "member", f"file:{path}", point)
+            assert code == 4 and not out and "not real-rooted" in err
 
 
 class TestGarding:

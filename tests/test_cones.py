@@ -17,7 +17,7 @@ from hypercones.cones import HyperCone
 from hypercones.gallery import elementary_symmetric
 from hypercones.poly import HomoPoly
 from hypercones.report import InconclusiveError, Membership, Verdict
-from test_gallery import descriptor
+from test_gallery import descriptor, not_hyperbolic_polynomial
 
 try:  # hypothesis is a test-only dependency
     from hypothesis import given, settings, strategies as st
@@ -85,6 +85,33 @@ class TestInterior:
                 calls.clear()
                 spectrum.rank_exact(cone, x, sturm_verify=True)
                 assert len(calls) == 1
+
+
+class TestNotHyperbolicAtThePoint:
+    """The sign rule agrees with the definition only where the restriction
+    is real-rooted, so the exact route checks it and the float routes do
+    not."""
+
+    @pytest.mark.parametrize("x", [(3, 1, 0), (2, 1, 0), (0, 1, 0)])
+    def test_exact_route_raises(self, x):
+        cone = HyperCone(not_hyperbolic_polynomial(), (1, 0, 0))
+        with pytest.raises(InconclusiveError) as info:
+            cones.membership_exact(cone, x)
+        assert str(info.value) == spectrum.NOT_REAL_ROOTED
+        with pytest.raises(InconclusiveError, match="not real-rooted"):
+            cones.contains_by_inequalities(cone, 0, x)
+
+    def test_float_sign_routes_stay_unchecked(self):
+        # (3, 1, 0) passes the sign rule although its restriction has complex roots
+        cone = HyperCone(not_hyperbolic_polynomial(), (1, 0, 0))
+        x = np.array([3.0, 1.0, 0.0])
+        assert cones.contains_by_inequalities(cone, 0, x) is Membership.IN
+        assert cones.contains_by_inequalities(cone, 0, x[None]) == [Membership.IN]
+
+    def test_real_rooted_point_is_decided(self):
+        cone = HyperCone(not_hyperbolic_polynomial(), (1, 0, 0))
+        assert cones.membership_exact(cone, (1, 0, 0)) is Membership.IN
+        assert cones.membership_exact(cone, (-1, 0, 0)) is Membership.OUT
 
 
 class TestSharedCones:

@@ -15,7 +15,12 @@ import numpy as np
 
 from hypercones import cones, gallery, spectrum
 from hypercones.autgroup import LinearMap
-from hypercones.poly import derivatives_along, real_root_count_with_mult, restrict_line
+from hypercones.poly import (
+    derivatives_along,
+    is_real_rooted,
+    real_root_count_with_mult,
+    restrict_line,
+)
 from hypercones.report import InconclusiveError, Membership
 
 from test_poly import evaluate, int_form, restrict_line_naive, sturm_count_distinct
@@ -127,6 +132,14 @@ def relaxation(draw, bases):
 @given(relaxation(MEMBERSHIP_BASES), st.data())
 def test_membership_matches_derivative_evaluations(cone, data):
     x = tuple(data.draw(st.lists(rational, min_size=cone.nvars, max_size=cone.nvars)))
+    assert cones.membership_exact(cone, x) is membership_by_derivatives(cone, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relaxation({**MEMBERSHIP_BASES, "psd:4": lambda: gallery.psd(4)}), st.data())
+def test_real_rootedness_check_never_fires_on_gallery_cones(cone, data):
+    x = tuple(data.draw(st.lists(rational, min_size=cone.nvars, max_size=cone.nvars)))
+    assert is_real_rooted(cone.restrict(x))
     assert cones.membership_exact(cone, x) is membership_by_derivatives(cone, x)
 
 
@@ -256,3 +269,28 @@ def test_derivative_tower_matches_sympy(name, data):
     for k, q in enumerate(tower):
         want = sympy.diff(along, t, k).subs(t, 0)
         assert sympy.expand(want - as_sympy(q, xs)) == 0
+
+
+@st.composite
+def factored_polynomial(draw):
+    """A product of random integer linear and quadratic factors, each to a
+    power 1 to 3: repeated roots, and complex pairs from the quadratics
+    with a negative discriminant, are common."""
+    f = (draw(st.sampled_from([1, -2, 3])),)
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=2))
+        factor = tuple(low) + (draw(st.integers(1, 3)),)
+        for _ in range(draw(st.integers(1, 3))):
+            out = [0] * (len(f) + len(factor) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            f = tuple(out)
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_polynomial())
+def test_real_rootedness_matches_the_multiplicity_count(f):
+    # one Sturm chain on f against Yun's split with a chain per factor
+    assert is_real_rooted(f) == (real_root_count_with_mult(f) == len(f) - 1)

@@ -224,3 +224,27 @@ def test_elimination_matches_fraction_oracle(rows, as_array):
     else:
         assert exactlin.inverse(given_rows) == expected
         assert lm.inverse().rows == expected
+
+
+@st.composite
+def integer_matrix(draw):
+    """A square integer matrix up to 8 x 8, mostly zeros so that zero
+    pivots and row swaps are common; half the time one row is replaced by
+    a multiple of another (possibly 0 times), which makes it singular."""
+    n = draw(st.integers(0, 8))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 10**15])
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        k = draw(st.integers(-3, 3))
+        rows[i] = [k * v for v in rows[j + (j >= i)]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrix())
+def test_bareiss_determinant_matches_gauss_jordan(rows):
+    # forward-only elimination against the Gauss-Jordan pass that rank and
+    # inverse still take
+    rk, pivot, _ = exactlin._eliminate(rows, len(rows))
+    assert exactlin.int_det(rows) == (pivot if rk == len(rows) else 0)

@@ -10,8 +10,8 @@ import pytest
 from hypercones import cones, exactlin, gallery, spectrum
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone
-from hypercones.poly import HomoPoly
-from hypercones.report import Membership
+from hypercones.poly import HomoPoly, is_real_rooted, simplex_lattice
+from hypercones.report import InconclusiveError, Membership
 
 
 def descriptor(cone) -> dict:
@@ -22,6 +22,18 @@ def descriptor(cone) -> dict:
     data = {"label": base.label, "polynomial": base.p.to_json_dict(),
             "e": [str(v) for v in base.e]}
     return {**data, "k": cone.k} if cone.k else data
+
+
+def not_hyperbolic_polynomial() -> HomoPoly:
+    """x0^4 - x0^2 x1^2 + x1^4 - x2^4, with p(e) = 1 at e = (1, 0, 0) but
+    not hyperbolic along e: at (0, 1, 0) the restriction t^4 - t^2 + 1 has
+    no real root."""
+    return HomoPoly(3, 4, {(4, 0, 0): 1, (2, 2, 0): -1, (0, 4, 0): 1, (0, 0, 4): -1})
+
+
+def not_hyperbolic_descriptor() -> dict:
+    return {"label": "not-hyperbolic", "polynomial": not_hyperbolic_polynomial().to_json_dict(),
+            "e": ["1", "0", "0"]}
 
 
 class TestOrthant:
@@ -399,6 +411,16 @@ class TestConeIds:
         assert again.minimality_assumed and not again.rog_flag
         dc = gallery.parse_cone_id(f"file:{path}:k=1")
         assert dc.base is not dc and dc.k == 1
+
+    def test_descriptor_not_hyperbolic_along_e_is_rejected(self):
+        # 12 of the 15 degree-4 lattice points have a restriction that is
+        # not real-rooted; the first in lattice order is named
+        cone = HyperCone(not_hyperbolic_polynomial(), (1, 0, 0))
+        failing = [x for x in simplex_lattice(3, 4).tolist() if not is_real_rooted(cone.restrict(x))]
+        assert len(failing) == 12 and failing[0] == [3, 1, 0]
+        for data in (not_hyperbolic_descriptor(), {**not_hyperbolic_descriptor(), "k": 1}):
+            with pytest.raises(InconclusiveError, match=r"lattice point \(3, 1, 0\).*not real-rooted"):
+                gallery.cone_from_descriptor(data)
 
     def test_descriptor_file_with_embedded_relaxation(self, tmp_path):
         dc = gallery.orthant(4).derivative_cone(2)

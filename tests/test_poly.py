@@ -441,6 +441,52 @@ class TestScalingMismatch:
         with pytest.raises(ValueError):
             scaling_mismatch(x1x2x3(), [(1, 0), (0, 1), (1, 1)], 1)
 
+    def test_linear_map_integer_form_is_read_as_cached(self, monkeypatch):
+        p = HomoPoly(3, 4, {(2, 1, 1): 1, (0, 2, 2): F(1, 3)})
+        A = LinearMap([[0, F(1, 2), 0], [F(2, 3), 0, 0], [0, 0, F(5, 4)]])
+        nums, den = A.integer_form()
+        calls = []
+        real = poly._eval_on_lattice
+        monkeypatch.setattr(poly, "_eval_on_lattice", lambda q, mat: calls.append(mat) or real(q, mat))
+        for kappa in (1, F(3, 7)):
+            calls.clear()
+            got = scaling_mismatch(p, A, kappa)
+            assert any(mat is nums for mat in calls) and A.integer_form() == (nums, den)
+            assert got == scaling_mismatch(p, A.rows, kappa) == scaling_mismatch_oracle(p, A.rows, kappa)
+
+
+class TestLatticeColumns:
+    """B'x on the lattice is one float64 matmul exactly when every row
+    bound M_i = d * max_j |B'_ij| is below 2^53."""
+
+    @staticmethod
+    def oracle(lattice, mat):
+        return [[sum(m * x for m, x in zip(row, pt)) for pt in lattice.tolist()] for row in mat]
+
+    @pytest.mark.parametrize("d, top", [(1, 2**53 - 1), (1, 2**53), (2, 2**52 - 1), (2, 2**52)])
+    def test_float_columns_equal_int64_and_object_ones(self, d, top):
+        # rows with max |entry| = top, M_i = d * top: below 2^53 in the first
+        # and third case (float path), 2^53 or more in the others
+        mat = [[top, -top, 3], [-top + 1, top, -top], [0, 1, top]]
+        lattice = simplex_lattice(3, d)
+        bounds = [d * max(abs(v) for v in row) for row in mat]
+        want = self.oracle(lattice, mat)
+        for dtype in (np.int64, object):
+            cols = poly._lattice_columns(lattice, mat, bounds, dtype)
+            assert cols.dtype == dtype and cols.tolist() == want
+            assert all(type(v) is int for v in cols.ravel().tolist())
+
+    def test_bound_below_two_to_the_53_takes_the_float_path(self):
+        # understated bounds on a matrix whose products leave the float
+        # grid show which path was taken: 2^53 - 1 rounds, 2^53 does not
+        mat = [[2**53 + 1, 0], [0, 1]]
+        lattice = simplex_lattice(2, 1)
+        assert self.oracle(lattice, mat) == [[2**53 + 1, 0], [0, 1]]
+        rounded = poly._lattice_columns(lattice, mat, [2**53 - 1, 1], object).tolist()
+        assert rounded == [[2**53, 0], [0, 1]]
+        exact = poly._lattice_columns(lattice, mat, [2**53, 1], object).tolist()
+        assert exact == self.oracle(lattice, mat)
+
 
 class TestScalingMismatchDtypeBoundary:
     """The int64 path is taken only under the overflow bound, and both

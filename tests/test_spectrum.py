@@ -1,16 +1,19 @@
 """Root extraction, spectra and rank classification."""
 
+import json
 from fractions import Fraction as F
+from math import nextafter
 
 import numpy as np
 import pytest
 
-from hypercones import gallery, spectrum
+from hypercones import exactlin, gallery, poly, spectrum, suite
 from hypercones.autgroup import LinearMap
 from hypercones.cones import HyperCone
 from hypercones.poly import HomoPoly
 from hypercones.report import InconclusiveError
 
+from test_autgroup import cayley_orthogonal
 from test_poly import int_form, root_count_with_mult
 
 
@@ -201,6 +204,121 @@ class TestIsolationBranches:
             np.array([proposal] * len(coeffs)), np.zeros(len(coeffs))))
         roots, residual = spectrum.real_roots(f)
         assert_encloses_sympy_roots(f, roots, residual)
+
+
+REAL_SEEDS = spectrum._float_seeds
+
+
+def perturbed_seeds(how):
+    """A stand-in for `spectrum._float_seeds` that moves its proposals: an
+    int shifts every seed by that many ordinals, "zigzag" shifts seed i by
+    +-(1 + i % 8) ordinals, "drop" drops each polynomial's first seed and
+    "none" proposes nothing."""
+    def seeds(fs):
+        out = REAL_SEEDS(fs)
+        if how == "none":
+            return [[] for _ in out]
+        if how == "drop":
+            return [s[1:] for s in out]
+        if how == "zigzag":
+            return [sorted(v + (-1) ** i * (1 + i % 8) for i, v in enumerate(s)) for s in out]
+        return [[v + how for v in s] for s in out]
+    return seeds
+
+
+def suite_json_with_seed_shift(name_filter: str, seed: int, shift: int) -> str:
+    """The suite JSON of the checks matching `name_filter` at `seed`, with
+    every float seed of the certified spectra shifted by `shift` ordinals."""
+    saved = spectrum._float_seeds
+    spectrum._float_seeds = perturbed_seeds(shift)
+    try:
+        return json.dumps(suite.run_suite(seed=seed, name_filter=name_filter).to_json_dict())
+    finally:
+        spectrum._float_seeds = saved
+
+
+def seed_test_points():
+    """(cone, rational points) pairs: psd:4 Cayley points Q diag(lam) Q^T
+    with repeated and zero lam, orthant points with repeats and zeros,
+    clusters at 2^-20 .. 2^-40, and the points of
+    `test_each_spectrum_equals_its_one_point_call`."""
+    rng = np.random.default_rng(36)
+    psd4 = []
+    for i in range(8):
+        lam = [F(int(v), 3) for v in rng.integers(-9, 10, size=4)]
+        lam[1] = lam[0]
+        if i % 2:
+            lam[2] = F(0)
+        q = cayley_orthogonal(rng, 4).rows
+        psd4.append(gallery.svec(exactlin.matmul(exactlin.matmul(q, exactlin.diag(lam)),
+                                                 exactlin.transpose(q))))
+    sets = [(gallery.psd(4), psd4)]
+    for n in (5, 6):
+        pts = [tuple(F(int(v), 2) for v in rng.integers(-4, 5, size=n)) for _ in range(12)]
+        sets.append((gallery.orthant(n), pts + [(0,) * (n - 2) + (1, 1), (2,) * n]))
+    clusters = [(1, 1 + F(1, 2**j), 1 + F(2, 2**j), 3) for j in range(20, 41, 4)]
+    sets.append((gallery.orthant(4), clusters))
+    rng = np.random.default_rng(18)
+    eps = F(1, 2**40)
+    for cone in (gallery.orthant(4), gallery.psd(3), gallery.soc(3), gallery.l1_cone()):
+        xs = [tuple(F(int(v), 8) for v in rng.integers(-24, 25, size=cone.nvars))
+              for _ in range(30)]
+        xs += [cone.e, (0,) * cone.nvars, (1,) + (0,) * (cone.nvars - 1)]
+        if cone.nvars == 4:
+            xs += [(1, 1 + eps, 1 + 2 * eps, 3), (1, 1, 2, 3)]
+        sets.append((cone, xs))
+    return sets
+
+
+class TestSeedIndependence:
+    """Every root ends on its one-ulp float cell, so the float seeds move
+    the work, never the result."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        sets = seed_test_points()
+        return [(cone, xs, spectrum.spectra(cone, xs)) for cone, xs in sets]
+
+    @pytest.mark.parametrize("how", [1, -1, 8, -8, "zigzag", "drop", "none"])
+    def test_moved_seeds_give_identical_spectra(self, monkeypatch, points, how):
+        monkeypatch.setattr(spectrum, "_float_seeds", perturbed_seeds(how))
+        for cone, xs, want in points:
+            assert spectrum.spectra(cone, xs) == want
+
+    def test_each_eigenvalue_is_the_least_float_above_its_root(self, points):
+        # on a square-free restriction f, f changes sign between the float
+        # below each eigenvalue and the eigenvalue, or vanishes there
+        checked = 0
+        for cone, xs, specs in points:
+            for x, spec in zip(xs, specs):
+                f = cone.restrict(x)
+                if [mult for _, mult in poly.factor_chains(f)] != [1]:
+                    continue
+                checked += 1
+                for lam in spec.eigenvalues:
+                    below = nextafter(lam, -np.inf)
+                    assert poly.sign_at(f, lam) == 0 or \
+                        poly.sign_at(f, below) * poly.sign_at(f, lam) < 0
+                exact = all(poly.sign_at(f, lam) == 0 for lam in spec.eigenvalues)
+                assert (spec.residual == 0.0) == exact
+        assert checked > 100
+
+    def test_repeated_tail_with_alternating_factors_takes_no_sturm_count(self, monkeypatch):
+        # (t^2 - 2)^2 (t - 3): the tail does not alternate, so it takes
+        # Yun's split, and each factor alternates at its own seed cuts
+        counts, splits = [], []
+        monkeypatch.setattr(spectrum, "sign_variations",
+                            lambda chain, t: counts.append(t) or poly.sign_variations(chain, t))
+        monkeypatch.setattr(spectrum, "factor_chains",
+                            lambda f: splits.append(f) or poly.factor_chains(f))
+        f = (-12, 4, 12, -4, -3, 1)
+        roots, residual = spectrum.real_roots(f)
+        assert counts == [] and splits == [f]
+        # r is the least float above sqrt(2), and -sqrt(2) lies in the cell
+        # (-r, -r + 1 ulp]
+        r = 2**0.5 if F(2**0.5) ** 2 > 2 else nextafter(2**0.5, 3)
+        assert roots == (3.0, r, r, -nextafter(r, 0), -nextafter(r, 0))
+        assert residual == r - nextafter(r, 0)
 
 
 class TestFloatKernel:
