@@ -23,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -426,15 +427,22 @@ def psd_rank1_generators(n: int, rng, extras: int = 3):
 # ---------------------------------------------------------------------------
 
 
+# Most simplex-lattice points a descriptor's screen visits: the full
+# degree-d lattice has C(n + d - 1, d) points (92,378 for orthant:10).
+SCREEN_POINTS = 1000
+
+
 def cone_from_descriptor(data) -> HyperCone:
     """Cone from its descriptor JSON: {"label", "polynomial", "e", "k"?}.
 
     The optional flag keys record documented assumptions about the
     polynomial, never verified claims; they default to off.  The
-    restrictions at the points of `simplex_lattice(nvars, degree)` are
-    screened: the first that is not real-rooted shows that p is not
-    hyperbolic along e and raises InconclusiveError, as any point outside
-    the hyperbolic regime does.  Passing the screen proves nothing.
+    restrictions at the points of `simplex_lattice(nvars, k)` are
+    screened, k the largest order up to the degree whose lattice has at
+    most `SCREEN_POINTS` points (or 1): the first that is not real-rooted
+    shows that p is not hyperbolic along e and raises InconclusiveError,
+    as any point outside the hyperbolic regime does.  Passing the screen
+    proves nothing.
     """
     p = HomoPoly.from_json_dict(data["polynomial"])
     cone = HyperCone(
@@ -444,7 +452,10 @@ def cone_from_descriptor(data) -> HyperCone:
         minimality_assumed=bool(data.get("minimality_assumed", False)),
         rog_flag=bool(data.get("rog_flag", False)),
     )
-    for x in simplex_lattice(p.nvars, p.degree).tolist():
+    k = p.degree
+    while k > 1 and comb(p.nvars + k - 1, k) > SCREEN_POINTS:
+        k -= 1
+    for x in simplex_lattice(p.nvars, k).tolist():
         if not is_real_rooted(cone.restrict(x)):
             raise InconclusiveError(
                 f"polynomial is not hyperbolic along e: at lattice point {tuple(x)} the "

@@ -434,11 +434,10 @@ def _lattice_dtype(terms, col_bounds):
 def scaling_mismatch(p: HomoPoly, B, kappa):
     """First lattice point x with kappa * p(Bx) != p(x), or None.
 
-    B is the matrix of x -> Bx: a `LinearMap`, whose cached integer form
-    (B', scale) with B = B' / scale is read as it is, or its rows, whose
-    denominators are cleared once here.  (Bx)_i is the linear form
-    sum_j B_ij x_j, which p(Bx) puts in place of x_i.  Both sides are
-    forms of degree d, so agreement on `simplex_lattice(n, d)` proves
+    B is the map x -> Bx as an `autgroup.LinearMap`: its cached integer
+    form (B', scale), with B = B' / scale, is read as it is.  (Bx)_i is
+    the linear form sum_j B_ij x_j, which p(Bx) puts in place of x_i.
+    Both sides are forms of degree d, so agreement on `simplex_lattice(n, d)` proves
     kappa * (p o B) = p without expanding p o B.  The comparison
     num(kappa) * P(B'x) == den(kappa) * scale^d * P(x) runs in integers,
     a whole lattice column at a time (`_eval_on_lattice`).  P(x) depends
@@ -447,14 +446,9 @@ def scaling_mismatch(p: HomoPoly, B, kappa):
     Python ints.  A mismatch returns the point x (a tuple of ints),
     kappa * p(Bx) and p(x), the last two as Fractions.
     """
-    if hasattr(B, "integer_form"):
-        bmat, scale = B.integer_form()
-    else:
-        rows = tuple(as_vector(r) for r in B)
-        scale = lcm(*(v.denominator for r in rows for v in r))
-        bmat = [[v.numerator * (scale // v.denominator) for v in r] for r in rows]
-    if len(bmat) != p.nvars or any(len(r) != p.nvars for r in bmat):
-        raise ValueError("scaling identity needs a square map on the variables of p")
+    bmat, scale = B.integer_form()
+    if len(bmat) != p.nvars:
+        raise ValueError("scaling identity needs a map on the variables of p")
     kappa = as_fraction(kappa)
     den = p._int_term_list()[0]
     d = p.degree
@@ -675,18 +669,10 @@ def sign_at(f, t) -> int:
         s = 1 if f[-1] > 0 else -1
         return s if t > 0 or len(f) % 2 else -s
     num, den = t.as_integer_ratio()
-    acc = f[-1]  # den^deg * f(num / den), by Horner
-    k = den.bit_length() - 1
-    if den == 1 << k:  # a float's denominator: powers of den are shifts
-        shift = 0
-        for c in reversed(f[:-1]):
-            shift += k
-            acc = acc * num + (c << shift)
-    else:
-        power = 1
-        for c in reversed(f[:-1]):
-            power *= den
-            acc = acc * num + c * power
+    acc, power = f[-1], 1  # den^deg * f(num / den), by Horner
+    for c in reversed(f[:-1]):
+        power *= den
+        acc = acc * num + c * power
     return (acc > 0) - (acc < 0)
 
 

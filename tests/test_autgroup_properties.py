@@ -63,7 +63,7 @@ def test_lattice_verdict_matches_compose(case):
         return
     kappa = cone.pe / p_ae
     identity = kappa * cone.p.compose(A.rows) == cone.p
-    assert (scaling_mismatch(cone.p, A.rows, kappa) is None) == identity
+    assert (scaling_mismatch(cone.p, A, kappa) is None) == identity
     # every cone above is flagged minimal, so a mismatch refutes exactly
     holds = identity and membership_exact(cone, ae) is Membership.IN
     assert rep.tier == "exact" and rep.kappa == kappa

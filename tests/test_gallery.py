@@ -422,6 +422,24 @@ class TestConeIds:
             with pytest.raises(InconclusiveError, match=r"lattice point \(3, 1, 0\).*not real-rooted"):
                 gallery.cone_from_descriptor(data)
 
+    def test_descriptor_screen_visits_a_bounded_lattice(self, monkeypatch):
+        visited = []
+        monkeypatch.setattr(gallery, "is_real_rooted", lambda f: visited.append(f) or is_real_rooted(f))
+        # orthant:10's degree-10 lattice has 92,378 points; the screen
+        # visits the 715 of its degree-4 lattice
+        cone = gallery.cone_from_descriptor(descriptor(gallery.orthant(10)))
+        assert cone.p == gallery.orthant(10).p and len(visited) == 715 <= gallery.SCREEN_POINTS
+        # the coarse lattice still meets the factor that is not hyperbolic
+        # along e: x0^4 - x0^2 x1^2 + x1^4 - x2^4 times x3 ... x7 has 11,440
+        # degree-9 lattice points, and the screen visits at most the 792
+        # of degree 5
+        visited.clear()
+        terms = {(*a, 1, 1, 1, 1, 1): c for a, c in not_hyperbolic_polynomial().terms.items()}
+        data = {"polynomial": HomoPoly(8, 9, terms).to_json_dict(), "e": ["1", "0", "0"] + ["1"] * 5}
+        with pytest.raises(InconclusiveError, match="not real-rooted"):
+            gallery.cone_from_descriptor(data)
+        assert 0 < len(visited) <= 792
+
     def test_descriptor_file_with_embedded_relaxation(self, tmp_path):
         dc = gallery.orthant(4).derivative_cone(2)
         path = tmp_path / "relaxed.json"

@@ -414,7 +414,7 @@ class TestScalingMismatch:
                 for i, ai in enumerate(a):
                     for k in range(ai):
                         lagrange = lagrange * (d * HomoPoly.variable(i, n) - k * total)
-                x, lhs, rhs = scaling_mismatch(lagrange, identity, 2)
+                x, lhs, rhs = scaling_mismatch(lagrange, LinearMap(identity), 2)
                 assert x == tuple(a) and lhs == 2 * rhs != 0
 
     def test_own_lattice_values_computed_once(self, monkeypatch):
@@ -425,21 +425,23 @@ class TestScalingMismatch:
         real = poly._eval_on_lattice
         monkeypatch.setattr(poly, "_eval_on_lattice", lambda q, mat: calls.append(mat) or real(q, mat))
         swap = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
-        first = scaling_mismatch(p, swap, 1)
+        first = scaling_mismatch(p, LinearMap(swap), 1)
         assert first is not None and len(calls) == 2
-        assert scaling_mismatch(p, swap, 1) == first and len(calls) == 3
+        assert scaling_mismatch(p, LinearMap(swap), 1) == first and len(calls) == 3
         assert first == scaling_mismatch_oracle(p, swap, 1)
         assert not p._lattice_values().flags.writeable
 
     def test_weighted_product_swap(self):
         p = HomoPoly(3, 4, {(2, 1, 1): 1})
-        x, lhs, rhs = scaling_mismatch(p, [(0, 1, 0), (1, 0, 0), (0, 0, 1)], 1)
+        x, lhs, rhs = scaling_mismatch(p, LinearMap([(0, 1, 0), (1, 0, 0), (0, 0, 1)]), 1)
         assert (x, lhs, rhs) == ((2, 1, 1), F(2), F(4))
-        assert scaling_mismatch(p, [(F(1, 2), 0, 0), (0, 4, 0), (0, 0, 1)], 1) is None
+        assert scaling_mismatch(p, LinearMap([(F(1, 2), 0, 0), (0, 4, 0), (0, 0, 1)]), 1) is None
 
     def test_rectangular_map_rejected(self):
         with pytest.raises(ValueError):
-            scaling_mismatch(x1x2x3(), [(1, 0), (0, 1), (1, 1)], 1)
+            LinearMap([(1, 0), (0, 1), (1, 1)])
+        with pytest.raises(ValueError):  # a square map on two of the three variables
+            scaling_mismatch(x1x2x3(), LinearMap([(1, 0), (0, 1)]), 1)
 
     def test_linear_map_integer_form_is_read_as_cached(self, monkeypatch):
         p = HomoPoly(3, 4, {(2, 1, 1): 1, (0, 2, 2): F(1, 3)})
@@ -452,7 +454,7 @@ class TestScalingMismatch:
             calls.clear()
             got = scaling_mismatch(p, A, kappa)
             assert any(mat is nums for mat in calls) and A.integer_form() == (nums, den)
-            assert got == scaling_mismatch(p, A.rows, kappa) == scaling_mismatch_oracle(p, A.rows, kappa)
+            assert got == scaling_mismatch_oracle(p, A.rows, kappa)
 
 
 class TestLatticeColumns:
@@ -519,7 +521,7 @@ class TestScalingMismatchDtypeBoundary:
     def check(p, rows, kappa):
         """The identity holds at kappa and fails at kappa (1 + 1/den)."""
         for kap, holds in ((kappa, True), (kappa * (1 + F(1, kappa.denominator)), False)):
-            got = scaling_mismatch(p, rows, kap)
+            got = scaling_mismatch(p, LinearMap(rows), kap)
             assert got == scaling_mismatch_oracle(p, rows, kap)
             assert (got is None) == holds
             if got is not None:
@@ -552,7 +554,7 @@ class TestScalingMismatchDtypeBoundary:
         for p in (gallery.orthant(4).p, HomoPoly(4, 4, {(2, 1, 0, 1): 1})):
             for c, dtype in ((13777, np.int64), (13778, object)):
                 lhs_dtypes.clear()
-                got = scaling_mismatch(p, [[c] * 4] * 4, 1)
+                got = scaling_mismatch(p, LinearMap([[c] * 4] * 4), 1)
                 assert lhs_dtypes[0] is dtype
                 assert got == ((4, 0, 0, 0), (4 * c) ** 4, 0)
                 assert got == scaling_mismatch_oracle(p, [[c] * 4] * 4, 1)
@@ -561,8 +563,8 @@ class TestScalingMismatchDtypeBoundary:
         # no term has a variable, so each side is one scalar on the lattice
         p = HomoPoly(2, 0, {(0, 0): 1})
         eye = [(1, 0), (0, 1)]
-        assert scaling_mismatch(p, eye, 2) == ((0, 0), F(2), F(1))
-        assert scaling_mismatch(p, eye, 1) is None
+        assert scaling_mismatch(p, LinearMap(eye), 2) == ((0, 0), F(2), F(1))
+        assert scaling_mismatch(p, LinearMap(eye), 1) is None
 
     def test_float_entries_read_from_json(self, lhs_dtypes):
         # Fraction(0.1) has denominator 2^55: B' = 2^55 B leaves int64

@@ -200,8 +200,8 @@ class TestIsolationBranches:
         # seeds only propose cuts: a zero sign or a missed sign change at a
         # cut must send the factor to the Sturm counts
         f = (-6, 11, -6, 1)  # (t - 1)(t - 2)(t - 3)
-        monkeypatch.setattr(spectrum, "_float_roots", lambda coeffs: (
-            np.array([proposal] * len(coeffs)), np.zeros(len(coeffs))))
+        monkeypatch.setattr(spectrum, "_float_seeds", lambda fs: [
+            sorted(spectrum._ordinal(v) for v in proposal) for _ in fs])
         roots, residual = spectrum.real_roots(f)
         assert_encloses_sympy_roots(f, roots, residual)
 
