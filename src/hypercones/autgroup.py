@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -48,13 +48,15 @@ WITNESS_MARGIN = 1e-6
 class LinearMap:
     """Square matrix with exact rational entries.
 
-    `rows` is the tuple of Fraction rows.  Two views are cached on first
-    use: the integer form, numerators over one common denominator, on
-    which `apply`, `det` and `inverse` run in Python ints, and a float
-    matrix for the float routes.
+    A map is built from its Fraction rows, or by `from_integer_form` from
+    numerators over one common denominator.  Each form is computed from
+    the other on first use and cached, and so are the determinant, the
+    inverse and a float matrix for the float routes.  `apply`, `det` and
+    `inverse` run on the integer form in Python ints, so a map built from
+    integers never builds its Fraction `rows` unless something reads them.
     """
 
-    __slots__ = ("n", "rows", "_det", "_float", "_inv", "_int")
+    __slots__ = ("n", "_rows", "_det", "_float", "_inv", "_int")
 
     def __init__(self, rows):
         rows = exactlin.as_matrix(rows)
@@ -62,11 +64,39 @@ class LinearMap:
         if any(len(r) != n for r in rows):
             raise ValueError("linear map must be square")
         self.n = n
-        self.rows = rows
+        self._rows = rows
         self._det = None
         self._float = None
         self._inv = None
         self._int = None
+
+    @classmethod
+    def from_integer_form(cls, nums, den: int, det) -> "LinearMap":
+        """The map nums / den for a square list of integer rows and a
+        nonzero integer den, whose determinant `det` the caller knows.
+        The form is reduced to the one `integer_form` reads off the rows:
+        den > 0 and no factor common to den and every entry."""
+        if any(len(r) != len(nums) for r in nums):
+            raise ValueError("linear map must be square")
+        g = gcd(den, *(v for row in nums for v in row))
+        if den < 0:
+            g = -g
+        out = cls.__new__(cls)
+        out.n = len(nums)
+        out._rows = None
+        out._det = det
+        out._float = None
+        out._inv = None
+        out._int = ([[v // g for v in row] for row in nums], den // g)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as a tuple of Fraction rows."""
+        if self._rows is None:
+            nums, den = self._int
+            self._rows = tuple(tuple(Fraction(v, den) for v in row) for row in nums)
+        return self._rows
 
     @classmethod
     def scaled_permutation(cls, scalings, perm) -> "LinearMap":
@@ -97,10 +127,11 @@ class LinearMap:
         return cls(exactlin.matmul(minus, plus.inverse().rows))
 
     def integer_form(self):
-        """(nums, den) with rows == nums / den entrywise."""
+        """(nums, den) with rows == nums / den entrywise, den the least
+        common denominator."""
         if self._int is None:
-            den = lcm(*(v.denominator for row in self.rows for v in row))
-            nums = [[v.numerator * (den // v.denominator) for v in row] for row in self.rows]
+            den = lcm(*(v.denominator for row in self._rows for v in row))
+            nums = [[v.numerator * (den // v.denominator) for v in row] for row in self._rows]
             self._int = (nums, den)
         return self._int
 
@@ -120,7 +151,8 @@ class LinearMap:
         if self._inv is None:
             nums, den = self.integer_form()
             adj, d = exactlin.int_inverse(nums)
-            self._inv = LinearMap([[Fraction(v * den, d) for v in row] for row in adj])
+            self._inv = LinearMap.from_integer_form([[v * den for v in row] for row in adj],
+                                                    d, 1 / self.det)
         return self._inv
 
     def apply(self, v):
@@ -134,7 +166,8 @@ class LinearMap:
 
     def to_float(self) -> np.ndarray:
         if self._float is None:
-            self._float = np.array([[float(v) for v in row] for row in self.rows])
+            nums, den = self.integer_form()
+            self._float = np.array([[v / den for v in row] for row in nums])
         return self._float
 
     @classmethod
@@ -168,9 +201,11 @@ def _require_exact(A, what: str) -> None:
 
 @dataclass(frozen=True)
 class StabilizerResult:
-    """Whether A e = alpha e with alpha > 0, and the exact alpha if so."""
+    """Whether A e = alpha e with alpha > 0, the exact alpha if so, and
+    the image A e that was judged."""
 
     fixed: bool
+    image: tuple[Fraction, ...]
     alpha: Fraction | None = None
 
     def to_json_dict(self):
@@ -194,8 +229,8 @@ def stabilizer_check(A: LinearMap, e) -> StabilizerResult:
         raise ValueError("direction must be nonzero")
     alpha = ae[pivot] / e[pivot]
     if alpha > 0 and all(av == alpha * ev for av, ev in zip(ae, e)):
-        return StabilizerResult(True, alpha)
-    return StabilizerResult(False, None)
+        return StabilizerResult(True, ae, alpha)
+    return StabilizerResult(False, ae, None)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +254,22 @@ def check_automorphism(cone, A: LinearMap) -> CheckReport:
     Without one the verdict is Inconclusive.  A map that is not a
     `LinearMap` raises TypeError: a float matrix has no exact tier.
     """
+    _require_map_on(cone, A)
+    return _automorphism_report(cone, A, A.apply(cone.e))
+
+
+def _require_map_on(cone, A) -> None:
+    """Raise TypeError unless A is exact, ValueError unless it is an
+    invertible map of the cone's space."""
     _require_exact(A, "automorphism check")
     if A.n != cone.nvars:
         raise ValueError("map dimension does not match the cone")
     if not A.invertible:
         raise ValueError("map must be invertible")
-    ae = A.apply(cone.e)
+
+
+def _automorphism_report(cone, A: LinearMap, ae) -> CheckReport:
+    """`check_automorphism` given the image ae = A e of the direction."""
     p_ae = cone.p.eval(ae)
     if p_ae <= 0:
         return CheckReport(
@@ -308,15 +353,17 @@ def check_deriv_automorphism(cone: HyperCone, k: int, A: LinearMap) -> CheckRepo
     decisive mismatch raises the equivalence_violation flag.  Outside the
     regime only the forward implication is audited and a warning explains
     which hypothesis is missing.  All three verdicts (base, stabilizer,
-    relaxation) take the exact `LinearMap` A; anything else raises
-    TypeError through `check_automorphism`.
+    relaxation) take the exact `LinearMap` A and read one image A e;
+    anything else raises TypeError, as in `check_automorphism`.
     """
     if not 1 <= k <= cone.d - 1:
         raise ValueError(f"relaxation order {k} outside 1..{cone.d - 1}")
     dc = cone.derivative_cone(k)
-    base_rep = check_automorphism(cone, A)
+    _require_map_on(cone, A)
     stab = stabilizer_check(A, cone.e)
-    deriv_rep = check_automorphism(dc, A)
+    # the relaxation shares the direction e, so all three read one image
+    base_rep = _automorphism_report(cone, A, stab.image)
+    deriv_rep = _automorphism_report(dc, A, stab.image)
 
     warnings = list(deriv_rep.regime_warnings)
     in_regime = (
@@ -605,16 +652,18 @@ def lm_linear_map(M: LinearMap, n: int) -> LinearMap:
     """The action X -> M X M^T on svec coordinates: `svec_product(M, M)`.
 
     M = N / den is multiplied out in Python ints, and the image is the
-    `LinearMap` svec_product(N, N) / den^2.  A map that is not a
-    `LinearMap` raises TypeError.
+    `LinearMap` svec_product(N, N) / den^2, built from that integer form
+    with no Fraction entry.  Its determinant is det(M)^(n+1), the
+    determinant of a congruence on the symmetric n x n matrices.  A map
+    that is not a `LinearMap` raises TypeError.
     """
     _require_exact(M, "conjugation")
     if M.n != n:
         raise ValueError("conjugating matrix has wrong shape")
     nums, den = M.integer_form()
     m = np.array(nums, dtype=object)
-    image = svec_product(m, m)
-    return LinearMap([[Fraction(v, den * den) for v in row] for row in image.tolist()])
+    image = svec_product(m, m).tolist()
+    return LinearMap.from_integer_form(image, den * den, M.det ** (n + 1))
 
 
 def classify_psd_deriv(n: int, k: int, M: LinearMap) -> CheckReport:

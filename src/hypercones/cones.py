@@ -399,18 +399,19 @@ def certified_separation(cone_in, x, cone_out, y, margin):
     """Certify that the rational point x lies inside `cone_in` and the
     rational point y outside `cone_out`, both with margin.
 
-    Exact derivative signs must put x in the interior of `cone_in` and y
-    outside the closed `cone_out`, and certified spectra must give
-    lambda_min(x) >= margin and lambda_min(y) <= -margin.  Returns the two
-    certified lambda_min values, or None when any step fails.
+    Decided by the two certified spectra alone.  Each lambda_min is the
+    least float >= the true one, so lambda_min(x) > 0 puts x in the
+    interior of `cone_in` and lambda_min(y) < 0 puts y outside the closed
+    `cone_out`; they must also give lambda_min(x) >= margin and
+    lambda_min(y) <= -margin.  A restriction that is not real-rooted
+    raises InconclusiveError, as in `membership_exact`.  Returns the two
+    certified lambda_min values, or None when either fails.
     """
-    if membership_exact(cone_in, x) is not Membership.IN:
-        return None
-    if membership_exact(cone_out, y) is not Membership.OUT:
-        return None
     lam_x = spectrum.eigenvalues(cone_in, x).lambda_min
+    if not (lam_x > 0 and lam_x >= margin):
+        return None
     lam_y = spectrum.eigenvalues(cone_out, y).lambda_min
-    if lam_x < margin or lam_y > -margin:
+    if not (lam_y < 0 and lam_y <= -margin):
         return None
     return lam_x, lam_y
 

@@ -11,14 +11,18 @@ kernel only proposes split points: unpolished companion eigenvalues, one
 at the d + 1 cuts between its seeds alternate strictly, each interval
 holds one simple root, so the tail is real-rooted and square-free and no
 Sturm chain is built.  Only a tail that does not alternate is split into
-square-free factors, which try alternation first; the Sturm counts of the
-rest refute or certify real-rootedness and isolate the roots.  Every root
-is then refined by exact sign evaluations to its one-ulp float cell
-(a, b] (Collins & Akritas 1976).  The eigenvalue is b, the least float
->= the root, so it is exact when the root is a float and never depends on
-the seeds; the residual is one ulp, b - a, or 0 when every root is exact,
-a certified error bound.  An eigenvalue beyond the float range is
-reported as inconclusive, not rounded.
+square-free factors, which try alternation first.  A square-free
+polynomial that does not alternate, typically at a root cluster the
+unpolished seeds cannot separate, is shifted exactly in integers to each
+of its seeds, and the roots of the shifted polynomials nearest 0 are its
+new seeds, for up to RESEED_ROUNDS rounds; the Sturm counts of what
+still does not alternate refute or certify real-rootedness and isolate
+the roots.  Every root is then refined by exact sign evaluations to its
+one-ulp float cell (a, b] (Collins & Akritas 1976).  The eigenvalue is b,
+the least float >= the root, so it is exact when the root is a float and
+never depends on the seeds; the residual is one ulp, b - a, or 0 when
+every root is exact, a certified error bound.  An eigenvalue beyond the
+float range is reported as inconclusive, not rounded.
 
 Float points come as the rows of a 2-D stack and only ever go through one
 batched kernel: balanced companion-matrix eigenvalues plus two guarded
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from math import copysign, inf, isfinite
+from math import copysign, inf, isfinite, ldexp
 
 import numpy as np
 
@@ -58,6 +63,10 @@ RESIDUAL_GATE = 1e-6
 # |eigenvalue| inside (DEFAULT_ZERO_TOL / BAND, DEFAULT_ZERO_TOL * BAND) cannot be classified
 # as zero or nonzero without risking silent misclassification.
 AMBIGUOUS_BAND = 4.0
+
+# Rounds of Taylor-shift re-seeding (`_shifted_seeds`) a square-free
+# polynomial whose seeds do not alternate gets before its Sturm counts.
+RESEED_ROUNDS = 3
 
 NOT_REAL_ROOTED = "restriction is not real-rooted; point outside the hyperbolic regime"
 
@@ -244,7 +253,9 @@ def _alternating_cells(f, seeds, cuts, signs):
 
 
 def _sturm_cells(chain, seeds):
-    """The cells of the roots of the square-free chain[0] from Sturm counts.
+    """The cells of the roots of the square-free chain[0] from Sturm counts:
+    the fallback for a polynomial whose re-seeded cuts still do not
+    alternate, such as one with non-real roots or roots a few ulps apart.
 
     The chain counts the roots at every cut between the seeds, an interval
     counted twice is bisected, and roots closer than one ulp share one
@@ -272,12 +283,64 @@ def _sturm_cells(chain, seeds):
     return out
 
 
+def _shifted_seeds(f, seeds):
+    """New ascending seeds for the square-free f, proposed next to its old
+    ones, or None when there are not deg f of them or a shift overflows.
+
+    f is shifted exactly to each distinct seed c = m / 2^k: by Horner in
+    integers, G(u) = sum_i f_i (m + u)^i 2^(k(d - i)) = 2^(kd) f(c + u / 2^k),
+    whose roots u = 2^k lambda - m near 0 are the roots of f near c with
+    the cancellation of evaluating f there left to exact integers.  One
+    unpolished `eigvals` call takes every G; a seed value proposed m times
+    keeps the m roots of its G nearest 0.
+    """
+    if len(seeds) != len(f) - 1:
+        return None
+    counts = Counter(seeds)
+    centres, rows = [], []
+    for s in counts:
+        c = _from_ordinal(s)
+        m, den = c.as_integer_ratio()
+        g, power = [f[-1]], 1
+        for fi in reversed(f[:-1]):
+            power *= den
+            g = [m * g[0] + fi * power, *(m * a + b for a, b in zip(g[1:], g)), g[-1]]
+        try:
+            rows.append([v / f[-1] for v in g])
+        except OverflowError:
+            return None
+        centres.append((c, den.bit_length() - 1, counts[s]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.linalg.eigvals(_companion(np.array(rows)))
+    nearest = np.take_along_axis(vals.real, np.argsort(np.abs(vals), axis=1), axis=1)
+    out = []
+    for (c, k, mult), us in zip(centres, nearest.tolist()):
+        out += [v for v in (c + ldexp(u, -k) for u in us[:mult]) if isfinite(v)]
+    return sorted(_ordinal(v) for v in out)
+
+
+def _reseeded_cells(chain, seeds):
+    """Cells of the square-free chain[0] when its seeds do not alternate:
+    up to RESEED_ROUNDS rounds of `_shifted_seeds`, each followed by an
+    alternation test, and the Sturm counts when none alternates."""
+    f = chain[0]
+    for _ in range(RESEED_ROUNDS):
+        shifted = _shifted_seeds(f, seeds)
+        if shifted is None:
+            break
+        seeds = shifted
+        alternation = _alternation(f, seeds)
+        if alternation is not None:
+            return _alternating_cells(f, seeds, *alternation)
+    return _sturm_cells(chain, seeds)
+
+
 def _factor_cells(chain, seeds):
     """Cells of a square-free factor: alternation at its seed cuts first,
-    Sturm counts only when it does not alternate."""
+    then the re-seeding rounds and Sturm counts of `_reseeded_cells`."""
     alternation = _alternation(chain[0], seeds)
     if alternation is None:
-        return _sturm_cells(chain, seeds)
+        return _reseeded_cells(chain, seeds)
     return _alternating_cells(chain[0], seeds, *alternation)
 
 
@@ -293,9 +356,10 @@ def _certified_roots(fs):
     Each tail (f with its zero roots sliced off) is seeded once, all tails
     of a degree in one `_float_seeds` call, and one that alternates at its
     seed cuts is certified with no Sturm chain.  Only a tail that does not
-    alternate takes `factor_chains`: a square-free one keeps its seeds for
-    the Sturm counts, and the Yun factors of the others get one seeding
-    call for all of them and try alternation first.
+    alternate takes `factor_chains`: a square-free one goes on to the
+    re-seeding rounds with its seeds, and the Yun factors of the others
+    get one seeding call for all of them and try alternation first, so a
+    tail with a repeated root is never re-seeded itself.
     """
     if not all(fs):
         raise ValueError("zero polynomial has no well-defined roots")
@@ -312,7 +376,7 @@ def _certified_roots(fs):
         if alternations[i] is not None:
             parts = [(_alternating_cells(tails[i], seeds[i], *alternations[i]), 1)]
         elif i in squarefree:
-            parts = [(_sturm_cells(split[i][0][0], seeds[i]), 1)]
+            parts = [(_reseeded_cells(split[i][0][0], seeds[i]), 1)]
         else:
             parts = [(_factor_cells(chain, next(yun_seeds)), mult) for chain, mult in split[i]]
         roots = [0.0] * (len(f) - len(tails[i]))
@@ -332,7 +396,8 @@ def real_roots(f):
 
     Zero coefficients at the low end give exact 0.0 roots and are sliced
     off; every other root is isolated, in the tail itself when it
-    alternates or else in its square-free factor, and repeated by its
+    alternates or else in its square-free factor (by alternation at its
+    own or re-seeded cuts, or by Sturm counts), and repeated by its
     exact multiplicity.  Each float is the least float >= its root, which
     lies within `residual`, the widest cell, of it.  A non-real root, or a
     root beyond the float range, raises InconclusiveError.

@@ -3,7 +3,7 @@
 import dataclasses
 import sys
 from fractions import Fraction as F
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 import pytest
@@ -123,6 +123,68 @@ class TestLinearMap:
             t = 2 * t_of(float(u))
             flow = np.eye(3) + odd(t) * wf + sign * (even(t) - 1) * wf @ wf
             assert np.allclose(q.to_float(), flow, rtol=0, atol=1e-12)
+
+
+def conjugators(rng, n):
+    """Signed permutations, Cayley orthogonals (one scaled by 2/3), dense
+    integer and rational maps, and singular rational maps on R^n."""
+    for _ in range(2):
+        perm, signs = rng.permutation(n), rng.choice([-1, 1], size=n)
+        yield LinearMap([[int(signs[r]) if c == perm[r] else 0 for c in range(n)]
+                         for r in range(n)])
+        q = cayley_orthogonal(rng, n)
+        yield q
+        yield LinearMap([[F(2, 3) * v for v in row] for row in q.rows])
+        yield dense_integer_map(rng, n)
+        dense = [[F(int(rng.integers(-5, 6)), int(rng.integers(1, 7))) for _ in range(n)]
+                 for _ in range(n)]
+        yield LinearMap(dense)
+        yield LinearMap(dense[:-1] + [[a - 2 * b for a, b in zip(dense[0], dense[-2])]])
+
+
+class TestConjugationMap:
+    """`lm_linear_map` builds its image from integers; every view of it
+    equals the one built from Fraction entries."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_image_matches_the_fraction_construction(self, n):
+        for m in conjugators(np.random.default_rng(37 + n), n):
+            lq = autgroup.lm_linear_map(m, n)
+            mf = np.array(m.rows, dtype=object)
+            rows = exactlin.as_matrix(gallery.svec_product(mf, mf).tolist())
+            den = lcm(*(v.denominator for row in rows for v in row))
+            nums = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+            assert lq.integer_form() == (nums, den)
+            assert lq.det == F(exactlin.int_det(nums), den ** len(nums)) == m.det ** (n + 1)
+            want = np.array([[float(v) for v in row] for row in rows])
+            assert lq.to_float().tobytes() == want.tobytes()
+            assert lq.rows == rows
+            assert all(type(v) is F for row in lq.rows for v in row)
+
+    def test_checks_never_build_the_rows(self):
+        # the exact tier reads the integer form, the determinant and the
+        # float matrix; the Fraction rows stay unbuilt
+        rng = np.random.default_rng(4)
+        cone = gallery.psd(4)
+        for m in (LinearMap(exactlin.permutation([2, 0, 3, 1])), dense_integer_map(rng, 4),
+                  cayley_orthogonal(rng, 4)):
+            lq = autgroup.lm_linear_map(m, 4)
+            autgroup.check_deriv_automorphism(cone, 1, lq)
+            assert lq._rows is None
+
+    @pytest.mark.parametrize("rows, form, det", [
+        ([[2, 1, 0], [0, 1, 0], [0, 0, -3]], ([[3, -3, 0], [0, 6, 0], [0, 0, -2]], 6),
+         F(-1, 6)),
+        ([[2, 0], [0, -4]], ([[2, 0], [0, -1]], 4), F(-1, 8)),  # adj / det = [[-4, 0], [0, 2]] / -8
+        ([[4, 2], [2, 6]], ([[3, -1], [-1, 2]], 10), F(1, 20)),
+    ])
+    def test_inverse_is_built_reduced(self, rows, form, det):
+        # the integer inverse comes back over a positive denominator with
+        # no common factor, as from its Fraction rows
+        inv = LinearMap(rows).inverse()
+        assert inv.integer_form() == form
+        assert LinearMap(inv.rows).integer_form() == form
+        assert inv.det == det
 
 
 # A float matrix has no exact tier: every map argument is a LinearMap.

@@ -591,6 +591,8 @@ class TestCertifiedSeparation:
         assert cones.certified_separation(cone, inside, cone, (-2, 2, 3), F(3, 2)) is None
         assert cones.certified_separation(cone, (0, 2, 3), cone, outside, 0) is None
         assert cones.certified_separation(cone, inside, cone, inside, 0) is None
+        # a boundary y is not outside the closed cone, even at margin 0
+        assert cones.certified_separation(cone, inside, cone, (0, 2, 3), 0) is None
         # x and y may be judged against different cones: (-1, 2, 3) is in
         # the first relaxation (e2 = 1, e1 = 4) and outside the orthant
         lams = cones.certified_separation(dc, outside, cone, outside, F(1, 10))

@@ -294,3 +294,31 @@ def factored_polynomial(draw):
 def test_real_rootedness_matches_the_multiplicity_count(f):
     # one Sturm chain on f against Yun's split with a chain per factor
     assert is_real_rooted(f) == (real_root_count_with_mult(f) == len(f) - 1)
+
+
+@st.composite
+def rational_cluster(draw):
+    """An orthant:n point whose coordinates cluster: a rational centre plus
+    small integer multiples of 2^-e (repeats included) and n - size other
+    rational coordinates, in a drawn order."""
+    n = draw(st.integers(3, 6))
+    size = draw(st.integers(2, n))
+    centre = draw(rational)
+    e = draw(st.integers(8, 60))
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    rest = draw(st.lists(rational, min_size=n - size, max_size=n - size))
+    x = [centre + F(j, 2**e) for j in offsets] + rest
+    return n, tuple(draw(st.permutations(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_cluster())
+def test_reseeding_moves_no_spectrum(case):
+    # with no re-seeding round, every clustered square-free polynomial
+    # goes straight to the Sturm counts; the spectra must not change
+    n, x = case
+    cone = gallery.orthant(n)
+    want = spectrum.spectra(cone, [x])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "RESEED_ROUNDS", 0)
+        assert spectrum.spectra(cone, [x]) == want

@@ -155,8 +155,10 @@ class TestSpectra:
 
 
 class TestIsolationBranches:
-    """Sign alternation at the seed cuts certifies simple roots; everything
-    else takes the Sturm counts."""
+    """Sign alternation at the seed cuts certifies simple roots; a
+    square-free polynomial that does not alternate is re-seeded by exact
+    Taylor shifts, and only what still does not alternate takes the Sturm
+    counts."""
 
     @pytest.fixture
     def interior_counts(self, monkeypatch):
@@ -171,6 +173,15 @@ class TestIsolationBranches:
         monkeypatch.setattr(spectrum, "sign_variations", recording)
         return cuts
 
+    @pytest.fixture
+    def reseeded(self, monkeypatch):
+        """The polynomials handed to `_shifted_seeds`, one entry a round."""
+        polys = []
+        shift = spectrum._shifted_seeds
+        monkeypatch.setattr(spectrum, "_shifted_seeds",
+                            lambda f, seeds: polys.append(f) or shift(f, seeds))
+        return polys
+
     def test_separated_roots_take_no_sturm_count(self, interior_counts):
         cone = gallery.orthant(4)
         # (1, 1, 2, 3): Yun's split leaves two factors with separated roots
@@ -183,10 +194,43 @@ class TestIsolationBranches:
         (1, 1 + F(1, 2**40), 1 + F(1, 2**39), 3),
         (1, 1, 1 + F(1, 2**40), 1 + F(1, 2**40)),  # its repeated factor is clustered
     ])
-    def test_clustered_roots_take_sturm_counts(self, interior_counts, x):
+    def test_clustered_roots_take_no_sturm_count(self, interior_counts, reseeded, x):
+        # the unpolished seeds cannot separate roots 2^12 ulp apart; the
+        # seeds of the shifted polynomials do, and the cuts between them
+        # alternate
+        cone = gallery.orthant(4)
+        spec = spectrum.eigenvalues(cone, x)
+        assert interior_counts == []
+        assert 1 <= len(reseeded) <= spectrum.RESEED_ROUNDS
+        assert_encloses_sympy_roots(cone.restrict(x), spec.eigenvalues, spec.residual)
+
+    def test_roots_a_few_ulps_apart_take_sturm_counts(self, interior_counts, reseeded):
+        # roots 4 ulp apart leave too little room for the float seeds of
+        # any shift: every round fails, and the Sturm counts isolate them
+        eps = F(1, 2**50)
+        x = (1, 1 + eps, 1 + 2 * eps, 3)
         cone = gallery.orthant(4)
         spec = spectrum.eigenvalues(cone, x)
         assert interior_counts
+        assert len(reseeded) == spectrum.RESEED_ROUNDS
+        assert_encloses_sympy_roots(cone.restrict(x), spec.eigenvalues, spec.residual)
+        assert spec.eigenvalues == (3.0, float(1 + 2 * eps), float(1 + eps), 1.0)
+
+    @pytest.mark.parametrize("x", [
+        (1, 1, 2, 3),
+        (2, 2, 2, 5),
+        (1, 1, 1 + F(1, 2**40), 1 + F(1, 2**40)),
+        (F(1, 3), F(1, 3), F(1, 3) + F(1, 2**30), 0),
+    ])
+    def test_repeated_tail_never_reaches_the_reseed(self, reseeded, x):
+        # the re-seeding runs on square-free polynomials only: a tail with
+        # a repeated root goes to Yun's split first, and at most its
+        # clustered factors are re-seeded
+        cone = gallery.orthant(4)
+        spec = spectrum.eigenvalues(cone, x)
+        tail = cone.restrict(x)[spec.mult:]
+        assert tail not in reseeded
+        assert all([mult for _, mult in poly.factor_chains(f)] == [1] for f in reseeded)
         assert_encloses_sympy_roots(cone.restrict(x), spec.eigenvalues, spec.residual)
 
     @pytest.mark.parametrize("proposal", [
@@ -198,7 +242,8 @@ class TestIsolationBranches:
     ])
     def test_misleading_seeds_do_not_move_the_roots(self, monkeypatch, proposal):
         # seeds only propose cuts: a zero sign or a missed sign change at a
-        # cut must send the factor to the Sturm counts
+        # cut must reject the alternation, and the square-free f goes on
+        # to the re-seeding rounds and, failing those, the Sturm counts
         f = (-6, 11, -6, 1)  # (t - 1)(t - 2)(t - 3)
         monkeypatch.setattr(spectrum, "_float_seeds", lambda fs: [
             sorted(spectrum._ordinal(v) for v in proposal) for _ in fs])
