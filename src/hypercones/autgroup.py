@@ -10,7 +10,8 @@ d, so agreement at every point proves the identity without expanding
 p o A; together with the image of the direction being interior it is a
 proof of automorphism (no minimality needed for that direction).  The
 first point where the sides differ is a witness anyone can re-check with
-two evaluations.  It refutes only when the polynomial is flagged minimal.
+two evaluations.  It refutes only when the polynomial is flagged minimal,
+a fact only `gallery` states (its cones and their relaxations).
 Otherwise only a membership violation refutes: a point on a ray from e
 that A or A^-1 moves out of the cone, proposed by floats and certified by
 exact derivative signs and certified spectra (`cones.ray_witness`).
@@ -247,10 +248,11 @@ def check_automorphism(cone, A: LinearMap) -> CheckReport:
     `poly.scaling_mismatch`, which reads A's cached integer form).
     Agreement everywhere plus an interior image of the direction is an
     unconditional certificate.  A mismatch at lattice point x refutes,
-    with x as the witness, when the polynomial is flagged minimal.
-    Otherwise a mismatch alone cannot refute, and the map fails only on a
-    certified membership violation: Ae not interior, or a point on a ray
-    from e that A or A^-1 moves out of the cone (`cones.ray_witness`).
+    with x as the witness, when the polynomial is flagged minimal: a
+    gallery form of cited minimal degree (see `gallery`).  Otherwise a
+    mismatch alone cannot refute, and the map fails only on a certified
+    membership violation: Ae not interior, or a point on a ray from e
+    that A or A^-1 moves out of the cone (`cones.ray_witness`).
     Without one the verdict is Inconclusive.  A map that is not a
     `LinearMap` raises TypeError: a float matrix has no exact tier.
     """
@@ -275,7 +277,6 @@ def _automorphism_report(cone, A: LinearMap, ae) -> CheckReport:
         return CheckReport(
             verdict=Verdict.FAILS,
             witness=ae,
-            tolerances={"tol": 0.0},
             details={
                 "reason": "image of the direction is not interior",
                 "p_at_Ae": str(p_ae),
@@ -290,13 +291,11 @@ def _automorphism_report(cone, A: LinearMap, ae) -> CheckReport:
             verdict=Verdict.FAILS,
             witness=x,
             kappa=kappa,
-            tolerances={"tol": 0.0},
             details={
                 "reason": "scaling identity fails",
                 "point": list(x),
                 "kappa_p_of_Ax": str(lhs),
                 "p_of_x": str(rhs),
-                "conditional_on_minimality": True,
             },
             tier="exact",
         )
@@ -305,36 +304,22 @@ def _automorphism_report(cone, A: LinearMap, ae) -> CheckReport:
             verdict=Verdict.FAILS,
             witness=ae,
             kappa=kappa,
-            tolerances={"tol": 0.0},
             details={"reason": "image of the direction is not interior"},
             tier="exact",
         )
     if mismatch is None:
-        details = {"conditional_on_minimality": False}
-        if not cone.minimality_assumed:
-            details["note"] = (
-                "certificate is unconditional: scaling identity plus "
-                "interior direction image suffices"
-            )
-        return CheckReport(
-            verdict=Verdict.HOLDS,
-            kappa=kappa,
-            tolerances={"tol": 0.0},
-            details=details,
-            tier="exact",
-        )
+        return CheckReport(verdict=Verdict.HOLDS, kappa=kappa, tier="exact")
     found = ray_witness(cone, cone, A, WITNESS_MARGIN)
-    tolerances = {"tol": 0.0, "margin": WITNESS_MARGIN}
+    tolerances = {"margin": WITNESS_MARGIN}
     if found is None:
         reason = (
-            "polynomial not flagged minimal, so the scaling mismatch cannot refute, "
-            f"and no membership violation certifies on the {cone.nvars ** 2} rays "
-            "-e_i and e_i - e_j from e"
+            "not a gallery polynomial of cited minimal degree, so the scaling mismatch "
+            f"cannot refute, and no membership violation certifies on the {cone.nvars ** 2} "
+            "rays -e_i and e_i - e_j from e"
         )
         return CheckReport(verdict=Verdict.INCONCLUSIVE, kappa=kappa, tolerances=tolerances,
                            details={"reason": reason}, tier="float")
-    details = {**found, "reason": "membership violation on a ray from e",
-               "conditional_on_minimality": False}
+    details = {**found, "reason": "membership violation on a ray from e"}
     return CheckReport(verdict=Verdict.FAILS, witness=found["x"], kappa=kappa,
                        tolerances=tolerances, details=details, tier="exact")
 

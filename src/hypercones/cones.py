@@ -50,11 +50,13 @@ INTERIOR_MARGIN = 0.25
 class HyperCone:
     """A cone of points whose restriction roots along e are all nonnegative.
 
-    `minimality_assumed` and `rog_flag` are documented metadata, not
-    verified claims; the automorphism machinery states explicitly which of
-    its verdicts are conditional on them.  `base` is the root cone and `k`
-    the relaxation order: a cone built here has `base = self` and `k = 0`,
-    and `derivative_cone(k)` returns the relaxation with `derivs =
+    `minimality_assumed` (p is of minimal degree for its cone) and
+    `rog_flag` (the cone is rank-one generated) are facts cited from the
+    literature, not options: a cone built here has both False, `gallery`
+    sets them on its own cones, and `derivative_cone` carries minimality
+    over to a relaxation (`_derived_minimality`).  `base` is the root cone
+    and `k` the relaxation order: a cone built here has `base = self` and
+    `k = 0`, and `derivative_cone(k)` returns the relaxation with `derivs =
     base.derivs[k:]`.
     """
 
@@ -63,8 +65,6 @@ class HyperCone:
         p: HomoPoly,
         e,
         label: str = "",
-        minimality_assumed: bool = False,
-        rog_flag: bool = False,
         gallery=None,
     ):
         e = as_vector(e)
@@ -80,8 +80,8 @@ class HyperCone:
         self.d = p.degree
         self.pe = pe
         self.label = label or "cone"
-        self.minimality_assumed = minimality_assumed
-        self.rog_flag = rog_flag
+        self.minimality_assumed = False
+        self.rog_flag = False
         self.gallery = gallery
         self.base = self
         self.k = 0
@@ -177,11 +177,10 @@ class HyperCone:
                 self.derivs[k],
                 self.e,
                 label=f"{self.label}^({k})",
-                minimality_assumed=_derived_minimality(self, k),
-                rog_flag=False,
                 gallery=self.gallery,
             )
             dc.base, dc.k = self, k
+            dc.minimality_assumed = _derived_minimality(self, k)
             dc._derivs = self.derivs[k:]
             self._deriv_cones[k] = dc
         return self._deriv_cones[k]
@@ -191,9 +190,14 @@ class HyperCone:
 
 
 def _derived_minimality(base: HyperCone, k: int) -> bool:
-    # The derivative polynomial of a rank-one-generated cone stays minimal
-    # through order d-2; at order d-1 any degree-1 generator of a halfspace
-    # is trivially minimal.
+    """Is D_e^k p minimal for relaxation k?  Only by a cited fact.
+
+    Order d-1 is a halfspace, whose one linear form is minimal.  Below it,
+    the relaxations of a rank-one-generated cone with minimal p keep a
+    minimal polynomial through order d-2 (the hypothesis of the paper's
+    main theorem), and `gallery` alone flags a cone that way.  Anything
+    else, l1^(1) with its redundant x3 factor among them, is not minimal.
+    """
     if k == base.d - 1:
         return True
     return base.rog_flag and base.minimality_assumed

@@ -135,22 +135,14 @@ def rog_check(model: GeneratedFaceModel) -> CheckReport:
         try:
             r = spectrum.rank_exact(model.cone, g, sturm_verify=True)
         except InconclusiveError as exc:
-            return CheckReport(
-                verdict=Verdict.INCONCLUSIVE,
-                samples=i,
-                details={"generator": i, "reason": str(exc)},
-            )
+            return CheckReport(verdict=Verdict.INCONCLUSIVE,
+                               details={"generator": i, "reason": str(exc)})
         if r != 1:
             spec = spectrum.eigenvalues(model.cone, g)
             return CheckReport(
                 verdict=Verdict.FAILS,
                 witness=g,
-                samples=len(model.generators),
                 details={"generator": i, "rank": r, "spectrum": spec.to_json_dict()},
             )
-    return CheckReport(
-        verdict=Verdict.HOLDS,
-        samples=len(model.generators),
-        details={"generators": len(model.generators)},
-    )
+    return CheckReport(verdict=Verdict.HOLDS, details={"generators": len(model.generators)})
 

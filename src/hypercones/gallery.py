@@ -1,9 +1,12 @@
 """Constructors for the concrete cones used throughout the suite.
 
 Everything here is desk scale on purpose: symbolic determinants stop at
-4x4 matrices (24 Leibniz terms), and the flags each constructor sets
-(`rog_flag`, `minimality_assumed`) record documented facts about these
-specific instances, not computed certificates.
+4x4 matrices (24 Leibniz terms).  Only the gallery sets the flags
+`minimality_assumed` and `rog_flag` (through `_cited`): each is a fact
+from the literature about that instance, stated in its constructor's
+docstring, not a computed certificate, and no caller or descriptor can
+set them.  A lattice mismatch refutes an automorphism only on a form
+flagged minimal.
 
 svec convention: a symmetric matrix maps to its diagonal entries followed
 by the off-diagonal entries (i < j, row-major), stored raw with no sqrt(2)
@@ -159,44 +162,43 @@ def symmetric_det_poly(n: int) -> HomoPoly:
 # ---------------------------------------------------------------------------
 
 
+def _cited(cone: HyperCone, rog: bool) -> HyperCone:
+    """Flag a gallery cone's polynomial minimal, and the cone rank-one
+    generated when `rog`: facts its constructor's docstring cites."""
+    cone.minimality_assumed, cone.rog_flag = True, rog
+    return cone
+
+
 @functools.cache
 def orthant(n: int) -> HyperCone:
     """Product of the coordinates along the all-ones direction.
 
-    Built once per n: every call returns the same cone, with its derivative
-    tower and relaxations, so callers must not mutate it.
+    Minimal: n distinct linear forms, each defining a facet.  Rank-one
+    generated by the unit vectors.  Built once per n: every call returns
+    the same cone, with its derivative tower and relaxations, so callers
+    must not mutate it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     p = HomoPoly(n, n, {(1,) * n: Fraction(1)})
-    return HyperCone(
-        p,
-        (1,) * n,
-        label=f"orthant:{n}",
-        minimality_assumed=True,
-        rog_flag=True,
-        gallery=GalleryDescriptor("Orthant", {"n": n}),
-    )
+    return _cited(HyperCone(p, (1,) * n, label=f"orthant:{n}",
+                            gallery=GalleryDescriptor("Orthant", {"n": n})), rog=True)
 
 
 @functools.cache
 def psd(n: int) -> HyperCone:
     """Symmetric PSD matrices in svec coordinates, determinant polynomial.
 
-    Built once per n, like `orthant`; callers must not mutate the cone.
+    Minimal: the determinant of a generic symmetric matrix is irreducible.
+    Rank-one generated by the matrices u u^T.  Built once per n, like
+    `orthant`; callers must not mutate the cone.
     """
     if not 1 <= n <= SYMBOLIC_DET_CAP:
         raise ValueError(f"symbolic determinant capped at n = {SYMBOLIC_DET_CAP}")
     p = symmetric_det_poly(n)
     e = svec(exactlin.identity(n))
-    return HyperCone(
-        p,
-        e,
-        label=f"psd:{n}",
-        minimality_assumed=True,
-        rog_flag=True,
-        gallery=GalleryDescriptor("PSD", {"n": n}),
-    )
+    return _cited(HyperCone(p, e, label=f"psd:{n}", gallery=GalleryDescriptor("PSD", {"n": n})),
+                  rog=True)
 
 
 def psd_deriv_member(n: int, k: int, X) -> list[Membership]:
@@ -231,28 +233,27 @@ def psd_deriv_member(n: int, k: int, X) -> list[Membership]:
 
 
 def soc(n: int) -> HyperCone:
-    """Second-order cone in R^n: x0 >= sqrt(x1^2 + ... + x_{n-1}^2)."""
+    """Second-order cone in R^n: x0 >= sqrt(x1^2 + ... + x_{n-1}^2).
+
+    Minimal: for n >= 3 an irreducible quadratic, for n = 2 the two
+    distinct facet forms x0 - x1 and x0 + x1.  Rank-one generated: every
+    boundary ray is extreme.
+    """
     if n < 2:
         raise ValueError("need ambient dimension >= 2")
     terms = {tuple(2 if i == 0 else 0 for i in range(n)): Fraction(1)}
     for j in range(1, n):
         terms[tuple(2 if i == j else 0 for i in range(n))] = Fraction(-1)
-    p = HomoPoly(n, 2, terms)
     e = tuple(Fraction(1 if i == 0 else 0) for i in range(n))
-    return HyperCone(
-        p,
-        e,
-        label=f"soc:{n}",
-        minimality_assumed=True,
-        rog_flag=True,
-        gallery=GalleryDescriptor("SOC", {"n": n}),
-    )
+    return _cited(HyperCone(HomoPoly(n, 2, terms), e, label=f"soc:{n}",
+                            gallery=GalleryDescriptor("SOC", {"n": n})), rog=True)
 
 
 def l1_cone() -> HyperCone:
     """x3 >= |x1| + |x2| as the product of four linear forms.
 
-    Not rank-one generated: every extreme ray has rank two.  The first
+    Minimal: four distinct linear forms, each defining a facet.  Not
+    rank-one generated: every extreme ray has rank two.  The first
     relaxation equals soc(3) as a set under (x1, x2, x3) -> (x3, x1, x2);
     the derivative polynomial keeps a redundant x3 factor, so it is not of
     minimal degree.
@@ -263,24 +264,11 @@ def l1_cone() -> HyperCone:
         (-1, 1, 1),
         (-1, -1, 1),
     ]
-    p = product_of_linear_forms(rows)
-    return HyperCone(
-        p,
-        (0, 0, 1),
-        label="l1",
-        minimality_assumed=True,
-        rog_flag=False,
-        gallery=GalleryDescriptor("L1", {}),
-    )
+    return _cited(HyperCone(product_of_linear_forms(rows), (0, 0, 1), label="l1",
+                            gallery=GalleryDescriptor("L1", {})), rog=False)
 
 
-def spectrahedral(
-    matrices,
-    xbar,
-    label: str = "spectrahedral",
-    minimality_assumed: bool = False,
-    rog_flag: bool = False,
-) -> HyperCone:
+def spectrahedral(matrices, xbar, label: str = "spectrahedral") -> HyperCone:
     """Cone of points x with sum_i x_i A_i positive semidefinite.
 
     The matrices must be symmetric, at most 4x4, linearly independent, and
@@ -318,8 +306,6 @@ def spectrahedral(
         p,
         xbar,
         label=label,
-        minimality_assumed=minimality_assumed,
-        rog_flag=rog_flag,
         gallery=GalleryDescriptor(
             "Spectrahedral",
             {"n": n, "matrices": [[list(map(str, r)) for r in m] for m in mats]},
@@ -342,17 +328,14 @@ def _is_positive_definite(mat: np.ndarray) -> bool:
 
 
 def soc3_slice_2x2() -> HyperCone:
-    """soc(3) as a 2x2 pencil [[x0+x1, x2], [x2, x0-x1]]: rank-one generated."""
+    """soc(3) as a 2x2 pencil [[x0+x1, x2], [x2, x0-x1]]: rank-one generated.
+
+    Minimal: its determinant x0^2 - x1^2 - x2^2 is an irreducible quadratic.
+    """
     a0 = ((1, 0), (0, 1))
     a1 = ((1, 0), (0, -1))
     a2 = ((0, 1), (1, 0))
-    return spectrahedral(
-        [a0, a1, a2],
-        (1, 0, 0),
-        label="soc3-slice-2x2",
-        minimality_assumed=True,
-        rog_flag=True,
-    )
+    return _cited(spectrahedral([a0, a1, a2], (1, 0, 0), label="soc3-slice-2x2"), rog=True)
 
 
 def soc3_slice_3x3() -> HyperCone:
@@ -435,8 +418,9 @@ SCREEN_POINTS = 1000
 def cone_from_descriptor(data) -> HyperCone:
     """Cone from its descriptor JSON: {"label", "polynomial", "e", "k"?}.
 
-    The optional flag keys record documented assumptions about the
-    polynomial, never verified claims; they default to off.  The
+    A descriptor carries no flags: its cone is neither flagged minimal nor
+    rank-one generated, whatever other keys it has, so a lattice mismatch
+    refutes a map on it only at relaxation order d - 1, a halfspace.  The
     restrictions at the points of `simplex_lattice(nvars, k)` are
     screened, k the largest order up to the degree whose lattice has at
     most `SCREEN_POINTS` points (or 1): the first that is not real-rooted
@@ -445,13 +429,7 @@ def cone_from_descriptor(data) -> HyperCone:
     proves nothing.
     """
     p = HomoPoly.from_json_dict(data["polynomial"])
-    cone = HyperCone(
-        p,
-        [as_fraction(v) for v in data["e"]],
-        label=data.get("label", "cone"),
-        minimality_assumed=bool(data.get("minimality_assumed", False)),
-        rog_flag=bool(data.get("rog_flag", False)),
-    )
+    cone = HyperCone(p, [as_fraction(v) for v in data["e"]], label=data.get("label", "cone"))
     k = p.degree
     while k > 1 and comb(p.nvars + k - 1, k) > SCREEN_POINTS:
         k -= 1

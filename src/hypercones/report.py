@@ -48,7 +48,6 @@ class CheckReport:
     verdict: Verdict
     kappa: Fraction | None = None
     witness: tuple | None = None
-    samples: int = 0
     tolerances: dict = field(default_factory=dict)
     regime_warnings: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
@@ -65,7 +64,6 @@ class CheckReport:
     def to_json_dict(self) -> dict:
         out = {
             "verdict": self.verdict.value,
-            "samples": self.samples,
             "tolerances": _json_value(self.tolerances),
             "regime_warnings": list(self.regime_warnings),
             "tier": self.tier,

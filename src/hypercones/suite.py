@@ -419,10 +419,7 @@ def check_rog_flags(seed: int, ctx: dict) -> SuiteCheck:
     if not rep.holds:
         problems.append("orthant generators should have rank one")
 
-    weighted = HyperCone(
-        HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1),
-        label="weighted-product", minimality_assumed=False,
-    )
+    weighted = HyperCone(HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1), label="weighted-product")
     rep = faces.rog_check(faces.GeneratedFaceModel(weighted, coord3))
     details["weighted-product"] = rep.verdict.value
     if not (rep.fails and rep.witness == as_vector((1, 0, 0))

@@ -10,7 +10,7 @@ import pytest
 
 from hypercones import autgroup, cones, exactlin, gallery, spectrum, suite
 from hypercones.autgroup import LinearMap
-from hypercones.cones import HyperCone, membership_exact
+from hypercones.cones import membership_exact
 from hypercones.poly import HomoPoly, polar_form_float
 from hypercones.report import Membership, Verdict
 
@@ -54,10 +54,12 @@ def dense_integer_map(rng, n):
 
 
 def weighted_product_cone():
-    return HyperCone(
-        HomoPoly(3, 4, {(2, 1, 1): 1}), (1, 1, 1),
-        label="weighted", minimality_assumed=True,
-    )
+    """x0^2 x1 x2 along (1, 1, 1), whose cone is the orthant, from a
+    descriptor that claims its polynomial minimal: descriptors carry no
+    flags, so the claim is ignored."""
+    p = HomoPoly(3, 4, {(2, 1, 1): 1})
+    return gallery.cone_from_descriptor({"label": "weighted", "polynomial": p.to_json_dict(),
+                                         "e": ["1", "1", "1"], "minimality_assumed": True})
 
 
 class TestLinearMap:
@@ -231,12 +233,16 @@ class TestCheckAutomorphism:
         )
         assert rep.holds and rep.kappa == F(1, 6) and rep.tier == "exact"
 
-    def test_weighted_product_swap_refuted(self):
-        rep = autgroup.check_automorphism(
-            weighted_product_cone(), LinearMap(exactlin.permutation([1, 0, 2]))
-        )
-        assert rep.fails
-        assert rep.details["conditional_on_minimality"]
+    def test_weighted_product_swap_inconclusive(self):
+        # the swap keeps the orthant, but x0^2 x1 x2 is not of minimal
+        # degree: its lattice mismatch cannot refute, and no ray refutes
+        swap = LinearMap(exactlin.permutation([1, 0, 2]))
+        cone = weighted_product_cone()
+        assert not cone.minimality_assumed
+        rep = autgroup.check_automorphism(cone, swap)
+        assert rep.verdict is Verdict.INCONCLUSIVE
+        assert "cited minimal degree" in rep.details["reason"]
+        assert autgroup.check_automorphism(gallery.orthant(3), swap).holds
 
     def test_psd_signed_permutation_conjugation(self):
         q = LinearMap([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
@@ -285,7 +291,7 @@ class TestCheckAutomorphism:
         amap = LinearMap(exactlin.diag([2, 1, 1]))
         rep = autgroup.check_automorphism(cone, amap)
         assert rep.fails and rep.tier == "exact"
-        assert not rep.details["conditional_on_minimality"]
+        assert rep.details["reason"] == "membership violation on a ray from e"
         assert_ray_witness(cone, amap, rep.details, rep.witness)
 
 
@@ -338,7 +344,7 @@ class TestDerivAutomorphism:
         # witness, and nothing certifies a Holds
         rep = autgroup.check_deriv_automorphism(cone, 1, cand)
         assert rep.verdict is Verdict.INCONCLUSIVE
-        assert "not flagged minimal" in rep.details["reason"]
+        assert "not a gallery polynomial of cited minimal degree" in rep.details["reason"]
         assert "rays" in rep.details["reason"]
         assert rep.regime_warnings
         assert not rep.details["equivalence_violation"]

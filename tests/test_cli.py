@@ -186,6 +186,23 @@ class TestAutcheck:
         assert code == 1 and data["verdict"] == "FailsWithWitness"
         assert data["tier"] == "exact"
 
+    def test_descriptor_minimality_claim_cannot_refute(self, capsys, tmp_path):
+        # x0^2 x1 x2 cuts out the orthant, which the swap of x0 and x1
+        # keeps; the descriptor's minimality key is ignored, so the lattice
+        # mismatch does not refute and the verdict is Inconclusive
+        cone = tmp_path / "weighted.json"
+        cone.write_text(json.dumps({
+            "label": "weighted", "e": ["1", "1", "1"], "minimality_assumed": True,
+            "polynomial": {"nvars": 3, "degree": 4,
+                           "terms": [{"exp": [2, 1, 1], "num": "1", "den": "1"}]},
+        }))
+        swap = tmp_path / "swap.json"
+        swap.write_text(json.dumps([["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]))
+        code, data, _ = run_json(capsys, "autcheck", f"file:{cone}", str(swap))
+        assert code == 4 and data["verdict"] == "Inconclusive"
+        code, data, _ = run_json(capsys, "autcheck", "orthant:3", str(swap))
+        assert code == 0 and data["verdict"] == "Holds"
+
 
 class TestChainAndRog:
     def test_chain_orthant(self, capsys):

@@ -552,7 +552,6 @@ class TestStrictContainment:
         rep = cones.strict_containment_witness(gallery.orthant(4), 1)
         assert rep.verdict is Verdict.INCONCLUSIVE
         assert "16 rays" in rep.details["reason"]
-        assert rep.samples == 0
         assert rep.tier == "float"
 
     @pytest.mark.parametrize("cone_id, k", [("orthant:4", 1), ("orthant:5", 3), ("psd:4", 2)])

@@ -26,7 +26,7 @@ MODULES = sorted((ROOT / "src" / "hypercones").glob("*.py"))
 CALLERS = [m for m in MODULES if m.name != "__init__.py"]
 CALLERS += sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-DEFAULTED_PARAMETER_CAP = 15
+DEFAULTED_PARAMETER_CAP = 11
 
 
 def parse(path: Path) -> ast.Module:

@@ -382,6 +382,44 @@ class TestSpectrahedral:
             gallery.spectrahedral([((1, 2), (0, 1))], (1,))
 
 
+def rational_factors(cone):
+    """(factor, multiplicity) pairs of the cone's polynomial over Q."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{cone.nvars}")
+    expr = sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.Mul(*(v**a for v, a in zip(xs, exp)))
+               for exp, c in cone.p.terms.items())
+    return [(sympy.Poly(f, *xs), m) for f, m in sympy.factor_list(expr, *xs)[1]]
+
+
+class TestCitedMinimality:
+    """The minimality each gallery docstring cites, factored over Q with
+    sympy (a dev-only dependency).  Minimality needs irreducibility over R,
+    which is stronger; this is the part that Q can check."""
+
+    @pytest.mark.parametrize("cone_id", ["orthant:4", "orthant:5", "l1"])
+    def test_distinct_linear_forms(self, cone_id):
+        cone = gallery.parse_cone_id(cone_id)
+        assert cone.minimality_assumed
+        factors = rational_factors(cone)
+        assert len(factors) == cone.d
+        assert all(f.total_degree() == 1 and m == 1 for f, m in factors)
+
+    @pytest.mark.parametrize("cone_id", [
+        "orthant:4:k=1", "orthant:4:k=2", "orthant:5:k=1", "orthant:5:k=2", "orthant:5:k=3",
+        "psd:3", "psd:3:k=1", "psd:4", "psd:4:k=1", "psd:4:k=2", "soc:3", "soc:4",
+        "soc3-slice-2x2",
+    ])
+    def test_one_irreducible_factor(self, cone_id):
+        if cone_id == "soc3-slice-2x2":
+            cone = gallery.soc3_slice_2x2()
+        else:
+            cone = gallery.parse_cone_id(cone_id)
+        assert cone.minimality_assumed
+        [(factor, multiplicity)] = rational_factors(cone)
+        assert multiplicity == 1 and factor.total_degree() == cone.d
+
+
 class TestConeIds:
     def test_plain_ids(self):
         assert gallery.parse_cone_id("orthant:4").label == "orthant:4"
@@ -403,12 +441,14 @@ class TestConeIds:
     def test_descriptor_file_roundtrip(self, tmp_path):
         cone = gallery.l1_cone()
         path = tmp_path / "cone.json"
+        # flags are gallery facts: a descriptor's flag keys are ignored
         path.write_text(json.dumps(
-            {**descriptor(cone), "minimality_assumed": True}
+            {**descriptor(cone), "minimality_assumed": True, "rog_flag": True}
         ))
         again = gallery.parse_cone_id(f"file:{path}")
         assert again.p == cone.p and again.e == cone.e
-        assert again.minimality_assumed and not again.rog_flag
+        assert cone.minimality_assumed
+        assert not (again.minimality_assumed or again.rog_flag)
         dc = gallery.parse_cone_id(f"file:{path}:k=1")
         assert dc.base is not dc and dc.k == 1
 
